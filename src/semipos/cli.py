@@ -77,7 +77,7 @@ def _certificate_dict(cert: preserver.FalsifyCertificate | None) -> dict[str, An
         "probe": _vec(cert.probe),
         "probe_image": _vec(cert.probe_image),
         "note": cert.note,
-        "verified": cert.verify(),
+        "verified": cert.verified or cert.verify(),
     }
 
 
@@ -231,6 +231,13 @@ def run(argv: Sequence[str] | None = None) -> int:
     report["inputs"] = inputs
 
     try:
+        for flag in ("trials", "max_trials"):
+            count = getattr(args, flag, None)
+            if count is not None and count < 1:
+                raise InvalidInputError(
+                    f"--{flag.replace('_', '-')} must be at least 1, got {count}"
+                )
+
         if args.command == "classify":
             matrix, meta = _load_matrix(args.matrix)
             inputs["matrix"] = meta

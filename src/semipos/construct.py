@@ -260,14 +260,19 @@ def build_rect(v: Vector, w: Vector) -> Matrix:
     return b
 
 
-def mixed_sign_vector(x: Matrix) -> Vector:
+def mixed_sign_vector(x: Matrix, inv: Matrix | None = None) -> Vector:
     """Vector v with entries of both signs and X v >= 0; see the detailed variant."""
-    v, _ = mixed_sign_vector_with_path(x)
+    v, _ = mixed_sign_vector_with_path(x, inv)
     return v
 
 
-def mixed_sign_vector_with_path(x: Matrix) -> tuple[Vector, str]:
+def mixed_sign_vector_with_path(
+    x: Matrix, inv: Matrix | None = None
+) -> tuple[Vector, str]:
     """As ``mixed_sign_vector``, also reporting which route produced v.
+
+    ``inv`` is X^{-1} when the caller already has it; v is checked against X
+    itself either way.
 
     Candidate vectors are the inverse's columns: the column holding the first
     negative entry (scanning row-major) maps to a nonnegative basis vector and
@@ -282,10 +287,11 @@ def mixed_sign_vector_with_path(x: Matrix) -> tuple[Vector, str]:
     """
     if not x.is_square:
         raise DimensionError("need a square matrix")
-    try:
-        inv = x.inverse()
-    except SingularMatrixError:
-        raise InvalidInputError("matrix must be invertible") from None
+    if inv is None:
+        try:
+            inv = x.inverse()
+        except SingularMatrixError:
+            raise InvalidInputError("matrix must be invertible") from None
     if inv.is_nonneg() or (-inv).is_nonneg():
         raise InvalidInputError("neither the matrix nor its negation may be inverse nonnegative")
 

@@ -3,9 +3,13 @@
 Verdicts are three-valued.  A "no" always carries a certificate: a concrete
 matrix inside the preserved class whose image verifiably leaves it (or, for
 onto questions with a singular X, a class member with no preimage at all).
-Certificates are re-verified with the classify deciders before any verdict is
-returned, so the falsifiers are checked constructions rather than trusted
-formulas.
+Each certificate is verified exactly once, with the classify deciders, before
+it is returned, so the falsifiers are checked constructions rather than
+trusted formulas.
+
+Every decision rule holds for (X, Y) or for (-X, -Y).  X and Y are inverted
+at most once per verdict; the inverses and their signs are passed down to the
+falsifiers as values.
 
 The only undecided regimes are the rectangular into-preserver questions for
 minimal semipositivity: for more rows than columns (width at least 2) the
@@ -17,8 +21,9 @@ question is outside the decided territory entirely and "unknown" is returned.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import classify, genfuzz
 from .construct import build_np, build_pos, mixed_sign_vector
@@ -26,6 +31,7 @@ from .ratmat import (
     DimensionError,
     InvalidInputError,
     Matrix,
+    SingularMatrixError,
     Vector,
     basis_vector,
     column_matrix,
@@ -107,9 +113,15 @@ class FalsifyCertificate:
     probe_image: Vector | None = None
     note: str = ""
 
+    # set by _checked once verify() has passed; never a constructor argument
+    verified: bool = field(default=False, init=False, compare=False)
+
     def _member(self, m: Matrix) -> bool:
         if self.class_name == CLASS_SP:
             return classify.is_semipositive(m)[0]
+        if m.is_square:
+            # square: minimally semipositive iff invertible with nonnegative inverse
+            return classify.is_inverse_nonnegative(m)[0]
         return classify.is_minimally_semipositive(m)
 
     def verify(self) -> bool:
@@ -154,60 +166,122 @@ class PreserverVerdict:
         if self.status is Verdict.NO:
             if self.certificate is None:
                 raise InvalidInputError("a negative verdict requires a certificate")
-            if not self.certificate.verify():
-                raise ArithmeticError("certificate failed re-verification")
+            if not self.certificate.verified:
+                _checked(self.certificate)
 
 
 # -- decision rules -------------------------------------------------------------
 
-
-def into_sp_condition(x: Matrix, y: Matrix) -> bool:
-    if classify.is_row_positive(x) and classify.is_inverse_nonnegative(y)[0]:
-        return True
-    return classify.is_row_positive(-x) and classify.is_inverse_nonnegative(-y)[0]
-
-
-def into_msp_square_condition(x: Matrix, y: Matrix) -> bool:
-    if classify.is_inverse_nonnegative(x)[0] and classify.is_inverse_nonnegative(y)[0]:
-        return True
-    return (
-        classify.is_inverse_nonnegative(-x)[0]
-        and classify.is_inverse_nonnegative(-y)[0]
-    )
+# M^{-1} (None when M is singular) and its sign, see _signed
+Inverse = tuple[Matrix | None, int]
+# X's and Y's, with None for Y's when X is singular, see _msp_inverses
+MspInverses = tuple[Inverse, Inverse | None]
 
 
-def _monomial_pair_reason(x: Matrix, y: Matrix) -> str | None:
-    if classify.is_monomial(x) and classify.is_monomial(y):
-        return REASON_MONOMIAL_PAIR
-    if classify.is_monomial(-x) and classify.is_monomial(-y):
-        return REASON_NEGATED_PAIR
-    return None
+def _signed(inv: Matrix | None) -> Inverse:
+    """An inverse with its sign: +1 when nonnegative, -1 when nonpositive (so
+    (-M)^{-1} = -M^{-1} is nonnegative), 0 otherwise or when singular."""
+    if inv is None:
+        return None, 0
+    return inv, 1 if inv.is_nonneg() else -1 if inv.is_nonpos() else 0
+
+
+def _signed_inverse(m: Matrix) -> Inverse:
+    """Invert M once; every inverse a verdict needs comes from here."""
+    try:
+        return _signed(m.inverse())
+    except SingularMatrixError:
+        return None, 0
+
+
+def _sign(test: Callable[[Matrix], bool], m: Matrix) -> int:
+    """+1 when M passes ``test``, -1 when -M does, 0 otherwise."""
+    if test(m):
+        return 1
+    return -1 if test(-m) else 0
+
+
+def _pair_sign(x_sign: int, y_sign: int) -> int:
+    """The sign symmetry of every rule: +1 when (X, Y) satisfies it, -1 when
+    (-X, -Y) does, 0 when neither."""
+    return x_sign if x_sign == y_sign else 0
+
+
+def _yes(sign: int, reason: str) -> PreserverVerdict:
+    return PreserverVerdict(Verdict.YES, reason if sign > 0 else REASON_NEGATED_PAIR)
+
+
+def _sp_inverse(x: Matrix, y: Matrix) -> Inverse | None:
+    """Y's signed inverse, or None when neither X nor -X is row positive: then
+    the rule fails and the counterexample does not use Y^{-1}."""
+    return _signed_inverse(y) if _sign(classify.is_row_positive, x) else None
+
+
+def _msp_inverses(x: Matrix, y: Matrix) -> MspInverses:
+    """X's signed inverse and Y's, or None for Y's when X is singular: then
+    the rule fails and the identity is a counterexample."""
+    x_inv = _signed_inverse(x)
+    return x_inv, _signed_inverse(y) if x_inv[0] is not None else None
+
+
+def into_sp_condition(x: Matrix, y: Matrix, y_inv: Inverse | None = None) -> int:
+    """X row positive and Y inverse nonnegative: +1, -1 for (-X, -Y), else 0.
+
+    ``y_inv`` is ``_sp_inverse(x, y)`` when the caller already has it.
+    """
+    x_sign = _sign(classify.is_row_positive, x)
+    if not x_sign:
+        return 0
+    if y_inv is None:
+        y_inv = _signed_inverse(y)
+    return _pair_sign(x_sign, y_inv[1])
+
+
+def into_msp_square_condition(
+    x: Matrix, y: Matrix, inverses: MspInverses | None = None
+) -> int:
+    """X and Y inverse nonnegative: +1, -1 for (-X, -Y), else 0.
+
+    ``inverses`` is ``_msp_inverses(x, y)`` when the caller already has it.
+    """
+    x_inv, y_inv = inverses or _msp_inverses(x, y)
+    if y_inv is None:
+        return 0
+    return _pair_sign(x_inv[1], y_inv[1])
+
+
+def _monomial_sign(x: Matrix, y: Matrix) -> int:
+    return _pair_sign(_sign(classify.is_monomial, x), _sign(classify.is_monomial, y))
 
 
 def into_sp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     """Does A -> X A Y map every semipositive matrix to a semipositive one?"""
     x, y = lmap.x, lmap.y
-    if classify.is_row_positive(x) and classify.is_inverse_nonnegative(y)[0]:
-        return PreserverVerdict(Verdict.YES, REASON_SP_PAIR)
-    if classify.is_row_positive(-x) and classify.is_inverse_nonnegative(-y)[0]:
-        return PreserverVerdict(Verdict.YES, REASON_NEGATED_PAIR)
-    return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, falsify_into_sp(lmap))
+    y_inv = _sp_inverse(x, y)
+    sign = into_sp_condition(x, y, y_inv)
+    if sign:
+        return _yes(sign, REASON_SP_PAIR)
+    return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, falsify_into_sp(lmap, y_inv))
 
 
 def onto_sp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     """Does A -> X A Y map the semipositive matrices onto themselves?"""
     x, y = lmap.x, lmap.y
-    reason = _monomial_pair_reason(x, y)
-    if reason is not None:
-        return PreserverVerdict(Verdict.YES, reason)
-    if not into_sp_condition(x, y):
-        return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, falsify_into_sp(lmap))
-    if x.det() == 0:
+    sign = _monomial_sign(x, y)
+    if sign:
+        return _yes(sign, REASON_MONOMIAL_PAIR)
+    y_inv = _sp_inverse(x, y)
+    sign = into_sp_condition(x, y, y_inv)
+    if not sign:
+        return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, falsify_into_sp(lmap, y_inv))
+    x_inv, _ = _signed_inverse(x)
+    if x_inv is None:
         return PreserverVerdict(
-            Verdict.NO, REASON_X_SINGULAR, _no_preimage_certificate(lmap)
+            Verdict.NO, REASON_X_SINGULAR, _no_preimage_certificate(lmap, sign)
         )
+    inverse = PreserverMap(x_inv, y_inv[0])
     return PreserverVerdict(
-        Verdict.NO, REASON_INVERSE_NOT_INTO, falsify_into_sp(lmap.inverse_map())
+        Verdict.NO, REASON_INVERSE_NOT_INTO, falsify_into_sp(inverse, _signed(y))
     )
 
 
@@ -233,30 +307,33 @@ def into_msp_preserver(
         raise DimensionError(f"X is {x.shape}, inconsistent with m={m}")
     if n is not None and n != cols:
         raise DimensionError(f"Y is {y.shape}, inconsistent with n={n}")
+    if trials < 1:
+        raise InvalidInputError(f"trials must be at least 1, got {trials}")
 
     if rows == cols:
-        if classify.is_inverse_nonnegative(x)[0] and classify.is_inverse_nonnegative(y)[0]:
-            return PreserverVerdict(Verdict.YES, REASON_MSP_PAIR)
-        if classify.is_inverse_nonnegative(-x)[0] and classify.is_inverse_nonnegative(-y)[0]:
-            return PreserverVerdict(Verdict.YES, REASON_NEGATED_PAIR)
-        return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, falsify_into_msp(lmap))
+        inverses = _msp_inverses(x, y)
+        sign = into_msp_square_condition(x, y, inverses)
+        if sign:
+            return _yes(sign, REASON_MSP_PAIR)
+        return PreserverVerdict(
+            Verdict.NO, REASON_FALSIFIED, falsify_into_msp(lmap, inverses)
+        )
 
     if rows > cols == 1:
-        scalar = y.entries[0][0]
-        if scalar > 0 and classify.is_row_positive(x):
-            return PreserverVerdict(Verdict.YES, REASON_COLUMN_PAIR)
-        if scalar < 0 and classify.is_row_positive(-x):
-            return PreserverVerdict(Verdict.YES, REASON_NEGATED_PAIR)
+        # a 1x1 Y is inverse nonnegative iff positive: the into-SP pair rule
+        sign = into_sp_condition(x, y)
+        if sign:
+            return _yes(sign, REASON_COLUMN_PAIR)
         return PreserverVerdict(
             Verdict.NO, REASON_FALSIFIED, _falsify_column_map(lmap)
         )
 
     if rows > cols:
-        if classify.is_monomial(x) and classify.is_inverse_nonnegative(y)[0]:
-            return PreserverVerdict(Verdict.YES, REASON_TALL_PAIR)
-        if classify.is_monomial(-x) and classify.is_inverse_nonnegative(-y)[0]:
-            return PreserverVerdict(Verdict.YES, REASON_NEGATED_PAIR)
-        if y.det() == 0:
+        y_inv, y_sign = _signed_inverse(y)
+        sign = _pair_sign(_sign(classify.is_monomial, x), y_sign)
+        if sign:
+            return _yes(sign, REASON_TALL_PAIR)
+        if y_inv is None:
             a = _canonical_msp(rows, cols)
             cert = FalsifyCertificate(
                 "image-leaves-class",
@@ -267,7 +344,7 @@ def into_msp_preserver(
                 image=x @ a @ y,
                 note="y-singular-image-rank-deficient",
             )
-            return PreserverVerdict(Verdict.NO, REASON_Y_SINGULAR, cert)
+            return PreserverVerdict(Verdict.NO, REASON_Y_SINGULAR, _checked(cert))
         cfg = genfuzz.GenConfig(seed)
         for a in genfuzz.iter_msp_mixture(rows, cols, cfg, trials):
             image = x @ a @ y
@@ -281,7 +358,7 @@ def into_msp_preserver(
                     image=image,
                     note="randomized-counterexample",
                 )
-                return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, cert)
+                return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, _checked(cert))
         return PreserverVerdict(Verdict.UNKNOWN, REASON_OUTSIDE_REGIME)
 
     return PreserverVerdict(Verdict.UNKNOWN, REASON_OUTSIDE_REGIME)
@@ -297,20 +374,28 @@ def onto_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
         raise InvalidInputError(
             "onto preservation of minimal semipositivity is decided for square spaces only"
         )
-    reason = _monomial_pair_reason(x, y)
-    if reason is not None:
-        return PreserverVerdict(Verdict.YES, reason)
-    if not into_msp_square_condition(x, y):
-        return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, falsify_into_msp(lmap))
+    sign = _monomial_sign(x, y)
+    if sign:
+        return _yes(sign, REASON_MONOMIAL_PAIR)
+    inverses = _msp_inverses(x, y)
+    if not into_msp_square_condition(x, y, inverses):
+        return PreserverVerdict(
+            Verdict.NO, REASON_FALSIFIED, falsify_into_msp(lmap, inverses)
+        )
+    (x_inv, _), (y_inv, _) = inverses
     return PreserverVerdict(
-        Verdict.NO, REASON_INVERSE_NOT_INTO, falsify_into_msp(lmap.inverse_map())
+        Verdict.NO,
+        REASON_INVERSE_NOT_INTO,
+        falsify_into_msp(PreserverMap(x_inv, y_inv), (_signed(x), _signed(y))),
     )
 
 
 # -- falsifiers -------------------------------------------------------------------
 
 
-def falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
+def falsify_into_msp(
+    lmap: PreserverMap, inverses: MspInverses | None = None
+) -> FalsifyCertificate:
     """Counterexample for a square map failing the minimal-semipositivity rule.
 
     Three constructions, by how the pair condition fails:
@@ -325,15 +410,18 @@ def falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
       basis vector w keeps the inverse image u = Y^{-1} w negative somewhere;
       the inverse of the nonnegative invertible B mapping X^{-1} w to w gives
       an image sending u, with a negative entry, to a positive vector.
+
+    ``inverses`` is ``_msp_inverses(x, y)`` when the caller already has it.
     """
     x, y = lmap.x, lmap.y
     if x.rows != y.rows:
         raise DimensionError("square falsifier needs matching X and Y sizes")
-    if into_msp_square_condition(x, y):
+    x_inv, y_inv = inverses or _msp_inverses(x, y)
+    if into_msp_square_condition(x, y, (x_inv, y_inv)):
         raise InvalidInputError("the pair condition holds; nothing to falsify")
     n = x.rows
 
-    if x.det() == 0 or y.det() == 0:
+    if x_inv[0] is None or y_inv[0] is None:
         a = Matrix.identity(n)
         return _checked(
             FalsifyCertificate(
@@ -347,10 +435,9 @@ def falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
             )
         )
 
-    x_ok = classify.is_inverse_nonnegative(x)[0]
-    neg_x_ok = classify.is_inverse_nonnegative(-x)[0]
-    if not x_ok and not neg_x_ok:
-        v = mixed_sign_vector(x)
+    sign = x_inv[1]
+    if not sign:
+        v = mixed_sign_vector(x, x_inv[0])
         w = -basis_vector(n, 0)
         b, _ = build_np(v, y @ w)
         a = b.inverse()
@@ -368,10 +455,8 @@ def falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
             )
         )
 
-    sign = 1 if x_ok else -1
     xs = x * sign
-    ys = y * sign
-    c = ys.inverse()
+    c = y_inv[0] * sign  # (sign Y)^{-1}
     i, j = next(
         (i, j) for i in range(n) for j in range(n) if c.entries[i][j] < 0
     )
@@ -379,7 +464,7 @@ def falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
     delta = abs(c.entries[i][j]) / (2 * (1 + max(abs(v) for v in shifted.entries)))
     w = basis_vector(n, j) + delta * ones_vector(n)
     u = c @ w
-    v = xs.inverse() @ w
+    v = (x_inv[0] * sign) @ w
     if u.entries[i] >= 0 or not w.is_positive() or not v.is_nonneg():
         raise ArithmeticError("shift construction lost its sign pattern")
     b = build_pos(v, w)
@@ -399,7 +484,7 @@ def falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
     )
 
 
-def falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
+def falsify_into_sp(lmap: PreserverMap, y_inv: Inverse | None = None) -> FalsifyCertificate:
     """Counterexample for a map failing the semipositivity rule.
 
     Four constructions, by how the pair condition fails:
@@ -414,13 +499,18 @@ def falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
     * X row positive up to sign but Y not inverse nonnegative: if Y is
       singular, rows copying a left-null vector of Y give image zero; else a
       negative inverse entry yields rows whose product with Y is nonpositive.
+
+    ``y_inv`` is ``_sp_inverse(x, y)`` when the caller already has it.
     """
     x, y = lmap.x, lmap.y
-    if into_sp_condition(x, y):
+    if y_inv is None:
+        y_inv = _sp_inverse(x, y)
+    if into_sp_condition(x, y, y_inv):
         raise InvalidInputError("the pair condition holds; nothing to falsify")
     m, n = lmap.space
 
-    if not classify.is_row_positive(x) and not classify.is_row_positive(-x):
+    sign = _sign(classify.is_row_positive, x)
+    if not sign:
         if x.has_zero_row():
             a = Matrix.ones(m, n)
             note = "zero-row"
@@ -444,10 +534,8 @@ def falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
             )
         )
 
-    sign = 1 if classify.is_row_positive(x) else -1
-    ys = y * sign
-    if ys.det() == 0:
-        q = ys.transpose().kernel_vector()
+    if y_inv[0] is None:
+        q = (y * sign).transpose().kernel_vector()
         assert q is not None
         lead = next(i for i in range(n) if q[i] != 0)
         if q[lead] < 0:
@@ -455,7 +543,7 @@ def falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
         a = Matrix.from_rows([q] * m)
         note = "y-singular"
     else:
-        c = ys.inverse()
+        c = y_inv[0] * sign  # (sign Y)^{-1}
         i, _j = next(
             (i, j) for i in range(n) for j in range(n) if c.entries[i][j] < 0
         )
@@ -524,9 +612,13 @@ def _falsify_column_map(lmap: PreserverMap) -> FalsifyCertificate:
     )
 
 
-def _no_preimage_certificate(lmap: PreserverMap) -> FalsifyCertificate:
-    """For singular X (with Y invertible): a semipositive matrix outside the
-    image of the map, witnessed by a left-null vector of X."""
+def _no_preimage_certificate(lmap: PreserverMap, sign: int) -> FalsifyCertificate:
+    """For singular X (with sign Y inverse nonnegative): a semipositive matrix
+    outside the image of the map, witnessed by a left-null vector of X.
+
+    A = z c^T with c = (sign Y)^T 1, which has a positive entry because
+    1^T = c^T (sign Y)^{-1} with (sign Y)^{-1} >= 0; every column of
+    A Y^{-1} is sign z."""
     x, y = lmap.x, lmap.y
     m, n = lmap.space
     q = x.transpose().kernel_vector()
@@ -536,7 +628,7 @@ def _no_preimage_certificate(lmap: PreserverMap) -> FalsifyCertificate:
     z = ones_vector(m)
     if q.dot(z) == 0:
         z = z + basis_vector(m, lead)
-    c = y.transpose() @ ones_vector(n)
+    c = (y * sign).transpose() @ ones_vector(n)
     a = outer(z, c)
     return _checked(
         FalsifyCertificate(
@@ -545,7 +637,7 @@ def _no_preimage_certificate(lmap: PreserverMap) -> FalsifyCertificate:
             x,
             y,
             a,
-            probe=z,
+            probe=z * sign,
             probe_image=q,
             note="x-singular-no-preimage",
         )
@@ -557,6 +649,8 @@ def _canonical_msp(m: int, n: int) -> Matrix:
 
 
 def _checked(cert: FalsifyCertificate) -> FalsifyCertificate:
+    """Verify a certificate and mark it, so nothing verifies it again."""
     if not cert.verify():
         raise ArithmeticError(f"falsification certificate failed ({cert.note})")
+    object.__setattr__(cert, "verified", True)
     return cert

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from semipos import classify
+from semipos import classify, genfuzz
 from semipos.ratmat import DimensionError, Matrix
 
 EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
@@ -118,6 +118,30 @@ def test_classify_all_rectangular_skips_square_fields():
 
 def _random_matrix(rng, m, n, bound=3):
     return Matrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
+
+
+def test_square_msp_by_inverse_matches_oracles():
+    # the preserver certificates decide square MSP by the inverse alone
+    cfg = genfuzz.GenConfig(31)
+    rng = random.Random("square-msp-oracle")
+    verdicts = {"msp": set(), "sp": set(), "singular": set(), "random": set()}
+    for n in range(2, 7):
+        for t in range(3):
+            sp = genfuzz.gen_sp(n, n, cfg, ("oracle", t))
+            rows = [list(r) for r in sp.entries]
+            rows[-1] = list(rows[0])
+            samples = {
+                "msp": genfuzz.gen_msp(n, n, cfg, ("oracle", t)),
+                "sp": sp,
+                "singular": Matrix(rows),
+                "random": _random_matrix(rng, n, n),
+            }
+            for family, a in samples.items():
+                by_inverse = classify.is_inverse_nonnegative(a)[0]
+                assert by_inverse == classify.msp_by_deletion(a) == classify.is_minimally_semipositive(a), (family, a)
+                verdicts[family].add(by_inverse)
+    assert verdicts["msp"] == {True} and verdicts["singular"] == {False}
+    assert False in verdicts["sp"] and False in verdicts["random"]
 
 
 def test_msp_routes_agree():

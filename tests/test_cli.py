@@ -137,6 +137,21 @@ def test_fuzz_subcommand(capsys):
     assert result["trials"] == 20 and result["failures"] == 0 and result["passed"]
 
 
+def test_non_positive_trial_counts_are_input_errors(capsys, tmp_path):
+    x = write(tmp_path, "x.mat", "1 1 0\n0 1 0\n0 0 1\n")
+    y = write(tmp_path, "y.mat", "1 0\n0 1\n")
+    for argv in (
+        ("preserver", "into-msp", "--x", x, "--y", y, "--trials", "-1"),
+        ("preserver", "into-msp", "--x", x, "--y", y, "--trials", "0"),
+        ("fuzz", "build-np", "--trials", "-3"),
+        ("fuzz", "build-np", "--trials", "0"),
+        ("basis", "--m", "2", "--n", "2", "--max-trials", "0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64 and out == "", argv
+        assert "must be at least 1" in err, argv
+
+
 def test_basis_subcommand(capsys):
     code, out, _ = run_cli(capsys, "basis", "--m", "2", "--n", "2", "--seed", "1")
     assert code == 0

@@ -125,6 +125,13 @@ def test_into_msp_tall_cases():
     assert falsified.certificate.note == "randomized-counterexample"
 
 
+def test_into_msp_rejects_non_positive_trials():
+    tall = _map(Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), Matrix.identity(2))
+    for trials in (0, -1):
+        with pytest.raises(InvalidInputError):
+            preserver.into_msp_preserver(tall, trials=trials)
+
+
 def test_into_msp_wide_returns_unknown():
     verdict = preserver.into_msp_preserver(_map(Matrix.identity(2), Matrix.identity(3)))
     assert verdict.status is Verdict.UNKNOWN
@@ -189,6 +196,66 @@ def test_falsify_into_sp_branches():
 def test_verdict_requires_certificate_for_no():
     with pytest.raises(InvalidInputError):
         PreserverVerdict(Verdict.NO, "falsified")
+
+
+def test_onto_sp_negated_singular_x_has_a_certificate():
+    # (-X, -Y) with X singular row positive and Y inverse nonnegative
+    lmap = _map(-ONES_2, -Matrix([[2, -1], [-1, 2]]))
+    verdict = preserver.onto_sp_preserver(lmap)
+    assert verdict.status is Verdict.NO and verdict.reason == preserver.REASON_X_SINGULAR
+    assert verdict.certificate.kind == "no-preimage" and verdict.certificate.verify()
+    flipped = preserver.onto_sp_preserver(_map(ONES_2, Matrix([[2, -1], [-1, 2]])))
+    assert flipped.reason == verdict.reason
+
+
+def test_each_certificate_is_verified_once(monkeypatch):
+    calls = []
+    original = FalsifyCertificate.verify
+
+    def counting(cert):
+        calls.append(cert)
+        return original(cert)
+
+    monkeypatch.setattr(FalsifyCertificate, "verify", counting)
+    lower_pair = _map(LOWER, Matrix.identity(2))
+    no_verdicts = [
+        (preserver.into_sp_preserver, _map(SIGNED_X, Matrix.identity(3)), "uniform-sign-rows"),
+        (preserver.into_sp_preserver, _map(Matrix.identity(2), ONES_2), "y-singular"),
+        (preserver.onto_sp_preserver, _map(ONES_2, Matrix.identity(2)), "x-singular-no-preimage"),
+        (preserver.onto_sp_preserver, _map(Matrix([[1, 1], [0, 1]]), Matrix.identity(2)), "mixed-row"),
+        (preserver.into_msp_preserver, lower_pair, "x-not-inverse-nonnegative-either-sign"),
+        (preserver.into_msp_preserver, _map(Matrix.identity(2), LOWER), "y-not-inverse-nonnegative"),
+        (preserver.into_msp_preserver, _map(ONES_2, Matrix([[0]])), "y-zero"),
+        (preserver.into_msp_preserver, _map(Matrix.identity(3), ONES_2), "y-singular-image-rank-deficient"),
+        (
+            preserver.into_msp_preserver,
+            _map(Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), Matrix.identity(2)),
+            "randomized-counterexample",
+        ),
+        (preserver.onto_msp_preserver, _map(Matrix.identity(2), Matrix([[2, -1], [-1, 2]])), "y-not-inverse-nonnegative"),
+        (preserver.onto_msp_preserver, lower_pair, "x-not-inverse-nonnegative-either-sign"),
+    ]
+    for verdict_of, lmap, note in no_verdicts:
+        calls.clear()
+        verdict = verdict_of(lmap)
+        assert verdict.status is Verdict.NO and verdict.certificate.note == note
+        assert calls == [verdict.certificate] and verdict.certificate.verified
+    for falsify, lmap in (
+        (preserver.falsify_into_sp, _map(SIGNED_X, Matrix.identity(3))),
+        (preserver.falsify_into_msp, lower_pair),
+    ):
+        calls.clear()
+        cert = falsify(lmap)
+        assert calls == [cert] and cert.verified
+    with pytest.raises(TypeError):
+        FalsifyCertificate(
+            "image-leaves-class",
+            preserver.CLASS_SP,
+            Matrix.identity(2),
+            Matrix.identity(2),
+            Matrix.identity(2),
+            verified=True,
+        )
 
 
 def test_bad_certificate_is_rejected():
