@@ -5,9 +5,10 @@ Reports are emitted as a single JSON document on stdout (``--pretty`` switches
 to an aligned human-readable rendering); every rational is printed as an exact
 ``p/q`` string, so reports round-trip losslessly through the text formats.
 
-Exit codes: 0 for a yes/true verdict, 1 for no/false, 2 for unknown, and 64
-for malformed input (bad files, dimension mismatches, violated preconditions),
-with a diagnostic on stderr naming the offending file and line.
+Exit codes: 0 for a yes/true verdict, 1 for no/false, 2 for unknown, 64 for
+malformed input (bad files, dimension mismatches, violated preconditions), with
+a diagnostic on stderr naming the offending file and line, and 141 when the
+reader of stdout closed it before the report was written.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -352,4 +354,12 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (e.g. "| head"); point stdout at devnull so
+        # the flush at interpreter exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, what a shell reports for a pipe closed early
+    raise SystemExit(code)

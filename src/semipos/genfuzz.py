@@ -189,6 +189,8 @@ def msp_basis_search(
 ) -> list[Matrix]:
     """Greedily accumulate m*n linearly independent minimally semipositive
     matrices (as vectors in the m*n-dimensional space)."""
+    if m < n or n < 1:
+        raise DimensionError(f"need m >= n >= 1, got m={m}, n={n}")
     target = m * n
     kept: list[Matrix] = []
     flat_rows: list[list[Fraction]] = []

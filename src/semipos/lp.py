@@ -177,5 +177,6 @@ def equality_feasible_nonneg_bruteforce(m: Matrix, c: Vector) -> FeasibilityResu
     if not res.feasible:
         return FeasibilityResult(False)
     y = res.witness
-    assert y is not None and m @ y == c
+    if y is None or m @ y != c:
+        raise ArithmeticError("brute-force witness violates M y = c")
     return FeasibilityResult(True, y)

@@ -99,8 +99,8 @@ class FalsifyCertificate:
     probe_image exhibits the violation directly.
 
     kind "no-preimage": ``a`` is in the class but x M y = a has no solution M,
-    witnessed by a left-null vector q of x (stored as probe_image) that is not
-    orthogonal to some column z of a @ y^{-1} (stored as probe).
+    witnessed by a left-null vector q of x (stored as probe_image) with
+    q^T a != 0; ``a`` is z 1^T y for the vector z stored as probe.
     """
 
     kind: str
@@ -145,14 +145,10 @@ class FalsifyCertificate:
                 return False
             if any(v != 0 for v in (self.x.transpose() @ q).entries):
                 return False
-            try:
-                carried = self.a @ self.y.inverse()
-            except Exception:  # noqa: BLE001 - singular y invalidates the certificate
+            if self.a != outer(z, ones_vector(self.y.rows)) @ self.y:
                 return False
-            cols = [carried.col(j) for j in range(carried.cols)]
-            if z not in cols:
-                return False
-            return any(q.dot(c) != 0 for c in cols)
+            # x M y = a would give q^T a = (x^T q)^T M y = 0
+            return not (self.a.transpose() @ q).is_zero()
         return False
 
 
@@ -617,8 +613,8 @@ def _no_preimage_certificate(lmap: PreserverMap, sign: int) -> FalsifyCertificat
     outside the image of the map, witnessed by a left-null vector of X.
 
     A = z c^T with c = (sign Y)^T 1, which has a positive entry because
-    1^T = c^T (sign Y)^{-1} with (sign Y)^{-1} >= 0; every column of
-    A Y^{-1} is sign z."""
+    1^T = c^T (sign Y)^{-1} with (sign Y)^{-1} >= 0; so A = (sign z) 1^T Y,
+    and q^T A != 0 because q^T z != 0."""
     x, y = lmap.x, lmap.y
     m, n = lmap.space
     q = x.transpose().kernel_vector()

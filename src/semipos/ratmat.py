@@ -5,15 +5,17 @@ sign tests, comparisons, and equalities used elsewhere in the package are
 exact decisions.  Binary floating point never enters: decimal strings such
 as ``"0.5"`` are converted digit-exactly.
 
-Determinants and ranks run on integer grids via Bareiss-style fraction-free
-elimination after clearing row denominators; inversion and kernel extraction
-use Gauss-Jordan over canonical fractions.  Intended scale is dense matrices
-up to roughly 12x12.
+One routine, ``_eliminate``, does all elimination: it clears the denominators
+of each row and runs fraction-free Gauss-Jordan on the integer grid (the
+Bareiss step, applied to every row).  The determinant, the rank, the inverse
+and the kernel vector are read from its result.  Intended scale is dense
+matrices up to roughly 12x12.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -40,12 +42,23 @@ class MatrixParseError(ValueError):
     """Matrix or vector text is malformed."""
 
 
+# an optional sign, then an integer, p/q or an exact decimal, in ASCII digits;
+# Fraction alone would also take exponents, "_" separators and non-ASCII digits
+_RATIONAL = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"3"``, ``"-4/7"``, or an exact decimal such as ``"0.125"``."""
+    token = text.strip()
+    if not _RATIONAL.fullmatch(token):
+        raise MatrixParseError(
+            f"bad rational {token!r}: expected an integer, p/q or exact decimal"
+            " in ASCII digits"
+        )
     try:
-        return Fraction(text.strip())
+        return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise MatrixParseError(f"bad rational {text.strip()!r}: {exc}") from None
+        raise MatrixParseError(f"bad rational {token!r}: {exc}") from None
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -153,6 +166,45 @@ def sign_profile(v: Vector) -> SignProfile:
         has_negative=any(a < 0 for a in v.entries),
         has_zero=any(a == 0 for a in v.entries),
     )
+
+
+def _eliminate(
+    rows: Iterable[Sequence[Fraction]],
+) -> tuple[list[list[int]], list[int], int, int, int]:
+    """Fraction-free Gauss-Jordan elimination: (grid, pivots, d, sign, scale).
+
+    Rows are scaled to integers by the lcm of their denominators (``scale`` is
+    the product).  Every row but the pivot row takes the Bareiss step (Bareiss
+    1968), divided exactly by the previous pivot; rows with a zero head too, or
+    the common denominator breaks.  ``grid / d``, with ``d`` the last pivot, is
+    the reduced row echelon form, ``sign`` the parity of the row swaps, and a
+    square matrix with a full ``pivots`` list has determinant sign * d / scale.
+    """
+    grid: list[list[int]] = []
+    scale = 1
+    for row in rows:
+        lcm = math.lcm(*(x.denominator for x in row))
+        scale *= lcm
+        grid.append([x.numerator * (lcm // x.denominator) for x in row])
+    pivots: list[int] = []
+    d = sign = 1
+    for c in range(len(grid[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(grid)) if grid[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            grid[r], grid[p] = grid[p], grid[r]
+            sign = -sign
+        top = grid[r]
+        pivot = top[c]
+        for i, row in enumerate(grid):
+            if i != r:
+                head = row[c]
+                grid[i] = [(a * pivot - head * b) // d for a, b in zip(row, top)]
+        d = pivot
+        pivots.append(c)
+    return grid, pivots, d, sign, scale
 
 
 @dataclass(frozen=True, init=False)
@@ -287,115 +339,51 @@ class Matrix:
     def has_zero_row(self) -> bool:
         return any(all(x == 0 for x in row) for row in self.entries)
 
-    # -- elimination kernels ----------------------------------------------------
-
-    def _integer_grid(self) -> tuple[list[list[int]], Fraction]:
-        """Clear denominators row by row; returns (grid, product of row scales)."""
-        grid: list[list[int]] = []
-        scale = _ONE
-        for row in self.entries:
-            lcm = 1
-            for x in row:
-                lcm = math.lcm(lcm, x.denominator)
-            scale *= lcm
-            grid.append([int(x * lcm) for x in row])
-        return grid, scale
+    # -- elimination, read from _eliminate -------------------------------------
 
     def det(self) -> Fraction:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant; 0 when some column has no pivot."""
         if not self.is_square:
             raise DimensionError("determinant requires a square matrix")
-        n = self.rows
-        grid, scale = self._integer_grid()
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            pivot_row = next((i for i in range(k, n) if grid[i][k] != 0), None)
-            if pivot_row is None:
-                return _ZERO
-            if pivot_row != k:
-                grid[k], grid[pivot_row] = grid[pivot_row], grid[k]
-                sign = -sign
-            pivot = grid[k][k]
-            for i in range(k + 1, n):
-                head = grid[i][k]
-                row_i = grid[i]
-                row_k = grid[k]
-                for j in range(k + 1, n):
-                    row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-                row_i[k] = 0
-            prev = pivot
-        return Fraction(sign * grid[n - 1][n - 1]) / scale
+        _, pivots, d, sign, scale = _eliminate(self.entries)
+        if len(pivots) < self.rows:
+            return _ZERO
+        return Fraction(sign * d, scale)
 
     def rank(self) -> int:
-        """Exact rank by Gaussian elimination over the rationals."""
-        rows = [list(r) for r in self.entries]
-        m, n = self.rows, self.cols
-        r = 0
-        for c in range(n):
-            pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            pivot = rows[r][c]
-            for i in range(r + 1, m):
-                if rows[i][c] != 0:
-                    f = rows[i][c] / pivot
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            r += 1
-            if r == m:
-                break
-        return r
+        """Exact rank: the number of pivots."""
+        return len(_eliminate(self.entries)[1])
 
     def inverse(self) -> "Matrix":
-        """Exact inverse by Gauss-Jordan; raises SingularMatrixError if det = 0."""
+        """Exact inverse; raises SingularMatrixError if det = 0."""
         if not self.is_square:
             raise DimensionError("inverse requires a square matrix")
         n = self.rows
-        aug = [list(self.entries[i]) + [_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular")
-            aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-            pivot = aug[c][c]
-            aug[c] = [x / pivot for x in aug[c]]
-            for i in range(n):
-                if i != c and aug[i][c] != 0:
-                    f = aug[i][c]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-        inv = Matrix([row[n:] for row in aug])
+        # [A | I] scales row by row to [DA | D], whose reduced form is [I | A^-1]
+        grid, pivots, d, _, _ = _eliminate(
+            row + tuple(_ONE if i == j else _ZERO for j in range(n))
+            for i, row in enumerate(self.entries)
+        )
+        if pivots != list(range(n)):
+            raise SingularMatrixError("matrix is singular")
+        inv = Matrix([[Fraction(x, d) for x in row[n:]] for row in grid])
         if self @ inv != Matrix.identity(n):
             raise ArithmeticError("inverse self-check failed")
         return inv
 
     def kernel_vector(self) -> "Vector | None":
-        """One nonzero x with Ax = 0, or None if the columns are independent."""
-        rows = [list(r) for r in self.entries]
-        m, n = self.rows, self.cols
-        pivots: list[int] = []
-        r = 0
-        for c in range(n):
-            pivot_row = next((i for i in range(r, m) if rows[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            pivot = rows[r][c]
-            rows[r] = [x / pivot for x in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-        free = [c for c in range(n) if c not in pivots]
-        if not free:
+        """One nonzero x with Ax = 0, or None if the columns are independent.
+
+        x is 1 at the first free (pivotless) column and 0 at the other free
+        columns, so it is read off the reduced row echelon form."""
+        grid, pivots, d, _, _ = _eliminate(self.entries)
+        free = next((c for c in range(self.cols) if c not in pivots), None)
+        if free is None:
             return None
-        f = free[0]
-        x = [_ZERO] * n
-        x[f] = _ONE
-        for ri, c in enumerate(pivots):
-            x[c] = -rows[ri][f]
+        x = [_ZERO] * self.cols
+        x[free] = _ONE
+        for row, c in zip(grid, pivots):
+            x[c] = Fraction(-row[free], d)
         return Vector(x)
 
     def to_strings(self) -> list[list[str]]:

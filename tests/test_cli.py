@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -157,6 +158,40 @@ def test_basis_subcommand(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["count"] == 4 and len(result["matrices"]) == 4
+
+
+def test_basis_needs_tall_nonempty_shape(capsys):
+    for m, n in (("2", "0"), ("-1", "1")):
+        code, out, err = run_cli(capsys, "basis", "--m", m, "--n", n)
+        assert code == 64 and out == "", (m, n)
+        assert "need m >= n >= 1" in err
+
+
+def test_out_of_grammar_entries_are_input_errors(capsys, tmp_path):
+    for token in ("1e1000000", "1_0", "\u0663"):
+        path = write(tmp_path, "odd.mat", f"1 0\n0 {token}\n")
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 64 and out == "", token
+        assert "odd.mat, line 2" in err and "ASCII digits" in err, token
+    code, _, err = run_cli(capsys, "build", "pos", "--v", "1 1e2", "--w", "1 1")
+    assert code == 64 and "--v" in err
+
+
+def test_closed_stdout_exits_without_traceback():
+    # a pipe whose reader is gone, like "semipos ... | head" after head exits
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "semipos", "build", "np", "--v", "1 -1", "--w", "1 0"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 def test_malformed_matrix_names_line(capsys, tmp_path):

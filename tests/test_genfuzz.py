@@ -83,6 +83,14 @@ def test_msp_basis_search_small():
         assert all(classify.is_minimally_semipositive(a) for a in found)
 
 
+def test_msp_basis_search_needs_tall_nonempty_shape():
+    # with the CLI's default of 10*m*n trials, these shapes used to run an
+    # empty search and report SearchExhaustedError instead
+    for m, n in [(2, 0), (-1, 1), (0, 0), (1, 2)]:
+        with pytest.raises(DimensionError):
+            genfuzz.msp_basis_search(m, n, CFG, max_trials=10 * m * n)
+
+
 def test_msp_basis_search_exhausts():
     with pytest.raises(genfuzz.SearchExhaustedError):
         genfuzz.msp_basis_search(2, 2, CFG, max_trials=2)

@@ -70,6 +70,15 @@ def test_bruteforce_matches_examples():
     ).feasible
 
 
+def test_equality_bruteforce_rejects_a_bad_witness(monkeypatch):
+    # an explicit check, so it also holds under python -O
+    monkeypatch.setattr(
+        lp, "feasible_nonneg_bruteforce", lambda a, b: lp.FeasibilityResult(True, Vector([2]))
+    )
+    with pytest.raises(ArithmeticError, match="M y = c"):
+        lp.equality_feasible_nonneg_bruteforce(Matrix([[1]]), Vector([1]))
+
+
 def test_simplex_agrees_with_bruteforce():
     rng = random.Random("lp-agreement")
     for _ in range(120):

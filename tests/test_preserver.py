@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -72,6 +73,27 @@ def test_onto_sp_singular_corner_uses_no_preimage():
     assert verdict.reason == preserver.REASON_X_SINGULAR
     cert = verdict.certificate
     assert cert.kind == "no-preimage" and cert.verify()
+
+
+def test_no_preimage_certificate_needs_no_inverse_and_rejects_tampering(monkeypatch):
+    y = Matrix([[2, -1], [-1, 2]])
+    cert = preserver.onto_sp_preserver(_map(ONES_2, y)).certificate
+    assert cert.kind == "no-preimage"
+
+    def no_inverse(m):
+        raise AssertionError("verify inverted a matrix")
+
+    monkeypatch.setattr(Matrix, "inverse", no_inverse)
+    assert cert.verify()
+    q, z = cert.probe_image, cert.probe
+    # q is not a left-null vector of X
+    assert not dataclasses.replace(cert, probe_image=q + Vector([1, 0])).verify()
+    # the printed probe no longer gives A = probe 1^T Y
+    assert not dataclasses.replace(cert, probe=z + Vector([1, 0])).verify()
+    # q^T A = 0: the semipositive A = 1 1^T Y lies in the left null space of q
+    a = Matrix.ones(2, 2) @ y
+    assert classify.is_semipositive(a)[0] and (a.transpose() @ q).is_zero()
+    assert not dataclasses.replace(cert, a=a, probe=Vector([1, 1])).verify()
 
 
 def test_onto_sp_inverse_not_into():

@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -105,6 +108,43 @@ def test_parse_rational():
         parse_rational("seven")
     with pytest.raises(MatrixParseError):
         parse_rational("1/0")
+
+
+def test_parse_rational_accepts_only_the_documented_grammar():
+    for text, value in [
+        ("+3", 3),
+        ("-0.25", Fraction(-1, 4)),
+        (".5", Fraction(1, 2)),
+        ("5.", 5),
+        ("+7/4", Fraction(7, 4)),
+        ("-007", -7),
+    ]:
+        assert parse_rational(text) == value, text
+    for text in [
+        "1e1000000",  # Fraction would build a 3.3-million-bit integer
+        "1e2",
+        "2E-1",
+        "1.5e3",
+        "1_0",  # accepted by Fraction on 3.11+, not on 3.10
+        "1/1_0",
+        "\u0663",  # ARABIC-INDIC DIGIT THREE
+        "\uff11",  # FULLWIDTH DIGIT ONE
+        "7/-4",
+        "1/2/3",
+        "--1",
+        ".",
+        "",
+        "inf",
+        "nan",
+        "0x10",
+    ]:
+        with pytest.raises(MatrixParseError, match="ASCII digits"):
+            parse_rational(text)
+
+
+def test_parse_matrix_text_rejects_exponent_with_line():
+    with pytest.raises(MatrixParseError, match="huge.mat, line 3"):
+        parse_matrix_text("1 0\n\n0 1e1000000\n", source="huge.mat")
 
 
 def test_parse_matrix_text():
@@ -222,3 +262,77 @@ def test_det_permutation_sign(case):
 def test_sign_profile_scale_invariant(entries, c):
     v = Vector(entries)
     assert sign_profile(v) == sign_profile(c * v)
+
+
+# -- elimination against independent definitions --------------------------------
+
+def degenerate_matrices(seed, count, max_dim, square=False):
+    """Seeded matrices, often rank-deficient or with a zero column; entries have
+    denominators up to 97, so an inexact // in the elimination would show."""
+    rng = random.Random(seed)
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 96, 97]))
+
+    for _ in range(count):
+        m = rng.randint(1, max_dim)
+        n = m if square else rng.randint(1, max_dim)
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        if m > 1 and rng.random() < 0.4:
+            c = entry()
+            rows[-1] = [c * a + b for a, b in zip(rows[0], rows[-2])]
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = Fraction(0)
+        yield Matrix(rows)
+
+
+def leibniz_det(rows):
+    n = len(rows)
+    return sum(
+        (
+            permutation_sign(p) * math.prod((rows[i][p[i]] for i in range(n)), start=Fraction(1))
+            for p in itertools.permutations(range(n))
+        ),
+        Fraction(0),
+    )
+
+
+def rank_by_minors(rows):
+    """The order of the largest square submatrix with nonzero Leibniz determinant."""
+    m, n = len(rows), len(rows[0])
+    for k in range(min(m, n), 0, -1):
+        for ri in itertools.combinations(range(m), k):
+            for ci in itertools.combinations(range(n), k):
+                if leibniz_det([[rows[i][j] for j in ci] for i in ri]) != 0:
+                    return k
+    return 0
+
+
+def test_det_matches_leibniz():
+    for a in degenerate_matrices("det-leibniz", 200, max_dim=5, square=True):
+        assert a.det() == leibniz_det(a.entries), a
+
+
+def test_rank_is_order_of_largest_nonzero_minor():
+    for a in degenerate_matrices("rank-minors", 300, max_dim=4):
+        assert a.rank() == rank_by_minors(a.entries), a
+
+
+def test_kernel_vector_convention():
+    for a in degenerate_matrices("kernel-convention", 300, max_dim=4):
+        # column j is free when it adds no rank to the columns before it
+        ranks = [0] + [
+            rank_by_minors([row[:j] for row in a.entries]) for j in range(1, a.cols + 1)
+        ]
+        free = [j for j in range(a.cols) if ranks[j + 1] == ranks[j]]
+        x = a.kernel_vector()
+        assert (x is None) == (ranks[-1] == a.cols), a
+        if x is None:
+            continue
+        assert (a @ x).is_zero(), a
+        assert x[free[0]] == 1 and all(x[j] == 0 for j in free[1:]), a
+
