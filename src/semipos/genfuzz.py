@@ -7,7 +7,11 @@ matrices across runs and platforms.
 
 Campaigns stress one guarantee each over many seeded trials and return a
 ``CampaignResult`` with failure counts and coverage counters.  They are also
-exposed through the command-line ``fuzz`` subcommand.
+exposed through the command-line ``fuzz`` subcommand.  A campaign is one trial
+function run by ``run_campaign`` with ``random.Random(f"{seed}:{name}")`` and
+``GenConfig(seed)``: ``failures`` counts failed trials, a trial that raises an
+``Exception`` is a failure noted with its type and message, and at most the
+first 5 failure notes are kept.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from . import classify, construct
+from . import classify, construct, lp
 from .ratmat import (
     DimensionError,
     InvalidInputError,
@@ -231,9 +235,11 @@ def _random_mixed_int_vector(rng: random.Random, n: int, bound: int = 5) -> Vect
             return v
 
 
-def _random_nonzero_int_vector(rng: random.Random, n: int, bound: int = 5) -> Vector:
+def _random_nonzero_int_vector(
+    rng: random.Random, n: int, low: int = -5, high: int = 5
+) -> Vector:
     while True:
-        v = Vector([rng.randint(-bound, bound) for _ in range(n)])
+        v = Vector([rng.randint(low, high) for _ in range(n)])
         if not v.is_zero():
             return v
 
@@ -249,116 +255,23 @@ def _random_invertible_int_matrix(rng: random.Random, n: int, bound: int = 3) ->
             return a
 
 
+def _random_singular_int_matrix(rng: random.Random, n: int) -> Matrix:
+    """Random integer matrix whose last row repeats its first (n >= 2)."""
+    rows = _random_int_matrix(rng, n, n).entries
+    return Matrix(rows[:-1] + rows[:1])
+
+
+def _random_not_inverse_nonneg(rng: random.Random, n: int, s: int) -> Matrix:
+    """Random invertible integer Y such that s * Y is not inverse nonnegative."""
+    while True:
+        y = _random_invertible_int_matrix(rng, n)
+        if not classify.is_inverse_nonnegative(y * s)[0]:
+            return y
+
+
 def _random_row_positive(rng: random.Random, m: int, bound: int = 3) -> Matrix:
-    rows = []
-    for _ in range(m):
-        while True:
-            row = [rng.randint(0, bound) for _ in range(m)]
-            if any(v > 0 for v in row):
-                rows.append(row)
-                break
-    return Matrix(rows)
-
-
-def campaign_build_np(seed: int, trials: int) -> CampaignResult:
-    """Mixed-source construction: nonnegative, invertible, exact image, and
-    coverage of every interior and tail construction case."""
-    rng = random.Random(f"{seed}:build-np")
-    counts: Counter[str] = Counter()
-    failures = 0
-    notes: list[str] = []
-    for t in range(trials):
-        n = rng.randint(2, 8)
-        v = _random_mixed_int_vector(rng, n)
-        w = _random_nonzero_int_vector(rng, n)
-        try:
-            b, trace = construct.build_np(v, w)
-            ok = b.is_nonneg() and b.det() != 0 and b @ v == w
-        except Exception as exc:  # noqa: BLE001 - campaign records any failure
-            ok = False
-            notes.append(f"trial {t}: {exc}")
-            trace = None
-        if ok and trace is not None:
-            counts[f"step1-{trace.step1_case}"] += 1
-            for c in trace.step2_cases:
-                counts[f"step2-{c}"] += 1
-            counts[f"step3-{trace.step3_case}"] += 1
-        else:
-            failures += 1
-            if len(notes) < 5:
-                notes.append(f"trial {t}: v={v} w={w}")
-    return CampaignResult("build-np", trials, failures, dict(counts), tuple(notes[:5]))
-
-
-def campaign_build_pos(seed: int, trials: int) -> CampaignResult:
-    """Nonnegative-source construction: exact image, invertibility, and lower
-    triangularity after the recorded permutation."""
-    rng = random.Random(f"{seed}:build-pos")
-    counts: Counter[str] = Counter()
-    failures = 0
-    notes: list[str] = []
-    for t in range(trials):
-        n = rng.randint(1, 8)
-        while True:
-            v = Vector([rng.randint(0, 5) for _ in range(n)])
-            if not v.is_zero():
-                break
-        w = Vector([rng.randint(1, 5) for _ in range(n)])
-        try:
-            b = construct.build_pos(v, w)
-            perm = construct.positive_first_permutation(v)
-            normalized = b @ permutation_matrix(perm).transpose()
-            triangular = all(
-                normalized.entries[i][j] == 0
-                for i in range(n)
-                for j in range(i + 1, n)
-            ) and all(normalized.entries[i][i] != 0 for i in range(n))
-            ok = b.is_nonneg() and b.det() != 0 and b @ v == w and triangular
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            notes.append(f"trial {t}: {exc}")
-        if ok:
-            counts[f"positives-{sum(1 for x in v.entries if x > 0)}"] += 1
-        else:
-            failures += 1
-            if len(notes) < 5:
-                notes.append(f"trial {t}: v={v} w={w}")
-    return CampaignResult("build-pos", trials, failures, dict(counts), tuple(notes[:5]))
-
-
-def campaign_build_rect(seed: int, trials: int) -> CampaignResult:
-    """Rectangular construction: nonnegative, full row rank, exact image."""
-    rng = random.Random(f"{seed}:build-rect")
-    counts: Counter[str] = Counter()
-    failures = 0
-    notes: list[str] = []
-    for t in range(trials):
-        n = rng.randint(2, 8)
-        m = rng.randint(1, n - 1)
-        if t % 2 == 0:
-            v = _random_mixed_int_vector(rng, n)
-            w = Vector([rng.randint(-5, 5) for _ in range(m)])
-            branch = "mixed"
-        else:
-            while True:
-                v = Vector([rng.randint(0, 5) for _ in range(n)])
-                if not v.is_zero():
-                    break
-            w = Vector([rng.randint(1, 5) for _ in range(m)])
-            branch = "nonneg"
-        try:
-            b = construct.build_rect(v, w)
-            ok = b.is_nonneg() and b.rank() == m and b @ v == w
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            notes.append(f"trial {t}: {exc}")
-        if ok:
-            counts[f"branch-{branch}"] += 1
-        else:
-            failures += 1
-            if len(notes) < 5:
-                notes.append(f"trial {t}: v={v} w={w}")
-    return CampaignResult("build-rect", trials, failures, dict(counts), tuple(notes[:5]))
+    rows = [_random_nonzero_int_vector(rng, m, low=0, high=bound) for _ in range(m)]
+    return Matrix(v.entries for v in rows)
 
 
 def _forced_uniform_column_matrix(rng: random.Random, n: int) -> Matrix:
@@ -380,369 +293,342 @@ def _forced_uniform_column_matrix(rng: random.Random, n: int) -> Matrix:
     return inv.inverse()
 
 
-def campaign_key1(seed: int, trials: int) -> CampaignResult:
+def _falsified(
+    falsify: Callable, decide: Callable, x: Matrix, y: Matrix, counts: Counter[str]
+) -> str | None:
+    """The falsifier's certificate for (X, Y) verifies and the verdict is "no"."""
+    from . import preserver
+
+    lmap = preserver.PreserverMap(x, y)
+    cert = falsify(lmap)
+    verdict = decide(lmap)
+    counts[cert.note] += 1
+    if not cert.verify():
+        return f"{cert.note} certificate does not verify"
+    if verdict.status is not preserver.Verdict.NO:
+        return f"verdict {verdict.status.value}, expected no"
+    return None
+
+
+# A trial draws its inputs from the campaign's rng (generators draw from cfg by
+# index), counts what it covered, and returns None or a failure description.
+Trial = Callable[[random.Random, GenConfig, int, Counter[str]], str | None]
+
+
+def _trial_build_np(
+    rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
+) -> str | None:
+    """Mixed-source construction: nonnegative, invertible, exact image, and
+    coverage of every interior and tail construction case."""
+    n = rng.randint(2, 8)
+    v = _random_mixed_int_vector(rng, n)
+    w = _random_nonzero_int_vector(rng, n)
+    b, trace = construct.build_np(v, w)
+    if not (b.is_nonneg() and b.det() != 0 and b @ v == w):
+        return f"v={v} w={w}"
+    counts[f"step1-{trace.step1_case}"] += 1
+    counts.update(f"step2-{c}" for c in trace.step2_cases)
+    counts[f"step3-{trace.step3_case}"] += 1
+    return None
+
+
+def _trial_build_pos(
+    rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
+) -> str | None:
+    """Nonnegative-source construction: exact image, invertibility, and lower
+    triangularity after the recorded permutation."""
+    n = rng.randint(1, 8)
+    v = _random_nonzero_int_vector(rng, n, low=0)
+    w = Vector([rng.randint(1, 5) for _ in range(n)])
+    b = construct.build_pos(v, w)
+    perm = construct.positive_first_permutation(v)
+    normalized = b @ permutation_matrix(perm).transpose()
+    triangular = all(
+        normalized.entries[i][j] == 0 for i in range(n) for j in range(i + 1, n)
+    ) and all(normalized.entries[i][i] != 0 for i in range(n))
+    if not (b.is_nonneg() and b.det() != 0 and b @ v == w and triangular):
+        return f"v={v} w={w}"
+    counts[f"positives-{sum(1 for x in v.entries if x > 0)}"] += 1
+    return None
+
+
+def _trial_build_rect(
+    rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
+) -> str | None:
+    """Rectangular construction: nonnegative, full row rank, exact image."""
+    n = rng.randint(2, 8)
+    m = rng.randint(1, n - 1)
+    if t % 2 == 0:
+        v = _random_mixed_int_vector(rng, n)
+        w = Vector([rng.randint(-5, 5) for _ in range(m)])
+        branch = "mixed"
+    else:
+        v = _random_nonzero_int_vector(rng, n, low=0)
+        w = Vector([rng.randint(1, 5) for _ in range(m)])
+        branch = "nonneg"
+    b = construct.build_rect(v, w)
+    if not (b.is_nonneg() and b.rank() == m and b @ v == w):
+        return f"v={v} w={w}"
+    counts[f"branch-{branch}"] += 1
+    return None
+
+
+def _trial_key1(
+    rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
+) -> str | None:
     """Mixed-sign vector search: output has both signs and nonnegative image.
 
     Every fifth trial uses a generator that forces the two-column combination
     path; the rest are generic random matrices meeting the precondition.
     """
-    rng = random.Random(f"{seed}:key1")
-    counts: Counter[str] = Counter()
-    failures = 0
-    notes: list[str] = []
-    for t in range(trials):
-        n = rng.randint(2, 6)
-        if t % 5 == 0:
-            x = _forced_uniform_column_matrix(rng, n)
-            counts["family-forced"] += 1
-        else:
-            while True:
-                x = _random_invertible_int_matrix(rng, n, bound=5)
-                inv = x.inverse()
-                has_neg = any(v < 0 for row in inv.entries for v in row)
-                has_pos = any(v > 0 for row in inv.entries for v in row)
-                if has_neg and has_pos:
-                    break
-            counts["family-generic"] += 1
-        try:
-            v, path = construct.mixed_sign_vector_with_path(x)
-            ok = v.has_mixed_signs() and (x @ v).is_nonneg()
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            notes.append(f"trial {t}: {exc}")
-            path = "error"
-        if ok:
-            counts[f"path-{path}"] += 1
-        else:
-            failures += 1
-    return CampaignResult("key1", trials, failures, dict(counts), tuple(notes[:5]))
+    n = rng.randint(2, 6)
+    if t % 5 == 0:
+        x = _forced_uniform_column_matrix(rng, n)
+        counts["family-forced"] += 1
+    else:
+        while True:
+            x = _random_invertible_int_matrix(rng, n, bound=5)
+            inv = x.inverse()
+            if not (inv.is_nonneg() or inv.is_nonpos()):
+                break
+        counts["family-generic"] += 1
+    v, path = construct.mixed_sign_vector_with_path(x)
+    if not (v.has_mixed_signs() and (x @ v).is_nonneg()):
+        return f"path {path} gave v={v}"
+    counts[f"path-{path}"] += 1
+    return None
 
 
-def campaign_msp_equivalence(seed: int, trials: int) -> CampaignResult:
+def _trial_msp_equivalence(
+    rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
+) -> str | None:
     """The left-inverse route, the deletion oracle, and (on square inputs) the
     nonnegative-inverse test must agree on minimal semipositivity."""
-    rng = random.Random(f"{seed}:msp-equivalence")
     shapes = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (5, 4)]
-    counts: Counter[str] = Counter()
-    failures = 0
-    notes: list[str] = []
-    for t in range(trials):
-        m, n = shapes[rng.randrange(len(shapes))]
-        a = _random_int_matrix(rng, m, n, bound=3)
-        fast = classify.is_minimally_semipositive(a)
-        oracle = classify.msp_by_deletion(a)
-        ok = fast == oracle
-        if a.is_square:
-            counts["square"] += 1
-            inv_ok, _ = classify.is_inverse_nonnegative(a)
-            ok = ok and fast == inv_ok
-        if fast:
-            counts["msp"] += 1
-        if not ok:
-            failures += 1
-            if len(notes) < 5:
-                notes.append(f"trial {t}: disagreement on\n{a}")
-    return CampaignResult(
-        "msp-equivalence", trials, failures, dict(counts), tuple(notes[:5])
-    )
+    m, n = shapes[rng.randrange(len(shapes))]
+    a = _random_int_matrix(rng, m, n, bound=3)
+    fast = classify.is_minimally_semipositive(a)
+    agree = fast == classify.msp_by_deletion(a)
+    if a.is_square:
+        counts["square"] += 1
+        agree = agree and fast == classify.is_inverse_nonnegative(a)[0]
+    if fast:
+        counts["msp"] += 1
+    return None if agree else f"disagreement on\n{a}"
 
 
-def campaign_into_msp_soundness(seed: int, trials: int) -> CampaignResult:
+def _trial_into_msp_soundness(
+    rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
+) -> str | None:
     """Pairs satisfying the square decision rule map structured random
     minimally semipositive samples back into the class (20 samples each)."""
     from . import preserver
 
-    rng = random.Random(f"{seed}:into-msp-soundness")
-    cfg = GenConfig(seed)
-    counts: Counter[str] = Counter()
-    failures = 0
-    notes: list[str] = []
-    for t in range(trials):
-        n = rng.randint(2, 4)
-        s = 1 if t % 2 == 0 else -1
-        x = gen_inverse_nonneg(n, cfg, index=("sound-x", t)) * s
-        y = gen_inverse_nonneg(n, cfg, index=("sound-y", t)) * s
-        lmap = preserver.PreserverMap(x, y)
-        ok = preserver.into_msp_preserver(lmap).status is preserver.Verdict.YES
-        for i in range(20):
-            a = gen_msp(n, n, cfg, index=("sound-a", t, i))
-            if not classify.is_minimally_semipositive(x @ a @ y):
-                ok = False
-                break
-        counts["negated" if s < 0 else "plain"] += 1
-        if not ok:
-            failures += 1
-            if len(notes) < 5:
-                notes.append(f"trial {t}: image left the class")
-    return CampaignResult(
-        "into-msp-soundness", trials, failures, dict(counts), tuple(notes[:5])
-    )
+    n = rng.randint(2, 4)
+    s = 1 if t % 2 == 0 else -1
+    x = gen_inverse_nonneg(n, cfg, index=("sound-x", t)) * s
+    y = gen_inverse_nonneg(n, cfg, index=("sound-y", t)) * s
+    counts["negated" if s < 0 else "plain"] += 1
+    verdict = preserver.into_msp_preserver(preserver.PreserverMap(x, y))
+    if verdict.status is not preserver.Verdict.YES:
+        return f"verdict {verdict.status.value}, expected yes"
+    for i in range(20):
+        a = gen_msp(n, n, cfg, index=("sound-a", t, i))
+        if not classify.is_minimally_semipositive(x @ a @ y):
+            return f"image of sample {i} left the class"
+    return None
 
 
-def campaign_into_msp_falsification(seed: int, trials: int) -> CampaignResult:
+def _trial_into_msp_falsification(
+    rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
+) -> str | None:
     """Pairs violating the square decision rule always yield a verified
     counterexample certificate."""
     from . import preserver
 
-    rng = random.Random(f"{seed}:into-msp-falsification")
-    cfg = GenConfig(seed)
-    counts: Counter[str] = Counter()
-    failures = 0
-    notes: list[str] = []
-    for t in range(trials):
-        n = rng.randint(2, 4)
-        family = t % 4
-        if family in (0, 1):
-            while True:
-                x = _random_invertible_int_matrix(rng, n)
-                y = _random_invertible_int_matrix(rng, n)
-                if not preserver.into_msp_square_condition(x, y):
-                    break
-        elif family == 2:
-            s = 1 if t % 8 < 4 else -1
-            x = gen_inverse_nonneg(n, cfg, index=("fals-x", t)) * s
-            while True:
-                y = _random_invertible_int_matrix(rng, n)
-                inv_ok, _ = classify.is_inverse_nonnegative(y * s)
-                if not inv_ok:
-                    break
-        else:
-            x = _random_int_matrix(rng, n, n)
-            rows = list(x.entries[:-1]) + [x.entries[0]]
-            x = Matrix(rows)  # repeated row forces singularity
+    n = rng.randint(2, 4)
+    family = t % 4
+    if family in (0, 1):
+        while True:
+            x = _random_invertible_int_matrix(rng, n)
             y = _random_invertible_int_matrix(rng, n)
-        lmap = preserver.PreserverMap(x, y)
-        try:
-            cert = preserver.falsify_into_msp(lmap)
-            verdict = preserver.into_msp_preserver(lmap)
-            ok = cert.verify() and verdict.status is preserver.Verdict.NO
-            counts[cert.note] += 1
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            notes.append(f"trial {t}: {exc}")
-        if not ok:
-            failures += 1
-    return CampaignResult(
-        "into-msp-falsification", trials, failures, dict(counts), tuple(notes[:5])
+            if not preserver.into_msp_square_condition(x, y):
+                break
+    elif family == 2:
+        s = 1 if t % 8 < 4 else -1
+        x = gen_inverse_nonneg(n, cfg, index=("fals-x", t)) * s
+        y = _random_not_inverse_nonneg(rng, n, s)
+    else:
+        x = _random_singular_int_matrix(rng, n)
+        y = _random_invertible_int_matrix(rng, n)
+    return _falsified(
+        preserver.falsify_into_msp, preserver.into_msp_preserver, x, y, counts
     )
 
 
-def campaign_into_sp_soundness(seed: int, trials: int) -> CampaignResult:
+def _trial_into_sp_soundness(
+    rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
+) -> str | None:
     """Pairs satisfying the semipositivity decision rule map planted-witness
     semipositive samples back into the class (20 samples each)."""
     from . import preserver
 
-    rng = random.Random(f"{seed}:into-sp-soundness")
-    cfg = GenConfig(seed)
-    counts: Counter[str] = Counter()
-    failures = 0
-    notes: list[str] = []
-    for t in range(trials):
-        m = rng.randint(2, 4)
-        n = rng.randint(2, 4)
-        s = 1 if t % 2 == 0 else -1
-        x = _random_row_positive(rng, m) * s
-        y = gen_inverse_nonneg(n, cfg, index=("sp-sound-y", t)) * s
-        lmap = preserver.PreserverMap(x, y)
-        ok = preserver.into_sp_preserver(lmap).status is preserver.Verdict.YES
-        for i in range(20):
-            a = gen_sp(m, n, cfg, index=("sp-sound-a", t, i))
-            if not classify.is_semipositive(x @ a @ y)[0]:
-                ok = False
-                break
-        counts["negated" if s < 0 else "plain"] += 1
-        if not ok:
-            failures += 1
-            if len(notes) < 5:
-                notes.append(f"trial {t}: image left the class")
-    return CampaignResult(
-        "into-sp-soundness", trials, failures, dict(counts), tuple(notes[:5])
-    )
+    m = rng.randint(2, 4)
+    n = rng.randint(2, 4)
+    s = 1 if t % 2 == 0 else -1
+    x = _random_row_positive(rng, m) * s
+    y = gen_inverse_nonneg(n, cfg, index=("sp-sound-y", t)) * s
+    counts["negated" if s < 0 else "plain"] += 1
+    verdict = preserver.into_sp_preserver(preserver.PreserverMap(x, y))
+    if verdict.status is not preserver.Verdict.YES:
+        return f"verdict {verdict.status.value}, expected yes"
+    for i in range(20):
+        a = gen_sp(m, n, cfg, index=("sp-sound-a", t, i))
+        if not classify.is_semipositive(x @ a @ y)[0]:
+            return f"image of sample {i} left the class"
+    return None
 
 
-def campaign_into_sp_falsification(seed: int, trials: int) -> CampaignResult:
+def _trial_into_sp_falsification(
+    rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
+) -> str | None:
     """Pairs violating the semipositivity decision rule always yield a verified
     certificate; trials cycle through the four counterexample constructions."""
     from . import preserver
 
-    rng = random.Random(f"{seed}:into-sp-falsification")
-    counts: Counter[str] = Counter()
-    failures = 0
-    notes: list[str] = []
-    for t in range(trials):
-        m = rng.randint(2, 4)
-        n = rng.randint(2, 4)
-        family = t % 4
-        y = _random_int_matrix(rng, n, n)
-        if family == 0:
-            x = _random_int_matrix(rng, m, m)
-            rows = [list(r) for r in x.entries]
-            rows[rng.randrange(m)] = [Fraction(0)] * m
-            x = Matrix(rows)
-        elif family == 1:
-            rows = []
-            for i in range(m):
-                while True:
-                    row = [rng.randint(-3, 3) for _ in range(m)]
-                    if i == 0:
-                        row[0] = rng.randint(1, 3)
-                        row[1] = -rng.randint(1, 3)
-                    if any(v != 0 for v in row):
-                        rows.append(row)
-                        break
-            x = Matrix(rows)
-        elif family == 2:
-            rows = []
-            for i in range(m):
-                while True:
-                    row = [rng.randint(0, 3) for _ in range(m)]
-                    if any(v > 0 for v in row):
-                        break
-                if i % 2 == 1:
-                    row = [-v for v in row]
-                rows.append(row)
-            x = Matrix(rows)
+    m = rng.randint(2, 4)
+    n = rng.randint(2, 4)
+    family = t % 4
+    y = _random_int_matrix(rng, n, n)
+    if family == 0:
+        rows = [list(r) for r in _random_int_matrix(rng, m, m).entries]
+        rows[rng.randrange(m)] = [0] * m
+        x = Matrix(rows)
+    elif family == 1:
+        rows = [[rng.randint(-3, 3) for _ in range(m)]]
+        rows[0][0], rows[0][1] = rng.randint(1, 3), -rng.randint(1, 3)
+        for _ in range(m - 1):
+            rows.append(_random_nonzero_int_vector(rng, m, low=-3, high=3).entries)
+        x = Matrix(rows)
+    elif family == 2:
+        rows = _random_row_positive(rng, m).entries
+        x = Matrix([[-v for v in row] if i % 2 else row for i, row in enumerate(rows)])
+    else:
+        s = 1 if (t // 4) % 2 == 0 else -1
+        x = _random_row_positive(rng, m) * s
+        if (t // 8) % 2 == 0:
+            y = _random_singular_int_matrix(rng, n) * s
         else:
-            s = 1 if (t // 4) % 2 == 0 else -1
-            x = _random_row_positive(rng, m) * s
-            if (t // 8) % 2 == 0:
-                base = _random_int_matrix(rng, n, n)
-                rows = list(base.entries[:-1]) + [base.entries[0]]
-                y = Matrix(rows) * s
-            else:
-                while True:
-                    y = _random_invertible_int_matrix(rng, n)
-                    inv_ok, _ = classify.is_inverse_nonnegative(y * s)
-                    if not inv_ok:
-                        break
-                y = y * s
-        lmap = preserver.PreserverMap(x, y)
-        try:
-            cert = preserver.falsify_into_sp(lmap)
-            verdict = preserver.into_sp_preserver(lmap)
-            ok = cert.verify() and verdict.status is preserver.Verdict.NO
-            counts[cert.note] += 1
-        except Exception as exc:  # noqa: BLE001
-            ok = False
-            notes.append(f"trial {t}: {exc}")
-        if not ok:
-            failures += 1
-    return CampaignResult(
-        "into-sp-falsification", trials, failures, dict(counts), tuple(notes[:5])
+            y = _random_not_inverse_nonneg(rng, n, s) * s
+    return _falsified(
+        preserver.falsify_into_sp, preserver.into_sp_preserver, x, y, counts
     )
 
 
-def campaign_onto_consistency(seed: int, trials: int) -> CampaignResult:
+def _trial_onto_consistency(
+    rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
+) -> str | None:
     """Monomial pairs are onto preservers whose forward and inverse maps both
     pass spot checks; inverse-nonnegative non-monomial pairs are not onto."""
     from . import preserver
 
-    rng = random.Random(f"{seed}:onto-consistency")
+    yes = preserver.Verdict.YES
+    n = rng.randint(2, 4)
+    s = 1 if t % 2 == 0 else -1
+    x = gen_monomial(n, cfg, index=("onto-x", t)) * s
+    y = gen_monomial(n, cfg, index=("onto-y", t)) * s
+    x_inv, y_inv = x.inverse(), y.inverse()
+    lmap = preserver.PreserverMap(x, y)
+    inverse_map = preserver.PreserverMap(x_inv, y_inv)
+    counts["monomial-pair"] += 1
+    if not (
+        preserver.onto_msp_preserver(lmap).status is yes
+        and preserver.onto_sp_preserver(lmap).status is yes
+        and preserver.into_msp_preserver(lmap).status is yes
+        and preserver.into_msp_preserver(inverse_map).status is yes
+        and preserver.into_sp_preserver(lmap).status is yes
+        and preserver.into_sp_preserver(inverse_map).status is yes
+    ):
+        return "monomial pair not recognised as a preserver"
+    for i in range(20):
+        a = gen_msp(n, n, cfg, index=("onto-a", t, i))
+        if not classify.is_minimally_semipositive(x @ a @ y):
+            return f"image of sample {i} left the class"
+        if not classify.is_minimally_semipositive(x_inv @ a @ y_inv):
+            return f"inverse image of sample {i} left the class"
+    attempt = 0
+    while True:
+        xn = gen_inverse_nonneg(n, cfg, index=("onto-nm", t, attempt))
+        if not classify.is_monomial(xn):
+            break
+        attempt += 1
+    counts["non-monomial"] += 1
+    ym = gen_monomial(n, cfg, index=("onto-ym", t))
+    verdict = preserver.onto_msp_preserver(preserver.PreserverMap(xn, ym))
+    if verdict.status is not preserver.Verdict.NO:
+        return f"non-monomial pair: verdict {verdict.status.value}, expected no"
+    return None
+
+
+def _trial_lp_oracle(
+    rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
+) -> str | None:
+    """Simplex feasibility decisions agree with brute-force vertex enumeration
+    on random small systems (every third trial is an equality system)."""
+    n = rng.randint(1, 4)
+    m = rng.randint(1, 8 - n)
+    a = _random_int_matrix(rng, m, n)
+    b = Vector([rng.randint(-3, 3) for _ in range(m)])
+    if t % 3 == 2:
+        counts["equality"] += 1
+        simplex = lp.equality_feasible_nonneg(a, b)
+        oracle = lp.equality_feasible_nonneg_bruteforce(a, b)
+    else:
+        counts["inequality"] += 1
+        simplex = lp.feasible_nonneg(a, b)
+        oracle = lp.feasible_nonneg_bruteforce(a, b)
+    counts["feasible" if simplex.feasible else "infeasible"] += 1
+    if simplex.feasible != oracle.feasible:
+        return f"simplex={simplex.status} oracle={oracle.status}"
+    return None
+
+
+CAMPAIGNS: dict[str, tuple[Trial, int]] = {
+    "build-np": (_trial_build_np, 1000),
+    "build-pos": (_trial_build_pos, 1000),
+    "build-rect": (_trial_build_rect, 500),
+    "key1": (_trial_key1, 500),
+    "msp-equivalence": (_trial_msp_equivalence, 300),
+    "into-msp-soundness": (_trial_into_msp_soundness, 200),
+    "into-msp-falsification": (_trial_into_msp_falsification, 200),
+    "into-sp-soundness": (_trial_into_sp_soundness, 200),
+    "into-sp-falsification": (_trial_into_sp_falsification, 200),
+    "onto-consistency": (_trial_onto_consistency, 100),
+    "lp-oracle": (_trial_lp_oracle, 200),
+}
+
+
+def run_campaign(name: str, seed: int, trials: int | None = None) -> CampaignResult:
+    """Run ``trials`` trials of a campaign (its default count when None) under
+    the rules in the module docstring; notes read ``"trial {t}: ..."``."""
+    if name not in CAMPAIGNS:
+        raise InvalidInputError(
+            f"unknown campaign {name!r}; choose from {', '.join(sorted(CAMPAIGNS))}"
+        )
+    trial, default_trials = CAMPAIGNS[name]
+    trials = trials if trials is not None else default_trials
+    rng = random.Random(f"{seed}:{name}")
     cfg = GenConfig(seed)
     counts: Counter[str] = Counter()
     failures = 0
     notes: list[str] = []
     for t in range(trials):
-        n = rng.randint(2, 4)
-        s = 1 if t % 2 == 0 else -1
-        x = gen_monomial(n, cfg, index=("onto-x", t)) * s
-        y = gen_monomial(n, cfg, index=("onto-y", t)) * s
-        lmap = preserver.PreserverMap(x, y)
-        inverse_map = preserver.PreserverMap(x.inverse(), y.inverse())
-        ok = (
-            preserver.onto_msp_preserver(lmap).status is preserver.Verdict.YES
-            and preserver.onto_sp_preserver(lmap).status is preserver.Verdict.YES
-            and preserver.into_msp_preserver(lmap).status is preserver.Verdict.YES
-            and preserver.into_msp_preserver(inverse_map).status is preserver.Verdict.YES
-            and preserver.into_sp_preserver(lmap).status is preserver.Verdict.YES
-            and preserver.into_sp_preserver(inverse_map).status is preserver.Verdict.YES
-        )
-        for i in range(20):
-            a = gen_msp(n, n, cfg, index=("onto-a", t, i))
-            if not classify.is_minimally_semipositive(x @ a @ y):
-                ok = False
-                break
-            if not classify.is_minimally_semipositive(x.inverse() @ a @ y.inverse()):
-                ok = False
-                break
-        counts["monomial-pair"] += 1
-        if not ok:
-            failures += 1
-            if len(notes) < 5:
-                notes.append(f"trial {t}: monomial pair not consistent")
-        attempt = 0
-        while True:
-            xn = gen_inverse_nonneg(n, cfg, index=("onto-nm", t, attempt))
-            if not classify.is_monomial(xn):
-                break
-            attempt += 1
-        counts["non-monomial"] += 1
         try:
-            verdict = preserver.onto_msp_preserver(
-                preserver.PreserverMap(xn, gen_monomial(n, cfg, index=("onto-ym", t)))
-            )
-            refused = verdict.status is preserver.Verdict.NO
-        except Exception as exc:  # noqa: BLE001
-            refused = False
-            notes.append(f"trial {t}: {exc}")
-        if not refused:
+            failure = trial(rng, cfg, t, counts)
+        except Exception as exc:  # noqa: BLE001 - a raised check is a failed trial
+            failure = f"{type(exc).__name__}: {exc}"
+        if failure is not None:
             failures += 1
             if len(notes) < 5:
-                notes.append(f"trial {t}: non-monomial pair not refused")
-    return CampaignResult(
-        "onto-consistency", trials, failures, dict(counts), tuple(notes[:5])
-    )
-
-
-def campaign_lp_oracle(seed: int, trials: int) -> CampaignResult:
-    """Simplex feasibility decisions agree with brute-force vertex enumeration
-    on random small systems (every third trial is an equality system)."""
-    from . import lp
-
-    rng = random.Random(f"{seed}:lp-oracle")
-    counts: Counter[str] = Counter()
-    failures = 0
-    notes: list[str] = []
-    for t in range(trials):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 8 - n)
-        a = _random_int_matrix(rng, m, n)
-        b = Vector([rng.randint(-3, 3) for _ in range(m)])
-        if t % 3 == 2:
-            r1 = lp.equality_feasible_nonneg(a, b)
-            r2 = lp.equality_feasible_nonneg_bruteforce(a, b)
-            counts["equality"] += 1
-        else:
-            r1 = lp.feasible_nonneg(a, b)
-            r2 = lp.feasible_nonneg_bruteforce(a, b)
-            counts["inequality"] += 1
-        counts["feasible" if r1.feasible else "infeasible"] += 1
-        if r1.feasible != r2.feasible:
-            failures += 1
-            if len(notes) < 5:
-                notes.append(f"trial {t}: simplex={r1.status} oracle={r2.status}")
-    return CampaignResult("lp-oracle", trials, failures, dict(counts), tuple(notes[:5]))
-
-
-CAMPAIGNS: dict[str, tuple[Callable[[int, int], CampaignResult], int]] = {
-    "build-np": (campaign_build_np, 1000),
-    "build-pos": (campaign_build_pos, 1000),
-    "build-rect": (campaign_build_rect, 500),
-    "key1": (campaign_key1, 500),
-    "msp-equivalence": (campaign_msp_equivalence, 300),
-    "into-msp-soundness": (campaign_into_msp_soundness, 200),
-    "into-msp-falsification": (campaign_into_msp_falsification, 200),
-    "into-sp-soundness": (campaign_into_sp_soundness, 200),
-    "into-sp-falsification": (campaign_into_sp_falsification, 200),
-    "onto-consistency": (campaign_onto_consistency, 100),
-    "lp-oracle": (campaign_lp_oracle, 200),
-}
-
-
-def run_campaign(name: str, seed: int, trials: int | None = None) -> CampaignResult:
-    if name not in CAMPAIGNS:
-        raise InvalidInputError(
-            f"unknown campaign {name!r}; choose from {', '.join(sorted(CAMPAIGNS))}"
-        )
-    func, default_trials = CAMPAIGNS[name]
-    return func(seed, trials if trials is not None else default_trials)
+                notes.append(f"trial {t}: {failure}")
+    return CampaignResult(name, trials, failures, dict(counts), tuple(notes))

@@ -168,6 +168,12 @@ def sign_profile(v: Vector) -> SignProfile:
     )
 
 
+def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(lcm of the row's denominators, the row times that lcm)."""
+    lcm = math.lcm(*(x.denominator for x in row))
+    return lcm, [x.numerator * (lcm // x.denominator) for x in row]
+
+
 def _eliminate(
     rows: Iterable[Sequence[Fraction]],
 ) -> tuple[list[list[int]], list[int], int, int, int]:
@@ -183,9 +189,9 @@ def _eliminate(
     grid: list[list[int]] = []
     scale = 1
     for row in rows:
-        lcm = math.lcm(*(x.denominator for x in row))
+        lcm, ints = _integer_row(row)
         scale *= lcm
-        grid.append([x.numerator * (lcm // x.denominator) for x in row])
+        grid.append(ints)
     pivots: list[int] = []
     d = sign = 1
     for c in range(len(grid[0])):
@@ -366,10 +372,14 @@ class Matrix:
         )
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        inv = Matrix([[Fraction(x, d) for x in row[n:]] for row in grid])
-        if self @ inv != Matrix.identity(n):
-            raise ArithmeticError("inverse self-check failed")
-        return inv
+        # self-check A A^-1 = I exactly in integers: (DA) G == d D, G = d A^-1
+        cols = list(zip(*(row[n:] for row in grid)))
+        for i, row in enumerate(self.entries):
+            lcm, scaled = _integer_row(row)
+            for j, col in enumerate(cols):
+                if sum(a * g for a, g in zip(scaled, col)) != (d * lcm if i == j else 0):
+                    raise ArithmeticError("inverse self-check failed")
+        return Matrix([[Fraction(x, d) for x in row[n:]] for row in grid])
 
     def kernel_vector(self) -> "Vector | None":
         """One nonzero x with Ax = 0, or None if the columns are independent.

@@ -138,6 +138,24 @@ def test_fuzz_subcommand(capsys):
     assert result["trials"] == 20 and result["failures"] == 0 and result["passed"]
 
 
+
+def test_fuzz_reports_a_raising_trial_as_a_failure(capsys, monkeypatch):
+    from semipos import lp
+
+    def offline(a, b):
+        raise ArithmeticError("simplex offline")
+
+    # lp-oracle trials 0 and 1 are inequality systems, trial 2 an equality system
+    monkeypatch.setattr(lp, "feasible_nonneg", offline)
+    monkeypatch.setattr(lp, "equality_feasible_nonneg", offline)
+    code, out, _ = run_cli(capsys, "fuzz", "lp-oracle", "--trials", "3")
+    assert code == 1
+    result = json.loads(out)["result"]
+    assert result["failures"] == 3 and not result["passed"]
+    assert result["notes"] == [
+        f"trial {t}: ArithmeticError: simplex offline" for t in range(3)
+    ]
+
 def test_non_positive_trial_counts_are_input_errors(capsys, tmp_path):
     x = write(tmp_path, "x.mat", "1 1 0\n0 1 0\n0 0 1\n")
     y = write(tmp_path, "y.mat", "1 0\n0 1\n")

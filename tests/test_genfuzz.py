@@ -117,3 +117,15 @@ def test_small_campaigns_pass():
 def test_campaign_result_reports_failures_honestly():
     result = genfuzz.run_campaign("msp-equivalence", seed=11, trials=30)
     assert result.failures == 0 and result.passed
+
+
+def test_a_trial_with_two_failing_halves_counts_once(monkeypatch):
+    from semipos import preserver
+
+    # the monomial pair is not recognised and the non-monomial pair not refused
+    unknown = preserver.PreserverVerdict(preserver.Verdict.UNKNOWN, "patched")
+    monkeypatch.setattr(preserver, "onto_msp_preserver", lambda lmap: unknown)
+    result = genfuzz.run_campaign("onto-consistency", seed=0, trials=7)
+    assert result.failures == 7 <= result.trials
+    assert [note.split(":")[0] for note in result.notes] == [f"trial {t}" for t in range(5)]
+

@@ -66,6 +66,21 @@ def test_inverse_singular():
         Matrix([[1, 1], [1, 1]]).inverse()
 
 
+
+def test_inverse_self_check_rejects_a_tampered_grid(monkeypatch):
+    from semipos import ratmat
+
+    eliminate = ratmat._eliminate
+
+    def tampered(rows):
+        grid, pivots, d, sign, scale = eliminate(rows)
+        grid[1][-1] += 1  # one entry of the right block, A^-1 scaled by d
+        return grid, pivots, d, sign, scale
+
+    monkeypatch.setattr(ratmat, "_eliminate", tampered)
+    with pytest.raises(ArithmeticError, match="self-check"):
+        Matrix([["1/2", 3, 0], [-1, "2/3", 1], [0, 1, "5/4"]]).inverse()
+
 def test_rank_zero_matrix():
     assert Matrix.zeros(2, 3).rank() == 0
 
