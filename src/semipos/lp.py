@@ -5,20 +5,26 @@ Two questions are answered, both with verified witnesses:
 * ``feasible_nonneg``:        is  {x >= 0 : A x >= b}  nonempty?
 * ``equality_feasible_nonneg``: is  {y >= 0 : M y = c}  nonempty?
 
-Both run a phase-one simplex on an equality tableau of fractions using
-Bland's smallest-index pivot rule, which rules out cycling, so the solver
-terminates on every input.  A brute-force vertex-enumeration oracle over
-the same systems is provided for cross-validation at small sizes; it shares
-nothing with the simplex path beyond the matrix type.
+Both run a phase-one simplex on an equality tableau using Bland's
+smallest-index pivot rule, which rules out cycling, so the solver terminates
+on every input.  The tableau is kept in integers, as in lrs (Avis 2000): it is
+scaled once by a common denominator D0 and pivoted by the fraction-free step
+of Edmonds (1967), each update divided exactly by the previous pivot ``d``.
+``d`` stays positive and each row is its rational row times a positive
+factor, so every sign and ratio test, and hence every pivot and witness, is
+the one the rational tableau gives.  A brute-force vertex-enumeration oracle
+over the same systems is provided for cross-validation at small sizes; it
+shares nothing with the simplex path beyond the matrix type.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratmat import DimensionError, Matrix, Vector
+from .ratmat import DimensionError, Matrix, Vector, _bareiss_step
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -40,61 +46,69 @@ def _phase1(coeffs: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]
     Returns a structural solution z when the optimum is zero, else None.
     Entering rule: smallest structural index with negative reduced cost;
     leaving rule: smallest basic index among minimum ratios (Bland).
+
+    The tableau is kept in integers.  Rows with a negative rhs are negated,
+    then every row, its rhs and its artificial column ``D0 * e_i`` are scaled
+    by ``D0``, the lcm of all their denominators, and the objective row is
+    built from the scaled rows.  Each pivot takes the Bareiss step on every
+    other row and on the objective row, ``(row * p - row[c] * top) // d``,
+    then sets ``d = p`` (``d`` starts at 1).  Invariant: ``d > 0``; a row
+    whose basic variable is structural equals its rational row times ``d``;
+    a row still on its artificial, and the objective row, equal theirs times
+    ``d * D0``.  The factors are positive and shared by a row's entries, so
+    every sign and every ratio is the rational one and Bland's rule picks
+    the same pivots; a witness entry is ``Fraction(rhs_i, d)``.
     """
     m = len(coeffs)
     k = len(coeffs[0])
-    tab: list[list[Fraction]] = []
-    for i in range(m):
-        row = list(coeffs[i])
-        r = rhs[i]
-        if r < 0:
-            row = [-x for x in row]
-            r = -r
-        art = [_ZERO] * m
-        art[i] = _ONE
-        tab.append(row + art + [r])
+    signed = [(row, r) if r >= 0 else ([-x for x in row], -r) for row, r in zip(coeffs, rhs)]
+    d0 = math.lcm(*(x.denominator for row, r in signed for x in (*row, r)))
+    grid: list[list[int]] = []
+    for i, (row, r) in enumerate(signed):
+        art = [0] * m
+        art[i] = 1
+        grid.append([x.numerator * (d0 // x.denominator) for x in (*row, *art, r)])
     basis = list(range(k, k + m))
     # reduced costs for the phase-one objective; artificials start basic at cost 1
-    obj = [_ZERO] * (k + m + 1)
-    for j in range(k + m + 1):
-        col_sum = sum((tab[i][j] for i in range(m)), _ZERO)
-        cost = _ONE if k <= j < k + m else _ZERO
-        obj[j] = cost - col_sum
+    obj = [-sum(col) for col in zip(*grid)]
+    for j in range(k, k + m):
+        obj[j] += d0
 
+    d = 1
     while True:
         entering = next((j for j in range(k) if obj[j] < 0), None)
         if entering is None:
             break
-        pivot_row = None
-        best_key: tuple[Fraction, int] | None = None
+        pivot_row = -1
         for i in range(m):
-            coeff = tab[i][entering]
+            coeff = grid[i][entering]
             if coeff > 0:
-                key = (tab[i][-1] / coeff, basis[i])
-                if best_key is None or key < best_key:
-                    best_key = key
+                if pivot_row < 0:
                     pivot_row = i
-        if pivot_row is None:
+                    continue
+                # rhs_i / coeff against rhs_best / best, cross-multiplied (both > 0)
+                best = grid[pivot_row][entering]
+                lhs = grid[i][-1] * best
+                rhs_best = grid[pivot_row][-1] * coeff
+                if lhs < rhs_best or (lhs == rhs_best and basis[i] < basis[pivot_row]):
+                    pivot_row = i
+        if pivot_row < 0:
             raise ArithmeticError("phase-one objective unbounded; tableau corrupt")
-        pivot = tab[pivot_row][entering]
-        tab[pivot_row] = [x / pivot for x in tab[pivot_row]]
-        pivot_vals = tab[pivot_row]
+        top = grid[pivot_row]
+        p = top[entering]
         for i in range(m):
-            if i != pivot_row and tab[i][entering] != 0:
-                f = tab[i][entering]
-                tab[i] = [a - f * b for a, b in zip(tab[i], pivot_vals)]
-        if obj[entering] != 0:
-            f = obj[entering]
-            obj = [a - f * b for a, b in zip(obj, pivot_vals)]
+            if i != pivot_row:
+                grid[i] = _bareiss_step(grid[i], top, entering, p, d)
+        obj = _bareiss_step(obj, top, entering, p, d)
+        d = p
         basis[pivot_row] = entering
 
-    residual = sum((tab[i][-1] for i in range(m) if basis[i] >= k), _ZERO)
-    if residual != 0:
+    if sum(grid[i][-1] for i in range(m) if basis[i] >= k) != 0:
         return None
     z = [_ZERO] * k
     for i in range(m):
         if basis[i] < k:
-            z[basis[i]] = tab[i][-1]
+            z[basis[i]] = Fraction(grid[i][-1], d)
     return z
 
 

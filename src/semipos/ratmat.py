@@ -8,13 +8,17 @@ as ``"0.5"`` are converted digit-exactly.
 One routine, ``_eliminate``, does all elimination: it clears the denominators
 of each row and runs fraction-free Gauss-Jordan on the integer grid (the
 Bareiss step, applied to every row).  The determinant, the rank, the inverse
-and the kernel vector are read from its result.  Intended scale is dense
-matrices up to roughly 12x12.
+and the kernel vector are read from its result.  A product scales each row
+of the left operand and each column of the right one to integers and takes
+integer dot products.  Intended scale is dense matrices up to roughly 12x12;
+the text formats refuse more than ``MAX_DIM`` rows or columns and entries
+over ``MAX_ENTRY_BITS`` bits.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,6 +178,32 @@ def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
     return lcm, [x.numerator * (lcm // x.denominator) for x in row]
 
 
+def _product(
+    rows: Sequence[Sequence[Fraction]], cols: Sequence[Sequence[Fraction]]
+) -> list[list[Fraction]]:
+    """Entries row . col of the product, in integers.
+
+    Each row and each column is scaled to integers by the lcm of its
+    denominators; an entry is one integer dot product over the two lcms."""
+    left = [_integer_row(row) for row in rows]
+    right = [_integer_row(col) for col in cols]
+    return [
+        [Fraction(sum(map(operator.mul, a, b)), la * lb) for lb, b in right]
+        for la, a in left
+    ]
+
+
+def _bareiss_step(row: list[int], top: list[int], c: int, p: int, d: int) -> list[int]:
+    """``(row * p - row[c] * top) // d``: one fraction-free update of ``row`` by
+    the pivot row ``top`` with pivot ``p = top[c]``, ``d`` the previous pivot.
+    The division is exact when every update since the start has been made
+    this way, because each entry is then a minor of the starting grid."""
+    head = row[c]
+    if head == 0:
+        return [a * p // d for a in row]
+    return [(a * p - head * b) // d for a, b in zip(row, top)]
+
+
 def _eliminate(
     rows: Iterable[Sequence[Fraction]],
 ) -> tuple[list[list[int]], list[int], int, int, int]:
@@ -206,8 +236,7 @@ def _eliminate(
         pivot = top[c]
         for i, row in enumerate(grid):
             if i != r:
-                head = row[c]
-                grid[i] = [(a * pivot - head * b) // d for a, b in zip(row, top)]
+                grid[i] = _bareiss_step(row, top, c, pivot, d)
         d = pivot
         pivots.append(c)
     return grid, pivots, d, sign, scale
@@ -302,20 +331,11 @@ class Matrix:
         if isinstance(other, Vector):
             if other.dim != self.cols:
                 raise DimensionError(f"cannot apply {self.shape} matrix to {other.dim}-vector")
-            return Vector(
-                sum((row[k] * other.entries[k] for k in range(self.cols)), _ZERO)
-                for row in self.entries
-            )
+            return Vector(row[0] for row in _product(self.entries, [other.entries]))
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-            ot = other.transpose().entries
-            return Matrix(
-                [
-                    [sum((row[k] * col[k] for k in range(self.cols)), _ZERO) for col in ot]
-                    for row in self.entries
-                ]
-            )
+            return Matrix(_product(self.entries, list(zip(*other.entries))))
         return NotImplemented
 
     def transpose(self) -> "Matrix":
@@ -454,13 +474,42 @@ def permutation_sign(perm: Sequence[int]) -> int:
 # -- text formats --------------------------------------------------------------
 
 
+# caps on text input, so that no file can make the exact arithmetic run away
+MAX_DIM = 64
+MAX_ENTRY_BITS = 1024
+
+
+def _parse_entries(tokens: list[str]) -> list[Fraction]:
+    """One line's entries, under the dimension and bit-length caps.
+
+    A token longer than ``2 * MAX_ENTRY_BITS`` characters is refused unread:
+    any entry within the cap is written as p/q in fewer."""
+    if len(tokens) > MAX_DIM:
+        raise MatrixParseError(f"{len(tokens)} entries, more than the cap of {MAX_DIM}")
+    entries = []
+    for tok in tokens:
+        shown = tok if len(tok) <= 24 else f"{tok[:12]}...{tok[-8:]}"
+        if len(tok) > 2 * MAX_ENTRY_BITS:
+            raise MatrixParseError(
+                f"entry {shown!r} is longer than {2 * MAX_ENTRY_BITS} characters"
+            )
+        x = parse_rational(tok)
+        if max(x.numerator.bit_length(), x.denominator.bit_length()) > MAX_ENTRY_BITS:
+            raise MatrixParseError(
+                f"entry {shown!r} has a numerator or denominator of more than"
+                f" {MAX_ENTRY_BITS} bits"
+            )
+        entries.append(x)
+    return entries
+
+
 def parse_vector_text(text: str, source: str = "<vector>") -> Vector:
     """Whitespace-separated entries, e.g. ``"1 0 -5/2 0.25"``."""
     tokens = text.split()
     if not tokens:
         raise MatrixParseError(f"{source}: empty vector")
     try:
-        return Vector(parse_rational(tok) for tok in tokens)
+        return Vector(_parse_entries(tokens))
     except MatrixParseError as exc:
         raise MatrixParseError(f"{source}: {exc}") from None
 
@@ -474,8 +523,12 @@ def parse_matrix_text(text: str, source: str = "<matrix>") -> Matrix:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        if len(rows) == MAX_DIM:
+            raise MatrixParseError(
+                f"{source}, line {lineno}: more than the cap of {MAX_DIM} rows"
+            )
         try:
-            row = [parse_rational(tok) for tok in line.split()]
+            row = _parse_entries(line.split())
         except MatrixParseError as exc:
             raise MatrixParseError(f"{source}, line {lineno}: {exc}") from None
         if first_width is None:

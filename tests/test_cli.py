@@ -195,6 +195,19 @@ def test_out_of_grammar_entries_are_input_errors(capsys, tmp_path):
     assert code == 64 and "--v" in err
 
 
+def test_oversized_input_is_an_input_error(capsys, tmp_path):
+    wide = write(tmp_path, "wide.mat", "1\n" + " ".join(["1"] * 65) + "\n")
+    code, out, err = run_cli(capsys, "classify", wide)
+    assert code == 64 and out == ""
+    assert "wide.mat, line 2" in err and "cap of 64" in err
+    big = write(tmp_path, "big.mat", f"1 0\n0 {2**1024}\n")
+    code, out, err = run_cli(capsys, "witness", "sp", big)
+    assert code == 64 and out == ""
+    assert "big.mat, line 2" in err and "1024 bits" in err
+    code, _, err = run_cli(capsys, "build", "pos", "--v", " ".join(["1"] * 65), "--w", "1")
+    assert code == 64 and "--v" in err and "cap of 64" in err
+
+
 def test_closed_stdout_exits_without_traceback():
     # a pipe whose reader is gone, like "semipos ... | head" after head exits
     read_end, write_end = os.pipe()

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from semipos.ratmat import (
     DimensionError,
+    MAX_DIM,
+    MAX_ENTRY_BITS,
     Matrix,
     MatrixParseError,
     SingularMatrixError,
@@ -160,6 +162,31 @@ def test_parse_rational_accepts_only_the_documented_grammar():
 def test_parse_matrix_text_rejects_exponent_with_line():
     with pytest.raises(MatrixParseError, match="huge.mat, line 3"):
         parse_matrix_text("1 0\n\n0 1e1000000\n", source="huge.mat")
+
+
+def test_parse_caps_dimension():
+    row = " ".join(["1"] * MAX_DIM)
+    assert parse_matrix_text("\n".join([row] * MAX_DIM)).shape == (MAX_DIM, MAX_DIM)
+    assert parse_vector_text(row).dim == MAX_DIM
+    with pytest.raises(MatrixParseError, match=f"wide.mat, line 2: {MAX_DIM + 1} entries"):
+        parse_matrix_text(f"1\n{row} 1\n", source="wide.mat")
+    with pytest.raises(MatrixParseError, match=f"tall.mat, line {MAX_DIM + 2}: more than"):
+        parse_matrix_text("# rows\n" + "1\n" * (MAX_DIM + 1), source="tall.mat")
+    with pytest.raises(MatrixParseError, match=f"--v: {MAX_DIM + 1} entries"):
+        parse_vector_text(f"{row} 1", source="--v")
+
+
+def test_parse_caps_entry_bits():
+    top = 2**MAX_ENTRY_BITS - 1
+    assert parse_matrix_text(f"1 {top}\n-1/{top} 0\n")[1, 0] == Fraction(-1, top)
+    for entry in (str(top + 1), f"1/{top + 1}", f"{top + 1}/3"):
+        with pytest.raises(MatrixParseError, match=f"big.mat, line 2: .*{MAX_ENTRY_BITS} bits"):
+            parse_matrix_text(f"1 0\n0 {entry}\n", source="big.mat")
+        with pytest.raises(MatrixParseError, match=f"--w: .*{MAX_ENTRY_BITS} bits"):
+            parse_vector_text(f"1 {entry}", source="--w")
+    # refused before it is converted, whatever it would reduce to
+    with pytest.raises(MatrixParseError, match="big.mat, line 1: .* longer than"):
+        parse_matrix_text("0" * (2 * MAX_ENTRY_BITS + 1), source="big.mat")
 
 
 def test_parse_matrix_text():
@@ -351,3 +378,40 @@ def test_kernel_vector_convention():
         assert (a @ x).is_zero(), a
         assert x[free[0]] == 1 and all(x[j] == 0 for j in free[1:]), a
 
+
+
+
+def product_by_definition(a_rows, b_rows):
+    """Each entry a plain Fraction sum of products."""
+    cols = list(zip(*b_rows))
+    return [[sum((x * y for x, y in zip(r, c)), Fraction(0)) for c in cols] for r in a_rows]
+
+
+def test_product_matches_sum_of_products():
+    rng = random.Random("product-definition")
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 97))
+
+    def matrix(m, n):
+        rows = [[entry() for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(m)] = [Fraction(0)] * n
+        if rng.random() < 0.3:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = Fraction(0)
+        return rows
+
+    # random shapes, then 1xN @ Nx1 and Nx1 @ 1xN
+    shapes = [tuple(rng.randint(1, 5) for _ in range(3)) for _ in range(300)]
+    shapes += [(1, n, 1) for n in range(1, 7)] + [(n, 1, n) for n in range(1, 7)]
+    for m, k, n in shapes:
+        a_rows, b_rows = matrix(m, k), matrix(k, n)
+        a, b = Matrix(a_rows), Matrix(b_rows)
+        assert a @ b == Matrix(product_by_definition(a_rows, b_rows)), (a, b)
+        v = [row[0] for row in b_rows]
+        expected = [row[0] for row in product_by_definition(a_rows, [[x] for x in v])]
+        assert a @ Vector(v) == Vector(expected), (a, v)
