@@ -6,9 +6,10 @@ to an aligned human-readable rendering); every rational is printed as an exact
 ``p/q`` string, so reports round-trip losslessly through the text formats.
 
 Exit codes: 0 for a yes/true verdict, 1 for no/false, 2 for unknown, 64 for
-malformed input (bad files, dimension mismatches, violated preconditions), with
-a diagnostic on stderr naming the offending file and line, and 141 when the
-reader of stdout closed it before the report was written.
+malformed input (bad files, dimension mismatches, violated preconditions, a
+malformed command line), with a diagnostic on stderr naming the offending file
+and line or the usage, and 141 when the reader of stdout closed it before the
+report was written.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ _INPUT_ERRORS = (
     DimensionError,
     InvalidInputError,
     SingularMatrixError,
-    genfuzz.SearchExhaustedError,
     OSError,
 )
 
@@ -195,8 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["into-sp", "onto-sp", "into-msp", "onto-msp"])
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=40)
     p.add_argument("--pretty", action="store_true")
@@ -226,7 +224,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(list(argv) if argv is not None else None)
+    try:
+        args = _build_parser().parse_args(list(argv) if argv is not None else None)
+    except SystemExit as exc:
+        # argparse exits 2 after printing a usage error to stderr, 0 after --help
+        if exc.code == 2:
+            return EXIT_INPUT_ERROR
+        raise
     started = time.perf_counter()
     report: dict[str, Any] = {"command": args.command}
     inputs: dict[str, Any] = {}
@@ -292,7 +296,7 @@ def run(argv: Sequence[str] | None = None) -> int:
                 verdict = preserver.onto_sp_preserver(lmap)
             elif args.kind == "into-msp":
                 verdict = preserver.into_msp_preserver(
-                    lmap, args.m, args.n, seed=args.seed, trials=args.trials
+                    lmap, seed=args.seed, trials=args.trials
                 )
             else:
                 verdict = preserver.onto_msp_preserver(lmap)
@@ -335,14 +339,13 @@ def run(argv: Sequence[str] | None = None) -> int:
                 )
             except genfuzz.SearchExhaustedError as exc:
                 report["result"] = {"error": str(exc), "count": 0}
-                report["elapsed_seconds"] = round(time.perf_counter() - started, 6)
-                _emit(report, args.pretty)
-                return EXIT_NO
-            report["result"] = {
-                "count": len(found),
-                "matrices": [_mat(b) for b in found],
-            }
-            code = EXIT_YES
+                code = EXIT_NO
+            else:
+                report["result"] = {
+                    "count": len(found),
+                    "matrices": [_mat(b) for b in found],
+                }
+                code = EXIT_YES
 
     except _INPUT_ERRORS as exc:
         print(f"semipos: {exc}", file=sys.stderr)

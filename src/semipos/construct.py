@@ -51,14 +51,6 @@ class NpCaseTrace:
     v_permutation: tuple[int, ...]
     w_permutation: tuple[int, ...]
 
-    def case_for_row(self, i: int) -> tuple[int, str]:
-        n = len(self.step2_cases) + 2
-        if i == 0:
-            return (1, self.step1_case)
-        if i == n - 1:
-            return (3, self.step3_case)
-        return (2, self.step2_cases[i - 1])
-
 
 def _np_permutations(v: Vector, w: Vector) -> tuple[list[int], list[int]]:
     """Coordinate orders putting a positive entry of v first, a negative one

@@ -434,7 +434,8 @@ def _trial_into_msp_soundness(
         return f"verdict {verdict.status.value}, expected yes"
     for i in range(20):
         a = gen_msp(n, n, cfg, index=("sound-a", t, i))
-        if not classify.is_minimally_semipositive(x @ a @ y):
+        # square: minimally semipositive iff inverse nonnegative
+        if not classify.is_inverse_nonnegative(x @ a @ y)[0]:
             return f"image of sample {i} left the class"
     return None
 
@@ -552,9 +553,10 @@ def _trial_onto_consistency(
         return "monomial pair not recognised as a preserver"
     for i in range(20):
         a = gen_msp(n, n, cfg, index=("onto-a", t, i))
-        if not classify.is_minimally_semipositive(x @ a @ y):
+        # square: minimally semipositive iff inverse nonnegative
+        if not classify.is_inverse_nonnegative(x @ a @ y)[0]:
             return f"image of sample {i} left the class"
-        if not classify.is_minimally_semipositive(x_inv @ a @ y_inv):
+        if not classify.is_inverse_nonnegative(x_inv @ a @ y_inv)[0]:
             return f"inverse image of sample {i} left the class"
     attempt = 0
     while True:

@@ -5,7 +5,11 @@ matrix inside the preserved class whose image verifiably leaves it (or, for
 onto questions with a singular X, a class member with no preimage at all).
 Each certificate is verified exactly once, with the classify deciders, before
 it is returned, so the falsifiers are checked constructions rather than
-trusted formulas.
+trusted formulas.  One helper, ``_leaves``, builds every certificate of the
+first kind: it forms the image X A Y of the class member A and checks it.
+
+A map acts on the space (rows of X) x (rows of Y); the space is read from X
+and Y and never passed separately.
 
 Every decision rule holds for (X, Y) or for (-X, -Y).  X and Y are inverted
 at most once per verdict; the inverses and their signs are passed down to the
@@ -282,27 +286,19 @@ def onto_sp_preserver(lmap: PreserverMap) -> PreserverVerdict:
 
 
 def into_msp_preserver(
-    lmap: PreserverMap,
-    m: int | None = None,
-    n: int | None = None,
-    *,
-    seed: int = 0,
-    trials: int = 40,
+    lmap: PreserverMap, *, seed: int = 0, trials: int = 40
 ) -> PreserverVerdict:
     """Does A -> X A Y map every minimally semipositive matrix into the class?
 
-    Fully decided when the space is square or a single column.  For strictly
-    more rows than columns (width >= 2) the known pair condition is sufficient
-    only, so its failure triggers a seeded randomized counterexample search
-    and, failing that, "unknown".  For more columns than rows the question is
+    The space is (rows of X) x (rows of Y).  Fully decided when it is square
+    or a single column.  For strictly more rows than columns (width >= 2) the
+    known pair condition is sufficient only, so its failure triggers a search
+    of ``trials`` matrices drawn with ``seed`` for a counterexample and,
+    failing that, "unknown".  For more columns than rows the question is
     undecided and "unknown" is returned directly.
     """
     x, y = lmap.x, lmap.y
     rows, cols = lmap.space
-    if m is not None and m != rows:
-        raise DimensionError(f"X is {x.shape}, inconsistent with m={m}")
-    if n is not None and n != cols:
-        raise DimensionError(f"Y is {y.shape}, inconsistent with n={n}")
     if trials < 1:
         raise InvalidInputError(f"trials must be at least 1, got {trials}")
 
@@ -330,32 +326,14 @@ def into_msp_preserver(
         if sign:
             return _yes(sign, REASON_TALL_PAIR)
         if y_inv is None:
-            a = _canonical_msp(rows, cols)
-            cert = FalsifyCertificate(
-                "image-leaves-class",
-                CLASS_MSP,
-                x,
-                y,
-                a,
-                image=x @ a @ y,
-                note="y-singular-image-rank-deficient",
-            )
-            return PreserverVerdict(Verdict.NO, REASON_Y_SINGULAR, _checked(cert))
+            a = vstack(Matrix.identity(cols), Matrix.ones(rows - cols, cols))
+            cert = _leaves(CLASS_MSP, lmap, a, "y-singular-image-rank-deficient")
+            return PreserverVerdict(Verdict.NO, REASON_Y_SINGULAR, cert)
         cfg = genfuzz.GenConfig(seed)
         for a in genfuzz.iter_msp_mixture(rows, cols, cfg, trials):
-            image = x @ a @ y
-            if not classify.is_minimally_semipositive(image):
-                cert = FalsifyCertificate(
-                    "image-leaves-class",
-                    CLASS_MSP,
-                    x,
-                    y,
-                    a,
-                    image=image,
-                    note="randomized-counterexample",
-                )
-                return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, _checked(cert))
-        return PreserverVerdict(Verdict.UNKNOWN, REASON_OUTSIDE_REGIME)
+            if not classify.is_minimally_semipositive(x @ a @ y):
+                cert = _leaves(CLASS_MSP, lmap, a, "randomized-counterexample")
+                return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, cert)
 
     return PreserverVerdict(Verdict.UNKNOWN, REASON_OUTSIDE_REGIME)
 
@@ -418,38 +396,15 @@ def falsify_into_msp(
     n = x.rows
 
     if x_inv[0] is None or y_inv[0] is None:
-        a = Matrix.identity(n)
-        return _checked(
-            FalsifyCertificate(
-                "image-leaves-class",
-                CLASS_MSP,
-                x,
-                y,
-                a,
-                image=x @ a @ y,
-                note="x-or-y-singular",
-            )
-        )
+        return _leaves(CLASS_MSP, lmap, Matrix.identity(n), "x-or-y-singular")
 
     sign = x_inv[1]
     if not sign:
         v = mixed_sign_vector(x, x_inv[0])
         w = -basis_vector(n, 0)
         b, _ = build_np(v, y @ w)
-        a = b.inverse()
-        return _checked(
-            FalsifyCertificate(
-                "image-leaves-class",
-                CLASS_MSP,
-                x,
-                y,
-                a,
-                image=x @ a @ y,
-                probe=w,
-                probe_image=x @ v,
-                note="x-not-inverse-nonnegative-either-sign",
-            )
-        )
+        note = "x-not-inverse-nonnegative-either-sign"
+        return _leaves(CLASS_MSP, lmap, b.inverse(), note, w, x @ v)
 
     xs = x * sign
     c = y_inv[0] * sign  # (sign Y)^{-1}
@@ -463,21 +418,8 @@ def falsify_into_msp(
     v = (x_inv[0] * sign) @ w
     if u.entries[i] >= 0 or not w.is_positive() or not v.is_nonneg():
         raise ArithmeticError("shift construction lost its sign pattern")
-    b = build_pos(v, w)
-    a = b.inverse()
-    return _checked(
-        FalsifyCertificate(
-            "image-leaves-class",
-            CLASS_MSP,
-            x,
-            y,
-            a,
-            image=x @ a @ y,
-            probe=u,
-            probe_image=xs @ v,
-            note="y-not-inverse-nonnegative",
-        )
-    )
+    a = build_pos(v, w).inverse()
+    return _leaves(CLASS_MSP, lmap, a, "y-not-inverse-nonnegative", u, xs @ v)
 
 
 def falsify_into_sp(lmap: PreserverMap, y_inv: Inverse | None = None) -> FalsifyCertificate:
@@ -524,11 +466,7 @@ def falsify_into_sp(lmap: PreserverMap, y_inv: Inverse | None = None) -> Falsify
                 ]
                 a = Matrix.from_cols(first)
                 note = "uniform-sign-rows"
-        return _checked(
-            FalsifyCertificate(
-                "image-leaves-class", CLASS_SP, x, y, a, image=x @ a @ y, note=note
-            )
-        )
+        return _leaves(CLASS_SP, lmap, a, note)
 
     if y_inv[0] is None:
         q = (y * sign).transpose().kernel_vector()
@@ -545,11 +483,7 @@ def falsify_into_sp(lmap: PreserverMap, y_inv: Inverse | None = None) -> Falsify
         )
         a = Matrix.from_rows([-c.row(i)] * m)
         note = "y-inverse-negative-entry"
-    return _checked(
-        FalsifyCertificate(
-            "image-leaves-class", CLASS_SP, x, y, a, image=x @ a @ y, note=note
-        )
-    )
+    return _leaves(CLASS_SP, lmap, a, note)
 
 
 def _positive_vector_zeroing_row(x: Matrix, i: int) -> Vector:
@@ -600,12 +534,7 @@ def _falsify_column_map(lmap: PreserverMap) -> FalsifyCertificate:
             entries[j] = t
             col = Vector(entries)
             note = "x-negative-entry"
-    a = column_matrix(col)
-    return _checked(
-        FalsifyCertificate(
-            "image-leaves-class", CLASS_MSP, x, y, a, image=x @ a @ y, note=note
-        )
-    )
+    return _leaves(CLASS_MSP, lmap, column_matrix(col), note)
 
 
 def _no_preimage_certificate(lmap: PreserverMap, sign: int) -> FalsifyCertificate:
@@ -640,8 +569,20 @@ def _no_preimage_certificate(lmap: PreserverMap, sign: int) -> FalsifyCertificat
     )
 
 
-def _canonical_msp(m: int, n: int) -> Matrix:
-    return vstack(Matrix.identity(n), Matrix.ones(m - n, n))
+def _leaves(
+    class_name: str,
+    lmap: PreserverMap,
+    a: Matrix,
+    note: str,
+    probe: Vector | None = None,
+    probe_image: Vector | None = None,
+) -> FalsifyCertificate:
+    """The checked certificate that A is in the class and X A Y is not."""
+    x, y = lmap.x, lmap.y
+    cert = FalsifyCertificate(
+        "image-leaves-class", class_name, x, y, a, x @ a @ y, probe, probe_image, note
+    )
+    return _checked(cert)
 
 
 def _checked(cert: FalsifyCertificate) -> FalsifyCertificate:

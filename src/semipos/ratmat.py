@@ -88,14 +88,6 @@ class SignProfile:
     def mixed(self) -> bool:
         return self.has_positive and self.has_negative
 
-    @property
-    def nonneg(self) -> bool:
-        return not self.has_negative
-
-    @property
-    def positive(self) -> bool:
-        return self.has_positive and not self.has_negative and not self.has_zero
-
 
 @dataclass(frozen=True, init=False)
 class Vector:
@@ -281,12 +273,6 @@ class Matrix:
     @classmethod
     def from_rows(cls, rows: Sequence[Vector]) -> "Matrix":
         return cls([list(r.entries) for r in rows])
-
-    @classmethod
-    def diagonal(cls, values: Sequence[RationalLike]) -> "Matrix":
-        vals = [rat(v) for v in values]
-        n = len(vals)
-        return cls([[vals[i] if i == j else _ZERO for j in range(n)] for i in range(n)])
 
     # -- shape and access -----------------------------------------------------
 

@@ -138,7 +138,7 @@ def test_10_onto_consistency():
 
 def test_11_column_counterexample():
     x = Matrix([[1, 1], [1, 1]])
-    verdict = preserver.into_msp_preserver(PreserverMap(x, Matrix([[1]])), m=2, n=1)
+    verdict = preserver.into_msp_preserver(PreserverMap(x, Matrix([[1]])))
     ok = verdict.status is Verdict.YES and not classify.is_monomial(x)
     _criterion(
         11,

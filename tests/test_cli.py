@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from semipos import cli
 from semipos.ratmat import Matrix, Vector, parse_rational
 
@@ -115,7 +117,7 @@ def test_preserver_exit_codes(capsys, tmp_path):
 def test_preserver_into_msp_column(capsys, tmp_path):
     ones = write(tmp_path, "ones.mat", "1 1\n1 1\n")
     y1 = write(tmp_path, "y1.mat", "1\n")
-    code, out, _ = run_cli(capsys, "preserver", "into-msp", "--x", ones, "--y", y1, "--m", "2", "--n", "1")
+    code, out, _ = run_cli(capsys, "preserver", "into-msp", "--x", ones, "--y", y1)
     assert code == 0
     assert json.loads(out)["result"]["reason"] == "y-positive-x-row-positive"
 
@@ -176,6 +178,34 @@ def test_basis_subcommand(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["count"] == 4 and len(result["matrices"]) == 4
+
+
+def test_basis_search_exhausted_exits_no(capsys):
+    code, out, err = run_cli(capsys, "basis", "--m", "2", "--n", "2", "--max-trials", "2")
+    assert code == 1 and err == ""
+    result = json.loads(out)["result"]
+    assert result["count"] == 0 and "trial" in result["error"]
+
+
+def test_malformed_command_line_is_an_input_error(capsys, tmp_path):
+    x = write(tmp_path, "x.mat", "1 0\n0 1\n")
+    for argv in (
+        ("preserver", "into-sp", "--x", x),
+        ("fuzz", "lp-oracle", "--trials", "abc"),
+        ("basis", "--m", "2"),
+        ("preserver", "into-sp", "--x", x, "--y", x, "--m", "7"),
+        ("preserver", "into-msp", "--x", x, "--y", x, "--m", "2", "--n", "2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 64 and out == "", argv
+        assert "usage: semipos" in err, argv
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["preserver", "--help"])
+    assert exc.value.code == 0
+    assert "--trials" in capsys.readouterr().out
 
 
 def test_basis_needs_tall_nonempty_shape(capsys):

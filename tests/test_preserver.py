@@ -115,7 +115,7 @@ def test_into_msp_square_examples():
 
 
 def test_into_msp_column_case():
-    verdict = preserver.into_msp_preserver(_map(ONES_2, Matrix([[1]])), m=2, n=1)
+    verdict = preserver.into_msp_preserver(_map(ONES_2, Matrix([[1]])))
     assert verdict.status is Verdict.YES
     assert not classify.is_monomial(ONES_2)
     negated = preserver.into_msp_preserver(_map(-ONES_2, Matrix([[-1]])))
@@ -124,13 +124,6 @@ def test_into_msp_column_case():
     assert zero_y.status is Verdict.NO and zero_y.certificate.verify()
     bad_x = preserver.into_msp_preserver(_map(Matrix([[1, -2], [1, 1]]), Matrix([[1]])))
     assert bad_x.status is Verdict.NO and bad_x.certificate.verify()
-
-
-def test_into_msp_dim_arguments_checked():
-    with pytest.raises(DimensionError):
-        preserver.into_msp_preserver(_map(ONES_2, Matrix([[1]])), m=3, n=1)
-    with pytest.raises(DimensionError):
-        preserver.into_msp_preserver(_map(ONES_2, Matrix([[1]])), m=2, n=2)
 
 
 def test_into_msp_tall_cases():
