@@ -51,7 +51,8 @@ def is_semipositive(a: Matrix) -> tuple[bool, Vector | None]:
     if not result.feasible:
         return False, None
     x = result.witness
-    assert x is not None
+    if x is None:
+        raise ArithmeticError("feasible LP result without a witness")
     row_sum = max(
         sum((abs(v) for v in row), Fraction(0)) for row in a.entries
     )
@@ -77,7 +78,8 @@ def has_nonneg_left_inverse(a: Matrix) -> tuple[bool, Matrix | None]:
         result = lp.equality_feasible_nonneg(at, basis_vector(a.cols, j))
         if not result.feasible:
             return False, None
-        assert result.witness is not None
+        if result.witness is None:
+            raise ArithmeticError("feasible LP result without a witness")
         n_rows.append(result.witness)
     n_mat = Matrix.from_rows(n_rows)
     if not n_mat.is_nonneg() or n_mat @ a != Matrix.identity(a.cols):

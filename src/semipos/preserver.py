@@ -8,6 +8,12 @@ it is returned, so the falsifiers are checked constructions rather than
 trusted formulas.  One helper, ``_leaves``, builds every certificate of the
 first kind: it forms the image X A Y of the class member A and checks it.
 
+A square image is minimally semipositive iff it is invertible with a
+nonnegative inverse (Johnson, Kerr & Stanford 1994).  When the certificate
+stores a probe u with a negative entry and a nonnegative image X A Y u, the
+check needs no inverse: a nonnegative inverse would give u = (X A Y)^{-1}
+(X A Y u) >= 0.  Only a square image without such a probe is inverted.
+
 A map acts on the space (rows of X) x (rows of Y); the space is read from X
 and Y and never passed separately.
 
@@ -100,7 +106,11 @@ class FalsifyCertificate:
 
     kind "image-leaves-class": ``a`` is in the class, ``image`` equals
     x @ a @ y and is not; optionally a probe vector u with image @ u =
-    probe_image exhibits the violation directly.
+    probe_image exhibits the violation directly.  For the minimally
+    semipositive class and a square image, a probe with a negative entry and
+    a nonnegative probe_image proves it alone: image^{-1} >= 0 would give
+    u = image^{-1} probe_image >= 0.  Otherwise the image goes through the
+    classify deciders.
 
     kind "no-preimage": ``a`` is in the class but x M y = a has no solution M,
     witnessed by a left-null vector q of x (stored as probe_image) with
@@ -129,19 +139,32 @@ class FalsifyCertificate:
         return classify.is_minimally_semipositive(m)
 
     def verify(self) -> bool:
+        """True iff the certificate proves its claim; False, never an error,
+        when it does not, including when its shapes do not fit."""
+        try:
+            return self._verify()
+        except DimensionError:
+            return False
+
+    def _verify(self) -> bool:
         if not self._member(self.a):
             return False
         if self.kind == "image-leaves-class":
-            if self.image is None or self.image != self.x @ self.a @ self.y:
+            image, u, image_u = self.image, self.probe, self.probe_image
+            if image is None or image != self.x @ self.a @ self.y:
                 return False
-            if self._member(self.image):
-                return False
-            if self.probe is not None:
-                if self.probe_image is None:
+            if u is not None:
+                if image_u is None or image @ u != image_u:
                     return False
-                if self.image @ self.probe != self.probe_image:
-                    return False
-            return True
+                if (
+                    self.class_name == CLASS_MSP
+                    and image.is_square
+                    and image_u.is_nonneg()
+                    and not u.is_nonneg()
+                ):
+                    # image^-1 >= 0 would give u = image^-1 (image u) >= 0
+                    return True
+            return not self._member(image)
         if self.kind == "no-preimage":
             q = self.probe_image
             z = self.probe
@@ -470,7 +493,8 @@ def falsify_into_sp(lmap: PreserverMap, y_inv: Inverse | None = None) -> Falsify
 
     if y_inv[0] is None:
         q = (y * sign).transpose().kernel_vector()
-        assert q is not None
+        if q is None:
+            raise ArithmeticError("singular Y has no left-null vector")
         lead = next(i for i in range(n) if q[i] != 0)
         if q[lead] < 0:
             q = -q

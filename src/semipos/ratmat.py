@@ -7,12 +7,14 @@ as ``"0.5"`` are converted digit-exactly.
 
 One routine, ``_eliminate``, does all elimination: it clears the denominators
 of each row and runs fraction-free Gauss-Jordan on the integer grid (the
-Bareiss step, applied to every row).  The determinant, the rank, the inverse
-and the kernel vector are read from its result.  A product scales each row
-of the left operand and each column of the right one to integers and takes
-integer dot products.  Intended scale is dense matrices up to roughly 12x12;
-the text formats refuse more than ``MAX_DIM`` rows or columns and entries
-over ``MAX_ENTRY_BITS`` bits.
+Bareiss step, applied to every row).  A pivot column is dropped from the grid
+once its step is done, so the grid it returns holds only the non-pivot
+columns.  The determinant, the rank, the inverse and the kernel vector are
+read from its result.  A product scales each row of the left operand and
+each column of the right one to integers and takes integer dot products.
+Intended scale is dense matrices up to roughly 12x12; the text formats refuse
+more than ``MAX_DIM`` rows or columns and entries over ``MAX_ENTRY_BITS``
+bits.
 """
 
 from __future__ import annotations
@@ -204,9 +206,12 @@ def _eliminate(
     Rows are scaled to integers by the lcm of their denominators (``scale`` is
     the product).  Every row but the pivot row takes the Bareiss step (Bareiss
     1968), divided exactly by the previous pivot; rows with a zero head too, or
-    the common denominator breaks.  ``grid / d``, with ``d`` the last pivot, is
-    the reduced row echelon form, ``sign`` the parity of the row swaps, and a
-    square matrix with a full ``pivots`` list has determinant sign * d / scale.
+    the common denominator breaks.  After its step a pivot column is ``d`` times
+    a unit vector and stays so; it is dropped, and the returned grid holds only
+    the non-pivot columns, in order.  ``grid / d``, with ``d`` the last pivot,
+    is then the non-pivot part of the reduced row echelon form, ``sign`` the
+    parity of the row swaps, and a square matrix with a full ``pivots`` list
+    has determinant sign * d / scale.
     """
     grid: list[list[int]] = []
     scale = 1
@@ -218,17 +223,20 @@ def _eliminate(
     d = sign = 1
     for c in range(len(grid[0])):
         r = len(pivots)
-        p = next((i for i in range(r, len(grid)) if grid[i][c] != 0), None)
+        k = c - r  # column c's position, with the r earlier pivot columns dropped
+        p = next((i for i in range(r, len(grid)) if grid[i][k] != 0), None)
         if p is None:
             continue
         if p != r:
             grid[r], grid[p] = grid[p], grid[r]
             sign = -sign
         top = grid[r]
-        pivot = top[c]
+        pivot = top[k]
         for i, row in enumerate(grid):
             if i != r:
-                grid[i] = _bareiss_step(row, top, c, pivot, d)
+                grid[i] = _bareiss_step(row, top, k, pivot, d)
+        for row in grid:
+            del row[k]
         d = pivot
         pivots.append(c)
     return grid, pivots, d, sign, scale
@@ -371,21 +379,22 @@ class Matrix:
         if not self.is_square:
             raise DimensionError("inverse requires a square matrix")
         n = self.rows
-        # [A | I] scales row by row to [DA | D], whose reduced form is [I | A^-1]
+        # [A | I] scales row by row to [DA | D], whose reduced form is [I | A^-1];
+        # the pivot columns are dropped, so the grid is G = d A^-1
         grid, pivots, d, _, _ = _eliminate(
             row + tuple(_ONE if i == j else _ZERO for j in range(n))
             for i, row in enumerate(self.entries)
         )
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        # self-check A A^-1 = I exactly in integers: (DA) G == d D, G = d A^-1
-        cols = list(zip(*(row[n:] for row in grid)))
+        # self-check A A^-1 = I exactly in integers: (DA) G == d D
+        cols = list(zip(*grid))
         for i, row in enumerate(self.entries):
             lcm, scaled = _integer_row(row)
             for j, col in enumerate(cols):
-                if sum(a * g for a, g in zip(scaled, col)) != (d * lcm if i == j else 0):
+                if sum(map(operator.mul, scaled, col)) != (d * lcm if i == j else 0):
                     raise ArithmeticError("inverse self-check failed")
-        return Matrix([[Fraction(x, d) for x in row[n:]] for row in grid])
+        return Matrix([[Fraction(x, d) for x in row] for row in grid])
 
     def kernel_vector(self) -> "Vector | None":
         """One nonzero x with Ax = 0, or None if the columns are independent.
@@ -398,8 +407,10 @@ class Matrix:
             return None
         x = [_ZERO] * self.cols
         x[free] = _ONE
+        # every column before the first free one is a pivot column and dropped,
+        # so the free column is the grid's first
         for row, c in zip(grid, pivots):
-            x[c] = Fraction(-row[free], d)
+            x[c] = Fraction(-row[0], d)
         return Vector(x)
 
     def to_strings(self) -> list[list[str]]:

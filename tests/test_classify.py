@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from semipos import classify, genfuzz
+from semipos import classify, genfuzz, lp
 from semipos.ratmat import DimensionError, Matrix
 
 EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
@@ -214,3 +214,17 @@ def test_report_internal_consistency():
             assert report.semipositive
         if report.sp_witness is not None:
             assert report.sp_witness.is_positive()
+
+
+def test_feasible_sp_result_without_witness_raises(monkeypatch):
+    monkeypatch.setattr(lp, "feasible_nonneg", lambda a, b: lp.FeasibilityResult(True))
+    with pytest.raises(ArithmeticError, match="witness"):
+        classify.is_semipositive(Matrix.identity(2))
+
+
+def test_feasible_left_inverse_row_without_witness_raises(monkeypatch):
+    monkeypatch.setattr(
+        lp, "equality_feasible_nonneg", lambda m, c: lp.FeasibilityResult(True)
+    )
+    with pytest.raises(ArithmeticError, match="witness"):
+        classify.has_nonneg_left_inverse(Matrix.identity(2))

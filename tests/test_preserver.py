@@ -15,6 +15,7 @@ from semipos.ratmat import (
     InvalidInputError,
     Matrix,
     Vector,
+    basis_vector,
 )
 
 SIGNED_X = Matrix([[1, 0, 0], [0, -1, 0], [1, 1, 1]])
@@ -286,6 +287,89 @@ def test_bad_certificate_is_rejected():
     assert not bogus.verify()
     with pytest.raises(ArithmeticError):
         PreserverVerdict(Verdict.NO, "falsified", bogus)
+
+
+def test_verify_rejects_a_map_that_cannot_act_on_a():
+    i2 = Matrix.identity(2)
+    cert = FalsifyCertificate(
+        "image-leaves-class", preserver.CLASS_SP, Matrix.identity(3), i2, i2, image=i2
+    )
+    assert cert.verify() is False
+
+
+def test_verify_rejects_a_probe_of_the_wrong_length():
+    cert = preserver.falsify_into_msp(_map(LOWER, Matrix.identity(2)))
+    assert dataclasses.replace(cert, probe=Vector([-1, 0, 0])).verify() is False
+
+
+def test_verify_rejects_a_left_null_vector_of_the_wrong_length():
+    cert = preserver.onto_sp_preserver(_map(ONES_2, Matrix.identity(2))).certificate
+    assert cert.kind == "no-preimage"
+    assert dataclasses.replace(cert, probe_image=Vector([1, -1, 0])).verify() is False
+
+
+def test_singular_y_without_left_null_vector_raises(monkeypatch):
+    monkeypatch.setattr(Matrix, "kernel_vector", lambda self: None)
+    with pytest.raises(ArithmeticError, match="left-null"):
+        preserver.falsify_into_sp(_map(Matrix.identity(2), ONES_2))
+
+
+def _decided_by_probe(cert):
+    """The probe route of verify: a square MSP image sending a vector with a
+    negative entry to a nonnegative one, so its inverse is not nonnegative."""
+    return (
+        cert.class_name == preserver.CLASS_MSP
+        and cert.image.is_square
+        and cert.probe is not None
+        and cert.image @ cert.probe == cert.probe_image
+        and cert.probe_image.is_nonneg()
+        and not cert.probe.is_nonneg()
+    )
+
+
+def test_probe_rule_agrees_with_the_square_msp_oracles():
+    rng = random.Random("probe-rule")
+    cfg = genfuzz.GenConfig(7)
+    notes = []
+    for t in range(80):
+        n = 2 + t % 4
+        s = 1 if t % 2 == 0 else -1
+        y = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if t % 3 == 0:
+            x = genfuzz.gen_inverse_nonneg(n, cfg, index=("probe-x", t)) * s
+        else:
+            x = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        if preserver.into_msp_square_condition(x, y):
+            continue
+        cert = preserver.falsify_into_msp(_map(x, y))
+        assert cert.verified
+        if not _decided_by_probe(cert):
+            assert cert.note == "x-or-y-singular"
+            continue
+        notes.append(cert.note)
+        assert not classify.is_inverse_nonnegative(cert.image)[0], (x, y)
+        if n <= 4:
+            assert not classify.msp_by_deletion(cert.image), (x, y)
+    assert set(notes) == {"x-not-inverse-nonnegative-either-sign", "y-not-inverse-nonnegative"}
+    assert len(notes) >= 40
+
+
+def test_probe_rule_needs_a_negative_probe_and_a_nonnegative_image():
+    i2 = Matrix.identity(2)
+    e0 = basis_vector(2, 0)
+    # e0 is no negative probe; -e0 has a negative image
+    for probe in (e0, -e0):
+        cert = FalsifyCertificate(
+            "image-leaves-class",
+            preserver.CLASS_MSP,
+            i2,
+            i2,
+            i2,
+            image=i2,
+            probe=probe,
+            probe_image=probe,
+        )
+        assert not cert.verify()
 
 
 def test_column_rule_matches_empirical_preservation():

@@ -381,6 +381,69 @@ def test_kernel_vector_convention():
 
 
 
+def gauss_jordan(rows):
+    """Plain Fraction Gauss-Jordan with row swaps, dividing every pivot row:
+    (reduced row echelon form, pivot columns, swap sign times pivot product)."""
+    a = [list(row) for row in rows]
+    pivots, det = [], Fraction(1)
+    for c in range(len(a[0])):
+        r = len(pivots)
+        p = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        if p != r:
+            a[r], a[p] = a[p], a[r]
+            det = -det
+        det *= a[r][c]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots, det
+
+
+# free columns before later pivot columns, and zero leading entries
+SHIFTED_FREE = [
+    Matrix([[1, 2, 3], [2, 4, 7]]),
+    Matrix([[0, 1], [0, 2]]),
+    Matrix([[0, 2, 1], [0, 0, 3], [4, 0, 0]]),
+    Matrix([[0, 0, 1, 5], [0, 3, 2, 0], [0, 6, 4, 1]]),
+    Matrix([["1/97", "2/97", 0, 1], [2, 4, "1/96", 0]]),
+]
+
+
+def test_elimination_matches_plain_gauss_jordan():
+    corpus = SHIFTED_FREE + list(degenerate_matrices("gauss-jordan", 300, max_dim=5))
+    corpus += list(degenerate_matrices("gauss-jordan-square", 200, max_dim=5, square=True))
+    for a in corpus:
+        m, n = a.shape
+        rref, pivots, det = gauss_jordan(a.entries)
+        assert a.rank() == len(pivots), a
+        free = next((c for c in range(n) if c not in pivots), None)
+        if free is None:
+            assert a.kernel_vector() is None, a
+        else:
+            x = [Fraction(0)] * n
+            x[free] = Fraction(1)
+            for row, c in zip(rref, pivots):
+                x[c] = -row[free]
+            assert a.kernel_vector() == Vector(x), a
+        if m != n:
+            continue
+        assert a.det() == (det if len(pivots) == n else 0), a
+        identity = Matrix.identity(n).entries
+        augmented, aug_pivots, _ = gauss_jordan([r + e for r, e in zip(a.entries, identity)])
+        if aug_pivots[:n] == list(range(n)):
+            assert a.inverse() == Matrix([row[n:] for row in augmented]), a
+        else:
+            with pytest.raises(SingularMatrixError):
+                a.inverse()
+    assert Matrix([[1, 2, 3], [2, 4, 7]]).kernel_vector() == Vector([-2, 1, 0])
+
+
+
 def product_by_definition(a_rows, b_rows):
     """Each entry a plain Fraction sum of products."""
     cols = list(zip(*b_rows))
