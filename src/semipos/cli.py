@@ -195,8 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["into-sp", "onto-sp", "into-msp", "onto-msp"])
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=40)
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("falsify", help="construct a counterexample certificate")
@@ -237,13 +235,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     report["inputs"] = inputs
 
     try:
-        for flag in ("trials", "max_trials"):
-            count = getattr(args, flag, None)
-            if count is not None and count < 1:
-                raise InvalidInputError(
-                    f"--{flag.replace('_', '-')} must be at least 1, got {count}"
-                )
-
         if args.command == "classify":
             matrix, meta = _load_matrix(args.matrix)
             inputs["matrix"] = meta
@@ -295,9 +286,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             elif args.kind == "onto-sp":
                 verdict = preserver.onto_sp_preserver(lmap)
             elif args.kind == "into-msp":
-                verdict = preserver.into_msp_preserver(
-                    lmap, seed=args.seed, trials=args.trials
-                )
+                verdict = preserver.into_msp_preserver(lmap)
             else:
                 verdict = preserver.onto_msp_preserver(lmap)
             report["result"] = _verdict_dict(verdict)

@@ -3,10 +3,11 @@
 Verdicts are three-valued.  A "no" always carries a certificate: a concrete
 matrix inside the preserved class whose image verifiably leaves it (or, for
 onto questions with a singular X, a class member with no preimage at all).
-Each certificate is verified exactly once, with the classify deciders, before
-it is returned, so the falsifiers are checked constructions rather than
-trusted formulas.  One helper, ``_leaves``, builds every certificate of the
-first kind: it forms the image X A Y of the class member A and checks it.
+The verdicts are the only route from a pair to a certificate (the public
+falsifiers return an into-verdict's), and the "no" verdict verifies it once,
+with the classify deciders, so the falsifiers are checked constructions rather
+than trusted formulas.  One helper, ``_leaves``, builds every certificate of
+the first kind: it forms the image X A Y of the class member A.
 
 A square image is minimally semipositive iff it is invertible with a
 nonnegative inverse (Johnson, Kerr & Stanford 1994).  When the certificate
@@ -17,15 +18,16 @@ check needs no inverse: a nonnegative inverse would give u = (X A Y)^{-1}
 A map acts on the space (rows of X) x (rows of Y); the space is read from X
 and Y and never passed separately.
 
-Every decision rule holds for (X, Y) or for (-X, -Y).  X and Y are inverted
-at most once per verdict; the inverses and their signs are passed down to the
-falsifiers as values.
+Every decision rule holds for (X, Y) or for (-X, -Y).  A pair rule inverts
+X and Y at most once and returns its sign with the inverses, which a failed
+rule hands to the construction of its counterexample.
 
 The only undecided regimes are the rectangular into-preserver questions for
 minimal semipositivity: for more rows than columns (width at least 2) the
 known condition is sufficient but not necessary, so failing it yields either
-a randomized counterexample or "unknown"; for more columns than rows the
-question is outside the decided territory entirely and "unknown" is returned.
+a counterexample from a fixed search (``TALL_SEARCH_DRAWS`` draws from seed
+``TALL_SEARCH_SEED``) or "unknown"; for more columns than rows the question
+is outside the decided territory entirely and "unknown" is returned.
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ REASON_X_SINGULAR = "x-singular"
 REASON_Y_SINGULAR = "y-singular"
 REASON_INVERSE_NOT_INTO = "inverse-not-into"
 REASON_OUTSIDE_REGIME = "outside-decided-regime"
+
+# the counterexample search of the tall into-MSP regime
+TALL_SEARCH_SEED = 0
+TALL_SEARCH_DRAWS = 40
 
 
 @dataclass(frozen=True)
@@ -127,7 +133,7 @@ class FalsifyCertificate:
     probe_image: Vector | None = None
     note: str = ""
 
-    # set by _checked once verify() has passed; never a constructor argument
+    # set by verify() when it passes; never a constructor argument
     verified: bool = field(default=False, init=False, compare=False)
 
     def _member(self, m: Matrix) -> bool:
@@ -140,43 +146,52 @@ class FalsifyCertificate:
 
     def verify(self) -> bool:
         """True iff the certificate proves its claim; False, never an error,
-        when it does not, including when its shapes do not fit."""
+        when it does not, including when its shapes do not fit.
+
+        The image side is checked before ``a``'s membership, so a search
+        candidate whose image stays in the class costs one membership test.
+        Passing sets ``verified``, the only place that mark is set.
+        """
         try:
-            return self._verify()
+            proved = self._verify()
         except DimensionError:
             return False
+        if proved:
+            object.__setattr__(self, "verified", True)
+        return proved
 
     def _verify(self) -> bool:
-        if not self._member(self.a):
-            return False
         if self.kind == "image-leaves-class":
             image, u, image_u = self.image, self.probe, self.probe_image
             if image is None or image != self.x @ self.a @ self.y:
                 return False
-            if u is not None:
-                if image_u is None or image @ u != image_u:
-                    return False
-                if (
-                    self.class_name == CLASS_MSP
-                    and image.is_square
-                    and image_u.is_nonneg()
-                    and not u.is_nonneg()
-                ):
-                    # image^-1 >= 0 would give u = image^-1 (image u) >= 0
-                    return True
-            return not self._member(image)
-        if self.kind == "no-preimage":
-            q = self.probe_image
-            z = self.probe
-            if q is None or z is None or q.is_zero():
+            if u is not None and (image_u is None or image @ u != image_u):
                 return False
-            if any(v != 0 for v in (self.x.transpose() @ q).entries):
+            # image^-1 >= 0 would give u = image^-1 (image u) >= 0
+            by_probe = (
+                u is not None
+                and self.class_name == CLASS_MSP
+                and image.is_square
+                and image_u.is_nonneg()
+                and not u.is_nonneg()
+            )
+            if not by_probe and self._member(image):
                 return False
-            if self.a != outer(z, ones_vector(self.y.rows)) @ self.y:
-                return False
+        elif self.kind == "no-preimage":
+            q, z = self.probe_image, self.probe
             # x M y = a would give q^T a = (x^T q)^T M y = 0
-            return not (self.a.transpose() @ q).is_zero()
-        return False
+            if (
+                q is None
+                or z is None
+                or q.is_zero()
+                or not (self.x.transpose() @ q).is_zero()
+                or self.a != outer(z, ones_vector(self.y.rows)) @ self.y
+                or (self.a.transpose() @ q).is_zero()
+            ):
+                return False
+        else:
+            return False
+        return self._member(self.a)
 
 
 @dataclass(frozen=True)
@@ -187,18 +202,17 @@ class PreserverVerdict:
 
     def __post_init__(self) -> None:
         if self.status is Verdict.NO:
-            if self.certificate is None:
+            cert = self.certificate
+            if cert is None:
                 raise InvalidInputError("a negative verdict requires a certificate")
-            if not self.certificate.verified:
-                _checked(self.certificate)
+            if not (cert.verified or cert.verify()):
+                raise ArithmeticError(f"falsification certificate failed ({cert.note})")
 
 
 # -- decision rules -------------------------------------------------------------
 
 # M^{-1} (None when M is singular) and its sign, see _signed
 Inverse = tuple[Matrix | None, int]
-# X's and Y's, with None for Y's when X is singular, see _msp_inverses
-MspInverses = tuple[Inverse, Inverse | None]
 
 
 def _signed(inv: Matrix | None) -> Inverse:
@@ -234,43 +248,40 @@ def _yes(sign: int, reason: str) -> PreserverVerdict:
     return PreserverVerdict(Verdict.YES, reason if sign > 0 else REASON_NEGATED_PAIR)
 
 
-def _sp_inverse(x: Matrix, y: Matrix) -> Inverse | None:
-    """Y's signed inverse, or None when neither X nor -X is row positive: then
-    the rule fails and the counterexample does not use Y^{-1}."""
-    return _signed_inverse(y) if _sign(classify.is_row_positive, x) else None
+def _no(reason: str, cert: FalsifyCertificate) -> PreserverVerdict:
+    return PreserverVerdict(Verdict.NO, reason, cert)
 
 
-def _msp_inverses(x: Matrix, y: Matrix) -> MspInverses:
-    """X's signed inverse and Y's, or None for Y's when X is singular: then
-    the rule fails and the identity is a counterexample."""
-    x_inv = _signed_inverse(x)
-    return x_inv, _signed_inverse(y) if x_inv[0] is not None else None
-
-
-def into_sp_condition(x: Matrix, y: Matrix, y_inv: Inverse | None = None) -> int:
-    """X row positive and Y inverse nonnegative: +1, -1 for (-X, -Y), else 0.
-
-    ``y_inv`` is ``_sp_inverse(x, y)`` when the caller already has it.
-    """
+def _sp_rule(x: Matrix, y: Matrix) -> tuple[int, tuple[int, Inverse | None]]:
+    """The semipositivity rule's sign and its facts: X's row-positive sign and
+    Y's signed inverse, None when that sign is 0 (the rule fails then and the
+    counterexample does not use Y^{-1})."""
     x_sign = _sign(classify.is_row_positive, x)
     if not x_sign:
-        return 0
-    if y_inv is None:
-        y_inv = _signed_inverse(y)
-    return _pair_sign(x_sign, y_inv[1])
+        return 0, (0, None)
+    y_inv = _signed_inverse(y)
+    return _pair_sign(x_sign, y_inv[1]), (x_sign, y_inv)
 
 
-def into_msp_square_condition(
-    x: Matrix, y: Matrix, inverses: MspInverses | None = None
-) -> int:
-    """X and Y inverse nonnegative: +1, -1 for (-X, -Y), else 0.
+def _msp_rule(x: Matrix, y: Matrix) -> tuple[int, tuple[Inverse, Inverse | None]]:
+    """The square minimal-semipositivity rule's sign and X's and Y's signed
+    inverses, None for Y's when X is singular (the rule fails then and the
+    identity is a counterexample)."""
+    x_inv = _signed_inverse(x)
+    if x_inv[0] is None:
+        return 0, (x_inv, None)
+    y_inv = _signed_inverse(y)
+    return _pair_sign(x_inv[1], y_inv[1]), (x_inv, y_inv)
 
-    ``inverses`` is ``_msp_inverses(x, y)`` when the caller already has it.
-    """
-    x_inv, y_inv = inverses or _msp_inverses(x, y)
-    if y_inv is None:
-        return 0
-    return _pair_sign(x_inv[1], y_inv[1])
+
+def into_sp_condition(x: Matrix, y: Matrix) -> int:
+    """X row positive and Y inverse nonnegative: +1, -1 for (-X, -Y), else 0."""
+    return _sp_rule(x, y)[0]
+
+
+def into_msp_square_condition(x: Matrix, y: Matrix) -> int:
+    """X and Y inverse nonnegative: +1, -1 for (-X, -Y), else 0."""
+    return _msp_rule(x, y)[0]
 
 
 def _monomial_sign(x: Matrix, y: Matrix) -> int:
@@ -279,12 +290,10 @@ def _monomial_sign(x: Matrix, y: Matrix) -> int:
 
 def into_sp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     """Does A -> X A Y map every semipositive matrix to a semipositive one?"""
-    x, y = lmap.x, lmap.y
-    y_inv = _sp_inverse(x, y)
-    sign = into_sp_condition(x, y, y_inv)
+    sign, facts = _sp_rule(lmap.x, lmap.y)
     if sign:
         return _yes(sign, REASON_SP_PAIR)
-    return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, falsify_into_sp(lmap, y_inv))
+    return _no(REASON_FALSIFIED, _falsify_into_sp(lmap, *facts))
 
 
 def onto_sp_preserver(lmap: PreserverMap) -> PreserverVerdict:
@@ -293,55 +302,47 @@ def onto_sp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     sign = _monomial_sign(x, y)
     if sign:
         return _yes(sign, REASON_MONOMIAL_PAIR)
-    y_inv = _sp_inverse(x, y)
-    sign = into_sp_condition(x, y, y_inv)
+    sign, (x_sign, y_inv) = _sp_rule(x, y)
     if not sign:
-        return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, falsify_into_sp(lmap, y_inv))
+        return _no(REASON_FALSIFIED, _falsify_into_sp(lmap, x_sign, y_inv))
     x_inv, _ = _signed_inverse(x)
     if x_inv is None:
-        return PreserverVerdict(
-            Verdict.NO, REASON_X_SINGULAR, _no_preimage_certificate(lmap, sign)
-        )
+        return _no(REASON_X_SINGULAR, _no_preimage_certificate(lmap, sign))
+    # the inverse map (X^-1, Y^-1), whose Y^-1 has the inverse Y
     inverse = PreserverMap(x_inv, y_inv[0])
-    return PreserverVerdict(
-        Verdict.NO, REASON_INVERSE_NOT_INTO, falsify_into_sp(inverse, _signed(y))
+    x_inv_sign = _sign(classify.is_row_positive, x_inv)
+    return _no(
+        REASON_INVERSE_NOT_INTO, _falsify_into_sp(inverse, x_inv_sign, _signed(y))
     )
 
 
-def into_msp_preserver(
-    lmap: PreserverMap, *, seed: int = 0, trials: int = 40
-) -> PreserverVerdict:
+def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     """Does A -> X A Y map every minimally semipositive matrix into the class?
 
     The space is (rows of X) x (rows of Y).  Fully decided when it is square
     or a single column.  For strictly more rows than columns (width >= 2) the
     known pair condition is sufficient only, so its failure triggers a search
-    of ``trials`` matrices drawn with ``seed`` for a counterexample and,
-    failing that, "unknown".  For more columns than rows the question is
-    undecided and "unknown" is returned directly.
+    of ``TALL_SEARCH_DRAWS`` matrices from ``genfuzz.iter_msp_mixture`` with
+    seed ``TALL_SEARCH_SEED``: each draw becomes a candidate certificate, its
+    ``verify()`` decides it, and the first that passes is returned; failing
+    that, "unknown".  For more columns than rows the question is undecided and
+    "unknown" is returned directly.
     """
     x, y = lmap.x, lmap.y
     rows, cols = lmap.space
-    if trials < 1:
-        raise InvalidInputError(f"trials must be at least 1, got {trials}")
 
     if rows == cols:
-        inverses = _msp_inverses(x, y)
-        sign = into_msp_square_condition(x, y, inverses)
+        sign, inverses = _msp_rule(x, y)
         if sign:
             return _yes(sign, REASON_MSP_PAIR)
-        return PreserverVerdict(
-            Verdict.NO, REASON_FALSIFIED, falsify_into_msp(lmap, inverses)
-        )
+        return _no(REASON_FALSIFIED, _falsify_into_msp(lmap, *inverses))
 
     if rows > cols == 1:
         # a 1x1 Y is inverse nonnegative iff positive: the into-SP pair rule
         sign = into_sp_condition(x, y)
         if sign:
             return _yes(sign, REASON_COLUMN_PAIR)
-        return PreserverVerdict(
-            Verdict.NO, REASON_FALSIFIED, _falsify_column_map(lmap)
-        )
+        return _no(REASON_FALSIFIED, _falsify_column_map(lmap))
 
     if rows > cols:
         y_inv, y_sign = _signed_inverse(y)
@@ -351,12 +352,12 @@ def into_msp_preserver(
         if y_inv is None:
             a = vstack(Matrix.identity(cols), Matrix.ones(rows - cols, cols))
             cert = _leaves(CLASS_MSP, lmap, a, "y-singular-image-rank-deficient")
-            return PreserverVerdict(Verdict.NO, REASON_Y_SINGULAR, cert)
-        cfg = genfuzz.GenConfig(seed)
-        for a in genfuzz.iter_msp_mixture(rows, cols, cfg, trials):
-            if not classify.is_minimally_semipositive(x @ a @ y):
-                cert = _leaves(CLASS_MSP, lmap, a, "randomized-counterexample")
-                return PreserverVerdict(Verdict.NO, REASON_FALSIFIED, cert)
+            return _no(REASON_Y_SINGULAR, cert)
+        cfg = genfuzz.GenConfig(TALL_SEARCH_SEED)
+        for a in genfuzz.iter_msp_mixture(rows, cols, cfg, TALL_SEARCH_DRAWS):
+            cert = _leaves(CLASS_MSP, lmap, a, "randomized-counterexample")
+            if cert.verify():
+                return _no(REASON_FALSIFIED, cert)
 
     return PreserverVerdict(Verdict.UNKNOWN, REASON_OUTSIDE_REGIME)
 
@@ -374,26 +375,44 @@ def onto_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     sign = _monomial_sign(x, y)
     if sign:
         return _yes(sign, REASON_MONOMIAL_PAIR)
-    inverses = _msp_inverses(x, y)
-    if not into_msp_square_condition(x, y, inverses):
-        return PreserverVerdict(
-            Verdict.NO, REASON_FALSIFIED, falsify_into_msp(lmap, inverses)
-        )
-    (x_inv, _), (y_inv, _) = inverses
-    return PreserverVerdict(
-        Verdict.NO,
-        REASON_INVERSE_NOT_INTO,
-        falsify_into_msp(PreserverMap(x_inv, y_inv), (_signed(x), _signed(y))),
+    sign, (x_inv, y_inv) = _msp_rule(x, y)
+    if not sign:
+        return _no(REASON_FALSIFIED, _falsify_into_msp(lmap, x_inv, y_inv))
+    inverse = PreserverMap(x_inv[0], y_inv[0])
+    return _no(
+        REASON_INVERSE_NOT_INTO, _falsify_into_msp(inverse, _signed(x), _signed(y))
     )
 
 
 # -- falsifiers -------------------------------------------------------------------
 
 
-def falsify_into_msp(
-    lmap: PreserverMap, inverses: MspInverses | None = None
+def falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
+    """The certificate of ``into_sp_preserver(lmap)``; see ``_falsify_into_sp``
+    for the constructions.  A "yes" verdict raises InvalidInputError."""
+    return _certificate(into_sp_preserver(lmap))
+
+
+def falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
+    """The certificate of ``into_msp_preserver(lmap)`` for a square map; see
+    ``_falsify_into_msp`` for the constructions.  A "yes" verdict raises
+    InvalidInputError."""
+    if lmap.x.rows != lmap.y.rows:
+        raise DimensionError("square falsifier needs matching X and Y sizes")
+    return _certificate(into_msp_preserver(lmap))
+
+
+def _certificate(verdict: PreserverVerdict) -> FalsifyCertificate:
+    if verdict.certificate is None:
+        raise InvalidInputError("the pair condition holds; nothing to falsify")
+    return verdict.certificate
+
+
+def _falsify_into_msp(
+    lmap: PreserverMap, x_inv: Inverse, y_inv: Inverse | None
 ) -> FalsifyCertificate:
-    """Counterexample for a square map failing the minimal-semipositivity rule.
+    """Counterexample for a square map failing the minimal-semipositivity rule,
+    from the rule's signed inverses (see ``_msp_rule``).
 
     Three constructions, by how the pair condition fails:
 
@@ -407,15 +426,8 @@ def falsify_into_msp(
       basis vector w keeps the inverse image u = Y^{-1} w negative somewhere;
       the inverse of the nonnegative invertible B mapping X^{-1} w to w gives
       an image sending u, with a negative entry, to a positive vector.
-
-    ``inverses`` is ``_msp_inverses(x, y)`` when the caller already has it.
     """
     x, y = lmap.x, lmap.y
-    if x.rows != y.rows:
-        raise DimensionError("square falsifier needs matching X and Y sizes")
-    x_inv, y_inv = inverses or _msp_inverses(x, y)
-    if into_msp_square_condition(x, y, (x_inv, y_inv)):
-        raise InvalidInputError("the pair condition holds; nothing to falsify")
     n = x.rows
 
     if x_inv[0] is None or y_inv[0] is None:
@@ -445,8 +457,11 @@ def falsify_into_msp(
     return _leaves(CLASS_MSP, lmap, a, "y-not-inverse-nonnegative", u, xs @ v)
 
 
-def falsify_into_sp(lmap: PreserverMap, y_inv: Inverse | None = None) -> FalsifyCertificate:
-    """Counterexample for a map failing the semipositivity rule.
+def _falsify_into_sp(
+    lmap: PreserverMap, x_sign: int, y_inv: Inverse | None
+) -> FalsifyCertificate:
+    """Counterexample for a map failing the semipositivity rule, from the
+    rule's facts (see ``_sp_rule``).
 
     Four constructions, by how the pair condition fails:
 
@@ -460,18 +475,11 @@ def falsify_into_sp(lmap: PreserverMap, y_inv: Inverse | None = None) -> Falsify
     * X row positive up to sign but Y not inverse nonnegative: if Y is
       singular, rows copying a left-null vector of Y give image zero; else a
       negative inverse entry yields rows whose product with Y is nonpositive.
-
-    ``y_inv`` is ``_sp_inverse(x, y)`` when the caller already has it.
     """
     x, y = lmap.x, lmap.y
-    if y_inv is None:
-        y_inv = _sp_inverse(x, y)
-    if into_sp_condition(x, y, y_inv):
-        raise InvalidInputError("the pair condition holds; nothing to falsify")
     m, n = lmap.space
 
-    sign = _sign(classify.is_row_positive, x)
-    if not sign:
+    if not x_sign:
         if x.has_zero_row():
             a = Matrix.ones(m, n)
             note = "zero-row"
@@ -492,7 +500,7 @@ def falsify_into_sp(lmap: PreserverMap, y_inv: Inverse | None = None) -> Falsify
         return _leaves(CLASS_SP, lmap, a, note)
 
     if y_inv[0] is None:
-        q = (y * sign).transpose().kernel_vector()
+        q = (y * x_sign).transpose().kernel_vector()
         if q is None:
             raise ArithmeticError("singular Y has no left-null vector")
         lead = next(i for i in range(n) if q[i] != 0)
@@ -501,7 +509,7 @@ def falsify_into_sp(lmap: PreserverMap, y_inv: Inverse | None = None) -> Falsify
         a = Matrix.from_rows([q] * m)
         note = "y-singular"
     else:
-        c = y_inv[0] * sign  # (sign Y)^{-1}
+        c = y_inv[0] * x_sign  # (sign Y)^{-1}
         i, _j = next(
             (i, j) for i in range(n) for j in range(n) if c.entries[i][j] < 0
         )
@@ -579,17 +587,15 @@ def _no_preimage_certificate(lmap: PreserverMap, sign: int) -> FalsifyCertificat
         z = z + basis_vector(m, lead)
     c = (y * sign).transpose() @ ones_vector(n)
     a = outer(z, c)
-    return _checked(
-        FalsifyCertificate(
-            "no-preimage",
-            CLASS_SP,
-            x,
-            y,
-            a,
-            probe=z * sign,
-            probe_image=q,
-            note="x-singular-no-preimage",
-        )
+    return FalsifyCertificate(
+        "no-preimage",
+        CLASS_SP,
+        x,
+        y,
+        a,
+        probe=z * sign,
+        probe_image=q,
+        note="x-singular-no-preimage",
     )
 
 
@@ -601,17 +607,9 @@ def _leaves(
     probe: Vector | None = None,
     probe_image: Vector | None = None,
 ) -> FalsifyCertificate:
-    """The checked certificate that A is in the class and X A Y is not."""
+    """The certificate, not yet verified, that A is in the class and X A Y is
+    not; the "no" verdict that carries it verifies it."""
     x, y = lmap.x, lmap.y
-    cert = FalsifyCertificate(
+    return FalsifyCertificate(
         "image-leaves-class", class_name, x, y, a, x @ a @ y, probe, probe_image, note
     )
-    return _checked(cert)
-
-
-def _checked(cert: FalsifyCertificate) -> FalsifyCertificate:
-    """Verify a certificate and mark it, so nothing verifies it again."""
-    if not cert.verify():
-        raise ArithmeticError(f"falsification certificate failed ({cert.note})")
-    object.__setattr__(cert, "verified", True)
-    return cert

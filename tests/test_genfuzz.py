@@ -107,6 +107,14 @@ def test_run_campaign_rejects_unknown_name():
         genfuzz.run_campaign("no-such-campaign", seed=0)
 
 
+def test_trial_budgets_below_one_are_input_errors():
+    for name, trials in (("build-np", 0), ("lp-oracle", -3)):
+        with pytest.raises(InvalidInputError, match="must be at least 1"):
+            genfuzz.run_campaign(name, 0, trials)
+    with pytest.raises(InvalidInputError, match="must be at least 1"):
+        genfuzz.msp_basis_search(2, 2, CFG, max_trials=0)
+
+
 def test_small_campaigns_pass():
     for name in ["build-np", "build-pos", "build-rect", "key1", "lp-oracle"]:
         result = genfuzz.run_campaign(name, seed=11, trials=25)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from semipos import classify, genfuzz, preserver
+from semipos import classify, cli, genfuzz, preserver
 from semipos.preserver import (
     FalsifyCertificate,
     PreserverMap,
@@ -127,25 +127,23 @@ def test_into_msp_column_case():
     assert bad_x.status is Verdict.NO and bad_x.certificate.verify()
 
 
-def test_into_msp_tall_cases():
+def test_into_msp_tall_cases(monkeypatch):
     monomial_x = Matrix([[2, 0, 0], [0, 0, 1], [0, 3, 0]])
     yes = preserver.into_msp_preserver(_map(monomial_x, Matrix([[2, -1], [-1, 2]])))
     assert yes.status is Verdict.YES and yes.reason == preserver.REASON_TALL_PAIR
     y_singular = preserver.into_msp_preserver(_map(Matrix.identity(3), ONES_2))
     assert y_singular.status is Verdict.NO
     assert y_singular.reason == preserver.REASON_Y_SINGULAR
+    images = []
+    decide = classify.is_minimally_semipositive
+    monkeypatch.setattr(classify, "is_minimally_semipositive", lambda m: images.append(m) or decide(m))
     falsified = preserver.into_msp_preserver(
-        _map(Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), Matrix.identity(2)), seed=0, trials=40
+        _map(Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), Matrix.identity(2))
     )
     assert falsified.status is Verdict.NO
     assert falsified.certificate.note == "randomized-counterexample"
-
-
-def test_into_msp_rejects_non_positive_trials():
-    tall = _map(Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]]), Matrix.identity(2))
-    for trials in (0, -1):
-        with pytest.raises(InvalidInputError):
-            preserver.into_msp_preserver(tall, trials=trials)
+    # the search decides its counterexample's image once, in verify()
+    assert sum(m == falsified.certificate.image for m in images) == 1
 
 
 def test_into_msp_wide_returns_unknown():
@@ -263,6 +261,22 @@ def test_each_certificate_is_verified_once(monkeypatch):
         calls.clear()
         cert = falsify(lmap)
         assert calls == [cert] and cert.verified
+    # a falsifier returns its into-verdict's certificate, and raises where there is none
+    for verdict_of, lmap, _ in no_verdicts:
+        sp = verdict_of in (preserver.into_sp_preserver, preserver.onto_sp_preserver)
+        falsify = preserver.falsify_into_sp if sp else preserver.falsify_into_msp
+        into = preserver.into_sp_preserver if sp else preserver.into_msp_preserver
+        if not sp and lmap.x.rows != lmap.y.rows:
+            with pytest.raises(DimensionError):
+                falsify(lmap)
+            continue
+        verdict = into(lmap)
+        if verdict.status is Verdict.NO:
+            expected = cli._certificate_dict(verdict.certificate)
+            assert cli._certificate_dict(falsify(lmap)) == expected
+        else:
+            with pytest.raises(InvalidInputError, match="nothing to falsify"):
+                falsify(lmap)
     with pytest.raises(TypeError):
         FalsifyCertificate(
             "image-leaves-class",
