@@ -4,6 +4,11 @@ Classes: nonnegative, positive, row positive, monomial, inverse nonnegative,
 semipositive (some x >= 0 has Ax > 0), and minimally semipositive (semipositive
 with no column-deleted submatrix semipositive).  Every decider is exact, and
 every returned witness is re-verified against its definition before return.
+
+Minimal semipositivity has one route: semipositive with a nonnegative left
+inverse, and never for fewer rows than columns, which is decided from the
+shape before any LP.  ``msp_by_deletion`` checks the definition itself and
+serves only as an oracle for that route.
 """
 
 from __future__ import annotations
@@ -90,21 +95,21 @@ def has_nonneg_left_inverse(a: Matrix) -> tuple[bool, Matrix | None]:
 def is_minimally_semipositive(a: Matrix) -> bool:
     """Semipositive with no column-deleted submatrix semipositive.
 
-    For rows >= cols this is equivalent to semipositive plus a nonnegative
-    left inverse, which is how it is decided; for rows < cols no such
-    characterization applies and the definition is checked directly.
+    Decided as semipositive plus a nonnegative left inverse (Johnson, Kerr &
+    Stanford 1994).  An m x n matrix with m < n is never in the class, so it
+    gets False before any LP: if A is semipositive, {x >= 0 : A x >= 1} is
+    nonempty and contains no line, so it has a vertex.  A vertex has n
+    linearly independent active constraints, at most m of them from
+    A x >= 1, so some x_j = 0 there; dropping x_j shows that A with column j
+    deleted is still semipositive.
     """
-    if a.rows >= a.cols:
-        sp, _ = is_semipositive(a)
-        if not sp:
-            return False
-        ok, _ = has_nonneg_left_inverse(a)
-        return ok
-    return msp_by_deletion(a)
+    if a.rows < a.cols or not is_semipositive(a)[0]:
+        return False
+    return has_nonneg_left_inverse(a)[0]
 
 
 def msp_by_deletion(a: Matrix) -> bool:
-    """Definitional check used as an oracle against the left-inverse route.
+    """Definitional check used as an oracle against ``is_minimally_semipositive``.
 
     Deleting fewer columns only adds columns back, and extending a witness by
     zeros preserves semipositivity, so single-column deletions suffice.  The

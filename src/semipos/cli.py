@@ -51,7 +51,10 @@ _INPUT_ERRORS = (
 
 
 def _load_matrix(path: str) -> tuple[Matrix, dict[str, Any]]:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MatrixParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     matrix = parse_matrix_text(text, source=path)
     digest = hashlib.sha256(text.encode()).hexdigest()[:16]
     meta = {"path": path, "sha256": digest, "shape": list(matrix.shape)}

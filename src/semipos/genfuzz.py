@@ -37,35 +37,33 @@ class SearchExhaustedError(RuntimeError):
     """A randomized search hit its trial budget without finishing."""
 
 
+# Generator numerators lie in [-ENTRY_BOUND, ENTRY_BOUND] (sign restricted per
+# generator) and denominators in DENOMINATORS; small denominators keep exact
+# arithmetic cheap over long campaigns.
+ENTRY_BOUND = 5
+DENOMINATORS = (1, 2, 3, 4)
+
+
 @dataclass(frozen=True)
 class GenConfig:
-    """Deterministic generator configuration.
-
-    Numerators are drawn from [-entry_bound, entry_bound] (sign restricted per
-    generator) and denominators from the given tuple; small denominators keep
-    exact arithmetic cheap over long campaigns.
-    """
+    """Deterministic generator configuration: the seed every draw derives from."""
 
     seed: int
-    entry_bound: int = 5
-    denominators: tuple[int, ...] = (1, 2, 3, 4)
 
     def rng(self, *tags: object) -> random.Random:
         return random.Random(":".join(str(t) for t in (self.seed, *tags)))
 
 
-def _positive_entry(rng: random.Random, cfg: GenConfig) -> Fraction:
-    return Fraction(rng.randint(1, cfg.entry_bound), rng.choice(cfg.denominators))
+def _positive_entry(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(1, ENTRY_BOUND), rng.choice(DENOMINATORS))
 
 
-def _nonneg_entry(rng: random.Random, cfg: GenConfig) -> Fraction:
-    return Fraction(rng.randint(0, cfg.entry_bound), rng.choice(cfg.denominators))
+def _nonneg_entry(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(0, ENTRY_BOUND), rng.choice(DENOMINATORS))
 
 
-def _signed_entry(rng: random.Random, cfg: GenConfig) -> Fraction:
-    return Fraction(
-        rng.randint(-cfg.entry_bound, cfg.entry_bound), rng.choice(cfg.denominators)
-    )
+def _signed_entry(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-ENTRY_BOUND, ENTRY_BOUND), rng.choice(DENOMINATORS))
 
 
 def gen_monomial(n: int, cfg: GenConfig, index: object = 0) -> Matrix:
@@ -77,7 +75,7 @@ def gen_monomial(n: int, cfg: GenConfig, index: object = 0) -> Matrix:
     rng.shuffle(perm)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        rows[i][perm[i]] = _positive_entry(rng, cfg)
+        rows[i][perm[i]] = _positive_entry(rng)
     return Matrix(rows)
 
 
@@ -97,8 +95,8 @@ def gen_inverse_nonneg_with_inverse(
     rng = cfg.rng("inverse-nonneg", n, index)
     rows = []
     for i in range(n):
-        row = [_nonneg_entry(rng, cfg) for _ in range(n)]
-        row[i] = sum(row[:i] + row[i + 1 :], Fraction(0)) + _positive_entry(rng, cfg)
+        row = [_nonneg_entry(rng) for _ in range(n)]
+        row[i] = sum(row[:i] + row[i + 1 :], Fraction(0)) + _positive_entry(rng)
         rows.append(row)
     dominant = Matrix(rows)
     return dominant.inverse(), dominant
@@ -118,11 +116,11 @@ def gen_sp_with_witness(
     if m < 1 or n < 1:
         raise DimensionError("dimensions must be positive")
     rng = cfg.rng("sp", m, n, index)
-    x = Vector([_positive_entry(rng, cfg) for _ in range(n)])
+    x = Vector([_positive_entry(rng) for _ in range(n)])
     rows: list[list[Fraction]] = []
     for _ in range(m):
         while True:
-            row = [_signed_entry(rng, cfg) for _ in range(n)]
+            row = [_signed_entry(rng) for _ in range(n)]
             d = sum((row[j] * x[j] for j in range(n)), Fraction(0))
             if d == 0:
                 continue
@@ -149,7 +147,7 @@ def gen_msp(m: int, n: int, cfg: GenConfig, index: object = 0) -> Matrix:
     rng = cfg.rng("msp-extra", m, n, index)
     for _ in range(m - n):
         while True:
-            row = [_nonneg_entry(rng, cfg) for _ in range(n)]
+            row = [_nonneg_entry(rng) for _ in range(n)]
             if any(v > 0 for v in row):
                 rows.append(row)
                 break
@@ -176,7 +174,7 @@ def iter_msp_mixture(m: int, n: int, cfg: GenConfig, count: int) -> Iterator[Mat
             for _ in range(40):
                 cand = Matrix(
                     [
-                        [rng.randint(-cfg.entry_bound, cfg.entry_bound) for _ in range(n)]
+                        [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(n)]
                         for _ in range(m)
                     ]
                 )
@@ -402,7 +400,9 @@ def _trial_msp_equivalence(
     rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
 ) -> str | None:
     """The left-inverse route, the deletion oracle, and (on square inputs) the
-    nonnegative-inverse test must agree on minimal semipositivity."""
+    nonnegative-inverse test must agree on minimal semipositivity.  A wide
+    matrix, drawn from its own stream so the other draws stay as they were,
+    must be outside the class by both the shape rule and the deletion oracle."""
     shapes = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (5, 4)]
     m, n = shapes[rng.randrange(len(shapes))]
     a = _random_int_matrix(rng, m, n, bound=3)
@@ -413,7 +413,17 @@ def _trial_msp_equivalence(
         agree = agree and fast == classify.is_inverse_nonnegative(a)[0]
     if fast:
         counts["msp"] += 1
-    return None if agree else f"disagreement on\n{a}"
+    if not agree:
+        return f"disagreement on\n{a}"
+    wide_rng = cfg.rng("msp-wide", t)
+    rows = wide_rng.randint(1, 4)
+    w = _random_int_matrix(wide_rng, rows, wide_rng.randint(rows + 1, 6), bound=3)
+    counts["wide"] += 1
+    if classify.is_semipositive(w)[0]:
+        counts["wide-sp"] += 1
+    if classify.is_minimally_semipositive(w) or classify.msp_by_deletion(w):
+        return f"wide matrix called minimally semipositive\n{w}"
+    return None
 
 
 def _trial_into_msp_soundness(

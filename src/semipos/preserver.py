@@ -22,12 +22,11 @@ Every decision rule holds for (X, Y) or for (-X, -Y).  A pair rule inverts
 X and Y at most once and returns its sign with the inverses, which a failed
 rule hands to the construction of its counterexample.
 
-The only undecided regimes are the rectangular into-preserver questions for
-minimal semipositivity: for more rows than columns (width at least 2) the
-known condition is sufficient but not necessary, so failing it yields either
-a counterexample from a fixed search (``TALL_SEARCH_DRAWS`` draws from seed
-``TALL_SEARCH_SEED``) or "unknown"; for more columns than rows the question
-is outside the decided territory entirely and "unknown" is returned.
+The only undecided regime is into-preservation of minimal semipositivity on
+spaces with more rows than columns (width at least 2): the known condition is
+sufficient only, so failing it yields either a counterexample from a fixed
+search (``TALL_SEARCH_DRAWS`` draws from seed ``TALL_SEARCH_SEED``) or
+"unknown".
 """
 
 from __future__ import annotations
@@ -73,6 +72,7 @@ REASON_X_SINGULAR = "x-singular"
 REASON_Y_SINGULAR = "y-singular"
 REASON_INVERSE_NOT_INTO = "inverse-not-into"
 REASON_OUTSIDE_REGIME = "outside-decided-regime"
+REASON_EMPTY_CLASS = "class-empty-on-wide-space"
 
 # the counterexample search of the tall into-MSP regime
 TALL_SEARCH_SEED = 0
@@ -319,17 +319,21 @@ def onto_sp_preserver(lmap: PreserverMap) -> PreserverVerdict:
 def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     """Does A -> X A Y map every minimally semipositive matrix into the class?
 
-    The space is (rows of X) x (rows of Y).  Fully decided when it is square
-    or a single column.  For strictly more rows than columns (width >= 2) the
-    known pair condition is sufficient only, so its failure triggers a search
-    of ``TALL_SEARCH_DRAWS`` matrices from ``genfuzz.iter_msp_mixture`` with
-    seed ``TALL_SEARCH_SEED``: each draw becomes a candidate certificate, its
+    The space is (rows of X) x (rows of Y).  With fewer rows than columns the
+    class is empty (see ``classify.is_minimally_semipositive``), so the answer
+    is a vacuous yes.  Fully decided also when the space is square or a single
+    column.  For more rows than columns (width >= 2) the known pair condition
+    is sufficient only, so its failure triggers a search of
+    ``TALL_SEARCH_DRAWS`` matrices from ``genfuzz.iter_msp_mixture`` with seed
+    ``TALL_SEARCH_SEED``: each draw becomes a candidate certificate, its
     ``verify()`` decides it, and the first that passes is returned; failing
-    that, "unknown".  For more columns than rows the question is undecided and
-    "unknown" is returned directly.
+    that, "unknown".
     """
     x, y = lmap.x, lmap.y
     rows, cols = lmap.space
+
+    if rows < cols:
+        return PreserverVerdict(Verdict.YES, REASON_EMPTY_CLASS)
 
     if rows == cols:
         sign, inverses = _msp_rule(x, y)
@@ -337,28 +341,26 @@ def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
             return _yes(sign, REASON_MSP_PAIR)
         return _no(REASON_FALSIFIED, _falsify_into_msp(lmap, *inverses))
 
-    if rows > cols == 1:
+    if cols == 1:
         # a 1x1 Y is inverse nonnegative iff positive: the into-SP pair rule
         sign = into_sp_condition(x, y)
         if sign:
             return _yes(sign, REASON_COLUMN_PAIR)
         return _no(REASON_FALSIFIED, _falsify_column_map(lmap))
 
-    if rows > cols:
-        y_inv, y_sign = _signed_inverse(y)
-        sign = _pair_sign(_sign(classify.is_monomial, x), y_sign)
-        if sign:
-            return _yes(sign, REASON_TALL_PAIR)
-        if y_inv is None:
-            a = vstack(Matrix.identity(cols), Matrix.ones(rows - cols, cols))
-            cert = _leaves(CLASS_MSP, lmap, a, "y-singular-image-rank-deficient")
-            return _no(REASON_Y_SINGULAR, cert)
-        cfg = genfuzz.GenConfig(TALL_SEARCH_SEED)
-        for a in genfuzz.iter_msp_mixture(rows, cols, cfg, TALL_SEARCH_DRAWS):
-            cert = _leaves(CLASS_MSP, lmap, a, "randomized-counterexample")
-            if cert.verify():
-                return _no(REASON_FALSIFIED, cert)
-
+    y_inv, y_sign = _signed_inverse(y)
+    sign = _pair_sign(_sign(classify.is_monomial, x), y_sign)
+    if sign:
+        return _yes(sign, REASON_TALL_PAIR)
+    if y_inv is None:
+        a = vstack(Matrix.identity(cols), Matrix.ones(rows - cols, cols))
+        cert = _leaves(CLASS_MSP, lmap, a, "y-singular-image-rank-deficient")
+        return _no(REASON_Y_SINGULAR, cert)
+    cfg = genfuzz.GenConfig(TALL_SEARCH_SEED)
+    for a in genfuzz.iter_msp_mixture(rows, cols, cfg, TALL_SEARCH_DRAWS):
+        cert = _leaves(CLASS_MSP, lmap, a, "randomized-counterexample")
+        if cert.verify():
+            return _no(REASON_FALSIFIED, cert)
     return PreserverVerdict(Verdict.UNKNOWN, REASON_OUTSIDE_REGIME)
 
 

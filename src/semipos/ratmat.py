@@ -437,12 +437,6 @@ def outer(u: Vector, v: Vector) -> Matrix:
     return Matrix([[a * b for b in v.entries] for a in u.entries])
 
 
-def hstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.rows != b.rows:
-        raise DimensionError("hstack needs equal row counts")
-    return Matrix([ra + rb for ra, rb in zip(a.entries, b.entries)])
-
-
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise DimensionError("vstack needs equal column counts")

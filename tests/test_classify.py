@@ -163,7 +163,20 @@ def test_wide_matrices_use_definition():
     rng = random.Random("classify-wide")
     for _ in range(40):
         a = _random_matrix(rng, 2, rng.randint(3, 4))
-        assert classify.is_minimally_semipositive(a) == classify.msp_by_deletion(a)
+        assert not classify.is_minimally_semipositive(a) and not classify.msp_by_deletion(a)
+
+
+def test_wide_msp_is_decided_without_lp(monkeypatch):
+    calls = []
+    for name in ("feasible_nonneg", "equality_feasible_nonneg"):
+        solve = getattr(lp, name)
+        monkeypatch.setattr(lp, name, lambda *args, solve=solve, name=name: calls.append(name) or solve(*args))
+    wide = Matrix([[1, 2, 0, 1], [0, 1, 3, 1]])
+    assert not classify.is_minimally_semipositive(wide)
+    assert calls == []
+    report = classify.classify_all(wide)
+    assert report.semipositive and not report.minimally_semipositive
+    assert calls == ["feasible_nonneg"]
 
 
 def test_monomial_characterization():

@@ -111,6 +111,11 @@ def test_preserver_exit_codes(capsys, tmp_path):
 
     id2 = write(tmp_path, "id2.mat", "1 0\n0 1\n")
     code, out, _ = run_cli(capsys, "preserver", "into-msp", "--x", id2, "--y", id3)
+    assert code == 0 and json.loads(out)["result"]["reason"] == "class-empty-on-wide-space"
+
+    # not a preserver ([[1,0],[10,0],[0,1]] maps to a zero row), but the tall search misses
+    near = write(tmp_path, "near.mat", "1 -1/10 0\n0 1 0\n0 0 1\n")
+    code, out, _ = run_cli(capsys, "preserver", "into-msp", "--x", near, "--y", id2)
     assert code == 2 and json.loads(out)["result"]["status"] == "unknown"
 
 
@@ -264,6 +269,14 @@ def test_malformed_matrix_names_line(capsys, tmp_path):
 def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "classify", "does-not-exist.mat")
     assert code == 64 and "does-not-exist.mat" in err
+
+
+def test_non_utf8_file_is_input_error(capsys, tmp_path):
+    path = tmp_path / "latin.mat"
+    path.write_bytes(b"\xff\xfe1 2\n")
+    code, out, err = run_cli(capsys, "classify", str(path))
+    assert code == 64 and out == ""
+    assert "latin.mat" in err and "UTF-8" in err
 
 
 def test_dimension_mismatch_is_input_error(capsys, tmp_path):

@@ -41,11 +41,6 @@ def test_gen_inverse_nonneg_predicate():
         assert ok
 
 
-def test_gen_inverse_nonneg_small_bound():
-    a = genfuzz.gen_inverse_nonneg(2, genfuzz.GenConfig(seed=3, entry_bound=1))
-    assert classify.is_inverse_nonnegative(a)[0]
-
-
 def test_gen_sp_predicate_and_witness():
     for i in range(30):
         m, n = 1 + i % 4, 1 + (i // 2) % 3

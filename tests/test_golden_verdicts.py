@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from semipos import cli, genfuzz, preserver
@@ -156,6 +157,9 @@ def _rectangular_cases(cfg: genfuzz.GenConfig):
         }
         for cell, (x, y) in cells.items():
             yield f"into_msp-tall-{cell}-{m}x{n}", "into_msp", x, y
+    # not a preserver, yet the fixed search finds no counterexample
+    near_identity = Matrix([[1, Fraction(-1, 10), 0], [0, 1, 0], [0, 0, 1]])
+    yield "into_msp-tall-unknown-3x2", "into_msp", near_identity, Matrix.identity(2)
     for m, n in WIDE:
         yield f"into_msp-wide-{m}x{n}", "into_msp", Matrix.identity(m), Matrix.identity(n)
 

@@ -146,10 +146,17 @@ def test_into_msp_tall_cases(monkeypatch):
     assert sum(m == falsified.certificate.image for m in images) == 1
 
 
-def test_into_msp_wide_returns_unknown():
-    verdict = preserver.into_msp_preserver(_map(Matrix.identity(2), Matrix.identity(3)))
-    assert verdict.status is Verdict.UNKNOWN
-    assert verdict.reason == preserver.REASON_OUTSIDE_REGIME
+def test_into_msp_wide_is_vacuously_yes():
+    # no m x n matrix with m < n is minimally semipositive, so any map preserves the class
+    for x, y in [
+        (Matrix.identity(2), Matrix.identity(3)),
+        (Matrix([[1, -2], [0, 0]]), -Matrix.identity(3)),
+        (Matrix([[0]]), ONES_2),
+    ]:
+        verdict = preserver.into_msp_preserver(_map(x, y))
+        assert verdict.status is Verdict.YES
+        assert verdict.reason == preserver.REASON_EMPTY_CLASS
+        assert verdict.certificate is None
 
 
 def test_onto_msp_examples():

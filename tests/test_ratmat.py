@@ -16,7 +16,6 @@ from semipos.ratmat import (
     SingularMatrixError,
     Vector,
     basis_vector,
-    hstack,
     ones_vector,
     outer,
     parse_matrix_text,
@@ -222,7 +221,6 @@ def test_matmul_shapes():
 def test_stacking_and_deletion():
     a = Matrix([[1, 2], [3, 4]])
     assert vstack(a, Matrix([[5, 6]])) == Matrix([[1, 2], [3, 4], [5, 6]])
-    assert hstack(a, Matrix([[0], [0]])) == Matrix([[1, 2, 0], [3, 4, 0]])
     assert a.delete_col(0) == Matrix([[2], [4]])
     with pytest.raises(DimensionError):
         Matrix([[1], [2]]).delete_col(0)
