@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: classify, witness, build, key1, preserver, falsify, fuzz, basis.
-Reports are emitted as a single JSON document on stdout (``--pretty`` switches
-to an aligned human-readable rendering); every rational is printed as an exact
-``p/q`` string, so reports round-trip losslessly through the text formats.
+Each has one handler that fills the report's ``inputs`` (a matrix file as its
+path, the first 16 hex digits of the sha256 of its bytes, and its shape) and
+returns the report's ``result`` with the exit code.  Reports are emitted as a
+single JSON document on stdout (``--pretty`` switches to an aligned
+human-readable rendering); every rational is printed as an exact ``p/q``
+string, so reports round-trip losslessly through the text formats.
 
 Exit codes: 0 for a yes/true verdict, 1 for no/false, 2 for unknown, 64 for
 malformed input (bad files, dimension mismatches, violated preconditions, a
@@ -22,7 +25,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import classify, construct, genfuzz, preserver
 from .ratmat import (
@@ -49,24 +52,34 @@ _INPUT_ERRORS = (
     OSError,
 )
 
+_VERDICT_EXIT = {
+    preserver.Verdict.YES: EXIT_YES,
+    preserver.Verdict.NO: EXIT_NO,
+    preserver.Verdict.UNKNOWN: EXIT_UNKNOWN,
+}
 
-def _load_matrix(path: str) -> tuple[Matrix, dict[str, Any]]:
+# A subcommand handler takes the parsed arguments and the report's "inputs",
+# which it fills, and returns the report's "result" and the exit code.
+Inputs = dict[str, Any]
+Handled = tuple[Any, int]
+
+
+def _load_matrix(path: str, inputs: Inputs, key: str) -> Matrix:
+    """Parse the matrix file at ``path`` and record it as ``inputs[key]``: its
+    path, the first 16 hex digits of the sha256 of its bytes, and its shape."""
+    data = Path(path).read_bytes()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise MatrixParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     matrix = parse_matrix_text(text, source=path)
-    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
-    meta = {"path": path, "sha256": digest, "shape": list(matrix.shape)}
-    return matrix, meta
+    digest = hashlib.sha256(data).hexdigest()[:16]
+    inputs[key] = {"path": path, "sha256": digest, "shape": list(matrix.shape)}
+    return matrix
 
 
-def _vec(v: Vector | None) -> list[str] | None:
-    return v.to_strings() if v is not None else None
-
-
-def _mat(m: Matrix | None) -> list[list[str]] | None:
-    return m.to_strings() if m is not None else None
+def _strings(value: Vector | Matrix | None) -> list[Any] | None:
+    return value.to_strings() if value is not None else None
 
 
 def _certificate_dict(cert: preserver.FalsifyCertificate | None) -> dict[str, Any] | None:
@@ -75,12 +88,12 @@ def _certificate_dict(cert: preserver.FalsifyCertificate | None) -> dict[str, An
     return {
         "kind": cert.kind,
         "class": cert.class_name,
-        "x": _mat(cert.x),
-        "y": _mat(cert.y),
-        "a": _mat(cert.a),
-        "image": _mat(cert.image),
-        "probe": _vec(cert.probe),
-        "probe_image": _vec(cert.probe_image),
+        "x": _strings(cert.x),
+        "y": _strings(cert.y),
+        "a": _strings(cert.a),
+        "image": _strings(cert.image),
+        "probe": _strings(cert.probe),
+        "probe_image": _strings(cert.probe_image),
         "note": cert.note,
         "verified": cert.verified or cert.verify(),
     }
@@ -107,9 +120,9 @@ def _report_dict(report: classify.ClassReport) -> dict[str, Any]:
             "minimally_semipositive": report.minimally_semipositive,
         },
         "witnesses": {
-            "semipositivity_vector": _vec(report.sp_witness),
-            "inverse": _mat(report.inv),
-            "left_inverse": _mat(report.left_inv),
+            "semipositivity_vector": _strings(report.sp_witness),
+            "inverse": _strings(report.inv),
+            "left_inverse": _strings(report.left_inv),
         },
     }
 
@@ -159,10 +172,69 @@ def _scalar(value: Any) -> str:
 
 
 def _emit(report: dict[str, Any], pretty: bool) -> None:
-    if pretty:
-        print("\n".join(_pretty_lines(report)))
-    else:
-        print(json.dumps(report, indent=2))
+    print("\n".join(_pretty_lines(report)) if pretty else json.dumps(report, indent=2))
+
+
+def _classify(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    matrix = _load_matrix(args.matrix, inputs, "matrix")
+    return _report_dict(classify.classify_all(matrix)), EXIT_YES
+
+
+def _witness(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    found, witness = classify.is_semipositive(_load_matrix(args.matrix, inputs, "matrix"))
+    return {"semipositive": found, "witness": _strings(witness)}, EXIT_YES if found else EXIT_NO
+
+
+def _build(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    v = parse_vector_text(args.v, source="--v")
+    w = parse_vector_text(args.w, source="--w")
+    inputs["v"], inputs["w"] = v.to_strings(), w.to_strings()
+    if args.kind == "np":
+        b, trace = construct.build_np(v, w)
+        return {"matrix": _strings(b), "trace": _trace_dict(trace)}, EXIT_YES
+    b = getattr(construct, "build_" + args.kind)(v, w)
+    rank = {"rank": b.rank()} if args.kind == "rect" else {}
+    return {"matrix": _strings(b), **rank}, EXIT_YES
+
+
+def _key1(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    matrix = _load_matrix(args.matrix, inputs, "matrix")
+    vec, path_taken = construct.mixed_sign_vector_with_path(matrix)
+    return {"vector": _strings(vec), "path": path_taken, "image": _strings(matrix @ vec)}, EXIT_YES
+
+
+def _load_map(args: argparse.Namespace, inputs: Inputs) -> preserver.PreserverMap:
+    x = _load_matrix(args.x, inputs, "x")
+    return preserver.PreserverMap(x, _load_matrix(args.y, inputs, "y"))
+
+
+# The verdict and falsifier functions are looked up on ``preserver`` at call
+# time, so a wrapper installed on the module (a tracer, a test double) is seen.
+def _preserver(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    decide = getattr(preserver, args.kind.replace("-", "_") + "_preserver")
+    verdict = decide(_load_map(args, inputs))
+    return _verdict_dict(verdict), _VERDICT_EXIT[verdict.status]
+
+
+def _falsify(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    falsify = getattr(preserver, "falsify_" + args.kind.replace("-", "_"))
+    return {"certificate": _certificate_dict(falsify(_load_map(args, inputs)))}, EXIT_YES
+
+
+def _fuzz(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    result = genfuzz.run_campaign(args.campaign, args.seed, args.trials)
+    report = {**dataclasses.asdict(result), "passed": result.passed}
+    return report, EXIT_YES if result.passed else EXIT_NO
+
+
+def _basis(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    max_trials = args.max_trials if args.max_trials is not None else 10 * args.m * args.n
+    inputs.update(m=args.m, n=args.n, seed=args.seed)
+    try:
+        found = genfuzz.msp_basis_search(args.m, args.n, genfuzz.GenConfig(args.seed), max_trials)
+    except genfuzz.SearchExhaustedError as exc:
+        return {"error": str(exc), "count": 0}, EXIT_NO
+    return {"count": len(found), "matrices": [_strings(b) for b in found]}, EXIT_YES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -173,54 +245,49 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", help="full class report for one matrix file")
-    p.add_argument("matrix")
-    p.add_argument("--pretty", action="store_true")
+    def command(name: str, handler: Callable[..., Handled], help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("witness", help="produce a class witness")
+    command("classify", _classify, "full class report for one matrix file").add_argument("matrix")
+
+    p = command("witness", _witness, "produce a class witness")
     p.add_argument("kind", choices=["sp"])
     p.add_argument("matrix")
-    p.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser("build", help="construct a matrix with a prescribed image")
+    p = command("build", _build, "construct a matrix with a prescribed image")
     p.add_argument("kind", choices=["np", "pos", "rect"])
     p.add_argument("--v", required=True, help="source vector, e.g. \"1 0 -5 -1\"")
     p.add_argument("--w", required=True, help="target vector")
-    p.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser(
-        "key1", help="vector with both signs mapped to a nonnegative vector"
-    )
+    p = command("key1", _key1, "vector with both signs mapped to a nonnegative vector")
     p.add_argument("matrix")
-    p.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser("preserver", help="decide a preserver question for X, Y")
+    p = command("preserver", _preserver, "decide a preserver question for X, Y")
     p.add_argument("kind", choices=["into-sp", "onto-sp", "into-msp", "onto-msp"])
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser("falsify", help="construct a counterexample certificate")
+    p = command("falsify", _falsify, "construct a counterexample certificate")
     p.add_argument("kind", choices=["into-sp", "into-msp"])
     p.add_argument("--x", required=True)
     p.add_argument("--y", required=True)
-    p.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser("fuzz", help="run a seeded verification campaign")
+    p = command("fuzz", _fuzz, "run a seeded verification campaign")
     p.add_argument("campaign", choices=sorted(genfuzz.CAMPAIGNS))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--pretty", action="store_true")
 
-    p = sub.add_parser(
-        "basis", help="linearly independent minimally semipositive matrices"
-    )
+    p = command("basis", _basis, "linearly independent minimally semipositive matrices")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-trials", type=int, default=None)
-    p.add_argument("--pretty", action="store_true")
 
+    # last, so each usage line ends with it
+    for p in sub.choices.values():
+        p.add_argument("--pretty", action="store_true")
     return parser
 
 
@@ -233,116 +300,13 @@ def run(argv: Sequence[str] | None = None) -> int:
             return EXIT_INPUT_ERROR
         raise
     started = time.perf_counter()
-    report: dict[str, Any] = {"command": args.command}
-    inputs: dict[str, Any] = {}
-    report["inputs"] = inputs
-
+    inputs: Inputs = {}
     try:
-        if args.command == "classify":
-            matrix, meta = _load_matrix(args.matrix)
-            inputs["matrix"] = meta
-            report["result"] = _report_dict(classify.classify_all(matrix))
-            code = EXIT_YES
-
-        elif args.command == "witness":
-            matrix, meta = _load_matrix(args.matrix)
-            inputs["matrix"] = meta
-            found, witness = classify.is_semipositive(matrix)
-            report["result"] = {"semipositive": found, "witness": _vec(witness)}
-            code = EXIT_YES if found else EXIT_NO
-
-        elif args.command == "build":
-            v = parse_vector_text(args.v, source="--v")
-            w = parse_vector_text(args.w, source="--w")
-            inputs["v"] = v.to_strings()
-            inputs["w"] = w.to_strings()
-            if args.kind == "np":
-                b, trace = construct.build_np(v, w)
-                report["result"] = {"matrix": _mat(b), "trace": _trace_dict(trace)}
-            elif args.kind == "pos":
-                b = construct.build_pos(v, w)
-                report["result"] = {"matrix": _mat(b)}
-            else:
-                b = construct.build_rect(v, w)
-                report["result"] = {"matrix": _mat(b), "rank": b.rank()}
-            code = EXIT_YES
-
-        elif args.command == "key1":
-            matrix, meta = _load_matrix(args.matrix)
-            inputs["matrix"] = meta
-            vec, path_taken = construct.mixed_sign_vector_with_path(matrix)
-            report["result"] = {
-                "vector": _vec(vec),
-                "path": path_taken,
-                "image": _vec(matrix @ vec),
-            }
-            code = EXIT_YES
-
-        elif args.command == "preserver":
-            x, meta_x = _load_matrix(args.x)
-            y, meta_y = _load_matrix(args.y)
-            inputs["x"] = meta_x
-            inputs["y"] = meta_y
-            lmap = preserver.PreserverMap(x, y)
-            if args.kind == "into-sp":
-                verdict = preserver.into_sp_preserver(lmap)
-            elif args.kind == "onto-sp":
-                verdict = preserver.onto_sp_preserver(lmap)
-            elif args.kind == "into-msp":
-                verdict = preserver.into_msp_preserver(lmap)
-            else:
-                verdict = preserver.onto_msp_preserver(lmap)
-            report["result"] = _verdict_dict(verdict)
-            code = {
-                preserver.Verdict.YES: EXIT_YES,
-                preserver.Verdict.NO: EXIT_NO,
-                preserver.Verdict.UNKNOWN: EXIT_UNKNOWN,
-            }[verdict.status]
-
-        elif args.command == "falsify":
-            x, meta_x = _load_matrix(args.x)
-            y, meta_y = _load_matrix(args.y)
-            inputs["x"] = meta_x
-            inputs["y"] = meta_y
-            lmap = preserver.PreserverMap(x, y)
-            if args.kind == "into-sp":
-                cert = preserver.falsify_into_sp(lmap)
-            else:
-                cert = preserver.falsify_into_msp(lmap)
-            report["result"] = {"certificate": _certificate_dict(cert)}
-            code = EXIT_YES
-
-        elif args.command == "fuzz":
-            result = genfuzz.run_campaign(args.campaign, args.seed, args.trials)
-            report["result"] = dataclasses.asdict(result)
-            report["result"]["passed"] = result.passed
-            code = EXIT_YES if result.passed else EXIT_NO
-
-        else:  # basis
-            max_trials = (
-                args.max_trials if args.max_trials is not None else 10 * args.m * args.n
-            )
-            inputs["m"] = args.m
-            inputs["n"] = args.n
-            inputs["seed"] = args.seed
-            try:
-                found = genfuzz.msp_basis_search(
-                    args.m, args.n, genfuzz.GenConfig(args.seed), max_trials
-                )
-            except genfuzz.SearchExhaustedError as exc:
-                report["result"] = {"error": str(exc), "count": 0}
-                code = EXIT_NO
-            else:
-                report["result"] = {
-                    "count": len(found),
-                    "matrices": [_mat(b) for b in found],
-                }
-                code = EXIT_YES
-
+        result, code = args.handler(args, inputs)
     except _INPUT_ERRORS as exc:
         print(f"semipos: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-
+    report = {"command": args.command, "inputs": inputs, "result": result}
     report["elapsed_seconds"] = round(time.perf_counter() - started, 6)
     _emit(report, args.pretty)
     return code

@@ -215,11 +215,9 @@ class PreserverVerdict:
 Inverse = tuple[Matrix | None, int]
 
 
-def _signed(inv: Matrix | None) -> Inverse:
+def _signed(inv: Matrix) -> Inverse:
     """An inverse with its sign: +1 when nonnegative, -1 when nonpositive (so
-    (-M)^{-1} = -M^{-1} is nonnegative), 0 otherwise or when singular."""
-    if inv is None:
-        return None, 0
+    (-M)^{-1} = -M^{-1} is nonnegative), 0 otherwise."""
     return inv, 1 if inv.is_nonneg() else -1 if inv.is_nonpos() else 0
 
 
@@ -367,10 +365,14 @@ def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
 def onto_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     """Does A -> X A Y map the minimally semipositive matrices onto themselves?
 
-    Supported on square spaces only.
+    Decided on square spaces, and on spaces with fewer rows than columns,
+    where the class is empty (a vacuous yes, as for ``into_msp_preserver``).
     """
     x, y = lmap.x, lmap.y
-    if x.rows != y.rows:
+    rows, cols = lmap.space
+    if rows < cols:
+        return PreserverVerdict(Verdict.YES, REASON_EMPTY_CLASS)
+    if rows > cols:
         raise InvalidInputError(
             "onto preservation of minimal semipositivity is decided for square spaces only"
         )

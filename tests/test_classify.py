@@ -74,6 +74,8 @@ def test_monomial():
     assert classify.is_monomial(Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
     assert not classify.is_monomial(ONES_2)
     assert classify.is_monomial(Matrix([[0, 2], [3, 0]]))
+    # one nonzero per row, but column 0 holds two
+    assert not classify.is_monomial(Matrix([[1, 0], [2, 0]]))
     with pytest.raises(DimensionError):
         classify.is_monomial(Matrix([[1, 0]]))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -100,23 +101,32 @@ def test_key1_subcommand(capsys, tmp_path):
 def test_preserver_exit_codes(capsys, tmp_path):
     x3 = write(tmp_path, "x3.mat", "1 0 0\n0 -1 0\n1 1 1\n")
     id3 = write(tmp_path, "id3.mat", "1 0 0\n0 1 0\n0 0 1\n")
-    code, out, _ = run_cli(capsys, "preserver", "into-sp", "--x", x3, "--y", id3)
-    assert code == 1
-    report = json.loads(out)
-    assert report["result"]["status"] == "no"
-    assert report["result"]["certificate"]["verified"] is True
-
-    code, out, _ = run_cli(capsys, "preserver", "into-sp", "--x", id3, "--y", id3)
-    assert code == 0 and json.loads(out)["result"]["status"] == "yes"
-
     id2 = write(tmp_path, "id2.mat", "1 0\n0 1\n")
-    code, out, _ = run_cli(capsys, "preserver", "into-msp", "--x", id2, "--y", id3)
-    assert code == 0 and json.loads(out)["result"]["reason"] == "class-empty-on-wide-space"
-
+    swap = write(tmp_path, "swap.mat", "0 1\n1 0\n")
+    ones = write(tmp_path, "ones.mat", "1 1\n1 1\n")
+    m = write(tmp_path, "m.mat", "2 -1\n-1 2\n")
     # not a preserver ([[1,0],[10,0],[0,1]] maps to a zero row), but the tall search misses
     near = write(tmp_path, "near.mat", "1 -1/10 0\n0 1 0\n0 0 1\n")
-    code, out, _ = run_cli(capsys, "preserver", "into-msp", "--x", near, "--y", id2)
-    assert code == 2 and json.loads(out)["result"]["status"] == "unknown"
+    for kind, x, y, code, reason in (
+        ("into-sp", x3, id3, 1, "falsified"),
+        ("into-sp", id3, id3, 0, "x-row-positive-y-inverse-nonnegative"),
+        ("onto-sp", swap, id2, 0, "monomial-pair"),
+        ("onto-sp", ones, id2, 1, "x-singular"),
+        ("into-msp", id2, id3, 0, "class-empty-on-wide-space"),
+        ("into-msp", near, id2, 2, "outside-decided-regime"),
+        ("onto-msp", swap, id2, 0, "monomial-pair"),
+        ("onto-msp", m, id2, 1, "inverse-not-into"),
+        ("onto-msp", id2, id3, 0, "class-empty-on-wide-space"),
+    ):
+        got, out, _ = run_cli(capsys, "preserver", kind, "--x", x, "--y", y)
+        result = json.loads(out)["result"]
+        assert (got, result["reason"]) == (code, reason), (kind, x, y)
+        if code == 1:
+            assert result["status"] == "no" and result["certificate"]["verified"] is True
+        else:
+            assert result["certificate"] is None
+    code, out, err = run_cli(capsys, "preserver", "onto-msp", "--x", id3, "--y", id2)
+    assert code == 64 and out == "" and "square spaces only" in err
 
 
 def test_preserver_into_msp_column(capsys, tmp_path):
@@ -136,6 +146,11 @@ def test_falsify_subcommand(capsys, tmp_path):
     assert cert["verified"] is True and cert["note"] == "y-not-inverse-nonnegative"
     code, _, err = run_cli(capsys, "falsify", "into-msp", "--x", id2, "--y", id2)
     assert code == 64 and "nothing to falsify" in err
+    mixed = write(tmp_path, "mixed.mat", "1 -1\n1 1\n")
+    code, out, _ = run_cli(capsys, "falsify", "into-sp", "--x", mixed, "--y", id2)
+    assert code == 0
+    cert = json.loads(out)["result"]["certificate"]
+    assert cert["verified"] is True and cert["note"] == "mixed-row"
 
 
 def test_fuzz_subcommand(capsys):
@@ -277,6 +292,20 @@ def test_non_utf8_file_is_input_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "classify", str(path))
     assert code == 64 and out == ""
     assert "latin.mat" in err and "UTF-8" in err
+
+
+def test_digest_is_of_the_file_bytes(capsys, tmp_path):
+    reports = {}
+    for name, text in (("lf.mat", b"1 0\n0 1\n"), ("crlf.mat", b"1 0\r\n0 1\r\n")):
+        path = tmp_path / name
+        path.write_bytes(text)
+        code, out, _ = run_cli(capsys, "classify", str(path))
+        assert code == 0
+        reports[name] = json.loads(out)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        assert reports[name]["inputs"]["matrix"]["sha256"] == digest
+    assert reports["lf.mat"]["result"] == reports["crlf.mat"]["result"]
+    assert reports["lf.mat"]["inputs"]["matrix"]["sha256"] != reports["crlf.mat"]["inputs"]["matrix"]["sha256"]
 
 
 def test_dimension_mismatch_is_input_error(capsys, tmp_path):

@@ -160,7 +160,9 @@ def _rectangular_cases(cfg: genfuzz.GenConfig):
     # not a preserver, yet the fixed search finds no counterexample
     near_identity = Matrix([[1, Fraction(-1, 10), 0], [0, 1, 0], [0, 0, 1]])
     yield "into_msp-tall-unknown-3x2", "into_msp", near_identity, Matrix.identity(2)
+    # the class is empty on a wide space: both questions are a vacuous yes
     for m, n in WIDE:
+        yield f"onto_msp-wide-{m}x{n}", "onto_msp", -Matrix.identity(m), Matrix.identity(n)
         yield f"into_msp-wide-{m}x{n}", "into_msp", Matrix.identity(m), Matrix.identity(n)
 
 

@@ -167,8 +167,11 @@ def test_onto_msp_examples():
     p = Matrix([[0, 1], [1, 0]])
     negated = preserver.onto_msp_preserver(_map(-p, -Matrix.identity(2)))
     assert negated.status is Verdict.YES
+    # the class is empty on a wide space, so every map sends it onto itself
+    wide = preserver.onto_msp_preserver(_map(Matrix([[1, -2], [0, 0]]), -Matrix.identity(3)))
+    assert (wide.status, wide.reason, wide.certificate) == (Verdict.YES, preserver.REASON_EMPTY_CLASS, None)
     with pytest.raises(InvalidInputError):
-        preserver.onto_msp_preserver(_map(Matrix.identity(2), Matrix.identity(3)))
+        preserver.onto_msp_preserver(_map(Matrix.identity(3), Matrix.identity(2)))
 
 
 def test_falsify_into_msp_branches():
@@ -308,6 +311,16 @@ def test_bad_certificate_is_rejected():
     assert not bogus.verify()
     with pytest.raises(ArithmeticError):
         PreserverVerdict(Verdict.NO, "falsified", bogus)
+    # tampering with a sound certificate: an image that is not X A Y, a probe
+    # image that is not image @ probe, an unknown kind
+    cert = preserver.falsify_into_msp(_map(LOWER, Matrix.identity(2)))
+    assert cert.probe is not None and dataclasses.replace(cert).verify()
+    for tampered in (
+        dataclasses.replace(cert, image=cert.image * 2),
+        dataclasses.replace(cert, probe_image=cert.probe_image + basis_vector(2, 0)),
+        dataclasses.replace(cert, kind="bogus"),
+    ):
+        assert tampered.verify() is False and not tampered.verified
 
 
 def test_verify_rejects_a_map_that_cannot_act_on_a():
