@@ -228,12 +228,8 @@ def _fuzz(args: argparse.Namespace, inputs: Inputs) -> Handled:
 
 
 def _basis(args: argparse.Namespace, inputs: Inputs) -> Handled:
-    max_trials = args.max_trials if args.max_trials is not None else 10 * args.m * args.n
-    inputs.update(m=args.m, n=args.n, seed=args.seed)
-    try:
-        found = genfuzz.msp_basis_search(args.m, args.n, genfuzz.GenConfig(args.seed), max_trials)
-    except genfuzz.SearchExhaustedError as exc:
-        return {"error": str(exc), "count": 0}, EXIT_NO
+    inputs.update(m=args.m, n=args.n)
+    found = genfuzz.msp_basis_search(args.m, args.n)
     return {"count": len(found), "matrices": [_strings(b) for b in found]}, EXIT_YES
 
 
@@ -282,8 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("basis", _basis, "linearly independent minimally semipositive matrices")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-trials", type=int, default=None)
 
     # last, so each usage line ends with it
     for p in sub.choices.values():

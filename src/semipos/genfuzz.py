@@ -1,4 +1,5 @@
-"""Seeded generators for each matrix class and randomized verification campaigns.
+"""Seeded generators for each matrix class, the fixed MSP spanning family
+(``msp_basis_search``, which draws nothing) and randomized verification campaigns.
 
 Generators are pure functions of (config, dimensions, draw index): the PRNG is
 a Mersenne Twister (``random.Random``) seeded with a string derived from the
@@ -31,10 +32,6 @@ from .ratmat import (
     ones_vector,
     permutation_matrix,
 )
-
-
-class SearchExhaustedError(RuntimeError):
-    """A randomized search hit its trial budget without finishing."""
 
 
 # Generator numerators lie in [-ENTRY_BOUND, ENTRY_BOUND] (sign restricted per
@@ -163,53 +160,61 @@ def iter_msp_mixture(m: int, n: int, cfg: GenConfig, count: int) -> Iterator[Mat
     rejection-sampled random integer matrices (filtered through the deletion
     oracle), since the structured generator does not reach the whole class."""
     rng = cfg.rng("msp-mixture", m, n)
-    produced = 0
-    t = 0
-    while produced < count:
+    for t in range(count):
         if t % 2 == 0:
             yield gen_msp(m, n, cfg, index=t)
-            produced += 1
+            continue
+        for _ in range(40):
+            cand = Matrix(
+                [[rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(n)] for _ in range(m)]
+            )
+            if classify.msp_by_deletion(cand):
+                yield cand
+                break
         else:
-            hit = None
-            for _ in range(40):
-                cand = Matrix(
-                    [
-                        [rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(n)]
-                        for _ in range(m)
-                    ]
-                )
-                if classify.msp_by_deletion(cand):
-                    hit = cand
-                    break
-            yield hit if hit is not None else gen_msp(m, n, cfg, index=("fallback", t))
-            produced += 1
-        t += 1
+            yield gen_msp(m, n, cfg, index=("fallback", t))
 
 
-def msp_basis_search(
-    m: int, n: int, cfg: GenConfig, max_trials: int
-) -> list[Matrix]:
-    """Greedily accumulate m*n linearly independent minimally semipositive
-    matrices (as vectors in the m*n-dimensional space)."""
-    if m < n or n < 1:
-        raise DimensionError(f"need m >= n >= 1, got m={m}, n={n}")
-    if max_trials < 1:
-        raise InvalidInputError(f"max_trials must be at least 1, got {max_trials}")
-    target = m * n
-    kept: list[Matrix] = []
-    flat_rows: list[list[Fraction]] = []
-    for t in range(max_trials):
-        a = gen_msp(m, n, cfg, index=t)
-        flat = [x for row in a.entries for x in row]
-        candidate = flat_rows + [flat]
-        if Matrix(candidate).rank() == len(candidate):
-            flat_rows = candidate
-            kept.append(a)
-            if len(kept) == target:
-                return kept
-    raise SearchExhaustedError(
-        f"no spanning set of {target} matrices within {max_trials} trials"
-    )
+# The largest m*n msp_basis_search builds: its (m*n)**3 rank check took ~1 s at 16x16.
+MAX_BASIS_MEMBERS = 256
+
+
+def msp_basis_search(m: int, n: int) -> list[Matrix]:
+    """m*n linearly independent minimally semipositive (MSP) m x n matrices.
+
+    With B0 = [I_n; J] (J all ones), cell (i, j) in row-major order gives
+    B0 + s E_ij, with s = -1 off the diagonal of the top n x n block and +1
+    elsewhere.  MSP is semipositive with a nonnegative left inverse (Johnson,
+    Kerr & Stanford, 1994).  The top block T is I + E_ii, I - E_ij or I, so
+    T^-1 is I - E_ii/2, I + E_ij or I, [T^-1 0] is a nonnegative left inverse,
+    and T^-1 1 >= 0 is a semipositivity witness: A T^-1 1 = [1; J T^-1 1] > 0.
+    Independence: if sum c_k (B0 + s_k E_k) = 0 with S = sum c_k, cell k reads
+    b_k S + s_k c_k = 0, so c_k = -s_k b_k S.  As b_k = 1 only where s_k = 1,
+    on n + (m-n) n cells, summing gives S (1 + n (m-n+1)) = 0, so every c_k = 0.
+    Both facts are checked exactly, with no LP, before the family is returned.
+    """
+    if not (m >= n >= 1 and m * n <= MAX_BASIS_MEMBERS):
+        raise DimensionError(f"need m >= n >= 1 and m*n <= {MAX_BASIS_MEMBERS}, got m={m}, n={n}")
+    family = []
+    for i in range(m):
+        for j in range(n):
+            s = -1 if i < n and i != j else 1
+            rows = [[int(r >= n or r == c) for c in range(n)] for r in range(m)]
+            rows[i][j] += s
+            left = [[int(r == c) for c in range(m)] for r in range(n)]
+            if i < n:
+                left[i][j] -= Fraction(s, 1 + s * (i == j))
+            a, left = Matrix(rows), Matrix(left)
+            if not (
+                left.is_nonneg()
+                and left @ a == Matrix.identity(n)
+                and (a @ (left @ ones_vector(m))).is_positive()
+            ):
+                raise ArithmeticError(f"member ({i}, {j}) failed its MSP self-check")
+            family.append(a)
+    if Matrix([x for row in a.entries for x in row] for a in family).rank() != m * n:
+        raise ArithmeticError("the family failed its independence self-check")
+    return family
 
 
 # -- campaigns -----------------------------------------------------------------

@@ -374,7 +374,7 @@ def onto_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
         return PreserverVerdict(Verdict.YES, REASON_EMPTY_CLASS)
     if rows > cols:
         raise InvalidInputError(
-            "onto preservation of minimal semipositivity is decided for square spaces only"
+            "onto preservation of minimal semipositivity is not decided for rows > cols"
         )
     sign = _monomial_sign(x, y)
     if sign:

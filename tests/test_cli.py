@@ -126,7 +126,7 @@ def test_preserver_exit_codes(capsys, tmp_path):
         else:
             assert result["certificate"] is None
     code, out, err = run_cli(capsys, "preserver", "onto-msp", "--x", id3, "--y", id2)
-    assert code == 64 and out == "" and "square spaces only" in err
+    assert code == 64 and out == "" and "not decided for rows > cols" in err
 
 
 def test_preserver_into_msp_column(capsys, tmp_path):
@@ -182,7 +182,6 @@ def test_non_positive_trial_counts_are_input_errors(capsys):
     for argv in (
         ("fuzz", "build-np", "--trials", "-3"),
         ("fuzz", "build-np", "--trials", "0"),
-        ("basis", "--m", "2", "--n", "2", "--max-trials", "0"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 64 and out == "", argv
@@ -190,17 +189,19 @@ def test_non_positive_trial_counts_are_input_errors(capsys):
 
 
 def test_basis_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "basis", "--m", "2", "--n", "2", "--seed", "1")
+    code, out, _ = run_cli(capsys, "basis", "--m", "2", "--n", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["inputs"] == {"m": 2, "n": 2}
+    assert report["result"]["count"] == 4 and len(report["result"]["matrices"]) == 4
+
+
+def test_basis_12x12_spans(capsys):
+    code, out, _ = run_cli(capsys, "basis", "--m", "12", "--n", "12")
     assert code == 0
     result = json.loads(out)["result"]
-    assert result["count"] == 4 and len(result["matrices"]) == 4
-
-
-def test_basis_search_exhausted_exits_no(capsys):
-    code, out, err = run_cli(capsys, "basis", "--m", "2", "--n", "2", "--max-trials", "2")
-    assert code == 1 and err == ""
-    result = json.loads(out)["result"]
-    assert result["count"] == 0 and "trial" in result["error"]
+    assert result["count"] == 144 and len(result["matrices"]) == 144
+    assert all(len(a) == 12 and len(a[0]) == 12 for a in result["matrices"])
 
 
 def test_malformed_command_line_is_an_input_error(capsys, tmp_path):
@@ -209,6 +210,8 @@ def test_malformed_command_line_is_an_input_error(capsys, tmp_path):
         ("preserver", "into-sp", "--x", x),
         ("fuzz", "lp-oracle", "--trials", "abc"),
         ("basis", "--m", "2"),
+        ("basis", "--m", "2", "--n", "2", "--seed", "1"),
+        ("basis", "--m", "2", "--n", "2", "--max-trials", "5"),
         ("preserver", "into-sp", "--x", x, "--y", x, "--m", "7"),
         ("preserver", "into-msp", "--x", x, "--y", x, "--m", "2", "--n", "2"),
         ("preserver", "into-msp", "--x", x, "--y", x, "--trials", "5"),
@@ -228,10 +231,10 @@ def test_help_still_exits_zero(capsys):
 
 
 def test_basis_needs_tall_nonempty_shape(capsys):
-    for m, n in (("2", "0"), ("-1", "1")):
+    for m, n in (("2", "0"), ("-1", "1"), ("17", "16")):
         code, out, err = run_cli(capsys, "basis", "--m", m, "--n", n)
         assert code == 64 and out == "", (m, n)
-        assert "need m >= n >= 1" in err
+        assert "need m >= n >= 1 and m*n <= 256" in err
 
 
 def test_out_of_grammar_entries_are_input_errors(capsys, tmp_path):

@@ -70,25 +70,23 @@ def test_gen_msp_needs_tall():
 
 
 def test_msp_basis_search_small():
-    for m, n in [(1, 1), (2, 2), (3, 2)]:
-        found = genfuzz.msp_basis_search(m, n, CFG, max_trials=10 * m * n)
-        assert len(found) == m * n
-        flat = Matrix([[x for row in a.entries for x in row] for a in found])
-        assert flat.rank() == m * n
-        assert all(classify.is_minimally_semipositive(a) for a in found)
+    # the fixed family against the LP and deletion oracles on every small shape
+    for m in range(1, 6):
+        for n in range(1, m + 1):
+            found = genfuzz.msp_basis_search(m, n)
+            assert len(found) == m * n
+            flat = Matrix([[x for row in a.entries for x in row] for a in found])
+            assert flat.rank() == m * n, (m, n)
+            assert all(classify.is_minimally_semipositive(a) for a in found), (m, n)
+            if m * n <= 20:
+                assert all(classify.msp_by_deletion(a) for a in found), (m, n)
 
 
 def test_msp_basis_search_needs_tall_nonempty_shape():
-    # with the CLI's default of 10*m*n trials, these shapes used to run an
-    # empty search and report SearchExhaustedError instead
-    for m, n in [(2, 0), (-1, 1), (0, 0), (1, 2)]:
-        with pytest.raises(DimensionError):
-            genfuzz.msp_basis_search(m, n, CFG, max_trials=10 * m * n)
-
-
-def test_msp_basis_search_exhausts():
-    with pytest.raises(genfuzz.SearchExhaustedError):
-        genfuzz.msp_basis_search(2, 2, CFG, max_trials=2)
+    bound = genfuzz.MAX_BASIS_MEMBERS
+    for m, n in [(2, 0), (-1, 1), (0, 0), (1, 2), (bound + 1, 1), (17, 16)]:
+        with pytest.raises(DimensionError, match=f"m\\*n <= {bound}"):
+            genfuzz.msp_basis_search(m, n)
 
 
 def test_iter_msp_mixture_all_members():
@@ -106,8 +104,6 @@ def test_trial_budgets_below_one_are_input_errors():
     for name, trials in (("build-np", 0), ("lp-oracle", -3)):
         with pytest.raises(InvalidInputError, match="must be at least 1"):
             genfuzz.run_campaign(name, 0, trials)
-    with pytest.raises(InvalidInputError, match="must be at least 1"):
-        genfuzz.msp_basis_search(2, 2, CFG, max_trials=0)
 
 
 def test_small_campaigns_pass():
