@@ -47,11 +47,16 @@ class ClassReport:
 def is_semipositive(a: Matrix) -> tuple[bool, Vector | None]:
     """True iff some x >= 0 gives A x > 0; witness returned strictly positive.
 
-    The strict system is scaled to the closed one A x >= 1 (entrywise), which
-    has the same answer.  A feasible x is then nudged to x + delta*1 with
-    delta = 1 / (2 (1 + S)), S the largest row absolute sum, keeping A x' > 0
-    while making x' > 0.
+    A row with no positive entry refutes it before any LP: for x >= 0 that
+    row's product with x is a sum of nonpositive terms, so it is <= 0.
+
+    Otherwise the strict system is scaled to the closed one A x >= 1
+    (entrywise), which has the same answer.  A feasible x is then nudged to
+    x + delta*1 with delta = 1 / (2 (1 + S)), S the largest row absolute sum,
+    keeping A x' > 0 while making x' > 0.
     """
+    if any(max(row) <= 0 for row in a.entries):
+        return False, None
     result = lp.feasible_nonneg(a, ones_vector(a.rows))
     if not result.feasible:
         return False, None

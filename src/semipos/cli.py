@@ -148,7 +148,7 @@ def _pretty_lines(value: Any, indent: int = 0) -> list[str]:
             else:
                 lines.append(f"{pad}{key}: {_scalar(sub)}")
     elif isinstance(value, list):
-        if value and all(isinstance(row, list) for row in value):
+        if _is_matrix(value):
             widths = [
                 max(len(str(row[j])) for row in value) for j in range(len(value[0]))
             ]
@@ -157,10 +157,28 @@ def _pretty_lines(value: Any, indent: int = 0) -> list[str]:
                 lines.append(f"{pad}[ {cells} ]")
         else:
             for item in value:
-                lines.append(f"{pad}- {_scalar(item)}")
+                if _is_matrix(item):
+                    # a list of matrices: each an aligned block, its first row marked "- "
+                    block = _pretty_lines(item, indent + 1)
+                    lines.append(f"{pad}- {block[0].lstrip()}")
+                    lines.extend(block[1:])
+                else:
+                    lines.append(f"{pad}- {_scalar(item)}")
     else:
         lines.append(f"{pad}{_scalar(value)}")
     return lines
+
+
+def _is_matrix(value: Any) -> bool:
+    """A nonempty list of rows, each a list of scalars."""
+    return (
+        isinstance(value, list)
+        and bool(value)
+        and all(
+            isinstance(row, list) and not any(isinstance(x, list) for x in row)
+            for row in value
+        )
+    )
 
 
 def _scalar(value: Any) -> str:

@@ -5,9 +5,15 @@ matrix inside the preserved class whose image verifiably leaves it (or, for
 onto questions with a singular X, a class member with no preimage at all).
 The verdicts are the only route from a pair to a certificate (the public
 falsifiers return an into-verdict's), and the "no" verdict verifies it once,
-with the classify deciders, so the falsifiers are checked constructions rather
-than trusted formulas.  One helper, ``_leaves``, builds every certificate of
-the first kind: it forms the image X A Y of the class member A.
+so the falsifiers are checked constructions rather than trusted formulas.
+Every construction but the tall search stores the evidence it already holds
+for A's membership: a semipositivity witness x >= 0 with A x > 0 and, for the
+minimally semipositive class, a nonnegative left inverse N with N A = I.  The
+check multiplies the evidence out and never re-decides A with an LP; evidence
+that fails fails the certificate, and only a certificate without evidence
+(a search draw, or one built by hand) has A decided by the classify deciders.
+One helper, ``_leaves``, builds every certificate of the first kind: it forms
+the image X A Y of the class member A.
 
 A square image is minimally semipositive iff it is invertible with a
 nonnegative inverse (Johnson, Kerr & Stanford 1994).  When the certificate
@@ -121,6 +127,14 @@ class FalsifyCertificate:
     kind "no-preimage": ``a`` is in the class but x M y = a has no solution M,
     witnessed by a left-null vector q of x (stored as probe_image) with
     q^T a != 0; ``a`` is z 1^T y for the vector z stored as probe.
+
+    ``a``'s membership is proved by the evidence its construction holds, by
+    multiplication only: a ``witness`` x >= 0 with a x > 0 proves it
+    semipositive, and together with a ``left_inverse`` N >= 0 with N a = I it
+    proves it minimally semipositive, square or tall (Johnson, Kerr & Stanford
+    1994).  Evidence that is present but fails (or lacks the left inverse a
+    minimally semipositive claim needs) makes ``verify()`` False; only a
+    certificate without evidence has ``a`` decided by the classify deciders.
     """
 
     kind: str
@@ -132,11 +146,14 @@ class FalsifyCertificate:
     probe: Vector | None = None
     probe_image: Vector | None = None
     note: str = ""
+    witness: Vector | None = None
+    left_inverse: Matrix | None = None
 
     # set by verify() when it passes; never a constructor argument
     verified: bool = field(default=False, init=False, compare=False)
 
     def _member(self, m: Matrix) -> bool:
+        """``m`` is in the class, by the classify deciders."""
         if self.class_name == CLASS_SP:
             return classify.is_semipositive(m)[0]
         if m.is_square:
@@ -191,7 +208,19 @@ class FalsifyCertificate:
                 return False
         else:
             return False
-        return self._member(self.a)
+        return self._a_is_member()
+
+    def _a_is_member(self) -> bool:
+        """``a`` is in the class: by its evidence when it has any, else by the
+        classify deciders."""
+        x, n, a = self.witness, self.left_inverse, self.a
+        if x is None and n is None:
+            return self._member(a)
+        if x is None or not x.is_nonneg() or not (a @ x).is_positive():
+            return False
+        if self.class_name == CLASS_SP:
+            return True
+        return n is not None and n.is_nonneg() and n @ a == Matrix.identity(a.cols)
 
 
 @dataclass(frozen=True)
@@ -351,8 +380,17 @@ def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     if sign:
         return _yes(sign, REASON_TALL_PAIR)
     if y_inv is None:
+        # A = [I; 1] with witness 1 and left inverse [I 0]
         a = vstack(Matrix.identity(cols), Matrix.ones(rows - cols, cols))
-        cert = _leaves(CLASS_MSP, lmap, a, "y-singular-image-rank-deficient")
+        left = Matrix([[int(i == j) for j in range(rows)] for i in range(cols)])
+        cert = _leaves(
+            CLASS_MSP,
+            lmap,
+            a,
+            "y-singular-image-rank-deficient",
+            witness=ones_vector(cols),
+            left_inverse=left,
+        )
         return _no(REASON_Y_SINGULAR, cert)
     cfg = genfuzz.GenConfig(TALL_SEARCH_SEED)
     for a in genfuzz.iter_msp_mixture(rows, cols, cfg, TALL_SEARCH_DRAWS):
@@ -435,7 +473,10 @@ def _falsify_into_msp(
     n = x.rows
 
     if x_inv[0] is None or y_inv[0] is None:
-        return _leaves(CLASS_MSP, lmap, Matrix.identity(n), "x-or-y-singular")
+        i = Matrix.identity(n)
+        return _leaves(
+            CLASS_MSP, lmap, i, "x-or-y-singular", witness=ones_vector(n), left_inverse=i
+        )
 
     sign = x_inv[1]
     if not sign:
@@ -443,7 +484,7 @@ def _falsify_into_msp(
         w = -basis_vector(n, 0)
         b, _ = build_np(v, y @ w)
         note = "x-not-inverse-nonnegative-either-sign"
-        return _leaves(CLASS_MSP, lmap, b.inverse(), note, w, x @ v)
+        return _leaves_as_inverse(lmap, b, note, w, x @ v)
 
     xs = x * sign
     c = y_inv[0] * sign  # (sign Y)^{-1}
@@ -457,8 +498,8 @@ def _falsify_into_msp(
     v = (x_inv[0] * sign) @ w
     if u.entries[i] >= 0 or not w.is_positive() or not v.is_nonneg():
         raise ArithmeticError("shift construction lost its sign pattern")
-    a = build_pos(v, w).inverse()
-    return _leaves(CLASS_MSP, lmap, a, "y-not-inverse-nonnegative", u, xs @ v)
+    b = build_pos(v, w)
+    return _leaves_as_inverse(lmap, b, "y-not-inverse-nonnegative", u, xs @ v)
 
 
 def _falsify_into_sp(
@@ -484,6 +525,7 @@ def _falsify_into_sp(
     m, n = lmap.space
 
     if not x_sign:
+        # every construction here has a positive first column
         if x.has_zero_row():
             a = Matrix.ones(m, n)
             note = "zero-row"
@@ -501,25 +543,26 @@ def _falsify_into_sp(
                 ]
                 a = Matrix.from_cols(first)
                 note = "uniform-sign-rows"
-        return _leaves(CLASS_SP, lmap, a, note)
+        return _leaves(CLASS_SP, lmap, a, note, witness=basis_vector(n, 0))
 
     if y_inv[0] is None:
         q = (y * x_sign).transpose().kernel_vector()
         if q is None:
             raise ArithmeticError("singular Y has no left-null vector")
-        lead = next(i for i in range(n) if q[i] != 0)
-        if q[lead] < 0:
+        j = next(i for i in range(n) if q[i] != 0)
+        if q[j] < 0:
             q = -q
         a = Matrix.from_rows([q] * m)
         note = "y-singular"
     else:
         c = y_inv[0] * x_sign  # (sign Y)^{-1}
-        i, _j = next(
+        i, j = next(
             (i, j) for i in range(n) for j in range(n) if c.entries[i][j] < 0
         )
         a = Matrix.from_rows([-c.row(i)] * m)
         note = "y-inverse-negative-entry"
-    return _leaves(CLASS_SP, lmap, a, note)
+    # column j of A is positive
+    return _leaves(CLASS_SP, lmap, a, note, witness=basis_vector(n, j))
 
 
 def _positive_vector_zeroing_row(x: Matrix, i: int) -> Vector:
@@ -570,7 +613,11 @@ def _falsify_column_map(lmap: PreserverMap) -> FalsifyCertificate:
             entries[j] = t
             col = Vector(entries)
             note = "x-negative-entry"
-    return _leaves(CLASS_MSP, lmap, column_matrix(col), note)
+    # the positive column's left inverse is e_0^T / col_0
+    left = Matrix([[1 / col[0]] + [Fraction(0)] * (m - 1)])
+    return _leaves(
+        CLASS_MSP, lmap, column_matrix(col), note, witness=ones_vector(1), left_inverse=left
+    )
 
 
 def _no_preimage_certificate(lmap: PreserverMap, sign: int) -> FalsifyCertificate:
@@ -591,6 +638,8 @@ def _no_preimage_certificate(lmap: PreserverMap, sign: int) -> FalsifyCertificat
         z = z + basis_vector(m, lead)
     c = (y * sign).transpose() @ ones_vector(n)
     a = outer(z, c)
+    # z > 0, so column j of A is positive where c_j is
+    j = next(j for j in range(n) if c[j] > 0)
     return FalsifyCertificate(
         "no-preimage",
         CLASS_SP,
@@ -600,6 +649,7 @@ def _no_preimage_certificate(lmap: PreserverMap, sign: int) -> FalsifyCertificat
         probe=z * sign,
         probe_image=q,
         note="x-singular-no-preimage",
+        witness=basis_vector(n, j),
     )
 
 
@@ -610,10 +660,41 @@ def _leaves(
     note: str,
     probe: Vector | None = None,
     probe_image: Vector | None = None,
+    *,
+    witness: Vector | None = None,
+    left_inverse: Matrix | None = None,
 ) -> FalsifyCertificate:
     """The certificate, not yet verified, that A is in the class and X A Y is
-    not; the "no" verdict that carries it verifies it."""
+    not, with the evidence of A's membership its construction holds; the "no"
+    verdict that carries it verifies it."""
     x, y = lmap.x, lmap.y
     return FalsifyCertificate(
-        "image-leaves-class", class_name, x, y, a, x @ a @ y, probe, probe_image, note
+        "image-leaves-class",
+        class_name,
+        x,
+        y,
+        a,
+        x @ a @ y,
+        probe,
+        probe_image,
+        note,
+        witness,
+        left_inverse,
+    )
+
+
+def _leaves_as_inverse(
+    lmap: PreserverMap, b: Matrix, note: str, probe: Vector, probe_image: Vector
+) -> FalsifyCertificate:
+    """``_leaves`` for A = B^{-1} with B >= 0 invertible: A (B 1) = 1 > 0 and
+    B A = I, so B 1 and B are A's evidence of minimal semipositivity."""
+    return _leaves(
+        CLASS_MSP,
+        lmap,
+        b.inverse(),
+        note,
+        probe,
+        probe_image,
+        witness=b @ ones_vector(b.rows),
+        left_inverse=b,
     )

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from semipos import classify, genfuzz, lp
-from semipos.ratmat import DimensionError, Matrix
+from semipos.ratmat import DimensionError, Matrix, ones_vector
 
 EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
 ONES_2 = Matrix([[1, 1], [1, 1]])
@@ -179,6 +179,22 @@ def test_wide_msp_is_decided_without_lp(monkeypatch):
     report = classify.classify_all(wide)
     assert report.semipositive and not report.minimally_semipositive
     assert calls == ["feasible_nonneg"]
+
+
+def test_a_nonpositive_row_refutes_semipositivity_without_lp(monkeypatch):
+    calls = []
+    solve = lp.feasible_nonneg
+    monkeypatch.setattr(lp, "feasible_nonneg", lambda *args: calls.append(args) or solve(*args))
+    rng = random.Random("classify-nonpositive-row")
+    for _ in range(120):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [list(row) for row in _random_matrix(rng, m, n).entries]
+        forced = rng.randrange(m)
+        rows[forced] = [-abs(v) for v in rows[forced]]
+        a = Matrix(rows)
+        assert classify.is_semipositive(a) == (False, None)
+        assert calls == []
+        assert not lp.feasible_nonneg_bruteforce(a, ones_vector(m)).feasible
 
 
 def test_monomial_characterization():

@@ -325,6 +325,15 @@ def test_pretty_mode(capsys, tmp_path):
     assert "semipositive: true" in out
 
 
+def test_pretty_mode_renders_a_list_of_matrices_as_blocks(capsys):
+    code, out, _ = run_cli(capsys, "basis", "--m", "2", "--n", "1", "--pretty")
+    assert code == 0
+    assert "  matrices:\n    - [ 2 ]\n      [ 1 ]\n    - [ 1 ]\n      [ 2 ]\n" in out
+    code, out, _ = run_cli(capsys, "basis", "--m", "2", "--n", "2", "--pretty")
+    assert code == 0
+    assert "    - [ 1  -1 ]\n      [ 0   1 ]\n" in out and "'" not in out
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "semipos", "build", "np", "--v", "1 -1", "--w", "1 0"],

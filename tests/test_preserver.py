@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from semipos import classify, cli, genfuzz, preserver
+from semipos import classify, cli, genfuzz, lp, preserver
 from semipos.preserver import (
     FalsifyCertificate,
     PreserverMap,
@@ -312,15 +312,117 @@ def test_bad_certificate_is_rejected():
     with pytest.raises(ArithmeticError):
         PreserverVerdict(Verdict.NO, "falsified", bogus)
     # tampering with a sound certificate: an image that is not X A Y, a probe
-    # image that is not image @ probe, an unknown kind
+    # image that is not image @ probe, an unknown kind, and member evidence
+    # that fails although A is in the class (verify() does not fall back to a
+    # decider): a witness with a negative entry or with a zero entry in A x, a
+    # left inverse with one entry changed, with a negative entry, or missing
     cert = preserver.falsify_into_msp(_map(LOWER, Matrix.identity(2)))
     assert cert.probe is not None and dataclasses.replace(cert).verify()
+    witness, left = cert.witness, cert.left_inverse
+    assert witness is not None and left is not None
+    changed = [list(row) for row in left.entries]
+    changed[0][0] += 1
+    # A = [[1, 1], [1, 1]]: e_0 is a witness, and (2, -1) also has A x > 0
+    sp_cert = preserver.falsify_into_sp(_map(Matrix([[1, 1], [0, 0]]), Matrix.identity(2)))
+    assert sp_cert.note == "zero-row" and sp_cert.witness == basis_vector(2, 0)
+    # A = [I; 1] has the left inverse [[0, -1, 1], [0, 1, 0]] besides [I 0]
+    tall = preserver.into_msp_preserver(_map(Matrix.identity(3), ONES_2)).certificate
+    signed_left = Matrix([[0, -1, 1], [0, 1, 0]])
+    assert signed_left @ tall.a == Matrix.identity(2)
     for tampered in (
         dataclasses.replace(cert, image=cert.image * 2),
         dataclasses.replace(cert, probe_image=cert.probe_image + basis_vector(2, 0)),
         dataclasses.replace(cert, kind="bogus"),
+        dataclasses.replace(cert, witness=-witness),
+        dataclasses.replace(sp_cert, witness=Vector([2, -1])),
+        dataclasses.replace(cert, witness=left.col(0)),
+        dataclasses.replace(sp_cert, witness=Vector([0, 0])),
+        dataclasses.replace(cert, left_inverse=Matrix(changed)),
+        dataclasses.replace(tall, left_inverse=signed_left),
+        dataclasses.replace(cert, left_inverse=None),
+        dataclasses.replace(cert, witness=None),
     ):
         assert tampered.verify() is False and not tampered.verified
+
+
+FALSIFIER_NOTES = {
+    "zero-row",
+    "mixed-row",
+    "uniform-sign-rows",
+    "y-singular",
+    "y-inverse-negative-entry",
+    "x-singular-no-preimage",
+    "x-or-y-singular",
+    "x-not-inverse-nonnegative-either-sign",
+    "y-not-inverse-nonnegative",
+    "y-zero",
+    "x-zero-row",
+    "x-negative-entry",
+    "y-singular-image-rank-deficient",
+    "randomized-counterexample",
+}
+
+
+def _evidence_pairs(count):
+    """Seeded maps on spaces up to 3x3, square and tall, whose "no" verdicts
+    reach every falsifier note."""
+    rng = random.Random("member-evidence")
+    cfg = genfuzz.GenConfig(3)
+    for t in range(count):
+        m, n = rng.choice([(1, 1), (2, 2), (3, 3), (2, 1), (3, 1), (3, 2), (2, 2)])
+        x = Matrix([[rng.choice((-1, 0, 0, 1, 2)) for _ in range(m)] for _ in range(m)])
+        if rng.random() < 0.5:
+            y = genfuzz.gen_inverse_nonneg(n, cfg, t)
+        else:
+            y = Matrix([[rng.randint(-1, 2) for _ in range(n)] for _ in range(n)])
+        yield _map(x, y)
+
+
+def _count_lp_calls(monkeypatch):
+    calls = []
+    for name in ("feasible_nonneg", "equality_feasible_nonneg"):
+        solve = getattr(lp, name)
+        monkeypatch.setattr(lp, name, lambda *args, solve=solve, name=name: calls.append(name) or solve(*args))
+    return calls
+
+
+def _image_lp_calls(cert, calls):
+    """The LP calls that deciding the certificate's image alone makes (none
+    for a no-preimage certificate, which has no image)."""
+    calls.clear()
+    image = cert.image
+    if image is not None:
+        if cert.class_name == preserver.CLASS_SP:
+            classify.is_semipositive(image)
+        elif not image.is_square:
+            classify.is_minimally_semipositive(image)
+    return len(calls)
+
+
+def test_member_evidence_agrees_with_the_deciders(monkeypatch):
+    certs = []
+    for lmap in _evidence_pairs(120):
+        verdicts = [preserver.into_sp_preserver, preserver.onto_sp_preserver, preserver.into_msp_preserver]
+        if lmap.x.rows == lmap.y.rows:
+            verdicts.append(preserver.onto_msp_preserver)
+        certs += [v.certificate for v in (decide(lmap) for decide in verdicts) if v.certificate]
+    assert {cert.note for cert in certs} == FALSIFIER_NOTES
+    calls = _count_lp_calls(monkeypatch)
+    for cert in certs:
+        # the decider route: the same certificate without its evidence
+        assert dataclasses.replace(cert, witness=None, left_inverse=None).verify(), cert.note
+        searched = cert.note == "randomized-counterexample"
+        assert (cert.witness is None) == searched, cert.note
+        assert (cert.left_inverse is None) == (searched or cert.class_name == preserver.CLASS_SP)
+        if searched:
+            continue
+        # the evidence route: no LP beyond what the image alone needs, and
+        # none at all unless every row of the image has a positive entry
+        calls.clear()
+        assert dataclasses.replace(cert).verify(), cert.note
+        assert len(calls) == _image_lp_calls(cert, calls), cert.note
+        if cert.note not in ("uniform-sign-rows", "y-singular-image-rank-deficient"):
+            assert calls == [], cert.note
 
 
 def test_verify_rejects_a_map_that_cannot_act_on_a():
