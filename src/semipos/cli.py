@@ -241,7 +241,8 @@ def _falsify(args: argparse.Namespace, inputs: Inputs) -> Handled:
 
 def _fuzz(args: argparse.Namespace, inputs: Inputs) -> Handled:
     result = genfuzz.run_campaign(args.campaign, args.seed, args.trials)
-    report = {**dataclasses.asdict(result), "passed": result.passed}
+    # notes is a tuple, which --pretty would print as its repr
+    report = {**dataclasses.asdict(result), "notes": list(result.notes), "passed": result.passed}
     return report, EXIT_YES if result.passed else EXIT_NO
 
 

@@ -6,11 +6,13 @@ exact decisions.  Binary floating point never enters: decimal strings such
 as ``"0.5"`` are converted digit-exactly.
 
 One routine, ``_eliminate``, does all elimination: it clears the denominators
-of each row and runs fraction-free Gauss-Jordan on the integer grid (the
-Bareiss step, applied to every row).  A pivot column is dropped from the grid
-once its step is done, so the grid it returns holds only the non-pivot
-columns.  The determinant, the rank, the inverse and the kernel vector are
-read from its result.  A product scales each row of the left operand and
+of each row and runs fraction-free Gauss-Jordan on the integer grid.  Each row
+is held as an integer scale times a reduced integer row, whose product is the
+row the Bareiss step would give, so a factor common to a whole row is carried
+once, in its scale, instead of in every entry.  A pivot column is dropped from
+the grid once its step is done, so the grid it returns holds only the
+non-pivot columns.  The determinant, the rank, the inverse and the kernel
+vector are read from its result.  A product scales each row of the left operand and
 each column of the right one to integers and takes integer dot products.
 Intended scale is dense matrices up to roughly 12x12; the text formats refuse
 more than ``MAX_DIM`` rows or columns and entries over ``MAX_ENTRY_BITS``
@@ -200,18 +202,35 @@ def _bareiss_step(row: list[int], top: list[int], c: int, p: int, d: int) -> lis
 
 def _eliminate(
     rows: Iterable[Sequence[Fraction]],
-) -> tuple[list[list[int]], list[int], int, int, int]:
-    """Fraction-free Gauss-Jordan elimination: (grid, pivots, d, sign, scale).
+) -> tuple[list[list[int]], list[int], list[int], int, int, int]:
+    """Fraction-free Gauss-Jordan elimination: (grid, scales, pivots, d, sign, scale).
 
     Rows are scaled to integers by the lcm of their denominators (``scale`` is
-    the product).  Every row but the pivot row takes the Bareiss step (Bareiss
-    1968), divided exactly by the previous pivot; rows with a zero head too, or
-    the common denominator breaks.  After its step a pivot column is ``d`` times
-    a unit vector and stays so; it is dropped, and the returned grid holds only
-    the non-pivot columns, in order.  ``grid / d``, with ``d`` the last pivot,
-    is then the non-pivot part of the reduced row echelon form, ``sign`` the
-    parity of the row swaps, and a square matrix with a full ``pivots`` list
-    has determinant sign * d / scale.
+    the product).  Row i is then held as ``scales[i] * grid[i]``, where the
+    product is the row that the Bareiss step (Bareiss 1968), applied to every
+    row but the pivot row and divided exactly by the previous pivot ``d``,
+    would hold.  Each step first moves the content g of the pivot row into its
+    scale (``P_t / g``, ``s_t * g``).  Every other row takes
+    ``T = P_i * p_t - h_i * P_t``, with ``p_t`` the pivot and ``h_i`` the row's
+    entry in the pivot column; with ``G = gcd(d, s_i * s_t)`` the row becomes
+    ``T / (d / G)`` and its scale ``s_i * s_t / G``.  The next divisor is the
+    true pivot ``d = s_t * p_t``.  A row with a zero head has ``T = P_i * p_t``,
+    so its ``p_t`` goes to the scale instead, with G = gcd(d, s_i * s_t * p_t).
+
+    The divisions are exact: ``s_i * s_t * T / d`` is the Bareiss row, an
+    integer vector because each of its entries is a minor of the starting grid.
+    With ``a = s_i * s_t / G`` and ``q = d / G``, gcd(a, q) = 1, so q divides
+    every entry of T.  A common factor of a row, such as the power of det(D)
+    that every leading minor of an inverse-nonnegative Z = D^-1 carries, thus
+    sits in one scale instead of in every entry.
+
+    After its step a pivot column is ``d`` times a unit vector in the true
+    rows and stays so; it is dropped, and the returned grid holds only the
+    non-pivot columns, in order.  A pivot row's true diagonal is ``d``, so its
+    scale divides d and ``grid[i] / (d / scales[i])`` is row i of the non-pivot
+    part of the reduced row echelon form.  ``sign`` is the parity of the row
+    swaps, and a square matrix with a full ``pivots`` list has determinant
+    sign * d / scale.
     """
     grid: list[list[int]] = []
     scale = 1
@@ -219,6 +238,7 @@ def _eliminate(
         lcm, ints = _integer_row(row)
         scale *= lcm
         grid.append(ints)
+    scales = [1] * len(grid)
     pivots: list[int] = []
     d = sign = 1
     for c in range(len(grid[0])):
@@ -229,17 +249,31 @@ def _eliminate(
             continue
         if p != r:
             grid[r], grid[p] = grid[p], grid[r]
+            scales[r], scales[p] = scales[p], scales[r]
             sign = -sign
         top = grid[r]
-        pivot = top[k]
+        g = math.gcd(*top)
+        if g != 1:
+            top = grid[r] = [x // g for x in top]
+            scales[r] *= g
+        s_t, pivot = scales[r], top[k]
         for i, row in enumerate(grid):
-            if i != r:
-                grid[i] = _bareiss_step(row, top, k, pivot, d)
+            if i == r:
+                continue
+            head = row[k]
+            a = scales[i] * s_t if head else scales[i] * s_t * pivot
+            g = math.gcd(d, a)
+            q = d // g
+            scales[i] = a // g
+            if head:
+                grid[i] = [(x * pivot - head * y) // q for x, y in zip(row, top)]
+            elif q != 1:
+                grid[i] = [x // q for x in row]
         for row in grid:
             del row[k]
-        d = pivot
+        d = s_t * pivot
         pivots.append(c)
-    return grid, pivots, d, sign, scale
+    return grid, scales, pivots, d, sign, scale
 
 
 @dataclass(frozen=True, init=False)
@@ -365,14 +399,14 @@ class Matrix:
         """Exact determinant; 0 when some column has no pivot."""
         if not self.is_square:
             raise DimensionError("determinant requires a square matrix")
-        _, pivots, d, sign, scale = _eliminate(self.entries)
+        _, _, pivots, d, sign, scale = _eliminate(self.entries)
         if len(pivots) < self.rows:
             return _ZERO
         return Fraction(sign * d, scale)
 
     def rank(self) -> int:
         """Exact rank: the number of pivots."""
-        return len(_eliminate(self.entries)[1])
+        return len(_eliminate(self.entries)[2])
 
     def inverse(self) -> "Matrix":
         """Exact inverse; raises SingularMatrixError if det = 0."""
@@ -380,28 +414,34 @@ class Matrix:
             raise DimensionError("inverse requires a square matrix")
         n = self.rows
         # [A | I] scales row by row to [DA | D], whose reduced form is [I | A^-1];
-        # the pivot columns are dropped, so the grid is G = d A^-1
-        grid, pivots, d, _, _ = _eliminate(
+        # the pivot columns are dropped, so row i of A^-1 is grid[i] / q_i
+        grid, scales, pivots, d, _, _ = _eliminate(
             row + tuple(_ONE if i == j else _ZERO for j in range(n))
             for i, row in enumerate(self.entries)
         )
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        # self-check A A^-1 = I exactly in integers: (DA) G == d D
-        cols = list(zip(*grid))
+        qs = [d // s for s in scales]
+        # self-check A A^-1 = I exactly in integers: (DA) (L A^-1) == L D, with
+        # L = lcm(q_i) the least multiple that makes L A^-1 an integer grid
+        lcm_q = math.lcm(*qs)
+        cols = list(zip(*(
+            row if q == lcm_q else [x * (lcm_q // q) for x in row]
+            for row, q in zip(grid, qs)
+        )))
         for i, row in enumerate(self.entries):
             lcm, scaled = _integer_row(row)
             for j, col in enumerate(cols):
-                if sum(map(operator.mul, scaled, col)) != (d * lcm if i == j else 0):
+                if sum(map(operator.mul, scaled, col)) != (lcm_q * lcm if i == j else 0):
                     raise ArithmeticError("inverse self-check failed")
-        return Matrix([[Fraction(x, d) for x in row] for row in grid])
+        return Matrix([[Fraction(x, q) for x in row] for row, q in zip(grid, qs)])
 
     def kernel_vector(self) -> "Vector | None":
         """One nonzero x with Ax = 0, or None if the columns are independent.
 
         x is 1 at the first free (pivotless) column and 0 at the other free
         columns, so it is read off the reduced row echelon form."""
-        grid, pivots, d, _, _ = _eliminate(self.entries)
+        grid, scales, pivots, d, _, _ = _eliminate(self.entries)
         free = next((c for c in range(self.cols) if c not in pivots), None)
         if free is None:
             return None
@@ -409,8 +449,8 @@ class Matrix:
         x[free] = _ONE
         # every column before the first free one is a pivot column and dropped,
         # so the free column is the grid's first
-        for row, c in zip(grid, pivots):
-            x[c] = Fraction(-row[0], d)
+        for row, s, c in zip(grid, scales, pivots):
+            x[c] = Fraction(-row[0], d // s)
         return Vector(x)
 
     def to_strings(self) -> list[list[str]]:

@@ -181,6 +181,31 @@ def test_wide_msp_is_decided_without_lp(monkeypatch):
     assert calls == ["feasible_nonneg"]
 
 
+def test_rank_deficient_msp_is_refuted_without_lp(monkeypatch):
+    calls = []
+    for name in ("feasible_nonneg", "equality_feasible_nonneg"):
+        solve = getattr(lp, name)
+        monkeypatch.setattr(lp, name, lambda *args, solve=solve, name=name: calls.append(name) or solve(*args))
+    rng = random.Random("classify-rank-deficient")
+    semipositive = 0
+    for _ in range(60):
+        m, n = rng.randint(2, 5), rng.randint(2, 4)
+        m = max(m, n)
+        rows = [list(row) for row in _random_matrix(rng, m, n).entries]
+        # the last column a combination of the others, so rank < n
+        c = rng.randint(-2, 2)
+        for row in rows:
+            row[-1] = row[0] + c * row[-2] if n > 2 else c * row[0]
+        a = Matrix(rows)
+        assert a.rank() < n
+        assert not classify.is_minimally_semipositive(a)
+        assert calls == []
+        semipositive += classify.is_semipositive(a)[0]
+        assert not classify.msp_by_deletion(a)
+        calls.clear()
+    assert semipositive > 0
+
+
 def test_a_nonpositive_row_refutes_semipositivity_without_lp(monkeypatch):
     calls = []
     solve = lp.feasible_nonneg

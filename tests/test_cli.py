@@ -178,6 +178,27 @@ def test_fuzz_reports_a_raising_trial_as_a_failure(capsys, monkeypatch):
         f"trial {t}: ArithmeticError: simplex offline" for t in range(3)
     ]
 
+
+def test_pretty_fuzz_notes_are_a_list_not_a_tuple_repr(capsys, monkeypatch):
+    from semipos import lp
+
+    code, out, _ = run_cli(capsys, "fuzz", "lp-oracle", "--seed", "1", "--trials", "3", "--pretty")
+    assert code == 0
+    assert "  notes: []\n" in out and "()" not in out
+
+    def offline(a, b):
+        raise ArithmeticError("simplex offline")
+
+    monkeypatch.setattr(lp, "feasible_nonneg", offline)
+    monkeypatch.setattr(lp, "equality_feasible_nonneg", offline)
+    code, out, _ = run_cli(capsys, "fuzz", "lp-oracle", "--trials", "2", "--pretty")
+    assert code == 1
+    assert (
+        "  notes:\n"
+        "    - trial 0: ArithmeticError: simplex offline\n"
+        "    - trial 1: ArithmeticError: simplex offline\n"
+    ) in out and "('" not in out
+
 def test_non_positive_trial_counts_are_input_errors(capsys):
     for argv in (
         ("fuzz", "build-np", "--trials", "-3"),

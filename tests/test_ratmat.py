@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from semipos.genfuzz import GenConfig, gen_inverse_nonneg_with_inverse
 from semipos.ratmat import (
     DimensionError,
     MAX_DIM,
@@ -74,9 +75,9 @@ def test_inverse_self_check_rejects_a_tampered_grid(monkeypatch):
     eliminate = ratmat._eliminate
 
     def tampered(rows):
-        grid, pivots, d, sign, scale = eliminate(rows)
-        grid[1][-1] += 1  # one entry of the right block, A^-1 scaled by d
-        return grid, pivots, d, sign, scale
+        grid, scales, pivots, d, sign, scale = eliminate(rows)
+        grid[1][-1] += 1  # one entry of the right block, a row of A^-1 scaled
+        return grid, scales, pivots, d, sign, scale
 
     monkeypatch.setattr(ratmat, "_eliminate", tampered)
     with pytest.raises(ArithmeticError, match="self-check"):
@@ -412,33 +413,87 @@ SHIFTED_FREE = [
 ]
 
 
+def assert_matches_gauss_jordan(a):
+    """det, rank, inverse and kernel vector of ``a`` equal the plain reference's."""
+    m, n = a.shape
+    rref, pivots, det = gauss_jordan(a.entries)
+    assert a.rank() == len(pivots), a
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        assert a.kernel_vector() is None, a
+    else:
+        x = [Fraction(0)] * n
+        x[free] = Fraction(1)
+        for row, c in zip(rref, pivots):
+            x[c] = -row[free]
+        assert a.kernel_vector() == Vector(x), a
+    if m != n:
+        return
+    assert a.det() == (det if len(pivots) == n else 0), a
+    identity = Matrix.identity(n).entries
+    augmented, aug_pivots, _ = gauss_jordan([r + e for r, e in zip(a.entries, identity)])
+    if aug_pivots[:n] == list(range(n)):
+        assert a.inverse() == Matrix([row[n:] for row in augmented]), a
+    else:
+        with pytest.raises(SingularMatrixError):
+            a.inverse()
+
+
 def test_elimination_matches_plain_gauss_jordan():
     corpus = SHIFTED_FREE + list(degenerate_matrices("gauss-jordan", 300, max_dim=5))
     corpus += list(degenerate_matrices("gauss-jordan-square", 200, max_dim=5, square=True))
     for a in corpus:
-        m, n = a.shape
-        rref, pivots, det = gauss_jordan(a.entries)
-        assert a.rank() == len(pivots), a
-        free = next((c for c in range(n) if c not in pivots), None)
-        if free is None:
-            assert a.kernel_vector() is None, a
-        else:
-            x = [Fraction(0)] * n
-            x[free] = Fraction(1)
-            for row, c in zip(rref, pivots):
-                x[c] = -row[free]
-            assert a.kernel_vector() == Vector(x), a
-        if m != n:
-            continue
-        assert a.det() == (det if len(pivots) == n else 0), a
-        identity = Matrix.identity(n).entries
-        augmented, aug_pivots, _ = gauss_jordan([r + e for r, e in zip(a.entries, identity)])
-        if aug_pivots[:n] == list(range(n)):
-            assert a.inverse() == Matrix([row[n:] for row in augmented]), a
-        else:
-            with pytest.raises(SingularMatrixError):
-                a.inverse()
+        assert_matches_gauss_jordan(a)
     assert Matrix([[1, 2, 3], [2, 4, 7]]).kernel_vector() == Vector([-2, 1, 0])
+
+
+def wide_range_matrices(seed, count, max_dim):
+    """Seeded matrices whose rows carry what the row scales of the elimination
+    hold: a large common factor, a shared large denominator, or entries up to
+    2^60; with zero rows, zero leading entries (so rows swap) and dependent rows."""
+    rng = random.Random(seed)
+    for t in range(count):
+        m = rng.randint(1, max_dim)
+        n = m if t % 2 else rng.randint(1, max_dim)
+        rows = []
+        for _ in range(m):
+            kind = rng.choice(["big", "factor", "shared", "small"])
+            if kind == "big":
+                row = [Fraction(rng.randint(-2**60, 2**60)) for _ in range(n)]
+            elif kind == "factor":
+                k = rng.randint(2**30, 2**40)
+                row = [Fraction(k * rng.randint(-5, 5)) for _ in range(n)]
+            elif kind == "shared":
+                den = rng.randint(2**40, 2**41)
+                row = [Fraction(rng.randint(-2**20, 2**20), den) for _ in range(n)]
+            else:
+                row = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)]
+            rows.append(row)
+        if rng.random() < 0.4:
+            rows[0][0] = Fraction(0)
+        if rng.random() < 0.2:
+            rows[rng.randrange(m)] = [Fraction(0)] * n
+        if m > 1 and rng.random() < 0.3:
+            c = Fraction(rng.randint(-2**30, 2**30), rng.randint(1, 2**30))
+            rows[-1] = [c * a + b for a, b in zip(rows[0], rows[-2])]
+        yield Matrix(rows)
+
+
+def test_elimination_matches_plain_gauss_jordan_on_wide_ranges():
+    for a in wide_range_matrices("gauss-jordan-wide", 300, max_dim=6):
+        assert_matches_gauss_jordan(a)
+
+
+def test_inverse_nonnegative_pairs_invert_to_each_other():
+    # Z = D^-1 for a nonnegative diagonally dominant D: every leading minor of
+    # the integer-scaled Z shares a large factor, which the row scales carry
+    for n in (1, 2, 3, 5, 8, 11, 12, 16):
+        for index in range(2):
+            z, d = gen_inverse_nonneg_with_inverse(n, GenConfig(seed=5), index)
+            assert d @ z == Matrix.identity(n) == z @ d
+            assert z.inverse() == d and d.inverse() == z
+            assert z.rank() == n and z.det() * d.det() == 1
+            assert z.kernel_vector() is None
 
 
 
