@@ -5,15 +5,21 @@ sign tests, comparisons, and equalities used elsewhere in the package are
 exact decisions.  Binary floating point never enters: decimal strings such
 as ``"0.5"`` are converted digit-exactly.
 
-One routine, ``_eliminate``, does all elimination: it clears the denominators
-of each row and runs fraction-free Gauss-Jordan on the integer grid.  Each row
-is held as an integer scale times a reduced integer row, whose product is the
-row the Bareiss step would give, so a factor common to a whole row is carried
-once, in its scale, instead of in every entry.  A pivot column is dropped from
-the grid once its step is done, so the grid it returns holds only the
-non-pivot columns.  The determinant, the rank, the inverse and the kernel
-vector are read from its result.  A product scales each row of the left operand and
-each column of the right one to integers and takes integer dot products.
+A ``Matrix`` stores each row as integer numerators over one positive
+denominator, in lowest terms, and builds its ``Fraction`` entries only when
+they are read.  Products, elimination, sign tests and equality run on those
+integers: row i of X Y is x_i (L Y) / (d_i L), with L the lcm of Y's row
+denominators, reduced by one gcd per row.
+
+One routine, ``_eliminate``, does all elimination: it runs fraction-free
+Gauss-Jordan on the stored numerators.  Each row is held as an integer scale
+times a reduced integer row, whose product is the row the Bareiss step would
+give, so a factor common to a whole row is carried once, in its scale,
+instead of in every entry.  A pivot column is dropped from the grid once its
+step is done, so the grid it returns holds only the non-pivot columns.  The
+determinant, the rank, the inverse and the kernel vector are read from its
+result.
+
 Intended scale is dense matrices up to roughly 12x12; the text formats refuse
 more than ``MAX_DIM`` rows or columns and entries over ``MAX_ENTRY_BITS``
 bits.
@@ -21,6 +27,7 @@ bits.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -32,6 +39,9 @@ RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# a stored matrix row: (positive denominator, integer numerators)
+_Row = tuple[int, tuple[int, ...]]
 
 
 class DimensionError(ValueError):
@@ -65,8 +75,8 @@ def parse_rational(text: str) -> Fraction:
         )
     try:
         return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise MatrixParseError(f"bad rational {token!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise MatrixParseError(f"bad rational {token!r}: zero denominator") from None
 
 
 def rat(value: RationalLike) -> Fraction:
@@ -168,25 +178,42 @@ def sign_profile(v: Vector) -> SignProfile:
     )
 
 
-def _integer_row(row: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(lcm of the row's denominators, the row times that lcm)."""
+def _integer_row(row: Sequence[Fraction]) -> _Row:
+    """(lcm of the row's denominators, the row times that lcm).
+
+    For reduced fractions the pair is in lowest terms: a prime p with p^k
+    exactly dividing the lcm divides some denominator b exactly k times, so p
+    divides neither that entry's numerator nor lcm / b."""
     lcm = math.lcm(*(x.denominator for x in row))
-    return lcm, [x.numerator * (lcm // x.denominator) for x in row]
+    return lcm, tuple(x.numerator * (lcm // x.denominator) for x in row)
 
 
-def _product(
-    rows: Sequence[Sequence[Fraction]], cols: Sequence[Sequence[Fraction]]
-) -> list[list[Fraction]]:
-    """Entries row . col of the product, in integers.
+def _reduced(den: int, nums: Iterable[int]) -> _Row:
+    """The row nums / den in lowest terms, over a positive denominator."""
+    nums = tuple(nums)
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return den, nums
+    return den // g, tuple(x // g for x in nums)
 
-    Each row and each column is scaled to integers by the lcm of its
-    denominators; an entry is one integer dot product over the two lcms."""
-    left = [_integer_row(row) for row in rows]
-    right = [_integer_row(col) for col in cols]
-    return [
-        [Fraction(sum(map(operator.mul, a, b)), la * lb) for lb, b in right]
-        for la, a in left
+
+def _over_lcm(m: Matrix) -> tuple[int, list[Sequence[int]]]:
+    """(L, the integer rows of L * M), L the lcm of M's row denominators."""
+    lcm = math.lcm(*m._dens)
+    return lcm, [
+        nums if den == lcm else [x * (lcm // den) for x in nums] for den, nums in m._rows()
     ]
+
+
+def _integer_product(x: Matrix, y: Matrix) -> tuple[int, list[list[int]]]:
+    """(L, integer rows x_i (L Y)), L as in ``_over_lcm(y)``.
+
+    Row i of X Y is x_i (L Y) / (d_i L), for row i of X stored as x_i / d_i."""
+    lcm, scaled = _over_lcm(y)
+    cols = list(zip(*scaled))
+    return lcm, [[sum(map(operator.mul, nums, col)) for col in cols] for nums in x._nums]
 
 
 def _bareiss_step(row: list[int], top: list[int], c: int, p: int, d: int) -> list[int]:
@@ -201,12 +228,13 @@ def _bareiss_step(row: list[int], top: list[int], c: int, p: int, d: int) -> lis
 
 
 def _eliminate(
-    rows: Iterable[Sequence[Fraction]],
+    rows: Iterable[_Row],
 ) -> tuple[list[list[int]], list[int], list[int], int, int, int]:
     """Fraction-free Gauss-Jordan elimination: (grid, scales, pivots, d, sign, scale).
 
-    Rows are scaled to integers by the lcm of their denominators (``scale`` is
-    the product).  Row i is then held as ``scales[i] * grid[i]``, where the
+    Each row arrives as a positive denominator and integer numerators, and
+    the elimination runs on the numerators (``scale`` is the product of the
+    denominators).  Row i is then held as ``scales[i] * grid[i]``, where the
     product is the row that the Bareiss step (Bareiss 1968), applied to every
     row but the pivot row and divided exactly by the previous pivot ``d``,
     would hold.  Each step first moves the content g of the pivot row into its
@@ -234,10 +262,9 @@ def _eliminate(
     """
     grid: list[list[int]] = []
     scale = 1
-    for row in rows:
-        lcm, ints = _integer_row(row)
-        scale *= lcm
-        grid.append(ints)
+    for den, nums in rows:
+        scale *= den
+        grid.append(list(nums))
     scales = [1] * len(grid)
     pivots: list[int] = []
     d = sign = 1
@@ -276,9 +303,21 @@ def _eliminate(
     return grid, scales, pivots, d, sign, scale
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, repr=False)
 class Matrix:
-    entries: tuple[tuple[Fraction, ...], ...]
+    """A dense rational matrix, stored as integer rows over one denominator each.
+
+    Row i is held as ``_dens[i]``, a positive integer d_i, and ``_nums[i]``, a
+    tuple of integer numerators, the row being ``_nums[i] / d_i``.  Every row
+    is in lowest terms, gcd(d_i, *nums_i) == 1, so a rational row has exactly
+    one stored form and the generated ``==`` and ``hash`` mean value equality.
+    Products, elimination, sign tests and equality run on these integers.
+    ``entries``, the grid of ``Fraction`` values, is built on its first read
+    and kept; ``Matrix(rows)`` keeps the grid it was given.
+    """
+
+    _dens: tuple[int, ...]
+    _nums: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
         grid = tuple(tuple(rat(x) for x in row) for row in rows)
@@ -287,7 +326,35 @@ class Matrix:
         width = len(grid[0])
         if any(len(row) != width for row in grid):
             raise DimensionError("rows have unequal lengths")
+        self._store(_integer_row(row) for row in grid)
         object.__setattr__(self, "entries", grid)
+
+    def _store(self, rows: Iterable[_Row]) -> None:
+        dens, nums = zip(*rows)
+        object.__setattr__(self, "_dens", dens)
+        object.__setattr__(self, "_nums", nums)
+
+    @classmethod
+    def _from_integer_rows(cls, rows: Iterable[_Row]) -> "Matrix":
+        """A matrix from (denominator, numerators) rows already in lowest terms,
+        over positive denominators."""
+        m = object.__new__(cls)
+        m._store(rows)
+        return m
+
+    def _rows(self) -> Iterator[_Row]:
+        return zip(self._dens, self._nums)
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The grid of ``Fraction`` entries, built on the first read and kept."""
+        return tuple(
+            tuple(Fraction(x) for x in nums) if den == 1 else tuple(Fraction(x, den) for x in nums)
+            for den, nums in self._rows()
+        )
+
+    def __repr__(self) -> str:
+        return f"Matrix(entries={self.entries!r})"
 
     # -- construction helpers -------------------------------------------------
 
@@ -320,11 +387,11 @@ class Matrix:
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self._dens)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0])
+        return len(self._nums[0])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -347,11 +414,16 @@ class Matrix:
     # -- arithmetic -----------------------------------------------------------
 
     def __neg__(self) -> "Matrix":
-        return Matrix([[-x for x in row] for row in self.entries])
+        return Matrix._from_integer_rows(
+            (den, tuple(-x for x in nums)) for den, nums in self._rows()
+        )
 
     def __mul__(self, c: RationalLike) -> "Matrix":
         f = rat(c)
-        return Matrix([[x * f for x in row] for row in self.entries])
+        p, q = f.numerator, f.denominator
+        return Matrix._from_integer_rows(
+            _reduced(den * q, (x * p for x in nums)) for den, nums in self._rows()
+        )
 
     __rmul__ = __mul__
 
@@ -359,39 +431,48 @@ class Matrix:
         if isinstance(other, Vector):
             if other.dim != self.cols:
                 raise DimensionError(f"cannot apply {self.shape} matrix to {other.dim}-vector")
-            return Vector(row[0] for row in _product(self.entries, [other.entries]))
+            lcm, v = _integer_row(other.entries)
+            return Vector(
+                Fraction(sum(map(operator.mul, nums, v)), den * lcm) for den, nums in self._rows()
+            )
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-            return Matrix(_product(self.entries, list(zip(*other.entries))))
+            lcm, rows = _integer_product(self, other)
+            return Matrix._from_integer_rows(
+                _reduced(den * lcm, row) for den, row in zip(self._dens, rows)
+            )
         return NotImplemented
 
     def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        lcm, scaled = _over_lcm(self)
+        return Matrix._from_integer_rows(_reduced(lcm, col) for col in zip(*scaled))
 
     def delete_col(self, j: int) -> "Matrix":
         if self.cols == 1:
             raise DimensionError("cannot delete the only column")
-        return Matrix([row[:j] + row[j + 1 :] for row in self.entries])
+        return Matrix._from_integer_rows(
+            _reduced(den, nums[:j] + nums[j + 1 :]) for den, nums in self._rows()
+        )
 
     def take_rows(self, k: int) -> "Matrix":
         if not 1 <= k <= self.rows:
             raise DimensionError(f"cannot take {k} rows from {self.rows}")
-        return Matrix(self.entries[:k])
+        return Matrix._from_integer_rows(zip(self._dens[:k], self._nums[:k]))
 
-    # -- sign predicates --------------------------------------------------------
+    # -- sign predicates, on numerators over positive denominators -------------
 
     def is_nonneg(self) -> bool:
-        return all(x >= 0 for row in self.entries for x in row)
+        return all(x >= 0 for nums in self._nums for x in nums)
 
     def is_nonpos(self) -> bool:
-        return all(x <= 0 for row in self.entries for x in row)
+        return all(x <= 0 for nums in self._nums for x in nums)
 
     def is_positive(self) -> bool:
-        return all(x > 0 for row in self.entries for x in row)
+        return all(x > 0 for nums in self._nums for x in nums)
 
     def has_zero_row(self) -> bool:
-        return any(all(x == 0 for x in row) for row in self.entries)
+        return any(not any(nums) for nums in self._nums)
 
     # -- elimination, read from _eliminate -------------------------------------
 
@@ -399,49 +480,44 @@ class Matrix:
         """Exact determinant; 0 when some column has no pivot."""
         if not self.is_square:
             raise DimensionError("determinant requires a square matrix")
-        _, _, pivots, d, sign, scale = _eliminate(self.entries)
+        _, _, pivots, d, sign, scale = _eliminate(self._rows())
         if len(pivots) < self.rows:
             return _ZERO
         return Fraction(sign * d, scale)
 
     def rank(self) -> int:
         """Exact rank: the number of pivots."""
-        return len(_eliminate(self.entries)[2])
+        return len(_eliminate(self._rows())[2])
 
     def inverse(self) -> "Matrix":
         """Exact inverse; raises SingularMatrixError if det = 0."""
         if not self.is_square:
             raise DimensionError("inverse requires a square matrix")
         n = self.rows
-        # [A | I] scales row by row to [DA | D], whose reduced form is [I | A^-1];
-        # the pivot columns are dropped, so row i of A^-1 is grid[i] / q_i
+        # [A | I] is stored row by row as [DA | D], whose reduced form is
+        # [I | A^-1]; the pivot columns are dropped, so row i of A^-1 is
+        # grid[i] / q_i with q_i = d / scales[i], negative when d is
         grid, scales, pivots, d, _, _ = _eliminate(
-            row + tuple(_ONE if i == j else _ZERO for j in range(n))
-            for i, row in enumerate(self.entries)
+            (den, nums + tuple(den if i == j else 0 for j in range(n)))
+            for i, (den, nums) in enumerate(self._rows())
         )
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
-        qs = [d // s for s in scales]
+        inv = Matrix._from_integer_rows(_reduced(d // s, row) for row, s in zip(grid, scales))
         # self-check A A^-1 = I exactly in integers: (DA) (L A^-1) == L D, with
-        # L = lcm(q_i) the least multiple that makes L A^-1 an integer grid
-        lcm_q = math.lcm(*qs)
-        cols = list(zip(*(
-            row if q == lcm_q else [x * (lcm_q // q) for x in row]
-            for row, q in zip(grid, qs)
-        )))
-        for i, row in enumerate(self.entries):
-            lcm, scaled = _integer_row(row)
-            for j, col in enumerate(cols):
-                if sum(map(operator.mul, scaled, col)) != (lcm_q * lcm if i == j else 0):
-                    raise ArithmeticError("inverse self-check failed")
-        return Matrix([[Fraction(x, q) for x in row] for row, q in zip(grid, qs)])
+        # L the lcm of the stored denominators of A^-1
+        lcm, rows = _integer_product(self, inv)
+        for i, (den, row) in enumerate(zip(self._dens, rows)):
+            if any(x != (lcm * den if i == j else 0) for j, x in enumerate(row)):
+                raise ArithmeticError("inverse self-check failed")
+        return inv
 
     def kernel_vector(self) -> "Vector | None":
         """One nonzero x with Ax = 0, or None if the columns are independent.
 
         x is 1 at the first free (pivotless) column and 0 at the other free
         columns, so it is read off the reduced row echelon form."""
-        grid, scales, pivots, d, _, _ = _eliminate(self.entries)
+        grid, scales, pivots, d, _, _ = _eliminate(self._rows())
         free = next((c for c in range(self.cols) if c not in pivots), None)
         if free is None:
             return None
@@ -480,7 +556,7 @@ def outer(u: Vector, v: Vector) -> Matrix:
 def vstack(a: Matrix, b: Matrix) -> Matrix:
     if a.cols != b.cols:
         raise DimensionError("vstack needs equal column counts")
-    return Matrix(list(a.entries) + list(b.entries))
+    return Matrix._from_integer_rows(zip(a._dens + b._dens, a._nums + b._nums))
 
 
 def column_matrix(v: Vector) -> Matrix:

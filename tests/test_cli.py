@@ -266,6 +266,12 @@ def test_out_of_grammar_entries_are_input_errors(capsys, tmp_path):
         assert "odd.mat, line 2" in err and "ASCII digits" in err, token
     code, _, err = run_cli(capsys, "build", "pos", "--v", "1 1e2", "--w", "1 1")
     assert code == 64 and "--v" in err
+    for token in ("1/0", "0/0", "-3/00"):
+        path = write(tmp_path, "zero.mat", f"1 {token}\n")
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 64 and out == "", token
+        assert f"zero.mat, line 1: bad rational '{token}': zero denominator" in err, token
+        assert "Fraction(" not in err, token
 
 
 def test_oversized_input_is_an_input_error(capsys, tmp_path):

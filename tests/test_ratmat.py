@@ -123,8 +123,9 @@ def test_parse_rational():
     assert parse_rational(" 12 ") == 12
     with pytest.raises(MatrixParseError):
         parse_rational("seven")
-    with pytest.raises(MatrixParseError):
-        parse_rational("1/0")
+    for token in ("1/0", "0/0"):
+        with pytest.raises(MatrixParseError, match=f"^bad rational '{token}': zero denominator$"):
+            parse_rational(token)
 
 
 def test_parse_rational_accepts_only_the_documented_grammar():
@@ -531,3 +532,98 @@ def test_product_matches_sum_of_products():
         v = [row[0] for row in b_rows]
         expected = [row[0] for row in product_by_definition(a_rows, [[x] for x in v])]
         assert a @ Vector(v) == Vector(expected), (a, v)
+
+
+# -- the stored form against plain Fraction arithmetic ---------------------------
+
+def stored_form_matrices(seed, count, max_dim):
+    """Seeded matrices for the stored form: the wide ranges above (zero rows,
+    entries up to 2^60, rows sharing a 40-bit denominator), negative pivots
+    of small rationals, and 1x1 negatives."""
+    rng = random.Random(seed)
+    yield from wide_range_matrices(seed, count, max_dim)
+    for _ in range(count):
+        n = rng.randint(1, max_dim)
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            rows[i][i] = -abs(rows[i][i]) or Fraction(-1, rng.randint(1, 12))
+        yield Matrix(rows)
+    for p, q in ((-2, 1), (-1, 2), (-2**60, 3), (-7, 2**40)):
+        yield Matrix([[Fraction(p, q)]])
+
+
+def assert_stored_as(m, expected):
+    """m holds the rational rows ``expected``, each in lowest terms over a
+    positive denominator, and equals (and hashes as) the same grid built
+    from Fractions."""
+    expected = tuple(tuple(Fraction(x) for x in row) for row in expected)
+    assert m.entries == expected and all(type(x) is Fraction for row in m.entries for x in row)
+    assert m.shape == (len(expected), len(expected[0]))
+    for den, nums, row in zip(m._dens, m._nums, expected, strict=True):
+        assert den > 0 and math.gcd(den, *nums) == 1, (den, nums)
+        assert tuple(Fraction(x, den) for x in nums) == row
+    built = Matrix(expected)
+    assert m == built and hash(m) == hash(built)
+
+
+def test_stored_form_matches_plain_fraction_arithmetic():
+    rng = random.Random("stored-form")
+    for a in stored_form_matrices("stored-form", 150, max_dim=5):
+        rows = [list(row) for row in a.entries]
+        assert_stored_as(a, rows)
+        assert_stored_as(-a, [[-x for x in row] for row in rows])
+        for c in (0, -1, Fraction(-3, 7), 5, "2/4", -2**61):
+            assert_stored_as(a * c, [[x * rat(c) for x in row] for row in rows])
+            assert_stored_as(c * a, [[x * rat(c) for x in row] for row in rows])
+        assert_stored_as(a.transpose(), [list(col) for col in zip(*rows)])
+        k = rng.randint(1, a.rows)
+        assert_stored_as(a.take_rows(k), rows[:k])
+        if a.cols > 1:
+            j = rng.randrange(a.cols)
+            assert_stored_as(a.delete_col(j), [row[:j] + row[j + 1:] for row in rows])
+        assert_stored_as(vstack(a, a), rows + rows)
+        width = rng.randint(1, 4)
+        b_rows = [[Fraction(rng.randint(-2**40, 2**40), rng.choice([1, 3, 2**40 + 1]))
+                   for _ in range(width)] for _ in range(a.cols)]
+        assert_stored_as(a @ Matrix(b_rows), product_by_definition(rows, b_rows))
+        assert_stored_as(a @ a.transpose(), product_by_definition(rows, list(zip(*rows))))
+        assert_matches_gauss_jordan(a)  # det, rank, kernel vector and inverse values
+        if a.is_square and a.rank() == a.rows:
+            n = a.rows
+            identity = Matrix.identity(n).entries
+            augmented, _, _ = gauss_jordan([r + list(e) for r, e in zip(rows, identity)])
+            assert_stored_as(a.inverse(), [row[n:] for row in augmented])
+
+
+def test_equal_values_by_any_route_are_equal_and_hash_equal():
+    m = Matrix([[Fraction(1, 2), -3], [0, 2]])
+    routes = [
+        Matrix([["2/4", -3], [0, 2]]),
+        Matrix([["1/2", "-6/2"], ["0/5", "4/2"]]),
+        Matrix([[Fraction(2, 4), Fraction(-3)], [Fraction(0), Fraction(2)]]),
+        Matrix.identity(2) @ m,
+        m @ Matrix.identity(2),
+        m.inverse().inverse(),
+        Matrix([[1, -6], [0, 4]]) * "1/2",
+        -(-m),
+        m.transpose().transpose(),
+        Matrix([["-1/2", 0], [0, "1/2"]]).inverse() @ Matrix([["-1/4", "3/2"], [0, 1]]),
+    ]
+    for other in routes:
+        assert other == m and hash(other) == hash(m), other
+    assert len(set(routes)) == 1
+    assert Matrix([[0, 0]]) == Matrix([["0/7", 0]]) * 5 == Matrix([[3, 1]]) * 0
+
+
+def test_inverse_stores_a_negative_pivot_over_a_positive_denominator():
+    inv = Matrix([[-2]]).inverse()
+    assert inv == Matrix([["-1/2"]]) and hash(inv) == hash(Matrix([["-1/2"]]))
+    assert (inv._dens, inv._nums) == ((2,), ((-1,),))
+    a = Matrix([[0, -3], ["-1/2", 0]])
+    assert a.inverse() == Matrix([[0, -2], ["-1/3", 0]])
+    assert all(den > 0 for den in a.inverse()._dens)
+
+
+def test_repr_shows_the_rational_entries():
+    assert repr(Matrix([[1, "1/2"]])) == "Matrix(entries=((Fraction(1, 1), Fraction(1, 2)),))"
+    assert repr(Matrix([[2, 0]]) @ Matrix([["1/4"], [1]])) == "Matrix(entries=((Fraction(1, 2),),))"
