@@ -55,7 +55,7 @@ def is_semipositive(a: Matrix) -> tuple[bool, Vector | None]:
     x + delta*1 with delta = 1 / (2 (1 + S)), S the largest row absolute sum,
     keeping A x' > 0 while making x' > 0.
     """
-    if any(max(row) <= 0 for row in a.entries):
+    if any(max(nums) <= 0 for _, nums in a.integer_rows()):
         return False, None
     result = lp.feasible_nonneg(a, ones_vector(a.rows))
     if not result.feasible:
@@ -63,9 +63,7 @@ def is_semipositive(a: Matrix) -> tuple[bool, Vector | None]:
     x = result.witness
     if x is None:
         raise ArithmeticError("feasible LP result without a witness")
-    row_sum = max(
-        sum((abs(v) for v in row), Fraction(0)) for row in a.entries
-    )
+    row_sum = max(Fraction(sum(map(abs, nums)), den) for den, nums in a.integer_rows())
     delta = Fraction(1, 2) / (1 + row_sum)
     strict = x + delta * ones_vector(a.cols)
     ax = a @ strict
@@ -141,13 +139,8 @@ def is_monomial(a: Matrix) -> bool:
         raise DimensionError("monomial is defined for square matrices")
     if not a.is_nonneg():
         return False
-    for row in a.entries:
-        if sum(1 for x in row if x != 0) != 1:
-            return False
-    for j in range(a.cols):
-        if sum(1 for i in range(a.rows) if a.entries[i][j] != 0) != 1:
-            return False
-    return True
+    rows = [nums for _, nums in a.integer_rows()]
+    return all(sum(map(bool, line)) == 1 for line in (*rows, *zip(*rows)))
 
 
 def is_inverse_nonnegative(a: Matrix) -> tuple[bool, Matrix | None]:

@@ -7,14 +7,14 @@ Two questions are answered, both with verified witnesses:
 
 Both run a phase-one simplex on an equality tableau using Bland's
 smallest-index pivot rule, which rules out cycling, so the solver terminates
-on every input.  The tableau is kept in integers, as in lrs (Avis 2000): it is
-scaled once by a common denominator D0 and pivoted by the fraction-free step
-of Edmonds (1967), each update divided exactly by the previous pivot ``d``.
-``d`` stays positive and each row is its rational row times a positive
-factor, so every sign and ratio test, and hence every pivot and witness, is
-the one the rational tableau gives.  A brute-force vertex-enumeration oracle
-over the same systems is provided for cross-validation at small sizes; it
-shares nothing with the simplex path beyond the matrix type.
+on every input.  The tableau is kept in integers, as in lrs (Avis 2000): each
+row is a stored ``Matrix`` row over its own scale, and pivots take the
+fraction-free step of Edmonds (1967), each update divided exactly by the
+previous pivot ``d``.  ``d`` stays positive and each row is its rational row
+times a positive factor, so every sign and ratio test, and hence every pivot
+and witness, is the one the rational tableau gives.  A brute-force
+vertex-enumeration oracle over the same systems is provided for
+cross-validation at small sizes; it shares nothing with the simplex path.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Sequence
 
-from .ratmat import DimensionError, Matrix, Vector, _bareiss_step
+from .ratmat import DimensionError, Matrix, Vector
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -40,39 +41,54 @@ class FeasibilityResult:
         return "feasible" if self.feasible else "infeasible"
 
 
-def _phase1(coeffs: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve min sum(artificials) for  coeffs*z = rhs, z >= 0.
+def _bareiss_step(row: list[int], top: list[int], c: int, p: int, d: int) -> list[int]:
+    """``(row * p - row[c] * top) // d``: one fraction-free update of ``row`` by
+    the pivot row ``top`` with pivot ``p = top[c]``, ``d`` the previous pivot.
+    The division is exact when every update since the start has been made
+    this way, because each entry is then a minor of the starting grid."""
+    head = row[c]
+    if head == 0:
+        return [a * p // d for a in row]
+    return [(a * p - head * b) // d for a, b in zip(row, top)]
+
+
+def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Fraction] | None:
+    """Solve min sum(artificials) for  M z = rhs, z >= 0, M given by its
+    integer rows (denominator, numerators) as ``Matrix.integer_rows`` yields them.
 
     Returns a structural solution z when the optimum is zero, else None.
     Entering rule: smallest structural index with negative reduced cost;
     leaving rule: smallest basic index among minimum ratios (Bland).
 
-    The tableau is kept in integers.  Rows with a negative rhs are negated,
-    then every row, its rhs and its artificial column ``D0 * e_i`` are scaled
-    by ``D0``, the lcm of all their denominators, and the objective row is
-    built from the scaled rows.  Each pivot takes the Bareiss step on every
-    other row and on the objective row, ``(row * p - row[c] * top) // d``,
-    then sets ``d = p`` (``d`` starts at 1).  Invariant: ``d > 0``; a row
-    whose basic variable is structural equals its rational row times ``d``;
-    a row still on its artificial, and the objective row, equal theirs times
-    ``d * D0``.  The factors are positive and shared by a row's entries, so
-    every sign and every ratio is the rational one and Bland's rule picks
-    the same pivots; a witness entry is ``Fraction(rhs_i, d)``.
+    Row i, its rhs and its artificial column are kept as the rational row
+    times its own scale ``s_i = lcm(den_i, den(rhs_i))``, negated when the
+    rhs is negative.  The objective row is ``L`` times the rational one, L
+    the lcm of the scales, built as ``-sum (L / s_i) * row_i``.  Each pivot
+    takes the Bareiss step on every other row and on the objective row, then
+    sets ``d = p`` (``d`` starts at 1).  Invariant: ``d > 0``; a row whose
+    basic variable is structural equals its rational row times ``d``; a row
+    still on its artificial equals its rational row times ``d * s_i``, and the
+    objective row the rational one times ``d * L``.  The factors are positive
+    and shared by a row's entries, so every sign and every ratio is the
+    rational one and Bland's rule picks the same pivots; a witness entry is
+    ``Fraction(rhs_i, d)``.
     """
-    m = len(coeffs)
-    k = len(coeffs[0])
-    signed = [(row, r) if r >= 0 else ([-x for x in row], -r) for row, r in zip(coeffs, rhs)]
-    d0 = math.lcm(*(x.denominator for row, r in signed for x in (*row, r)))
+    m = rhs.dim
     grid: list[list[int]] = []
-    for i, (row, r) in enumerate(signed):
+    scales: list[int] = []
+    for i, ((den, nums), r) in enumerate(zip(rows, rhs)):
+        s = math.lcm(den, r.denominator)
+        f = s // den if r >= 0 else -(s // den)
         art = [0] * m
-        art[i] = 1
-        grid.append([x.numerator * (d0 // x.denominator) for x in (*row, *art, r)])
+        art[i] = s
+        grid.append([x * f for x in nums] + art + [abs(r.numerator) * (s // r.denominator)])
+        scales.append(s)
+    k = len(grid[0]) - m - 1
     basis = list(range(k, k + m))
-    # reduced costs for the phase-one objective; artificials start basic at cost 1
-    obj = [-sum(col) for col in zip(*grid)]
-    for j in range(k, k + m):
-        obj[j] += d0
+    # reduced costs of the phase-one objective; the artificials start basic at cost 1
+    lcm = math.lcm(*scales)
+    obj = [-sum(lcm // s * x for s, x in zip(scales, col)) for col in zip(*grid)]
+    obj[k : k + m] = [0] * m
 
     d = 1
     while True:
@@ -116,16 +132,15 @@ def feasible_nonneg(a: Matrix, b: Vector) -> FeasibilityResult:
     """Decide whether some x >= 0 satisfies A x >= b; witness verified."""
     if b.dim != a.rows:
         raise DimensionError(f"b has dimension {b.dim}, matrix has {a.rows} rows")
-    n = a.cols
-    coeffs = []
-    for i in range(a.rows):
-        surplus = [_ZERO] * a.rows
-        surplus[i] = -_ONE
-        coeffs.append(list(a.entries[i]) + surplus)
-    z = _phase1(coeffs, list(b.entries))
+    # A x - s = b over (x, s) >= 0: row i gains the surplus column -e_i
+    surplus = (
+        (den, nums + tuple(-den if j == i else 0 for j in range(a.rows)))
+        for i, (den, nums) in enumerate(a.integer_rows())
+    )
+    z = _phase1(surplus, b)
     if z is None:
         return FeasibilityResult(False)
-    x = Vector(z[:n])
+    x = Vector(z[: a.cols])
     _check_witness_ge(a, x, b)
     return FeasibilityResult(True, x)
 
@@ -134,7 +149,7 @@ def equality_feasible_nonneg(m: Matrix, c: Vector) -> FeasibilityResult:
     """Decide whether some y >= 0 satisfies M y = c; witness verified."""
     if c.dim != m.rows:
         raise DimensionError(f"c has dimension {c.dim}, matrix has {m.rows} rows")
-    z = _phase1([list(row) for row in m.entries], list(c.entries))
+    z = _phase1(m.integer_rows(), c)
     if z is None:
         return FeasibilityResult(False)
     y = Vector(z)

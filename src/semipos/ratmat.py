@@ -203,7 +203,7 @@ def _over_lcm(m: Matrix) -> tuple[int, list[Sequence[int]]]:
     """(L, the integer rows of L * M), L the lcm of M's row denominators."""
     lcm = math.lcm(*m._dens)
     return lcm, [
-        nums if den == lcm else [x * (lcm // den) for x in nums] for den, nums in m._rows()
+        nums if den == lcm else [x * (lcm // den) for x in nums] for den, nums in m.integer_rows()
     ]
 
 
@@ -214,17 +214,6 @@ def _integer_product(x: Matrix, y: Matrix) -> tuple[int, list[list[int]]]:
     lcm, scaled = _over_lcm(y)
     cols = list(zip(*scaled))
     return lcm, [[sum(map(operator.mul, nums, col)) for col in cols] for nums in x._nums]
-
-
-def _bareiss_step(row: list[int], top: list[int], c: int, p: int, d: int) -> list[int]:
-    """``(row * p - row[c] * top) // d``: one fraction-free update of ``row`` by
-    the pivot row ``top`` with pivot ``p = top[c]``, ``d`` the previous pivot.
-    The division is exact when every update since the start has been made
-    this way, because each entry is then a minor of the starting grid."""
-    head = row[c]
-    if head == 0:
-        return [a * p // d for a in row]
-    return [(a * p - head * b) // d for a, b in zip(row, top)]
 
 
 def _eliminate(
@@ -342,7 +331,8 @@ class Matrix:
         m._store(rows)
         return m
 
-    def _rows(self) -> Iterator[_Row]:
+    def integer_rows(self) -> Iterator[_Row]:
+        """The stored rows, each as (positive denominator, integer numerators)."""
         return zip(self._dens, self._nums)
 
     @functools.cached_property
@@ -350,7 +340,7 @@ class Matrix:
         """The grid of ``Fraction`` entries, built on the first read and kept."""
         return tuple(
             tuple(Fraction(x) for x in nums) if den == 1 else tuple(Fraction(x, den) for x in nums)
-            for den, nums in self._rows()
+            for den, nums in self.integer_rows()
         )
 
     def __repr__(self) -> str:
@@ -415,14 +405,14 @@ class Matrix:
 
     def __neg__(self) -> "Matrix":
         return Matrix._from_integer_rows(
-            (den, tuple(-x for x in nums)) for den, nums in self._rows()
+            (den, tuple(-x for x in nums)) for den, nums in self.integer_rows()
         )
 
     def __mul__(self, c: RationalLike) -> "Matrix":
         f = rat(c)
         p, q = f.numerator, f.denominator
         return Matrix._from_integer_rows(
-            _reduced(den * q, (x * p for x in nums)) for den, nums in self._rows()
+            _reduced(den * q, (x * p for x in nums)) for den, nums in self.integer_rows()
         )
 
     __rmul__ = __mul__
@@ -433,7 +423,8 @@ class Matrix:
                 raise DimensionError(f"cannot apply {self.shape} matrix to {other.dim}-vector")
             lcm, v = _integer_row(other.entries)
             return Vector(
-                Fraction(sum(map(operator.mul, nums, v)), den * lcm) for den, nums in self._rows()
+                Fraction(sum(map(operator.mul, nums, v)), den * lcm)
+                for den, nums in self.integer_rows()
             )
         if isinstance(other, Matrix):
             if self.cols != other.rows:
@@ -452,7 +443,7 @@ class Matrix:
         if self.cols == 1:
             raise DimensionError("cannot delete the only column")
         return Matrix._from_integer_rows(
-            _reduced(den, nums[:j] + nums[j + 1 :]) for den, nums in self._rows()
+            _reduced(den, nums[:j] + nums[j + 1 :]) for den, nums in self.integer_rows()
         )
 
     def take_rows(self, k: int) -> "Matrix":
@@ -480,14 +471,14 @@ class Matrix:
         """Exact determinant; 0 when some column has no pivot."""
         if not self.is_square:
             raise DimensionError("determinant requires a square matrix")
-        _, _, pivots, d, sign, scale = _eliminate(self._rows())
+        _, _, pivots, d, sign, scale = _eliminate(self.integer_rows())
         if len(pivots) < self.rows:
             return _ZERO
         return Fraction(sign * d, scale)
 
     def rank(self) -> int:
         """Exact rank: the number of pivots."""
-        return len(_eliminate(self._rows())[2])
+        return len(_eliminate(self.integer_rows())[2])
 
     def inverse(self) -> "Matrix":
         """Exact inverse; raises SingularMatrixError if det = 0."""
@@ -499,7 +490,7 @@ class Matrix:
         # grid[i] / q_i with q_i = d / scales[i], negative when d is
         grid, scales, pivots, d, _, _ = _eliminate(
             (den, nums + tuple(den if i == j else 0 for j in range(n)))
-            for i, (den, nums) in enumerate(self._rows())
+            for i, (den, nums) in enumerate(self.integer_rows())
         )
         if pivots != list(range(n)):
             raise SingularMatrixError("matrix is singular")
@@ -517,7 +508,7 @@ class Matrix:
 
         x is 1 at the first free (pivotless) column and 0 at the other free
         columns, so it is read off the reduced row echelon form."""
-        grid, scales, pivots, d, _, _ = _eliminate(self._rows())
+        grid, scales, pivots, d, _, _ = _eliminate(self.integer_rows())
         free = next((c for c in range(self.cols) if c not in pivots), None)
         if free is None:
             return None

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from semipos import classify, genfuzz, lp
-from semipos.ratmat import DimensionError, Matrix, ones_vector
+from semipos.ratmat import DimensionError, Matrix, Vector, ones_vector
 
 EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
 ONES_2 = Matrix([[1, 1], [1, 1]])
@@ -220,6 +220,23 @@ def test_a_nonpositive_row_refutes_semipositivity_without_lp(monkeypatch):
         assert classify.is_semipositive(a) == (False, None)
         assert calls == []
         assert not lp.feasible_nonneg_bruteforce(a, ones_vector(m)).feasible
+
+
+def test_lp_and_sign_tests_leave_the_fraction_grid_unbuilt():
+    # a product keeps only its integer rows; reading ``entries`` would build
+    # the Fraction grid and cache it on the matrix
+    a = Matrix([[0, "1/2", 0], [0, 0, 3], ["2/3", 0, 0]]) @ Matrix(
+        [[1, 0, 0], [0, "1/5", 0], [0, 0, 7]]
+    )
+    rhs = Vector(["1/2", -3, "7/4"])
+    assert "entries" not in vars(a)
+    assert not lp.feasible_nonneg(-a, rhs).feasible
+    assert lp.feasible_nonneg(a, rhs).feasible
+    assert not lp.equality_feasible_nonneg(a, rhs).feasible
+    assert lp.equality_feasible_nonneg(a, ones_vector(3)).feasible
+    assert classify.is_semipositive(a)[0] and not classify.is_semipositive(-a)[0]
+    assert classify.is_monomial(a)
+    assert "entries" not in vars(a)
 
 
 def test_monomial_characterization():

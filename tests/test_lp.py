@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -79,25 +80,49 @@ def test_equality_bruteforce_rejects_a_bad_witness(monkeypatch):
         lp.equality_feasible_nonneg_bruteforce(Matrix([[1]]), Vector([1]))
 
 
+def _system(rng, family, m, n):
+    """(A, b) with m rows and n columns.  "small": integers in -3..3.
+    "rational": row i over its own denominator, drawn without repeats up to
+    2^16, with 16-bit numerators; b of both signs over other denominators."""
+    if family == "small":
+        a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
+        return a, Vector([rng.randint(-3, 3) for _ in range(m)])
+    dens = rng.sample(range(1, 2**16 + 1), m)
+    a = Matrix([[Fraction(rng.randint(-2**16, 2**16), den) for _ in range(n)] for den in dens])
+    b = [Fraction(rng.randint(-2**16, 2**16), rng.randint(1, 2**16)) for _ in range(m)]
+    return a, Vector(b)
+
+
 def test_simplex_agrees_with_bruteforce():
     rng = random.Random("lp-agreement")
-    for _ in range(120):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 8 - n)
-        a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
-        b = Vector([rng.randint(-3, 3) for _ in range(m)])
-        fast = lp.feasible_nonneg(a, b)
-        slow = lp.feasible_nonneg_bruteforce(a, b)
-        assert fast.feasible == slow.feasible, f"disagreement on\n{a}\nb={b}"
+    for family, trials in (("small", 120), ("rational", 60)):
+        seen = set()
+        for _ in range(trials):
+            n = rng.randint(1, 4)
+            m = rng.randint(1, 8 - n)
+            a, b = _system(rng, family, m, n)
+            fast = lp.feasible_nonneg(a, b)
+            slow = lp.feasible_nonneg_bruteforce(a, b)
+            assert fast.feasible == slow.feasible, f"disagreement on\n{a}\nb={b}"
+            if fast.feasible:
+                ax = a @ fast.witness
+                assert fast.witness.is_nonneg() and all(ax[i] >= b[i] for i in range(m))
+            seen.add(fast.feasible)
+        assert seen == {True, False}, family
 
 
 def test_equality_agrees_with_bruteforce():
     rng = random.Random("lp-eq-agreement")
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 4)
-        a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
-        c = Vector([rng.randint(-3, 3) for _ in range(m)])
-        fast = lp.equality_feasible_nonneg(a, c)
-        slow = lp.equality_feasible_nonneg_bruteforce(a, c)
-        assert fast.feasible == slow.feasible, f"disagreement on\n{a}\nc={c}"
+    for family, trials in (("small", 60), ("rational", 40)):
+        seen = set()
+        for _ in range(trials):
+            n = rng.randint(1, 4)
+            m = rng.randint(1, 4)
+            a, c = _system(rng, family, m, n)
+            fast = lp.equality_feasible_nonneg(a, c)
+            slow = lp.equality_feasible_nonneg_bruteforce(a, c)
+            assert fast.feasible == slow.feasible, f"disagreement on\n{a}\nc={c}"
+            if fast.feasible:
+                assert fast.witness.is_nonneg() and a @ fast.witness == c
+            seen.add(fast.feasible)
+        assert seen == {True, False}, family

@@ -559,7 +559,7 @@ def assert_stored_as(m, expected):
     expected = tuple(tuple(Fraction(x) for x in row) for row in expected)
     assert m.entries == expected and all(type(x) is Fraction for row in m.entries for x in row)
     assert m.shape == (len(expected), len(expected[0]))
-    for den, nums, row in zip(m._dens, m._nums, expected, strict=True):
+    for (den, nums), row in zip(m.integer_rows(), expected, strict=True):
         assert den > 0 and math.gcd(den, *nums) == 1, (den, nums)
         assert tuple(Fraction(x, den) for x in nums) == row
     built = Matrix(expected)
@@ -618,10 +618,10 @@ def test_equal_values_by_any_route_are_equal_and_hash_equal():
 def test_inverse_stores_a_negative_pivot_over_a_positive_denominator():
     inv = Matrix([[-2]]).inverse()
     assert inv == Matrix([["-1/2"]]) and hash(inv) == hash(Matrix([["-1/2"]]))
-    assert (inv._dens, inv._nums) == ((2,), ((-1,),))
+    assert list(inv.integer_rows()) == [(2, (-1,))]
     a = Matrix([[0, -3], ["-1/2", 0]])
     assert a.inverse() == Matrix([[0, -2], ["-1/3", 0]])
-    assert all(den > 0 for den in a.inverse()._dens)
+    assert all(den > 0 for den, _ in a.inverse().integer_rows())
 
 
 def test_repr_shows_the_rational_entries():
