@@ -288,8 +288,8 @@ def mixed_sign_vector_with_path(
         raise InvalidInputError("neither the matrix nor its negation may be inverse nonnegative")
 
     n = x.rows
-    j_neg = next(j for i in range(n) for j in range(n) if inv.entries[i][j] < 0)
-    j_pos = next(j for i in range(n) for j in range(n) if inv.entries[i][j] > 0)
+    j_neg = next(j for _, nums in inv.integer_rows() for j, v in enumerate(nums) if v < 0)
+    j_pos = next(j for _, nums in inv.integer_rows() for j, v in enumerate(nums) if v > 0)
     u = inv.col(j_neg)
     w = inv.col(j_pos)
     if u.has_mixed_signs():

@@ -133,9 +133,10 @@ def gen_msp(m: int, n: int, cfg: GenConfig, index: object = 0) -> Matrix:
     """Random minimally semipositive matrix: an inverse-nonnegative square top
     block plus random row-positive extra rows.
 
-    Verified before return: the stacked [N | 0] with N the top block's
-    nonnegative inverse is a nonnegative left inverse, and N applied to the
-    all-ones vector is a strictly positive semipositivity witness.
+    With N the top block's nonnegative inverse, [N | 0] is a nonnegative left
+    inverse: ``Matrix.inverse``'s self-check gives N top = I exactly.  Only
+    the witness is checked here, before return: N applied to the all-ones
+    vector is strictly positive with a strictly positive image.
     """
     if m < n or n < 1:
         raise DimensionError("need m >= n >= 1")

@@ -15,11 +15,16 @@ that fails fails the certificate, and only a certificate without evidence
 One helper, ``_leaves``, builds every certificate of the first kind: it forms
 the image X A Y of the class member A.
 
-A square image is minimally semipositive iff it is invertible with a
-nonnegative inverse (Johnson, Kerr & Stanford 1994).  When the certificate
-stores a probe u with a negative entry and a nonnegative image X A Y u, the
-check needs no inverse: a nonnegative inverse would give u = (X A Y)^{-1}
-(X A Y u) >= 0.  Only a square image without such a probe is inverted.
+A matrix is minimally semipositive iff it is semipositive with a nonnegative
+left inverse N (Johnson, Kerr & Stanford 1994).  When the certificate stores a
+probe u with a negative entry and a nonnegative image X A Y u, the check needs
+nothing more, on any shape: N >= 0 with N (X A Y) = I would give u = N (X A Y
+u) >= 0.  An image without such a probe goes through the classify deciders,
+and a singular one fails there on its rank, so the check inverts no matrix.
+
+On a single column the two classes coincide (an m x 1 matrix is in either one
+iff it is a positive column), so into-preservation of minimal semipositivity
+there is the semipositivity question, with its rule and certificates.
 
 A map acts on the space (rows of X) x (rows of Y); the space is read from X
 and Y and never passed separately.
@@ -51,10 +56,8 @@ from .ratmat import (
     SingularMatrixError,
     Vector,
     basis_vector,
-    column_matrix,
     ones_vector,
     outer,
-    vstack,
 )
 
 
@@ -70,7 +73,6 @@ CLASS_MSP = "minimally-semipositive"
 REASON_SP_PAIR = "x-row-positive-y-inverse-nonnegative"
 REASON_MSP_PAIR = "x-y-inverse-nonnegative"
 REASON_TALL_PAIR = "x-monomial-y-inverse-nonnegative"
-REASON_COLUMN_PAIR = "y-positive-x-row-positive"
 REASON_MONOMIAL_PAIR = "monomial-pair"
 REASON_NEGATED_PAIR = "negated-pair"
 REASON_FALSIFIED = "falsified"
@@ -119,10 +121,10 @@ class FalsifyCertificate:
     kind "image-leaves-class": ``a`` is in the class, ``image`` equals
     x @ a @ y and is not; optionally a probe vector u with image @ u =
     probe_image exhibits the violation directly.  For the minimally
-    semipositive class and a square image, a probe with a negative entry and
-    a nonnegative probe_image proves it alone: image^{-1} >= 0 would give
-    u = image^{-1} probe_image >= 0.  Otherwise the image goes through the
-    classify deciders.
+    semipositive class, a probe with a negative entry and a nonnegative
+    probe_image proves it alone, on any shape: a left inverse N >= 0 of the
+    image would give u = N probe_image >= 0.  Otherwise the image goes through
+    the classify deciders, one per class.
 
     kind "no-preimage": ``a`` is in the class but x M y = a has no solution M,
     witnessed by a left-null vector q of x (stored as probe_image) with
@@ -156,9 +158,6 @@ class FalsifyCertificate:
         """``m`` is in the class, by the classify deciders."""
         if self.class_name == CLASS_SP:
             return classify.is_semipositive(m)[0]
-        if m.is_square:
-            # square: minimally semipositive iff invertible with nonnegative inverse
-            return classify.is_inverse_nonnegative(m)[0]
         return classify.is_minimally_semipositive(m)
 
     def verify(self) -> bool:
@@ -184,11 +183,10 @@ class FalsifyCertificate:
                 return False
             if u is not None and (image_u is None or image @ u != image_u):
                 return False
-            # image^-1 >= 0 would give u = image^-1 (image u) >= 0
+            # N >= 0 with N image = I would give u = N (image u) >= 0
             by_probe = (
                 u is not None
                 and self.class_name == CLASS_MSP
-                and image.is_square
                 and image_u.is_nonneg()
                 and not u.is_nonneg()
             )
@@ -349,12 +347,15 @@ def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     The space is (rows of X) x (rows of Y).  With fewer rows than columns the
     class is empty (see ``classify.is_minimally_semipositive``), so the answer
     is a vacuous yes.  Fully decided also when the space is square or a single
-    column.  For more rows than columns (width >= 2) the known pair condition
-    is sufficient only, so its failure triggers a search of
-    ``TALL_SEARCH_DRAWS`` matrices from ``genfuzz.iter_msp_mixture`` with seed
-    ``TALL_SEARCH_SEED``: each draw becomes a candidate certificate, its
-    ``verify()`` decides it, and the first that passes is returned; failing
-    that, "unknown".
+    column.  On a single column the class is the semipositive one, so the
+    verdict is ``into_sp_preserver``'s: its rule, X row positive and the 1 x 1
+    Y inverse nonnegative (y > 0) up to sign, is exactly the condition for
+    positive columns to map to positive columns.  For more rows than columns
+    (width >= 2) the known pair condition is sufficient only, so its failure
+    triggers a search of ``TALL_SEARCH_DRAWS`` matrices from
+    ``genfuzz.iter_msp_mixture`` with seed ``TALL_SEARCH_SEED``: each draw
+    becomes a candidate certificate, its ``verify()`` decides it, and the
+    first that passes is returned; failing that, "unknown".
     """
     x, y = lmap.x, lmap.y
     rows, cols = lmap.space
@@ -369,29 +370,14 @@ def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
         return _no(REASON_FALSIFIED, _falsify_into_msp(lmap, *inverses))
 
     if cols == 1:
-        # a 1x1 Y is inverse nonnegative iff positive: the into-SP pair rule
-        sign = into_sp_condition(x, y)
-        if sign:
-            return _yes(sign, REASON_COLUMN_PAIR)
-        return _no(REASON_FALSIFIED, _falsify_column_map(lmap))
+        return into_sp_preserver(lmap)
 
     y_inv, y_sign = _signed_inverse(y)
     sign = _pair_sign(_sign(classify.is_monomial, x), y_sign)
     if sign:
         return _yes(sign, REASON_TALL_PAIR)
     if y_inv is None:
-        # A = [I; 1] with witness 1 and left inverse [I 0]
-        a = vstack(Matrix.identity(cols), Matrix.ones(rows - cols, cols))
-        left = Matrix([[int(i == j) for j in range(rows)] for i in range(cols)])
-        cert = _leaves(
-            CLASS_MSP,
-            lmap,
-            a,
-            "y-singular-image-rank-deficient",
-            witness=ones_vector(cols),
-            left_inverse=left,
-        )
-        return _no(REASON_Y_SINGULAR, cert)
+        return _no(REASON_Y_SINGULAR, _lift(lmap, "y-singular-image-rank-deficient"))
     cfg = genfuzz.GenConfig(TALL_SEARCH_SEED)
     for a in genfuzz.iter_msp_mixture(rows, cols, cfg, TALL_SEARCH_DRAWS):
         cert = _leaves(CLASS_MSP, lmap, a, "randomized-counterexample")
@@ -473,10 +459,7 @@ def _falsify_into_msp(
     n = x.rows
 
     if x_inv[0] is None or y_inv[0] is None:
-        i = Matrix.identity(n)
-        return _leaves(
-            CLASS_MSP, lmap, i, "x-or-y-singular", witness=ones_vector(n), left_inverse=i
-        )
+        return _lift(lmap, "x-or-y-singular")
 
     sign = x_inv[1]
     if not sign:
@@ -488,11 +471,9 @@ def _falsify_into_msp(
 
     xs = x * sign
     c = y_inv[0] * sign  # (sign Y)^{-1}
-    i, j = next(
-        (i, j) for i in range(n) for j in range(n) if c.entries[i][j] < 0
-    )
+    i, j = _negative_entry(c)
     shifted = c @ ones_vector(n)
-    delta = abs(c.entries[i][j]) / (2 * (1 + max(abs(v) for v in shifted.entries)))
+    delta = abs(c[i, j]) / (2 * (1 + max(abs(v) for v in shifted.entries)))
     w = basis_vector(n, j) + delta * ones_vector(n)
     u = c @ w
     v = (x_inv[0] * sign) @ w
@@ -531,7 +512,8 @@ def _falsify_into_sp(
             note = "zero-row"
         else:
             mixed_row = next(
-                (i for i in range(m) if x.row(i).has_mixed_signs()), None
+                (i for i, (_, nums) in enumerate(x.integer_rows()) if min(nums) < 0 < max(nums)),
+                None,
             )
             if mixed_row is not None:
                 v = _positive_vector_zeroing_row(x, mixed_row)
@@ -556,9 +538,7 @@ def _falsify_into_sp(
         note = "y-singular"
     else:
         c = y_inv[0] * x_sign  # (sign Y)^{-1}
-        i, j = next(
-            (i, j) for i in range(n) for j in range(n) if c.entries[i][j] < 0
-        )
+        i, j = _negative_entry(c)
         a = Matrix.from_rows([-c.row(i)] * m)
         note = "y-inverse-negative-entry"
     # column j of A is positive
@@ -587,36 +567,10 @@ def _positive_vector_zeroing_row(x: Matrix, i: int) -> Vector:
     return v
 
 
-def _falsify_column_map(lmap: PreserverMap) -> FalsifyCertificate:
-    """Counterexample for a single-column map: a positive column whose image
-    has a nonpositive entry."""
-    x, y = lmap.x, lmap.y
-    m = x.rows
-    scalar = y.entries[0][0]
-    if scalar == 0:
-        col = ones_vector(m)
-        note = "y-zero"
-    else:
-        xs = x if scalar > 0 else -x
-        neg = next(
-            ((i, j) for i in range(m) for j in range(m) if xs.entries[i][j] < 0),
-            None,
-        )
-        if neg is None:
-            col = ones_vector(m)  # xs has a zero row
-            note = "x-zero-row"
-        else:
-            i, j = neg
-            row_total = sum(xs.entries[i], Fraction(0))
-            t = 1 + (max(row_total, Fraction(0)) + 1) / (-xs.entries[i][j])
-            entries = [Fraction(1)] * m
-            entries[j] = t
-            col = Vector(entries)
-            note = "x-negative-entry"
-    # the positive column's left inverse is e_0^T / col_0
-    left = Matrix([[1 / col[0]] + [Fraction(0)] * (m - 1)])
-    return _leaves(
-        CLASS_MSP, lmap, column_matrix(col), note, witness=ones_vector(1), left_inverse=left
+def _negative_entry(c: Matrix) -> tuple[int, int]:
+    """The first (i, j), row by row, with c_ij < 0, read from the numerators."""
+    return next(
+        (i, j) for i, (_, nums) in enumerate(c.integer_rows()) for j, v in enumerate(nums) if v < 0
     )
 
 
@@ -698,3 +652,15 @@ def _leaves_as_inverse(
         witness=b @ ones_vector(b.rows),
         left_inverse=b,
     )
+
+
+def _lift(lmap: PreserverMap, note: str) -> FalsifyCertificate:
+    """The certificate for a map with Y singular, or X singular on a square
+    space: A = [I_n; J] on the m x n space, J all ones (just I_n when m = n).
+    A 1 > 0 and [I 0] A = I, so 1 and [I 0] are A's evidence of minimal
+    semipositivity, while the image X A Y has rank below n and so no left
+    inverse."""
+    m, n = lmap.space
+    a = Matrix([[int(i == j or i >= n) for j in range(n)] for i in range(m)])
+    left = Matrix([[int(i == j) for j in range(m)] for i in range(n)])
+    return _leaves(CLASS_MSP, lmap, a, note, witness=ones_vector(n), left_inverse=left)

@@ -188,6 +188,13 @@ def _integer_row(row: Sequence[Fraction]) -> _Row:
     return lcm, tuple(x.numerator * (lcm // x.denominator) for x in row)
 
 
+def _fractions(den: int, nums: Sequence[int]) -> tuple[Fraction, ...]:
+    """The entries nums / den as ``Fraction``s."""
+    if den == 1:
+        return tuple(Fraction(x) for x in nums)
+    return tuple(Fraction(x, den) for x in nums)
+
+
 def _reduced(den: int, nums: Iterable[int]) -> _Row:
     """The row nums / den in lowest terms, over a positive denominator."""
     nums = tuple(nums)
@@ -338,10 +345,7 @@ class Matrix:
     @functools.cached_property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The grid of ``Fraction`` entries, built on the first read and kept."""
-        return tuple(
-            tuple(Fraction(x) for x in nums) if den == 1 else tuple(Fraction(x, den) for x in nums)
-            for den, nums in self.integer_rows()
-        )
+        return tuple(_fractions(den, nums) for den, nums in self.integer_rows())
 
     def __repr__(self) -> str:
         return f"Matrix(entries={self.entries!r})"
@@ -391,15 +395,17 @@ class Matrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    # row, col and [i, j] build only the entries they return, not the grid
+
     def row(self, i: int) -> Vector:
-        return Vector(self.entries[i])
+        return Vector(_fractions(self._dens[i], self._nums[i]))
 
     def col(self, j: int) -> Vector:
-        return Vector(row[j] for row in self.entries)
+        return Vector(Fraction(nums[j], den) for den, nums in self.integer_rows())
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
-        return self.entries[i][j]
+        return Fraction(self._nums[i][j], self._dens[i])
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -542,16 +548,6 @@ def basis_vector(n: int, i: int) -> Vector:
 
 def outer(u: Vector, v: Vector) -> Matrix:
     return Matrix([[a * b for b in v.entries] for a in u.entries])
-
-
-def vstack(a: Matrix, b: Matrix) -> Matrix:
-    if a.cols != b.cols:
-        raise DimensionError("vstack needs equal column counts")
-    return Matrix._from_integer_rows(zip(a._dens + b._dens, a._nums + b._nums))
-
-
-def column_matrix(v: Vector) -> Matrix:
-    return Matrix([[x] for x in v.entries])
 
 
 def permutation_matrix(perm: Sequence[int]) -> Matrix:

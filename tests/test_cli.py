@@ -134,7 +134,7 @@ def test_preserver_into_msp_column(capsys, tmp_path):
     y1 = write(tmp_path, "y1.mat", "1\n")
     code, out, _ = run_cli(capsys, "preserver", "into-msp", "--x", ones, "--y", y1)
     assert code == 0
-    assert json.loads(out)["result"]["reason"] == "y-positive-x-row-positive"
+    assert json.loads(out)["result"]["reason"] == "x-row-positive-y-inverse-nonnegative"
 
 
 def test_falsify_subcommand(capsys, tmp_path):

@@ -249,7 +249,7 @@ def test_each_certificate_is_verified_once(monkeypatch):
         (preserver.onto_sp_preserver, _map(Matrix([[1, 1], [0, 1]]), Matrix.identity(2)), "mixed-row"),
         (preserver.into_msp_preserver, lower_pair, "x-not-inverse-nonnegative-either-sign"),
         (preserver.into_msp_preserver, _map(Matrix.identity(2), LOWER), "y-not-inverse-nonnegative"),
-        (preserver.into_msp_preserver, _map(ONES_2, Matrix([[0]])), "y-zero"),
+        (preserver.into_msp_preserver, _map(ONES_2, Matrix([[0]])), "y-singular"),
         (preserver.into_msp_preserver, _map(Matrix.identity(3), ONES_2), "y-singular-image-rank-deficient"),
         (
             preserver.into_msp_preserver,
@@ -355,9 +355,6 @@ FALSIFIER_NOTES = {
     "x-or-y-singular",
     "x-not-inverse-nonnegative-either-sign",
     "y-not-inverse-nonnegative",
-    "y-zero",
-    "x-zero-row",
-    "x-negative-entry",
     "y-singular-image-rank-deficient",
     "randomized-counterexample",
 }
@@ -391,10 +388,10 @@ def _image_lp_calls(cert, calls):
     for a no-preimage certificate, which has no image)."""
     calls.clear()
     image = cert.image
-    if image is not None:
+    if image is not None and not _decided_by_probe(cert):
         if cert.class_name == preserver.CLASS_SP:
             classify.is_semipositive(image)
-        elif not image.is_square:
+        else:
             classify.is_minimally_semipositive(image)
     return len(calls)
 
@@ -451,11 +448,11 @@ def test_singular_y_without_left_null_vector_raises(monkeypatch):
 
 
 def _decided_by_probe(cert):
-    """The probe route of verify: a square MSP image sending a vector with a
-    negative entry to a nonnegative one, so its inverse is not nonnegative."""
+    """The probe route of verify: an MSP image sending a vector with a
+    negative entry to a nonnegative one, so it has no nonnegative left
+    inverse."""
     return (
         cert.class_name == preserver.CLASS_MSP
-        and cert.image.is_square
         and cert.probe is not None
         and cert.image @ cert.probe == cert.probe_image
         and cert.probe_image.is_nonneg()
@@ -490,22 +487,49 @@ def test_probe_rule_agrees_with_the_square_msp_oracles():
     assert len(notes) >= 40
 
 
-def test_probe_rule_needs_a_negative_probe_and_a_nonnegative_image():
+def test_probe_rule_needs_a_negative_probe_and_a_nonnegative_image(monkeypatch):
     i2 = Matrix.identity(2)
     e0 = basis_vector(2, 0)
-    # e0 is no negative probe; -e0 has a negative image
-    for probe in (e0, -e0):
-        cert = FalsifyCertificate(
-            "image-leaves-class",
-            preserver.CLASS_MSP,
-            i2,
-            i2,
-            i2,
-            image=i2,
-            probe=probe,
-            probe_image=probe,
-        )
-        assert not cert.verify()
+    lift = Matrix([[1, 0], [0, 1], [1, 1]])
+    # on the square image I and the tall image [I; 1^T], both minimally
+    # semipositive: e0 is no negative probe; -e0 has a negative image
+    for x, a in ((i2, i2), (Matrix.identity(3), lift)):
+        for probe in (e0, -e0):
+            cert = FalsifyCertificate(
+                "image-leaves-class",
+                preserver.CLASS_MSP,
+                x,
+                i2,
+                a,
+                image=a,
+                probe=probe,
+                probe_image=a @ probe,
+            )
+            assert not cert.verify()
+    # a tall image sending u = (-1, 2) to a nonnegative vector has no
+    # nonnegative left inverse, which the probe proves without a decider;
+    # A = [I; 1^T] carries its evidence, witness 1 and left inverse [I 0]
+    x = Matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])
+    image, u = x @ lift, Vector([-1, 2])
+    cert = FalsifyCertificate(
+        "image-leaves-class",
+        preserver.CLASS_MSP,
+        x,
+        i2,
+        lift,
+        image=image,
+        probe=u,
+        probe_image=image @ u,
+        witness=Vector([1, 1]),
+        left_inverse=Matrix([[1, 0, 0], [0, 1, 0]]),
+    )
+    assert (image @ u).is_nonneg() and not classify.is_minimally_semipositive(image)
+
+    def no_decider(m):
+        raise AssertionError("verify decided the image")
+
+    monkeypatch.setattr(classify, "is_minimally_semipositive", no_decider)
+    assert cert.verify()
 
 
 def test_column_rule_matches_empirical_preservation():
@@ -517,16 +541,19 @@ def test_column_rule_matches_empirical_preservation():
         x = Matrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
         lmap = _map(x, Matrix([[scalar]]))
         verdict = preserver.into_msp_preserver(lmap)
+        # on a single column the classes coincide, and so do the reports
+        assert cli._verdict_dict(verdict) == cli._verdict_dict(preserver.into_sp_preserver(lmap))
         columns = [Vector([1] * m)]
         for j in range(m):
             for t in (2, 7, 25):
                 entries = [1] * m
                 entries[j] = t
                 columns.append(Vector(entries))
-        preserved = all(
-            classify.is_minimally_semipositive(preserver.apply(lmap, Matrix([[e] for e in col.entries])))
-            for col in columns
-        )
+        columns = [Matrix([[e] for e in col.entries]) for col in columns]
+        images = [preserver.apply(lmap, col) for col in columns]
+        for col in columns + images:
+            assert classify.is_minimally_semipositive(col) == classify.is_semipositive(col)[0]
+        preserved = all(classify.is_minimally_semipositive(image) for image in images)
         if verdict.status is Verdict.YES:
             assert preserved, f"trial {trial}: rule said yes but a sample failed"
         else:
