@@ -6,10 +6,8 @@ from .ratmat import (
     InvalidInputError,
     Matrix,
     MatrixParseError,
-    SignProfile,
     SingularMatrixError,
     Vector,
-    sign_profile,
 )
 
 __version__ = "0.1.0"
@@ -19,9 +17,7 @@ __all__ = [
     "InvalidInputError",
     "Matrix",
     "MatrixParseError",
-    "SignProfile",
     "SingularMatrixError",
     "Vector",
-    "sign_profile",
     "__version__",
 ]

@@ -26,7 +26,6 @@ from .ratmat import (
     Vector,
     basis_vector,
     permutation_matrix,
-    sign_profile,
 )
 
 _ZERO = Fraction(0)
@@ -152,7 +151,7 @@ def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
     n = v.dim
     if n < 2:
         raise InvalidInputError("mixed signs need dimension at least 2")
-    if not sign_profile(v).mixed:
+    if not v.has_mixed_signs():
         raise InvalidInputError("v must contain both positive and negative entries")
     if w.is_zero():
         raise InvalidInputError("w must be nonzero")
@@ -237,8 +236,7 @@ def build_rect(v: Vector, w: Vector) -> Matrix:
     if n <= m:
         raise InvalidInputError("v must be strictly longer than w")
     padded = Vector(w.entries + (_ONE,) * (n - m))
-    profile = sign_profile(v)
-    if profile.mixed:
+    if v.has_mixed_signs():
         full, _ = build_np(v, padded)
     elif v.is_nonneg() and not v.is_zero() and w.is_positive():
         full = build_pos(v, padded)
@@ -284,7 +282,7 @@ def mixed_sign_vector_with_path(
             inv = x.inverse()
         except SingularMatrixError:
             raise InvalidInputError("matrix must be invertible") from None
-    if inv.is_nonneg() or (-inv).is_nonneg():
+    if inv.is_nonneg() or inv.is_nonpos():
         raise InvalidInputError("neither the matrix nor its negation may be inverse nonnegative")
 
     n = x.rows

@@ -8,13 +8,18 @@ Two questions are answered, both with verified witnesses:
 Both run a phase-one simplex on an equality tableau using Bland's
 smallest-index pivot rule, which rules out cycling, so the solver terminates
 on every input.  The tableau is kept in integers, as in lrs (Avis 2000): each
-row is a stored ``Matrix`` row over its own scale, and pivots take the
-fraction-free step of Edmonds (1967), each update divided exactly by the
-previous pivot ``d``.  ``d`` stays positive and each row is its rational row
-times a positive factor, so every sign and ratio test, and hence every pivot
-and witness, is the one the rational tableau gives.  A brute-force
-vertex-enumeration oracle over the same systems is provided for
-cross-validation at small sizes; it shares nothing with the simplex path.
+row starts as a stored ``Matrix`` row over its own scale, and pivots take
+``ratmat._pivot``, the fraction-free step of Edmonds (1967) that ratmat's
+elimination also runs.  Row i is ``row_scales[i] * grid[i]``, the Edmonds
+row; scales and the previous pivot ``d`` are positive, so every sign and
+ratio test, and hence every pivot and witness, is the one the rational
+tableau gives.
+
+A brute-force vertex-enumeration oracle over the same systems is provided for
+cross-validation at small sizes.  It runs no simplex, but its solves call
+``Matrix.det`` and ``Matrix.inverse``, which reach ``_pivot`` too; each
+inverse is self-checked by an integer product, and ``_pivot`` is checked
+against plain-``Fraction`` Gauss-Jordan in the ratmat tests.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .ratmat import DimensionError, Matrix, Vector
+from .ratmat import DimensionError, Matrix, Vector, _pivot
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -41,17 +46,6 @@ class FeasibilityResult:
         return "feasible" if self.feasible else "infeasible"
 
 
-def _bareiss_step(row: list[int], top: list[int], c: int, p: int, d: int) -> list[int]:
-    """``(row * p - row[c] * top) // d``: one fraction-free update of ``row`` by
-    the pivot row ``top`` with pivot ``p = top[c]``, ``d`` the previous pivot.
-    The division is exact when every update since the start has been made
-    this way, because each entry is then a minor of the starting grid."""
-    head = row[c]
-    if head == 0:
-        return [a * p // d for a in row]
-    return [(a * p - head * b) // d for a, b in zip(row, top)]
-
-
 def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Fraction] | None:
     """Solve min sum(artificials) for  M z = rhs, z >= 0, M given by its
     integer rows (denominator, numerators) as ``Matrix.integer_rows`` yields them.
@@ -60,39 +54,40 @@ def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Frac
     Entering rule: smallest structural index with negative reduced cost;
     leaving rule: smallest basic index among minimum ratios (Bland).
 
-    Row i, its rhs and its artificial column are kept as the rational row
-    times its own scale ``s_i = lcm(den_i, den(rhs_i))``, negated when the
-    rhs is negative.  The objective row is ``L`` times the rational one, L
-    the lcm of the scales, built as ``-sum (L / s_i) * row_i``.  Each pivot
-    takes the Bareiss step on every other row and on the objective row, then
-    sets ``d = p`` (``d`` starts at 1).  Invariant: ``d > 0``; a row whose
-    basic variable is structural equals its rational row times ``d``; a row
-    still on its artificial equals its rational row times ``d * s_i``, and the
-    objective row the rational one times ``d * L``.  The factors are positive
-    and shared by a row's entries, so every sign and every ratio is the
-    rational one and Bland's rule picks the same pivots; a witness entry is
-    ``Fraction(rhs_i, d)``.
+    Row i, its rhs and its artificial column start as the rational row times
+    its own scale ``s_i = lcm(den_i, den(rhs_i))``, negated when the rhs is
+    negative.  The objective row, last in the grid, starts as ``L`` times the
+    rational one, L the lcm of the s_i, built as ``-sum (L / s_i) * row_i``.
+    Each pivot is one ``ratmat._pivot`` step on the grid.  Invariant: row i is
+    ``row_scales[i] * grid[i]``, the Edmonds row; scales and ``d`` are
+    positive, because every simplex pivot is.  The factors are shared by a
+    row's entries, so every sign and every cross-multiplied ratio is the one
+    the rational tableau gives, and Bland's rule picks the same pivots.  A row
+    whose basic variable is structural is its rational row times ``d``, so a
+    witness entry is ``row_scales[i] * rhs_i / d``.
     """
     m = rhs.dim
     grid: list[list[int]] = []
-    scales: list[int] = []
+    start_scales: list[int] = []
     for i, ((den, nums), r) in enumerate(zip(rows, rhs)):
         s = math.lcm(den, r.denominator)
         f = s // den if r >= 0 else -(s // den)
         art = [0] * m
         art[i] = s
         grid.append([x * f for x in nums] + art + [abs(r.numerator) * (s // r.denominator)])
-        scales.append(s)
+        start_scales.append(s)
     k = len(grid[0]) - m - 1
     basis = list(range(k, k + m))
     # reduced costs of the phase-one objective; the artificials start basic at cost 1
-    lcm = math.lcm(*scales)
-    obj = [-sum(lcm // s * x for s, x in zip(scales, col)) for col in zip(*grid)]
+    lcm = math.lcm(*start_scales)
+    obj = [-sum(lcm // s * x for s, x in zip(start_scales, col)) for col in zip(*grid)]
     obj[k : k + m] = [0] * m
+    grid.append(obj)
+    row_scales = [1] * (m + 1)
 
     d = 1
     while True:
-        entering = next((j for j in range(k) if obj[j] < 0), None)
+        entering = next((j for j in range(k) if grid[m][j] < 0), None)
         if entering is None:
             break
         pivot_row = -1
@@ -102,7 +97,8 @@ def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Frac
                 if pivot_row < 0:
                     pivot_row = i
                     continue
-                # rhs_i / coeff against rhs_best / best, cross-multiplied (both > 0)
+                # rhs_i / coeff against rhs_best / best, cross-multiplied (both > 0);
+                # both sides carry the positive factor row_scales[i] * row_scales[pivot_row]
                 best = grid[pivot_row][entering]
                 lhs = grid[i][-1] * best
                 rhs_best = grid[pivot_row][-1] * coeff
@@ -110,21 +106,15 @@ def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Frac
                     pivot_row = i
         if pivot_row < 0:
             raise ArithmeticError("phase-one objective unbounded; tableau corrupt")
-        top = grid[pivot_row]
-        p = top[entering]
-        for i in range(m):
-            if i != pivot_row:
-                grid[i] = _bareiss_step(grid[i], top, entering, p, d)
-        obj = _bareiss_step(obj, top, entering, p, d)
-        d = p
+        d = _pivot(grid, row_scales, pivot_row, entering, d)
         basis[pivot_row] = entering
 
-    if sum(grid[i][-1] for i in range(m) if basis[i] >= k) != 0:
+    if any(grid[i][-1] for i in range(m) if basis[i] >= k):
         return None
     z = [_ZERO] * k
     for i in range(m):
         if basis[i] < k:
-            z[basis[i]] = Fraction(grid[i][-1], d)
+            z[basis[i]] = Fraction(row_scales[i] * grid[i][-1], d)
     return z
 
 

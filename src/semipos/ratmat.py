@@ -11,14 +11,14 @@ they are read.  Products, elimination, sign tests and equality run on those
 integers: row i of X Y is x_i (L Y) / (d_i L), with L the lcm of Y's row
 denominators, reduced by one gcd per row.
 
-One routine, ``_eliminate``, does all elimination: it runs fraction-free
-Gauss-Jordan on the stored numerators.  Each row is held as an integer scale
-times a reduced integer row, whose product is the row the Bareiss step would
-give, so a factor common to a whole row is carried once, in its scale,
-instead of in every entry.  A pivot column is dropped from the grid once its
-step is done, so the grid it returns holds only the non-pivot columns.  The
-determinant, the rank, the inverse and the kernel vector are read from its
-result.
+One step, ``_pivot``, makes every fraction-free update, both here and in
+``lp``'s simplex.  Each row is held as an integer scale times a reduced
+integer row, whose product is the row the Edmonds step would give, so a
+factor common to a whole row is carried once, in its scale, instead of in
+every entry.  ``_eliminate`` runs fraction-free Gauss-Jordan on the stored
+numerators with it, dropping each pivot column once its step is done, so the
+grid it returns holds only the non-pivot columns.  The determinant, the rank,
+the inverse and the kernel vector are read from its result.
 
 Intended scale is dense matrices up to roughly 12x12; the text formats refuse
 more than ``MAX_DIM`` rows or columns and entries over ``MAX_ENTRY_BITS``
@@ -90,19 +90,6 @@ def rat(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot convert {type(value).__name__} to an exact rational")
 
 
-@dataclass(frozen=True)
-class SignProfile:
-    """Exact sign census of a vector's entries."""
-
-    has_positive: bool
-    has_negative: bool
-    has_zero: bool
-
-    @property
-    def mixed(self) -> bool:
-        return self.has_positive and self.has_negative
-
-
 @dataclass(frozen=True, init=False)
 class Vector:
     entries: tuple[Fraction, ...]
@@ -161,21 +148,13 @@ class Vector:
         return all(a > 0 for a in self.entries)
 
     def has_mixed_signs(self) -> bool:
-        return sign_profile(self).mixed
+        return any(a > 0 for a in self.entries) and any(a < 0 for a in self.entries)
 
     def to_strings(self) -> list[str]:
         return [str(a) for a in self.entries]
 
     def __str__(self) -> str:
         return " ".join(self.to_strings())
-
-
-def sign_profile(v: Vector) -> SignProfile:
-    return SignProfile(
-        has_positive=any(a > 0 for a in v.entries),
-        has_negative=any(a < 0 for a in v.entries),
-        has_zero=any(a == 0 for a in v.entries),
-    )
 
 
 def _integer_row(row: Sequence[Fraction]) -> _Row:
@@ -223,6 +202,49 @@ def _integer_product(x: Matrix, y: Matrix) -> tuple[int, list[list[int]]]:
     return lcm, [[sum(map(operator.mul, nums, col)) for col in cols] for nums in x._nums]
 
 
+def _pivot(grid: list[list[int]], scales: list[int], r: int, k: int, d: int) -> int:
+    """One fraction-free pivot on ``grid[r][k]``, in place; returns the next ``d``.
+
+    Row i is held as ``scales[i] * grid[i]``, where the product is the row
+    that the fraction-free step of Edmonds (1967) and Bareiss (1968), applied
+    to every row but the pivot row and divided exactly by the previous pivot
+    ``d``, would hold.  The step first moves the content g of the pivot row
+    into its scale (``P_t / g``, ``s_t * g``).  Every other row takes
+    ``T = P_i * p_t - h_i * P_t``, with ``p_t`` the pivot and ``h_i`` the row's
+    entry in the pivot column; with ``G = gcd(d, s_i * s_t)`` the row becomes
+    ``T / (d / G)`` and its scale ``s_i * s_t / G``.  The next divisor is the
+    true pivot ``d = s_t * p_t``.  A row with a zero head has ``T = P_i * p_t``,
+    so its ``p_t`` goes to the scale instead, with G = gcd(d, s_i * s_t * p_t).
+
+    The divisions are exact, for any order of pivots: ``s_i * s_t * T / d`` is
+    the Edmonds row, an integer vector because each of its entries is a minor
+    of the starting grid.  With ``a = s_i * s_t / G`` and ``q = d / G``,
+    gcd(a, q) = 1, so q divides every entry of T.  A common factor of a row,
+    such as the power of det(D) that every leading minor of an
+    inverse-nonnegative Z = D^-1 carries, thus sits in one scale instead of in
+    every entry.
+    """
+    top = grid[r]
+    g = math.gcd(*top)
+    if g != 1:
+        top = grid[r] = [x // g for x in top]
+        scales[r] *= g
+    s_t, pivot = scales[r], top[k]
+    for i, row in enumerate(grid):
+        if i == r:
+            continue
+        head = row[k]
+        a = scales[i] * s_t if head else scales[i] * s_t * pivot
+        g = math.gcd(d, a)
+        q = d // g
+        scales[i] = a // g
+        if head:
+            grid[i] = [(x * pivot - head * y) // q for x, y in zip(row, top)]
+        elif q != 1:
+            grid[i] = [x // q for x in row]
+    return s_t * pivot
+
+
 def _eliminate(
     rows: Iterable[_Row],
 ) -> tuple[list[list[int]], list[int], list[int], int, int, int]:
@@ -230,23 +252,9 @@ def _eliminate(
 
     Each row arrives as a positive denominator and integer numerators, and
     the elimination runs on the numerators (``scale`` is the product of the
-    denominators).  Row i is then held as ``scales[i] * grid[i]``, where the
-    product is the row that the Bareiss step (Bareiss 1968), applied to every
-    row but the pivot row and divided exactly by the previous pivot ``d``,
-    would hold.  Each step first moves the content g of the pivot row into its
-    scale (``P_t / g``, ``s_t * g``).  Every other row takes
-    ``T = P_i * p_t - h_i * P_t``, with ``p_t`` the pivot and ``h_i`` the row's
-    entry in the pivot column; with ``G = gcd(d, s_i * s_t)`` the row becomes
-    ``T / (d / G)`` and its scale ``s_i * s_t / G``.  The next divisor is the
-    true pivot ``d = s_t * p_t``.  A row with a zero head has ``T = P_i * p_t``,
-    so its ``p_t`` goes to the scale instead, with G = gcd(d, s_i * s_t * p_t).
-
-    The divisions are exact: ``s_i * s_t * T / d`` is the Bareiss row, an
-    integer vector because each of its entries is a minor of the starting grid.
-    With ``a = s_i * s_t / G`` and ``q = d / G``, gcd(a, q) = 1, so q divides
-    every entry of T.  A common factor of a row, such as the power of det(D)
-    that every leading minor of an inverse-nonnegative Z = D^-1 carries, thus
-    sits in one scale instead of in every entry.
+    denominators).  Each column with a nonzero entry at or below the next
+    pivot row takes one ``_pivot`` step there, so row i is held as
+    ``scales[i] * grid[i]``, the Edmonds row.
 
     After its step a pivot column is ``d`` times a unit vector in the true
     rows and stays so; it is dropped, and the returned grid holds only the
@@ -274,27 +282,9 @@ def _eliminate(
             grid[r], grid[p] = grid[p], grid[r]
             scales[r], scales[p] = scales[p], scales[r]
             sign = -sign
-        top = grid[r]
-        g = math.gcd(*top)
-        if g != 1:
-            top = grid[r] = [x // g for x in top]
-            scales[r] *= g
-        s_t, pivot = scales[r], top[k]
-        for i, row in enumerate(grid):
-            if i == r:
-                continue
-            head = row[k]
-            a = scales[i] * s_t if head else scales[i] * s_t * pivot
-            g = math.gcd(d, a)
-            q = d // g
-            scales[i] = a // g
-            if head:
-                grid[i] = [(x * pivot - head * y) // q for x, y in zip(row, top)]
-            elif q != 1:
-                grid[i] = [x // q for x in row]
+        d = _pivot(grid, scales, r, k, d)
         for row in grid:
             del row[k]
-        d = s_t * pivot
         pivots.append(c)
     return grid, scales, pivots, d, sign, scale
 

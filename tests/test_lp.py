@@ -83,10 +83,25 @@ def test_equality_bruteforce_rejects_a_bad_witness(monkeypatch):
 def _system(rng, family, m, n):
     """(A, b) with m rows and n columns.  "small": integers in -3..3.
     "rational": row i over its own denominator, drawn without repeats up to
-    2^16, with 16-bit numerators; b of both signs over other denominators."""
+    2^16, with 16-bit numerators; b of both signs over other denominators.
+    "factor": row i and b_i are k_i in 2^30..2^40 times integers in -3..3,
+    some rows have a zero first entry, and the last row may depend on two
+    others; so pivots divide out a row's content and rescale zero-head rows."""
     if family == "small":
         a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
         return a, Vector([rng.randint(-3, 3) for _ in range(m)])
+    if family == "factor":
+        ks = [rng.randint(2**30, 2**40) for _ in range(m)]
+        rows = [[k * rng.randint(-3, 3) for _ in range(n)] for k in ks]
+        for row in rows:
+            if rng.random() < 0.3:
+                row[0] = 0
+        b = [k * rng.randint(-3, 3) for k in ks]
+        if m > 2 and rng.random() < 0.5:
+            c = rng.randint(-3, 3)
+            rows[-1] = [c * x + y for x, y in zip(rows[0], rows[1])]
+            b[-1] = c * b[0] + b[1]
+        return Matrix(rows), Vector(b)
     dens = rng.sample(range(1, 2**16 + 1), m)
     a = Matrix([[Fraction(rng.randint(-2**16, 2**16), den) for _ in range(n)] for den in dens])
     b = [Fraction(rng.randint(-2**16, 2**16), rng.randint(1, 2**16)) for _ in range(m)]
@@ -95,7 +110,7 @@ def _system(rng, family, m, n):
 
 def test_simplex_agrees_with_bruteforce():
     rng = random.Random("lp-agreement")
-    for family, trials in (("small", 120), ("rational", 60)):
+    for family, trials in (("small", 120), ("rational", 60), ("factor", 60)):
         seen = set()
         for _ in range(trials):
             n = rng.randint(1, 4)
@@ -113,7 +128,7 @@ def test_simplex_agrees_with_bruteforce():
 
 def test_equality_agrees_with_bruteforce():
     rng = random.Random("lp-eq-agreement")
-    for family, trials in (("small", 60), ("rational", 40)):
+    for family, trials in (("small", 60), ("rational", 40), ("factor", 40)):
         seen = set()
         for _ in range(trials):
             n = rng.randint(1, 4)

@@ -25,7 +25,6 @@ from semipos.ratmat import (
     permutation_matrix,
     permutation_sign,
     rat,
-    sign_profile,
 )
 
 EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
@@ -95,13 +94,11 @@ def test_rank_full():
 
 
 def test_sign_profile_examples():
-    p = sign_profile(Vector([1, 0, -5, -1]))
-    assert (p.has_positive, p.has_negative, p.has_zero) == (True, True, True)
-    assert p.mixed
-    z = sign_profile(Vector([0, 0]))
-    assert (z.has_positive, z.has_negative, z.has_zero) == (False, False, True)
-    q = sign_profile(Vector([3, 2, -10, 0]))
-    assert (q.has_positive, q.has_negative, q.has_zero) == (True, True, True)
+    assert Vector([1, 0, -5, -1]).has_mixed_signs()
+    assert not Vector([0, 0]).has_mixed_signs()
+    assert Vector([3, 2, -10, 0]).has_mixed_signs()
+    assert not Vector([1, 0, 2]).has_mixed_signs()
+    assert not Vector([-1, 0]).has_mixed_signs()
 
 
 def test_vector_requires_entries():
@@ -301,7 +298,7 @@ def test_det_permutation_sign(case):
 )
 def test_sign_profile_scale_invariant(entries, c):
     v = Vector(entries)
-    assert sign_profile(v) == sign_profile(c * v)
+    assert v.has_mixed_signs() == (c * v).has_mixed_signs()
 
 
 # -- elimination against independent definitions --------------------------------
