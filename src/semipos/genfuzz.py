@@ -549,9 +549,8 @@ def _trial_onto_consistency(
     s = 1 if t % 2 == 0 else -1
     x = gen_monomial(n, cfg, index=("onto-x", t)) * s
     y = gen_monomial(n, cfg, index=("onto-y", t)) * s
-    x_inv, y_inv = x.inverse(), y.inverse()
     lmap = preserver.PreserverMap(x, y)
-    inverse_map = preserver.PreserverMap(x_inv, y_inv)
+    inverse_map = lmap.inverse_map()
     counts["monomial-pair"] += 1
     if not (
         preserver.onto_msp_preserver(lmap).status is yes
@@ -565,9 +564,9 @@ def _trial_onto_consistency(
     for i in range(20):
         a = gen_msp(n, n, cfg, index=("onto-a", t, i))
         # square: minimally semipositive iff inverse nonnegative
-        if not classify.is_inverse_nonnegative(x @ a @ y)[0]:
+        if not classify.is_inverse_nonnegative(preserver.apply(lmap, a))[0]:
             return f"image of sample {i} left the class"
-        if not classify.is_inverse_nonnegative(x_inv @ a @ y_inv)[0]:
+        if not classify.is_inverse_nonnegative(preserver.apply(inverse_map, a))[0]:
             return f"inverse image of sample {i} left the class"
     attempt = 0
     while True:

@@ -29,9 +29,10 @@ there is the semipositivity question, with its rule and certificates.
 A map acts on the space (rows of X) x (rows of Y); the space is read from X
 and Y and never passed separately.
 
-Every decision rule holds for (X, Y) or for (-X, -Y).  A pair rule inverts
-X and Y at most once and returns its sign with the inverses, which a failed
-rule hands to the construction of its counterexample.
+Every decision rule holds for (X, Y) or for (-X, -Y).  The map holds X^-1
+and Y^-1, each computed on its first read and kept, so the rules, the
+constructions of their counterexamples and the inverse map read them there
+and a verdict inverts X and Y at most once.
 
 The only undecided regime is into-preservation of minimal semipositivity on
 spaces with more rows than columns (width at least 2): the known condition is
@@ -43,6 +44,7 @@ search (``TALL_SEARCH_DRAWS`` draws from seed ``TALL_SEARCH_SEED``) or
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -89,7 +91,9 @@ TALL_SEARCH_DRAWS = 40
 
 @dataclass(frozen=True)
 class PreserverMap:
-    """The pair (X, Y) defining A -> X A Y on the space of (rows of X) x (rows of Y)."""
+    """The pair (X, Y) defining A -> X A Y on the space of (rows of X) x (rows of Y),
+    with ``x_inv`` and ``y_inv``, X^-1 and Y^-1 (None when singular), computed
+    on first read and kept."""
 
     x: Matrix
     y: Matrix
@@ -102,8 +106,30 @@ class PreserverMap:
     def space(self) -> tuple[int, int]:
         return (self.x.rows, self.y.rows)
 
+    @functools.cached_property
+    def x_inv(self) -> Matrix | None:
+        return _inverse(self.x)
+
+    @functools.cached_property
+    def y_inv(self) -> Matrix | None:
+        return _inverse(self.y)
+
     def inverse_map(self) -> "PreserverMap":
-        return PreserverMap(self.x.inverse(), self.y.inverse())
+        """(X^-1, Y^-1), holding X and Y as its inverses; raises
+        SingularMatrixError when X or Y is singular."""
+        if self.x_inv is None or self.y_inv is None:
+            raise SingularMatrixError("matrix is singular")
+        inverse = PreserverMap(self.x_inv, self.y_inv)
+        object.__setattr__(inverse, "x_inv", self.x)
+        object.__setattr__(inverse, "y_inv", self.y)
+        return inverse
+
+
+def _inverse(m: Matrix) -> Matrix | None:
+    try:
+        return m.inverse()
+    except SingularMatrixError:
+        return None
 
 
 def apply(lmap: PreserverMap, a: Matrix) -> Matrix:
@@ -238,29 +264,20 @@ class PreserverVerdict:
 
 # -- decision rules -------------------------------------------------------------
 
-# M^{-1} (None when M is singular) and its sign, see _signed
-Inverse = tuple[Matrix | None, int]
-
-
-def _signed(inv: Matrix) -> Inverse:
-    """An inverse with its sign: +1 when nonnegative, -1 when nonpositive (so
-    (-M)^{-1} = -M^{-1} is nonnegative), 0 otherwise."""
-    return inv, 1 if inv.is_nonneg() else -1 if inv.is_nonpos() else 0
-
-
-def _signed_inverse(m: Matrix) -> Inverse:
-    """Invert M once; every inverse a verdict needs comes from here."""
-    try:
-        return _signed(m.inverse())
-    except SingularMatrixError:
-        return None, 0
-
 
 def _sign(test: Callable[[Matrix], bool], m: Matrix) -> int:
     """+1 when M passes ``test``, -1 when -M does, 0 otherwise."""
     if test(m):
         return 1
     return -1 if test(-m) else 0
+
+
+def _inverse_sign(inv: Matrix | None) -> int:
+    """The sign of M^{-1}: +1 when nonnegative, -1 when nonpositive (so
+    (-M)^{-1} = -M^{-1} is nonnegative), 0 otherwise or when M is singular."""
+    if inv is None:
+        return 0
+    return 1 if inv.is_nonneg() else -1 if inv.is_nonpos() else 0
 
 
 def _pair_sign(x_sign: int, y_sign: int) -> int:
@@ -277,36 +294,28 @@ def _no(reason: str, cert: FalsifyCertificate) -> PreserverVerdict:
     return PreserverVerdict(Verdict.NO, reason, cert)
 
 
-def _sp_rule(x: Matrix, y: Matrix) -> tuple[int, tuple[int, Inverse | None]]:
-    """The semipositivity rule's sign and its facts: X's row-positive sign and
-    Y's signed inverse, None when that sign is 0 (the rule fails then and the
-    counterexample does not use Y^{-1})."""
-    x_sign = _sign(classify.is_row_positive, x)
-    if not x_sign:
-        return 0, (0, None)
-    y_inv = _signed_inverse(y)
-    return _pair_sign(x_sign, y_inv[1]), (x_sign, y_inv)
+def _sp_sign(lmap: PreserverMap) -> int:
+    """The semipositivity rule: X row positive and Y inverse nonnegative.  Y
+    is inverted only when X passes up to sign."""
+    x_sign = _sign(classify.is_row_positive, lmap.x)
+    return x_sign and _pair_sign(x_sign, _inverse_sign(lmap.y_inv))
 
 
-def _msp_rule(x: Matrix, y: Matrix) -> tuple[int, tuple[Inverse, Inverse | None]]:
-    """The square minimal-semipositivity rule's sign and X's and Y's signed
-    inverses, None for Y's when X is singular (the rule fails then and the
-    identity is a counterexample)."""
-    x_inv = _signed_inverse(x)
-    if x_inv[0] is None:
-        return 0, (x_inv, None)
-    y_inv = _signed_inverse(y)
-    return _pair_sign(x_inv[1], y_inv[1]), (x_inv, y_inv)
+def _msp_sign(lmap: PreserverMap) -> int:
+    """The square minimal-semipositivity rule: X and Y inverse nonnegative.  Y
+    is inverted only when X^{-1} is nonnegative up to sign."""
+    x_sign = _inverse_sign(lmap.x_inv)
+    return x_sign and _pair_sign(x_sign, _inverse_sign(lmap.y_inv))
 
 
 def into_sp_condition(x: Matrix, y: Matrix) -> int:
     """X row positive and Y inverse nonnegative: +1, -1 for (-X, -Y), else 0."""
-    return _sp_rule(x, y)[0]
+    return _sp_sign(PreserverMap(x, y))
 
 
 def into_msp_square_condition(x: Matrix, y: Matrix) -> int:
     """X and Y inverse nonnegative: +1, -1 for (-X, -Y), else 0."""
-    return _msp_rule(x, y)[0]
+    return _msp_sign(PreserverMap(x, y))
 
 
 def _monomial_sign(x: Matrix, y: Matrix) -> int:
@@ -315,30 +324,15 @@ def _monomial_sign(x: Matrix, y: Matrix) -> int:
 
 def into_sp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     """Does A -> X A Y map every semipositive matrix to a semipositive one?"""
-    sign, facts = _sp_rule(lmap.x, lmap.y)
+    sign = _sp_sign(lmap)
     if sign:
         return _yes(sign, REASON_SP_PAIR)
-    return _no(REASON_FALSIFIED, _falsify_into_sp(lmap, *facts))
+    return _no(REASON_FALSIFIED, _falsify_into_sp(lmap))
 
 
 def onto_sp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     """Does A -> X A Y map the semipositive matrices onto themselves?"""
-    x, y = lmap.x, lmap.y
-    sign = _monomial_sign(x, y)
-    if sign:
-        return _yes(sign, REASON_MONOMIAL_PAIR)
-    sign, (x_sign, y_inv) = _sp_rule(x, y)
-    if not sign:
-        return _no(REASON_FALSIFIED, _falsify_into_sp(lmap, x_sign, y_inv))
-    x_inv, _ = _signed_inverse(x)
-    if x_inv is None:
-        return _no(REASON_X_SINGULAR, _no_preimage_certificate(lmap, sign))
-    # the inverse map (X^-1, Y^-1), whose Y^-1 has the inverse Y
-    inverse = PreserverMap(x_inv, y_inv[0])
-    x_inv_sign = _sign(classify.is_row_positive, x_inv)
-    return _no(
-        REASON_INVERSE_NOT_INTO, _falsify_into_sp(inverse, x_inv_sign, _signed(y))
-    )
+    return _onto(lmap, into_sp_preserver)
 
 
 def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
@@ -357,26 +351,24 @@ def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     becomes a candidate certificate, its ``verify()`` decides it, and the
     first that passes is returned; failing that, "unknown".
     """
-    x, y = lmap.x, lmap.y
     rows, cols = lmap.space
 
     if rows < cols:
         return PreserverVerdict(Verdict.YES, REASON_EMPTY_CLASS)
 
     if rows == cols:
-        sign, inverses = _msp_rule(x, y)
+        sign = _msp_sign(lmap)
         if sign:
             return _yes(sign, REASON_MSP_PAIR)
-        return _no(REASON_FALSIFIED, _falsify_into_msp(lmap, *inverses))
+        return _no(REASON_FALSIFIED, _falsify_into_msp(lmap))
 
     if cols == 1:
         return into_sp_preserver(lmap)
 
-    y_inv, y_sign = _signed_inverse(y)
-    sign = _pair_sign(_sign(classify.is_monomial, x), y_sign)
+    sign = _pair_sign(_sign(classify.is_monomial, lmap.x), _inverse_sign(lmap.y_inv))
     if sign:
         return _yes(sign, REASON_TALL_PAIR)
-    if y_inv is None:
+    if lmap.y_inv is None:
         return _no(REASON_Y_SINGULAR, _lift(lmap, "y-singular-image-rank-deficient"))
     cfg = genfuzz.GenConfig(TALL_SEARCH_SEED)
     for a in genfuzz.iter_msp_mixture(rows, cols, cfg, TALL_SEARCH_DRAWS):
@@ -392,7 +384,6 @@ def onto_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     Decided on square spaces, and on spaces with fewer rows than columns,
     where the class is empty (a vacuous yes, as for ``into_msp_preserver``).
     """
-    x, y = lmap.x, lmap.y
     rows, cols = lmap.space
     if rows < cols:
         return PreserverVerdict(Verdict.YES, REASON_EMPTY_CLASS)
@@ -400,16 +391,28 @@ def onto_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
         raise InvalidInputError(
             "onto preservation of minimal semipositivity is not decided for rows > cols"
         )
-    sign = _monomial_sign(x, y)
+    return _onto(lmap, into_msp_preserver)
+
+
+def _onto(lmap: PreserverMap, into: Callable[[PreserverMap], PreserverVerdict]) -> PreserverVerdict:
+    """Onto by way of into: a map onto a class that spans the space is
+    invertible, and its inverse maps the class into itself.  So a monomial pair
+    is a yes; otherwise the map's into verdict when it is a no, the no-preimage
+    certificate when X is singular (only the semipositivity rule allows that),
+    else the inverse map's into verdict, a no because only monomial pairs map
+    the class onto itself."""
+    sign = _monomial_sign(lmap.x, lmap.y)
     if sign:
         return _yes(sign, REASON_MONOMIAL_PAIR)
-    sign, (x_inv, y_inv) = _msp_rule(x, y)
-    if not sign:
-        return _no(REASON_FALSIFIED, _falsify_into_msp(lmap, x_inv, y_inv))
-    inverse = PreserverMap(x_inv[0], y_inv[0])
-    return _no(
-        REASON_INVERSE_NOT_INTO, _falsify_into_msp(inverse, _signed(x), _signed(y))
-    )
+    verdict = into(lmap)
+    if verdict.status is not Verdict.YES:
+        return verdict
+    if lmap.x_inv is None:
+        return _no(REASON_X_SINGULAR, _no_preimage_certificate(lmap))
+    cert = into(lmap.inverse_map()).certificate
+    if cert is None:
+        raise ArithmeticError("the inverse of a non-monomial into pair is into")
+    return _no(REASON_INVERSE_NOT_INTO, cert)
 
 
 # -- falsifiers -------------------------------------------------------------------
@@ -436,11 +439,9 @@ def _certificate(verdict: PreserverVerdict) -> FalsifyCertificate:
     return verdict.certificate
 
 
-def _falsify_into_msp(
-    lmap: PreserverMap, x_inv: Inverse, y_inv: Inverse | None
-) -> FalsifyCertificate:
+def _falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
     """Counterexample for a square map failing the minimal-semipositivity rule,
-    from the rule's signed inverses (see ``_msp_rule``).
+    from the map's inverses.
 
     Three constructions, by how the pair condition fails:
 
@@ -458,36 +459,33 @@ def _falsify_into_msp(
     x, y = lmap.x, lmap.y
     n = x.rows
 
-    if x_inv[0] is None or y_inv[0] is None:
+    if lmap.x_inv is None or lmap.y_inv is None:
         return _lift(lmap, "x-or-y-singular")
 
-    sign = x_inv[1]
+    sign = _inverse_sign(lmap.x_inv)
     if not sign:
-        v = mixed_sign_vector(x, x_inv[0])
+        v = mixed_sign_vector(x, lmap.x_inv)
         w = -basis_vector(n, 0)
         b, _ = build_np(v, y @ w)
         note = "x-not-inverse-nonnegative-either-sign"
         return _leaves_as_inverse(lmap, b, note, w, x @ v)
 
     xs = x * sign
-    c = y_inv[0] * sign  # (sign Y)^{-1}
+    c = lmap.y_inv * sign  # (sign Y)^{-1}
     i, j = _negative_entry(c)
     shifted = c @ ones_vector(n)
     delta = abs(c[i, j]) / (2 * (1 + max(abs(v) for v in shifted.entries)))
     w = basis_vector(n, j) + delta * ones_vector(n)
     u = c @ w
-    v = (x_inv[0] * sign) @ w
+    v = (lmap.x_inv * sign) @ w
     if u.entries[i] >= 0 or not w.is_positive() or not v.is_nonneg():
         raise ArithmeticError("shift construction lost its sign pattern")
     b = build_pos(v, w)
     return _leaves_as_inverse(lmap, b, "y-not-inverse-nonnegative", u, xs @ v)
 
 
-def _falsify_into_sp(
-    lmap: PreserverMap, x_sign: int, y_inv: Inverse | None
-) -> FalsifyCertificate:
-    """Counterexample for a map failing the semipositivity rule, from the
-    rule's facts (see ``_sp_rule``).
+def _falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
+    """Counterexample for a map failing the semipositivity rule.
 
     Four constructions, by how the pair condition fails:
 
@@ -505,6 +503,7 @@ def _falsify_into_sp(
     x, y = lmap.x, lmap.y
     m, n = lmap.space
 
+    x_sign = _sign(classify.is_row_positive, x)
     if not x_sign:
         # every construction here has a positive first column
         if x.has_zero_row():
@@ -527,7 +526,7 @@ def _falsify_into_sp(
                 note = "uniform-sign-rows"
         return _leaves(CLASS_SP, lmap, a, note, witness=basis_vector(n, 0))
 
-    if y_inv[0] is None:
+    if lmap.y_inv is None:
         q = (y * x_sign).transpose().kernel_vector()
         if q is None:
             raise ArithmeticError("singular Y has no left-null vector")
@@ -537,7 +536,7 @@ def _falsify_into_sp(
         a = Matrix.from_rows([q] * m)
         note = "y-singular"
     else:
-        c = y_inv[0] * x_sign  # (sign Y)^{-1}
+        c = lmap.y_inv * x_sign  # (sign Y)^{-1}
         i, j = _negative_entry(c)
         a = Matrix.from_rows([-c.row(i)] * m)
         note = "y-inverse-negative-entry"
@@ -574,7 +573,7 @@ def _negative_entry(c: Matrix) -> tuple[int, int]:
     )
 
 
-def _no_preimage_certificate(lmap: PreserverMap, sign: int) -> FalsifyCertificate:
+def _no_preimage_certificate(lmap: PreserverMap) -> FalsifyCertificate:
     """For singular X (with sign Y inverse nonnegative): a semipositive matrix
     outside the image of the map, witnessed by a left-null vector of X.
 
@@ -583,6 +582,7 @@ def _no_preimage_certificate(lmap: PreserverMap, sign: int) -> FalsifyCertificat
     and q^T A != 0 because q^T z != 0."""
     x, y = lmap.x, lmap.y
     m, n = lmap.space
+    sign = _inverse_sign(lmap.y_inv)
     q = x.transpose().kernel_vector()
     if q is None:
         raise InvalidInputError("X is invertible; no such certificate exists")

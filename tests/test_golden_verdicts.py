@@ -205,6 +205,28 @@ def test_every_golden_certificate_verifies_without_an_inverse(monkeypatch):
         assert dataclasses.replace(cert, witness=None, left_inverse=None).verify(), cert.note
 
 
+def test_every_golden_verdict_inverts_each_matrix_at_most_once(monkeypatch):
+    """No verdict inverts a matrix twice, or inverts an inverse it already has."""
+    inverse = Matrix.inverse
+    inverted, returned = set(), set()
+    broken = []
+
+    def tracked(m):
+        if m in inverted or m in returned:
+            broken.append(label)
+        inverted.add(m)
+        inv = inverse(m)
+        returned.add(inv)
+        return inv
+
+    monkeypatch.setattr(Matrix, "inverse", tracked)
+    for label, kind, x, y in cases():
+        inverted.clear()
+        returned.clear()
+        getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y))
+    assert broken == []
+
+
 def test_golden_covers_every_reason_and_note():
     golden = json.loads(GOLDEN.read_text())
     reasons = {r["reason"] for r in golden.values()}

@@ -562,16 +562,28 @@ def test_column_rule_matches_empirical_preservation():
 
 def test_sign_symmetry_and_scaling():
     rng = random.Random("symmetry")
+    pairs = []
     for _ in range(25):
         n = rng.randint(2, 3)
         x = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
         y = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        pairs.append((x, y))
+    # X monomial and Y inverse nonnegative: both conditions hold
+    cfg = genfuzz.GenConfig(5)
+    pairs += [
+        (genfuzz.gen_monomial(n, cfg, ("sym", n)), genfuzz.gen_inverse_nonneg(n, cfg, ("sym", n)))
+        for n in (2, 3)
+    ]
+    for x, y in pairs:
         base = _map(x, y)
         flipped = _map(-x, -y)
         scaled = _map(3 * x, y * "1/2")
         for op in (preserver.into_sp_preserver, preserver.into_msp_preserver, preserver.onto_sp_preserver, preserver.onto_msp_preserver):
             assert op(base).status == op(flipped).status
             assert op(base).status == op(scaled).status
+        for cond, op in ((preserver.into_sp_condition, preserver.into_sp_preserver), (preserver.into_msp_square_condition, preserver.into_msp_preserver)):
+            assert cond(-x, -y) == -cond(x, y)
+            assert bool(cond(x, y)) == (op(base).status is Verdict.YES)
 
 
 def test_onto_yes_implies_both_intos():
