@@ -55,7 +55,7 @@ def is_semipositive(a: Matrix) -> tuple[bool, Vector | None]:
     x + delta*1 with delta = 1 / (2 (1 + S)), S the largest row absolute sum,
     keeping A x' > 0 while making x' > 0.
     """
-    if any(max(nums) <= 0 for _, nums in a.integer_rows()):
+    if a.has_nonpositive_row():
         return False, None
     result = lp.feasible_nonneg(a, ones_vector(a.rows))
     if not result.feasible:

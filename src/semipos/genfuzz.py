@@ -507,7 +507,9 @@ def _trial_into_sp_falsification(
     rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
 ) -> str | None:
     """Pairs violating the semipositivity decision rule always yield a verified
-    certificate; trials cycle through the four counterexample constructions."""
+    certificate; trials cycle through four families of X (a zero row, a mixed
+    row, rows of both signs, and s times a row-positive X with s Y singular or
+    not inverse nonnegative), which reach every note of the falsifier."""
     from . import preserver
 
     m = rng.randint(2, 4)
@@ -533,7 +535,7 @@ def _trial_into_sp_falsification(
         if (t // 8) % 2 == 0:
             y = _random_singular_int_matrix(rng, n) * s
         else:
-            y = _random_not_inverse_nonneg(rng, n, s) * s
+            y = _random_not_inverse_nonneg(rng, n, s)
     return _falsified(preserver.falsify_into_sp, x, y, counts)
 
 

@@ -10,17 +10,22 @@ Every construction but the tall search stores the evidence it already holds
 for A's membership: a semipositivity witness x >= 0 with A x > 0 and, for the
 minimally semipositive class, a nonnegative left inverse N with N A = I.  The
 check multiplies the evidence out and never re-decides A with an LP; evidence
-that fails fails the certificate, and only a certificate without evidence
-(a search draw, or one built by hand) has A decided by the classify deciders.
-One helper, ``_leaves``, builds every certificate of the first kind: it forms
-the image X A Y of the class member A.
+that fails fails the certificate, a semipositive A must carry its witness, and
+only a minimally semipositive A without evidence (a search draw, or one built
+by hand) is decided by the classify decider.  One helper, ``_leaves``, builds
+every certificate of the first kind: it forms the image X A Y of the class
+member A.
 
-A matrix is minimally semipositive iff it is semipositive with a nonnegative
-left inverse N (Johnson, Kerr & Stanford 1994).  When the certificate stores a
-probe u with a negative entry and a nonnegative image X A Y u, the check needs
-nothing more, on any shape: N >= 0 with N (X A Y) = I would give u = N (X A Y
-u) >= 0.  An image without such a probe goes through the classify deciders,
-and a singular one fails there on its rank, so the check inverts no matrix.
+Every semipositivity counterexample has an image with a row p that has no
+positive entry, so y = e_p gives y^T (X A Y) <= 0 and the check refutes the
+image by that row sign alone (Ville 1938).  A matrix is minimally
+semipositive iff it is semipositive with a nonnegative left inverse N
+(Johnson, Kerr & Stanford 1994).  When the certificate stores a probe u with
+a negative entry and a nonnegative image X A Y u, the check needs nothing
+more, on any shape: N >= 0 with N (X A Y) = I would give u = N (X A Y u) >=
+0.  A minimally semipositive image without such a probe goes through the
+classify decider, and a singular one fails there on its rank before any LP,
+so the check inverts no matrix and only the search's draws reach an LP.
 
 On a single column the two classes coincide (an m x 1 matrix is in either one
 iff it is a positive column), so into-preservation of minimal semipositivity
@@ -146,11 +151,12 @@ class FalsifyCertificate:
 
     kind "image-leaves-class": ``a`` is in the class, ``image`` equals
     x @ a @ y and is not; optionally a probe vector u with image @ u =
-    probe_image exhibits the violation directly.  For the minimally
-    semipositive class, a probe with a negative entry and a nonnegative
-    probe_image proves it alone, on any shape: a left inverse N >= 0 of the
-    image would give u = N probe_image >= 0.  Otherwise the image goes through
-    the classify deciders, one per class.
+    probe_image exhibits the violation directly.  A semipositive image is
+    refuted by a row with no positive entry, and fails verification without
+    one.  For the minimally semipositive class, a probe with a negative entry
+    and a nonnegative probe_image proves it alone, on any shape: a left
+    inverse N >= 0 of the image would give u = N probe_image >= 0.  Otherwise
+    the image goes through ``classify.is_minimally_semipositive``.
 
     kind "no-preimage": ``a`` is in the class but x M y = a has no solution M,
     witnessed by a left-null vector q of x (stored as probe_image) with
@@ -161,8 +167,10 @@ class FalsifyCertificate:
     semipositive, and together with a ``left_inverse`` N >= 0 with N a = I it
     proves it minimally semipositive, square or tall (Johnson, Kerr & Stanford
     1994).  Evidence that is present but fails (or lacks the left inverse a
-    minimally semipositive claim needs) makes ``verify()`` False; only a
-    certificate without evidence has ``a`` decided by the classify deciders.
+    minimally semipositive claim needs) makes ``verify()`` False, and so does
+    a semipositive claim without its witness; only a minimally semipositive
+    certificate without evidence (the tall search's draws) has ``a`` decided
+    by ``classify.is_minimally_semipositive``.
     """
 
     kind: str
@@ -179,12 +187,6 @@ class FalsifyCertificate:
 
     # set by verify() when it passes; never a constructor argument
     verified: bool = field(default=False, init=False, compare=False)
-
-    def _member(self, m: Matrix) -> bool:
-        """``m`` is in the class, by the classify deciders."""
-        if self.class_name == CLASS_SP:
-            return classify.is_semipositive(m)[0]
-        return classify.is_minimally_semipositive(m)
 
     def verify(self) -> bool:
         """True iff the certificate proves its claim; False, never an error,
@@ -209,15 +211,14 @@ class FalsifyCertificate:
                 return False
             if u is not None and (image_u is None or image @ u != image_u):
                 return False
+            if self.class_name == CLASS_SP:
+                # y = e_p of a row p with no positive entry: y^T image <= 0
+                if not image.has_nonpositive_row():
+                    return False
             # N >= 0 with N image = I would give u = N (image u) >= 0
-            by_probe = (
-                u is not None
-                and self.class_name == CLASS_MSP
-                and image_u.is_nonneg()
-                and not u.is_nonneg()
-            )
-            if not by_probe and self._member(image):
-                return False
+            elif u is None or not image_u.is_nonneg() or u.is_nonneg():
+                if classify.is_minimally_semipositive(image):
+                    return False
         elif self.kind == "no-preimage":
             q, z = self.probe_image, self.probe
             # x M y = a would give q^T a = (x^T q)^T M y = 0
@@ -235,11 +236,11 @@ class FalsifyCertificate:
         return self._a_is_member()
 
     def _a_is_member(self) -> bool:
-        """``a`` is in the class: by its evidence when it has any, else by the
-        classify deciders."""
+        """``a`` is in the class: by its evidence, or by the classify decider
+        for a minimally semipositive claim without any."""
         x, n, a = self.witness, self.left_inverse, self.a
-        if x is None and n is None:
-            return self._member(a)
+        if x is None and n is None and self.class_name == CLASS_MSP:
+            return classify.is_minimally_semipositive(a)
         if x is None or not x.is_nonneg() or not (a @ x).is_positive():
             return False
         if self.class_name == CLASS_SP:
@@ -485,73 +486,71 @@ def _falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
 
 
 def _falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
-    """Counterexample for a map failing the semipositivity rule.
+    """Counterexample for a map failing the semipositivity rule.  Each image
+    has a row p with no positive entry, so y = e_p gives y^T (X A Y) <= 0 and
+    the image is not semipositive (Ville 1938).
 
-    Four constructions, by how the pair condition fails:
+    Two constructions, by the rows of X:
 
-    * X has a zero row: the all-ones matrix maps to something with a zero row.
-    * some row of X has entries of both signs: a positive vector v tuned to
-      zero that row's image, replicated as every column, maps to something
-      with a zero row.
-    * otherwise X has a nonpositive row and a nonnegative row: the matrix with
-      an all-ones first column maps to columns proportional to the both-signs
-      vector X 1, so no image vector is positive.
-    * X row positive up to sign but Y not inverse nonnegative: if Y is
-      singular, rows copying a left-null vector of Y give image zero; else a
-      negative inverse entry yields rows whose product with Y is nonpositive.
+    * X has a zero row or a row with both signs (the first zero row, else the
+      first mixed row, row i): a positive vector v with (X v)_i = 0 (all ones
+      for a zero row) as every column gives A = [v ... v], semipositive by
+      e_0, whose image has row i zero.
+    * every row of X is one-signed and nonzero: let s be the rule's sign of X
+      (sX row positive, so sY fails the rule), or s = 1 when X has rows of
+      both signs, so that X 1 has both signs.  A = 1 r^T is semipositive by
+      e_j at the first positive entry j of r, and its image is (X 1)(r^T Y).
+      If Y is singular, r is a left-null vector of sY with its first nonzero
+      entry positive, and the image is 0.  Otherwise let c = (sY)^{-1}: with
+      the first negative entry, row by row, in row i, r = -(row i of c) gives
+      r^T Y = -s e_i^T and the image -(sX 1) e_i^T, whose row p is
+      nonpositive wherever (sX 1)_p > 0, every row when sX is row positive.
+      If c >= 0, which the rule allows only when s was set to 1, r = row 0 of
+      c is nonnegative and nonzero, r^T Y = e_0^T, and the image (X 1) e_0^T
+      has row p nonpositive wherever (X 1)_p < 0.
     """
     x, y = lmap.x, lmap.y
     m, n = lmap.space
 
-    x_sign = _sign(classify.is_row_positive, x)
-    if not x_sign:
-        # every construction here has a positive first column
-        if x.has_zero_row():
-            a = Matrix.ones(m, n)
-            note = "zero-row"
-        else:
-            mixed_row = next(
-                (i for i, (_, nums) in enumerate(x.integer_rows()) if min(nums) < 0 < max(nums)),
-                None,
-            )
-            if mixed_row is not None:
-                v = _positive_vector_zeroing_row(x, mixed_row)
-                a = Matrix.from_cols([v] * n)
-                note = "mixed-row"
-            else:
-                first = [ones_vector(m)] + [
-                    Vector([Fraction(0)] * m) for _ in range(n - 1)
-                ]
-                a = Matrix.from_cols(first)
-                note = "uniform-sign-rows"
-        return _leaves(CLASS_SP, lmap, a, note, witness=basis_vector(n, 0))
+    # (has a negative entry, has a positive entry) for each row of X
+    signs = [(min(nums) < 0, max(nums) > 0) for _, nums in x.integer_rows()]
+    for note, row_sign in (("zero-row", (False, False)), ("mixed-row", (True, True))):
+        if row_sign in signs:
+            v = _positive_vector_zeroing_row(x, signs.index(row_sign))
+            a = Matrix.from_cols([v] * n)
+            return _leaves(CLASS_SP, lmap, a, note, witness=basis_vector(n, 0))
 
+    x_sign = _sign(classify.is_row_positive, x)
+    s = x_sign or 1
     if lmap.y_inv is None:
-        q = (y * x_sign).transpose().kernel_vector()
-        if q is None:
+        r = (y * s).transpose().kernel_vector()
+        if r is None:
             raise ArithmeticError("singular Y has no left-null vector")
-        j = next(i for i in range(n) if q[i] != 0)
-        if q[j] < 0:
-            q = -q
-        a = Matrix.from_rows([q] * m)
+        if next(v for v in r if v != 0) < 0:
+            r = -r
         note = "y-singular"
     else:
-        c = lmap.y_inv * x_sign  # (sign Y)^{-1}
-        i, j = _negative_entry(c)
-        a = Matrix.from_rows([-c.row(i)] * m)
+        c = lmap.y_inv * s  # (sY)^{-1}
+        entry = _negative_entry(c)
+        r = c.row(0) if entry is None else -c.row(entry[0])
         note = "y-inverse-negative-entry"
-    # column j of A is positive
-    return _leaves(CLASS_SP, lmap, a, note, witness=basis_vector(n, j))
+    if not x_sign:
+        note = "uniform-sign-rows"
+    j = next(j for j in range(n) if r[j] > 0)
+    return _leaves(CLASS_SP, lmap, Matrix.from_rows([r] * m), note, witness=basis_vector(n, j))
 
 
 def _positive_vector_zeroing_row(x: Matrix, i: int) -> Vector:
-    """Strictly positive v with (X v)_i = 0, for a row with both signs.
+    """Strictly positive v with (X v)_i = 0, for a zero row (all ones) or a
+    row with both signs.
 
     Weight t goes on a negative entry when the row sum is nonnegative and on a
     positive entry otherwise, which forces the solution t of the single linear
     equation to be positive.
     """
     row = x.row(i)
+    if row.is_zero():
+        return ones_vector(row.dim)
     total = sum(row.entries, Fraction(0))
     if total >= 0:
         p = next(j for j in range(row.dim) if row[j] < 0)
@@ -566,10 +565,12 @@ def _positive_vector_zeroing_row(x: Matrix, i: int) -> Vector:
     return v
 
 
-def _negative_entry(c: Matrix) -> tuple[int, int]:
-    """The first (i, j), row by row, with c_ij < 0, read from the numerators."""
+def _negative_entry(c: Matrix) -> tuple[int, int] | None:
+    """The first (i, j), row by row, with c_ij < 0, read from the numerators;
+    None when c >= 0."""
     return next(
-        (i, j) for i, (_, nums) in enumerate(c.integer_rows()) for j, v in enumerate(nums) if v < 0
+        ((i, j) for i, (_, nums) in enumerate(c.integer_rows()) for j, v in enumerate(nums) if v < 0),
+        None,
     )
 
 

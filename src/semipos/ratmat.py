@@ -118,9 +118,6 @@ class Vector:
             raise DimensionError("vector dimensions differ")
         return Vector(a + b for a, b in zip(self.entries, other.entries))
 
-    def __sub__(self, other: "Vector") -> "Vector":
-        return self + (-other)
-
     def __neg__(self) -> "Vector":
         return Vector(-a for a in self.entries)
 
@@ -140,9 +137,6 @@ class Vector:
 
     def is_nonneg(self) -> bool:
         return all(a >= 0 for a in self.entries)
-
-    def is_nonpos(self) -> bool:
-        return all(a <= 0 for a in self.entries)
 
     def is_positive(self) -> bool:
         return all(a > 0 for a in self.entries)
@@ -460,6 +454,11 @@ class Matrix:
 
     def has_zero_row(self) -> bool:
         return any(not any(nums) for nums in self._nums)
+
+    def has_nonpositive_row(self) -> bool:
+        """Some row has no positive entry, so its product with any x >= 0 is
+        <= 0 and the matrix is not semipositive."""
+        return any(max(nums) <= 0 for nums in self._nums)
 
     # -- elimination, read from _eliminate -------------------------------------
 

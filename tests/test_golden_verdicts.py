@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from semipos import cli, genfuzz, preserver
+from semipos import cli, genfuzz, lp, preserver
 from semipos.ratmat import Matrix
 
 GOLDEN = Path(__file__).with_name("golden_verdicts.json")
@@ -188,21 +188,44 @@ def test_verdict_reports_match_golden():
     assert render() == GOLDEN.read_text()
 
 
-def test_every_golden_certificate_verifies_without_an_inverse(monkeypatch):
-    certs = []
+def _certificates():
     for _, kind, x, y in cases():
         verdict = getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y))
         if verdict.certificate is not None:
-            certs.append(verdict.certificate)
+            yield verdict.certificate
+
+
+def test_every_golden_certificate_verifies_without_an_inverse(monkeypatch):
+    certs = list(_certificates())
 
     def no_inverse(m):
         raise AssertionError("verify inverted a matrix")
 
     monkeypatch.setattr(Matrix, "inverse", no_inverse)
     for cert in certs:
-        # as built, and with A decided by the classify deciders
         assert cert.verify(), cert.note
-        assert dataclasses.replace(cert, witness=None, left_inverse=None).verify(), cert.note
+        # without its evidence, a minimally semipositive A goes to the
+        # classify decider; a semipositive A needs its witness
+        stripped = dataclasses.replace(cert, witness=None, left_inverse=None)
+        assert stripped.verify() is (cert.class_name == preserver.CLASS_MSP), cert.note
+
+
+def test_only_the_search_draws_reach_an_lp_in_verify(monkeypatch):
+    """Every constructed certificate is checked by products and sign tests;
+    only the tall search's draws, which carry no member evidence, have A
+    decided by an LP."""
+    certs = list(_certificates())
+    calls = []
+    for name in ("feasible_nonneg", "equality_feasible_nonneg"):
+        solve = getattr(lp, name)
+        monkeypatch.setattr(lp, name, lambda *args, solve=solve: calls.append(args) or solve(*args))
+    with_lp = set()
+    for cert in certs:
+        calls.clear()
+        assert cert.verify(), cert.note
+        if calls:
+            with_lp.add(cert.note)
+    assert with_lp == {"randomized-counterexample"}
 
 
 def test_every_golden_verdict_inverts_each_matrix_at_most_once(monkeypatch):
