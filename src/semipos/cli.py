@@ -24,11 +24,11 @@ import json
 import os
 import sys
 import time
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import classify, construct, genfuzz, preserver
 from .ratmat import (
+    MAX_FILE_BYTES,
     DimensionError,
     InvalidInputError,
     Matrix,
@@ -66,8 +66,13 @@ Handled = tuple[Any, int]
 
 def _load_matrix(path: str, inputs: Inputs, key: str) -> Matrix:
     """Parse the matrix file at ``path`` and record it as ``inputs[key]``: its
-    path, the first 16 hex digits of the sha256 of its bytes, and its shape."""
-    data = Path(path).read_bytes()
+    path, the first 16 hex digits of the sha256 of its bytes, and its shape.
+    A file longer than ``MAX_FILE_BYTES`` is refused after reading one byte
+    more, so no file, ``/dev/zero`` included, is read without end."""
+    with open(path, "rb") as f:
+        data = f.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise MatrixParseError(f"{path}: longer than the cap of {MAX_FILE_BYTES} bytes")
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

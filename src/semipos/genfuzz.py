@@ -234,9 +234,9 @@ class CampaignResult:
         return self.failures == 0
 
 
-def _random_mixed_int_vector(rng: random.Random, n: int, bound: int = 5) -> Vector:
+def _random_mixed_int_vector(rng: random.Random, n: int) -> Vector:
     while True:
-        v = Vector([rng.randint(-bound, bound) for _ in range(n)])
+        v = Vector([rng.randint(-5, 5) for _ in range(n)])
         if v.has_mixed_signs():
             return v
 
@@ -275,8 +275,8 @@ def _random_not_inverse_nonneg(rng: random.Random, n: int, s: int) -> Matrix:
             return y
 
 
-def _random_row_positive(rng: random.Random, m: int, bound: int = 3) -> Matrix:
-    rows = [_random_nonzero_int_vector(rng, m, low=0, high=bound) for _ in range(m)]
+def _random_row_positive(rng: random.Random, m: int) -> Matrix:
+    rows = [_random_nonzero_int_vector(rng, m, low=0, high=3) for _ in range(m)]
     return Matrix(v.entries for v in rows)
 
 
@@ -288,14 +288,11 @@ def _forced_uniform_column_matrix(rng: random.Random, n: int) -> Matrix:
         row = [Fraction(rng.randint(0, 5)) for _ in range(n)]
         row[i] = sum(row[:i] + row[i + 1 :], Fraction(0)) + rng.randint(1, 5)
         rows.append(row)
-    dominant = Matrix(rows)
     while True:
         signs = [rng.choice((1, -1)) for _ in range(n)]
         if 1 in signs and -1 in signs:
             break
-    inv = Matrix(
-        [[dominant.entries[i][j] * signs[j] for j in range(n)] for i in range(n)]
-    )
+    inv = Matrix([[x * s for x, s in zip(row, signs)] for row in rows])
     return inv.inverse()
 
 
@@ -345,10 +342,9 @@ def _trial_build_pos(
     w = Vector([rng.randint(1, 5) for _ in range(n)])
     b = construct.build_pos(v, w)
     perm = construct.positive_first_permutation(v)
-    normalized = b @ permutation_matrix(perm).transpose()
-    triangular = all(
-        normalized.entries[i][j] == 0 for i in range(n) for j in range(i + 1, n)
-    ) and all(normalized.entries[i][i] != 0 for i in range(n))
+    normalized = (b @ permutation_matrix(perm).transpose()).entries
+    # lower triangular with a nonzero diagonal
+    triangular = all((normalized[i][j] != 0) == (i == j) for i in range(n) for j in range(i, n))
     if not (b.is_nonneg() and b.det() != 0 and b @ v == w and triangular):
         return f"v={v} w={w}"
     counts[f"positives-{sum(1 for x in v.entries if x > 0)}"] += 1
@@ -411,7 +407,7 @@ def _trial_msp_equivalence(
     must be outside the class by both the shape rule and the deletion oracle."""
     shapes = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (5, 4)]
     m, n = shapes[rng.randrange(len(shapes))]
-    a = _random_int_matrix(rng, m, n, bound=3)
+    a = _random_int_matrix(rng, m, n)
     fast = classify.is_minimally_semipositive(a)
     agree = fast == classify.msp_by_deletion(a)
     if a.is_square:
@@ -423,7 +419,7 @@ def _trial_msp_equivalence(
         return f"disagreement on\n{a}"
     wide_rng = cfg.rng("msp-wide", t)
     rows = wide_rng.randint(1, 4)
-    w = _random_int_matrix(wide_rng, rows, wide_rng.randint(rows + 1, 6), bound=3)
+    w = _random_int_matrix(wide_rng, rows, wide_rng.randint(rows + 1, 6))
     counts["wide"] += 1
     if classify.is_semipositive(w)[0]:
         counts["wide-sp"] += 1

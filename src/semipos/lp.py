@@ -190,8 +190,8 @@ def feasible_nonneg_bruteforce(a: Matrix, b: Vector) -> FeasibilityResult:
 
 def equality_feasible_nonneg_bruteforce(m: Matrix, c: Vector) -> FeasibilityResult:
     """Independent oracle for equality_feasible_nonneg via the inequality form."""
-    rows = [list(r) for r in m.entries] + [[-x for x in r] for r in m.entries]
-    rhs = list(c.entries) + [-x for x in c.entries]
+    rows = [[s * x for x in r] for s in (1, -1) for r in m.entries]
+    rhs = [s * x for s in (1, -1) for x in c.entries]
     res = feasible_nonneg_bruteforce(Matrix(rows), Vector(rhs))
     if not res.feasible:
         return FeasibilityResult(False)

@@ -382,15 +382,17 @@ def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
 def onto_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     """Does A -> X A Y map the minimally semipositive matrices onto themselves?
 
-    Decided on square spaces, and on spaces with fewer rows than columns,
-    where the class is empty (a vacuous yes, as for ``into_msp_preserver``).
+    Decided on square spaces, on a single column, where the class is the
+    semipositive one and ``into_msp_preserver`` gives ``into_sp_preserver``'s
+    verdict, and on spaces with fewer rows than columns, where the class is
+    empty (a vacuous yes, as for ``into_msp_preserver``).
     """
     rows, cols = lmap.space
     if rows < cols:
         return PreserverVerdict(Verdict.YES, REASON_EMPTY_CLASS)
-    if rows > cols:
+    if rows > cols >= 2:
         raise InvalidInputError(
-            "onto preservation of minimal semipositivity is not decided for rows > cols"
+            "onto preservation of minimal semipositivity is not decided for rows > cols >= 2"
         )
     return _onto(lmap, into_msp_preserver)
 

@@ -5,11 +5,11 @@ sign tests, comparisons, and equalities used elsewhere in the package are
 exact decisions.  Binary floating point never enters: decimal strings such
 as ``"0.5"`` are converted digit-exactly.
 
-A ``Matrix`` stores each row as integer numerators over one positive
-denominator, in lowest terms, and builds its ``Fraction`` entries only when
-they are read.  Products, elimination, sign tests and equality run on those
-integers: row i of X Y is x_i (L Y) / (d_i L), with L the lcm of Y's row
-denominators, reduced by one gcd per row.
+A ``Matrix`` is its rows, each integer numerators over one positive
+denominator, in lowest terms; its ``Fraction`` entries are built from them
+at each read and never kept.  Products, elimination, sign tests and equality
+run on those integers: row i of X Y is x_i (L Y) / (d_i L), with L the lcm of
+Y's row denominators, reduced by one gcd per row.
 
 One step, ``_pivot``, makes every fraction-free update, both here and in
 ``lp``'s simplex.  Each row is held as an integer scale times a reduced
@@ -27,7 +27,6 @@ bits.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
@@ -292,8 +291,8 @@ class Matrix:
     is in lowest terms, gcd(d_i, *nums_i) == 1, so a rational row has exactly
     one stored form and the generated ``==`` and ``hash`` mean value equality.
     Products, elimination, sign tests and equality run on these integers.
-    ``entries``, the grid of ``Fraction`` values, is built on its first read
-    and kept; ``Matrix(rows)`` keeps the grid it was given.
+    ``entries``, the grid of ``Fraction`` values, is built from them at each
+    read, so no matrix holds its value twice.
     """
 
     _dens: tuple[int, ...]
@@ -307,7 +306,6 @@ class Matrix:
         if any(len(row) != width for row in grid):
             raise DimensionError("rows have unequal lengths")
         self._store(_integer_row(row) for row in grid)
-        object.__setattr__(self, "entries", grid)
 
     def _store(self, rows: Iterable[_Row]) -> None:
         dens, nums = zip(*rows)
@@ -326,9 +324,9 @@ class Matrix:
         """The stored rows, each as (positive denominator, integer numerators)."""
         return zip(self._dens, self._nums)
 
-    @functools.cached_property
+    @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The grid of ``Fraction`` entries, built on the first read and kept."""
+        """The grid of ``Fraction`` entries, built at each read."""
         return tuple(_fractions(den, nums) for den, nums in self.integer_rows())
 
     def __repr__(self) -> str:
@@ -378,8 +376,6 @@ class Matrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    # row, col and [i, j] build only the entries they return, not the grid
 
     def row(self, i: int) -> Vector:
         return Vector(_fractions(self._dens[i], self._nums[i]))
@@ -560,6 +556,9 @@ def permutation_sign(perm: Sequence[int]) -> int:
 # caps on text input, so that no file can make the exact arithmetic run away
 MAX_DIM = 64
 MAX_ENTRY_BITS = 1024
+# a matrix file of MAX_DIM rows of MAX_DIM entries, each entry in at most
+# 2 * MAX_ENTRY_BITS characters and followed by one separator
+MAX_FILE_BYTES = MAX_DIM * MAX_DIM * (2 * MAX_ENTRY_BITS + 1)
 
 
 def _parse_entries(tokens: list[str]) -> list[Fraction]:

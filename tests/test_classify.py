@@ -222,21 +222,19 @@ def test_a_nonpositive_row_refutes_semipositivity_without_lp(monkeypatch):
         assert not lp.feasible_nonneg_bruteforce(a, ones_vector(m)).feasible
 
 
-def test_lp_and_sign_tests_leave_the_fraction_grid_unbuilt():
-    # a product keeps only its integer rows; reading ``entries`` would build
-    # the Fraction grid and cache it on the matrix
+def test_lp_and_sign_tests_leave_the_fraction_grid_unbuilt(entries_reads):
+    # they run on the integer rows; ``entries`` builds the Fraction grid anew
     a = Matrix([[0, "1/2", 0], [0, 0, 3], ["2/3", 0, 0]]) @ Matrix(
         [[1, 0, 0], [0, "1/5", 0], [0, 0, 7]]
     )
     rhs = Vector(["1/2", -3, "7/4"])
-    assert "entries" not in vars(a)
     assert not lp.feasible_nonneg(-a, rhs).feasible
     assert lp.feasible_nonneg(a, rhs).feasible
     assert not lp.equality_feasible_nonneg(a, rhs).feasible
     assert lp.equality_feasible_nonneg(a, ones_vector(3)).feasible
     assert classify.is_semipositive(a)[0] and not classify.is_semipositive(-a)[0]
     assert classify.is_monomial(a)
-    assert "entries" not in vars(a)
+    assert entries_reads == []
 
 
 def test_monomial_characterization():

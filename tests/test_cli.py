@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from semipos import cli
-from semipos.ratmat import Matrix, Vector, parse_rational
+from semipos.ratmat import MAX_FILE_BYTES, Matrix, Vector, parse_rational
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +107,7 @@ def test_preserver_exit_codes(capsys, tmp_path):
     m = write(tmp_path, "m.mat", "2 -1\n-1 2\n")
     # not a preserver ([[1,0],[10,0],[0,1]] maps to a zero row), but the tall search misses
     near = write(tmp_path, "near.mat", "1 -1/10 0\n0 1 0\n0 0 1\n")
+    y1 = write(tmp_path, "y1.mat", "1\n")
     for kind, x, y, code, reason in (
         ("into-sp", x3, id3, 1, "falsified"),
         ("into-sp", id3, id3, 0, "x-row-positive-y-inverse-nonnegative"),
@@ -117,6 +118,10 @@ def test_preserver_exit_codes(capsys, tmp_path):
         ("onto-msp", swap, id2, 0, "monomial-pair"),
         ("onto-msp", m, id2, 1, "inverse-not-into"),
         ("onto-msp", id2, id3, 0, "class-empty-on-wide-space"),
+        # on a single column, onto-msp is the onto-sp question
+        ("onto-msp", swap, y1, 0, "monomial-pair"),
+        ("onto-msp", ones, y1, 1, "x-singular"),
+        ("onto-msp", m, y1, 1, "falsified"),
     ):
         got, out, _ = run_cli(capsys, "preserver", kind, "--x", x, "--y", y)
         result = json.loads(out)["result"]
@@ -285,6 +290,17 @@ def test_oversized_input_is_an_input_error(capsys, tmp_path):
     assert "big.mat, line 2" in err and "1024 bits" in err
     code, _, err = run_cli(capsys, "build", "pos", "--v", " ".join(["1"] * 65), "--w", "1")
     assert code == 64 and "--v" in err and "cap of 64" in err
+    # a comment pads the file to exactly the byte cap, which is read and parsed
+    at_cap = tmp_path / "at_cap.mat"
+    at_cap.write_bytes(b"1\n#" + b"x" * (MAX_FILE_BYTES - 3))
+    code, out, _ = run_cli(capsys, "classify", str(at_cap))
+    assert code == 0 and json.loads(out)["inputs"]["matrix"]["shape"] == [1, 1]
+    over = tmp_path / "over.mat"
+    over.write_bytes(at_cap.read_bytes() + b"x")
+    for path in (str(over), "/dev/zero"):
+        code, out, err = run_cli(capsys, "classify", path)
+        assert code == 64 and out == "", path
+        assert f"{path}: longer than the cap of {MAX_FILE_BYTES} bytes" in err, path
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -93,9 +93,13 @@ def test_class_reports_match_golden():
     assert render() == GOLDEN.read_text()
 
 
-def test_golden_labels_match_the_oracles():
+def test_golden_labels_match_the_oracles(entries_reads):
     golden = json.loads(GOLDEN.read_text())
     for label, category, a in cases():
+        # the deciders run on the integer rows and never read the Fraction grid
+        entries_reads.clear()
+        classify.classify_all(a)
+        assert entries_reads == [], label
         verdicts = golden[label]["verdicts"]
         assert verdicts["semipositive"] is _sp(a), label
         assert verdicts["minimally_semipositive"] is (category == "msp"), label

@@ -144,6 +144,17 @@ def _rectangular_cases(cfg: genfuzz.GenConfig):
         }
         for cell, (x, y) in cells.items():
             yield f"into_msp-column-{cell}-{m}x1", "into_msp", x, y
+        # the onto question on a single column is the onto-SP one
+        mono = genfuzz.gen_monomial(m, cfg, ("column", m))
+        cells = {
+            "yes": (mono, Matrix([[2]])),
+            "yes-negated": (-mono, Matrix([[-1]])),
+            "row-positive": (r, Matrix([[2]])),
+            "y-zero": (r, Matrix([[0]])),
+            "x-negative-entry": (mixed, Matrix([[3]])),
+        }
+        for cell, (x, y) in cells.items():
+            yield f"onto_msp-column-{cell}-{m}x1", "onto_msp", x, y
     for m, n in TALL:
         rng = random.Random(f"golden:tall:{m}x{n}")
         z = genfuzz.gen_inverse_nonneg(n, cfg, ("tall", m, n))
@@ -248,6 +259,26 @@ def test_every_golden_verdict_inverts_each_matrix_at_most_once(monkeypatch):
         returned.clear()
         getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y))
     assert broken == []
+
+
+def test_a_verdict_without_the_tall_search_never_reads_the_fraction_grid(
+    monkeypatch, entries_reads
+):
+    """Verdicts run on integer rows; only the tall search's draws
+    (``genfuzz.iter_msp_mixture``) build a ``Fraction`` grid."""
+    searched = []
+    draws = genfuzz.iter_msp_mixture
+    monkeypatch.setattr(
+        genfuzz, "iter_msp_mixture", lambda *args: searched.append(args) or draws(*args)
+    )
+    read = []
+    for label, kind, x, y in cases():
+        searched.clear()
+        entries_reads.clear()
+        getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y))
+        if entries_reads and not searched:
+            read.append(label)
+    assert read == []
 
 
 def test_golden_covers_every_reason_and_note():

@@ -171,7 +171,19 @@ def test_onto_msp_examples():
     # the class is empty on a wide space, so every map sends it onto itself
     wide = preserver.onto_msp_preserver(_map(Matrix([[1, -2], [0, 0]]), -Matrix.identity(3)))
     assert (wide.status, wide.reason, wide.certificate) == (Verdict.YES, preserver.REASON_EMPTY_CLASS, None)
-    with pytest.raises(InvalidInputError):
+    # on a single column the class is the semipositive one: onto-SP's verdict
+    for x, y in (
+        (Matrix([[0, 2], [3, 0]]), Matrix([[1]])),
+        (Matrix([[-1, 0, 0], [0, 0, -2], [0, -1, 0]]), Matrix([[-5]])),
+        (Matrix([[1, 1], [0, 1]]), Matrix([[2]])),
+        (Matrix([[1, 1], [1, 1]]), Matrix([[1]])),
+        (Matrix([[2, -1], [-1, 2]]), Matrix([[1]])),
+        (Matrix.identity(3), Matrix([[0]])),
+    ):
+        column = preserver.onto_msp_preserver(_map(x, y))
+        assert column == preserver.onto_sp_preserver(_map(x, y))
+        assert column.certificate is None or column.certificate.verify()
+    with pytest.raises(InvalidInputError, match="not decided for rows > cols"):
         preserver.onto_msp_preserver(_map(Matrix.identity(3), Matrix.identity(2)))
 
 

@@ -547,28 +547,34 @@ def stored_form_matrices(seed, count, max_dim):
         yield Matrix([[Fraction(p, q)]])
 
 
-def assert_stored_as(m, expected):
-    """m holds the rational rows ``expected``, each in lowest terms over a
-    positive denominator, and equals (and hashes as) the same grid built
-    from Fractions.  Its rows, columns and entries read one by one match
-    too, and build no grid the matrix did not already hold."""
-    expected = tuple(tuple(Fraction(x) for x in row) for row in expected)
-    had_grid = "entries" in vars(m)
-    for i, row in enumerate(expected):
-        assert m.row(i).entries == row
-        assert all(type(m[i, j]) is Fraction and m[i, j] == x for j, x in enumerate(row))
-    assert all(m.col(j).entries == col for j, col in enumerate(zip(*expected)))
-    assert ("entries" in vars(m)) == had_grid
-    assert m.entries == expected and all(type(x) is Fraction for row in m.entries for x in row)
-    assert m.shape == (len(expected), len(expected[0]))
-    for (den, nums), row in zip(m.integer_rows(), expected, strict=True):
-        assert den > 0 and math.gcd(den, *nums) == 1, (den, nums)
-        assert tuple(Fraction(x, den) for x in nums) == row
-    built = Matrix(expected)
-    assert m == built and hash(m) == hash(built)
+@pytest.fixture
+def assert_stored_as(entries_reads):
+    """A check that m holds the rational rows ``expected``, each in lowest
+    terms over a positive denominator, and equals (and hashes as) the same
+    grid built from Fractions.  Its rows, columns and entries read one by one
+    match too, and never read the whole grid, which a read does not keep."""
+
+    def check(m, expected):
+        expected = tuple(tuple(Fraction(x) for x in row) for row in expected)
+        reads = len(entries_reads)
+        for i, row in enumerate(expected):
+            assert m.row(i).entries == row
+            assert all(type(m[i, j]) is Fraction and m[i, j] == x for j, x in enumerate(row))
+        assert all(m.col(j).entries == col for j, col in enumerate(zip(*expected)))
+        assert len(entries_reads) == reads
+        assert m.entries == expected and all(type(x) is Fraction for row in m.entries for x in row)
+        assert set(vars(m)) == {"_dens", "_nums"}
+        assert m.shape == (len(expected), len(expected[0]))
+        for (den, nums), row in zip(m.integer_rows(), expected, strict=True):
+            assert den > 0 and math.gcd(den, *nums) == 1, (den, nums)
+            assert tuple(Fraction(x, den) for x in nums) == row
+        built = Matrix(expected)
+        assert m == built and hash(m) == hash(built)
+
+    return check
 
 
-def test_stored_form_matches_plain_fraction_arithmetic():
+def test_stored_form_matches_plain_fraction_arithmetic(assert_stored_as):
     rng = random.Random("stored-form")
     for a in stored_form_matrices("stored-form", 150, max_dim=5):
         rows = [list(row) for row in a.entries]
