@@ -8,6 +8,14 @@ single JSON document on stdout (``--pretty`` switches to an aligned
 human-readable rendering); every rational is printed as an exact ``p/q``
 string, so reports round-trip losslessly through the text formats.
 
+Each handler imports the library modules it calls when it runs, so a command
+loads only those: ``classify`` and ``witness`` load ``classify`` (with ``lp``),
+``build`` and ``key1`` load ``construct``, ``preserver`` and ``falsify`` load
+``preserver`` (with ``classify`` and ``construct``), and ``genfuzz`` loads only
+for ``fuzz``, ``basis`` and the tall ``preserver into-msp`` search.  Each is
+imported as a module and its functions are looked up on it at call time, so a
+wrapper installed on a module attribute is seen.
+
 Exit codes: 0 for a yes/true verdict, 1 for no/false, 2 for unknown, 64 for
 malformed input (bad files, dimension mismatches, violated preconditions, a
 malformed command line), with a diagnostic on stderr naming the offending file
@@ -24,9 +32,8 @@ import json
 import os
 import sys
 import time
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from . import classify, construct, genfuzz, preserver
 from .ratmat import (
     MAX_FILE_BYTES,
     DimensionError,
@@ -38,6 +45,9 @@ from .ratmat import (
     parse_matrix_text,
     parse_vector_text,
 )
+
+if TYPE_CHECKING:
+    from . import classify, construct, preserver
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -52,11 +62,8 @@ _INPUT_ERRORS = (
     OSError,
 )
 
-_VERDICT_EXIT = {
-    preserver.Verdict.YES: EXIT_YES,
-    preserver.Verdict.NO: EXIT_NO,
-    preserver.Verdict.UNKNOWN: EXIT_UNKNOWN,
-}
+# keyed by the verdict's status value, so this table needs no ``preserver``
+_VERDICT_EXIT = {"yes": EXIT_YES, "no": EXIT_NO, "unknown": EXIT_UNKNOWN}
 
 # A subcommand handler takes the parsed arguments and the report's "inputs",
 # which it fills, and returns the report's "result" and the exit code.
@@ -199,16 +206,22 @@ def _emit(report: dict[str, Any], pretty: bool) -> None:
 
 
 def _classify(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    from . import classify
+
     matrix = _load_matrix(args.matrix, inputs, "matrix")
     return _report_dict(classify.classify_all(matrix)), EXIT_YES
 
 
 def _witness(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    from . import classify
+
     found, witness = classify.is_semipositive(_load_matrix(args.matrix, inputs, "matrix"))
     return {"semipositive": found, "witness": _strings(witness)}, EXIT_YES if found else EXIT_NO
 
 
 def _build(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    from . import construct
+
     v = parse_vector_text(args.v, source="--v")
     w = parse_vector_text(args.w, source="--w")
     inputs["v"], inputs["w"] = v.to_strings(), w.to_strings()
@@ -221,30 +234,38 @@ def _build(args: argparse.Namespace, inputs: Inputs) -> Handled:
 
 
 def _key1(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    from . import construct
+
     matrix = _load_matrix(args.matrix, inputs, "matrix")
     vec, path_taken = construct.mixed_sign_vector_with_path(matrix)
     return {"vector": _strings(vec), "path": path_taken, "image": _strings(matrix @ vec)}, EXIT_YES
 
 
 def _load_map(args: argparse.Namespace, inputs: Inputs) -> preserver.PreserverMap:
+    from . import preserver
+
     x = _load_matrix(args.x, inputs, "x")
     return preserver.PreserverMap(x, _load_matrix(args.y, inputs, "y"))
 
 
-# The verdict and falsifier functions are looked up on ``preserver`` at call
-# time, so a wrapper installed on the module (a tracer, a test double) is seen.
 def _preserver(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    from . import preserver
+
     decide = getattr(preserver, args.kind.replace("-", "_") + "_preserver")
     verdict = decide(_load_map(args, inputs))
-    return _verdict_dict(verdict), _VERDICT_EXIT[verdict.status]
+    return _verdict_dict(verdict), _VERDICT_EXIT[verdict.status.value]
 
 
 def _falsify(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    from . import preserver
+
     falsify = getattr(preserver, "falsify_" + args.kind.replace("-", "_"))
     return {"certificate": _certificate_dict(falsify(_load_map(args, inputs)))}, EXIT_YES
 
 
 def _fuzz(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    from . import genfuzz
+
     result = genfuzz.run_campaign(args.campaign, args.seed, args.trials)
     # notes is a tuple, which --pretty would print as its repr
     report = {**dataclasses.asdict(result), "notes": list(result.notes), "passed": result.passed}
@@ -252,9 +273,23 @@ def _fuzz(args: argparse.Namespace, inputs: Inputs) -> Handled:
 
 
 def _basis(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    from . import genfuzz
+
     inputs.update(m=args.m, n=args.n)
     found = genfuzz.msp_basis_search(args.m, args.n)
     return {"count": len(found), "matrices": [_strings(b) for b in found]}, EXIT_YES
+
+
+def _campaign(name: str) -> str:
+    """``fuzz``'s campaign argument: argparse builds every subparser on every
+    call, so ``genfuzz`` is imported here, when a campaign is parsed, and not
+    for a ``choices`` list."""
+    from . import genfuzz
+
+    if name not in genfuzz.CAMPAIGNS:
+        names = ", ".join(map(repr, sorted(genfuzz.CAMPAIGNS)))
+        raise argparse.ArgumentTypeError(f"invalid choice: {name!r} (choose from {names})")
+    return name
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -295,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", required=True)
 
     p = command("fuzz", _fuzz, "run a seeded verification campaign")
-    p.add_argument("campaign", choices=sorted(genfuzz.CAMPAIGNS))
+    p.add_argument("campaign", type=_campaign, help="an unknown name lists every campaign")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=None)
 

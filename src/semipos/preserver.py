@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from . import classify, genfuzz
+from . import classify
 from .construct import build_np, build_pos, mixed_sign_vector
 from .ratmat import (
     DimensionError,
@@ -350,7 +350,9 @@ def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     triggers a search of ``TALL_SEARCH_DRAWS`` matrices from
     ``genfuzz.iter_msp_mixture`` with seed ``TALL_SEARCH_SEED``: each draw
     becomes a candidate certificate, its ``verify()`` decides it, and the
-    first that passes is returned; failing that, "unknown".
+    first that passes is returned; failing that, "unknown".  The search is
+    this module's only use of ``genfuzz``, which is imported there, so every
+    other verdict leaves it unloaded.
     """
     rows, cols = lmap.space
 
@@ -371,6 +373,8 @@ def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
         return _yes(sign, REASON_TALL_PAIR)
     if lmap.y_inv is None:
         return _no(REASON_Y_SINGULAR, _lift(lmap, "y-singular-image-rank-deficient"))
+    from . import genfuzz
+
     cfg = genfuzz.GenConfig(TALL_SEARCH_SEED)
     for a in genfuzz.iter_msp_mixture(rows, cols, cfg, TALL_SEARCH_DRAWS):
         cert = _leaves(CLASS_MSP, lmap, a, "randomized-counterexample")

@@ -256,6 +256,20 @@ def test_help_still_exits_zero(capsys):
     assert "--pretty" in out and "--seed" not in out and "--trials" not in out
 
 
+def test_unknown_campaign_is_a_usage_error(capsys):
+    from semipos import genfuzz
+
+    code, out, err = run_cli(capsys, "fuzz", "no-such-campaign")
+    assert code == 64 and out == ""
+    assert "usage: semipos" in err and "'no-such-campaign'" in err
+    for name in genfuzz.CAMPAIGNS:
+        assert repr(name) in err, name
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["fuzz", "--help"])
+    assert exc.value.code == 0
+    assert "campaign" in capsys.readouterr().out
+
+
 def test_basis_needs_tall_nonempty_shape(capsys):
     for m, n in (("2", "0"), ("-1", "1"), ("17", "16")):
         code, out, err = run_cli(capsys, "basis", "--m", m, "--n", n)
@@ -385,3 +399,43 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["matrix"] == [["1", "0"], ["1", "1"]]
+
+
+# One cli.run in a fresh interpreter; prints its exit code and the sorted
+# semipos.* modules loaded by then.
+_LOADED_MODULES = """
+import contextlib, io, json, sys
+from semipos import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("semipos."))]))
+"""
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    id2 = write(tmp_path, "id2.mat", "1 0\n0 1\n")
+    lower = write(tmp_path, "lower.mat", "1 0\n1 1\n")
+    key = write(tmp_path, "key.mat", "1 0 0\n0 -1 0\n1 1 1\n")
+    # a 3x3 X on a 2x2 Y fails the tall pair condition, so into-msp searches
+    near = write(tmp_path, "near.mat", "1 -1/10 0\n0 1 0\n0 0 1\n")
+    base = {"semipos.cli", "semipos.ratmat"}
+    deciders = base | {"semipos.lp", "semipos.classify"}
+    builders = base | {"semipos.construct"}
+    verdicts = deciders | {"semipos.construct", "semipos.preserver"}
+    campaigns = deciders | {"semipos.construct", "semipos.genfuzz"}
+    for argv, code, loaded in (
+        (("classify", id2), 0, deciders),
+        (("witness", "sp", id2), 0, deciders),
+        (("build", "np", "--v", "1 -1", "--w", "1 1"), 0, builders),
+        (("key1", key), 0, builders),
+        (("preserver", "into-sp", "--x", id2, "--y", id2), 0, verdicts),
+        (("falsify", "into-msp", "--x", id2, "--y", lower), 0, verdicts),
+        (("fuzz", "build-np", "--trials", "2"), 0, campaigns),
+        (("basis", "--m", "2", "--n", "2"), 0, campaigns),
+        (("preserver", "into-msp", "--x", near, "--y", id2), 2, verdicts | {"semipos.genfuzz"}),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_MODULES, *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [code, sorted(loaded)], argv
