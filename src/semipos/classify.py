@@ -9,6 +9,15 @@ Minimal semipositivity has one route: semipositive with a nonnegative left
 inverse, and never for fewer rows than columns, which is decided from the
 shape before any LP.  ``msp_by_deletion`` checks the definition itself and
 serves only as an oracle for that route.
+
+Each kind of evidence has one checker, which multiplies, then sign-tests, and
+decides nothing (a shape that does not fit raises DimensionError):
+``is_sp_witness`` (x >= 0 with A x > 0, proving A semipositive),
+``is_nonneg_left_inverse`` (N >= 0 with N A = I, which with a witness proves A
+minimally semipositive) and ``is_msp_probe`` (u with a negative entry and
+A u >= 0, proving A has no nonnegative left inverse, so is not minimally
+semipositive).  The deciders check their own answers with them, and so do the
+preserver certificates and the generators.
 """
 
 from __future__ import annotations
@@ -44,6 +53,23 @@ class ClassReport:
     left_inv: Matrix | None = None
 
 
+def is_sp_witness(a: Matrix, x: Vector) -> bool:
+    """x >= 0 and A x > 0, which proves A semipositive."""
+    return (a @ x).is_positive() and x.is_nonneg()
+
+
+def is_nonneg_left_inverse(a: Matrix, n: Matrix) -> bool:
+    """N >= 0 and N A = I: with an SP witness, A is minimally semipositive
+    (Johnson, Kerr & Stanford 1994)."""
+    return n @ a == Matrix.identity(a.cols) and n.is_nonneg()
+
+
+def is_msp_probe(a: Matrix, u: Vector) -> bool:
+    """u has a negative entry and A u >= 0, so A is not minimally
+    semipositive: N >= 0 with N A = I would give u = N (A u) >= 0."""
+    return (a @ u).is_nonneg() and not u.is_nonneg()
+
+
 def is_semipositive(a: Matrix) -> tuple[bool, Vector | None]:
     """True iff some x >= 0 gives A x > 0; witness returned strictly positive.
 
@@ -66,8 +92,7 @@ def is_semipositive(a: Matrix) -> tuple[bool, Vector | None]:
     row_sum = max(Fraction(sum(map(abs, nums)), den) for den, nums in a.integer_rows())
     delta = Fraction(1, 2) / (1 + row_sum)
     strict = x + delta * ones_vector(a.cols)
-    ax = a @ strict
-    if not strict.is_positive() or not ax.is_positive():
+    if not strict.is_positive() or not is_sp_witness(a, strict):
         raise ArithmeticError("semipositivity witness perturbation failed")
     return True, strict
 
@@ -90,7 +115,7 @@ def has_nonneg_left_inverse(a: Matrix) -> tuple[bool, Matrix | None]:
             raise ArithmeticError("feasible LP result without a witness")
         n_rows.append(result.witness)
     n_mat = Matrix.from_rows(n_rows)
-    if not n_mat.is_nonneg() or n_mat @ a != Matrix.identity(a.cols):
+    if not is_nonneg_left_inverse(a, n_mat):
         raise ArithmeticError("left inverse verification failed")
     return True, n_mat
 

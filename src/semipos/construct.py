@@ -10,7 +10,8 @@
   nonnegative, a vector v with entries of both signs and X v >= 0.
 
 Each construction re-verifies its postconditions before returning, so a
-returned matrix is a checked certificate, not a trusted formula.
+returned matrix is a checked certificate, not a trusted formula.  The three
+builders share one check: B >= 0 of full row rank with B v = w.
 """
 
 from __future__ import annotations
@@ -173,11 +174,8 @@ def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
     tail, case3 = _np_tail_row(vp, wp)
     rows.append(tail)
 
-    b = q.transpose() @ Matrix(rows) @ p
-    if not b.is_nonneg() or b.det() == 0 or b @ v != w:
-        raise ArithmeticError("build_np postcondition check failed")
-    trace = NpCaseTrace(case1, tuple(cases2), case3, tuple(sigma), tuple(tau))
-    return b, trace
+    b = _checked(q.transpose() @ Matrix(rows) @ p, v, w, "build_np")
+    return b, NpCaseTrace(case1, tuple(cases2), case3, tuple(sigma), tuple(tau))
 
 
 def positive_first_permutation(v: Vector) -> tuple[int, ...]:
@@ -220,10 +218,7 @@ def build_pos(v: Vector, w: Vector) -> Matrix:
         else:
             cols.append(basis_vector(n, j))
 
-    b = Matrix.from_cols(cols) @ r
-    if not b.is_nonneg() or b.det() == 0 or b @ v != w:
-        raise ArithmeticError("build_pos postcondition check failed")
-    return b
+    return _checked(Matrix.from_cols(cols) @ r, v, w, "build_pos")
 
 
 def build_rect(v: Vector, w: Vector) -> Matrix:
@@ -244,9 +239,14 @@ def build_rect(v: Vector, w: Vector) -> Matrix:
         raise InvalidInputError(
             "need v with both signs, or v >= 0 nonzero together with w > 0"
         )
-    b = full.take_rows(m)
-    if not b.is_nonneg() or b.rank() != m or b @ v != w:
-        raise ArithmeticError("build_rect postcondition check failed")
+    return _checked(full.take_rows(m), v, w, "build_rect")
+
+
+def _checked(b: Matrix, v: Vector, w: Vector, name: str) -> Matrix:
+    """B, after checking B >= 0, B v = w and full row rank (for a square B,
+    det(B) != 0)."""
+    if not b.is_nonneg() or b @ v != w or b.rank() != b.rows:
+        raise ArithmeticError(f"{name} postcondition check failed")
     return b
 
 

@@ -124,7 +124,7 @@ def gen_sp_with_witness(
             rows.append([-v for v in row] if d < 0 else row)
             break
     a = Matrix(rows)
-    if not (a @ x).is_positive():
+    if not classify.is_sp_witness(a, x):
         raise ArithmeticError("planted witness lost")
     return a, x
 
@@ -151,7 +151,7 @@ def gen_msp(m: int, n: int, cfg: GenConfig, index: object = 0) -> Matrix:
                 break
     a = Matrix(rows)
     witness = dominant @ ones_vector(n)
-    if not witness.is_positive() or not (a @ witness).is_positive():
+    if not witness.is_positive() or not classify.is_sp_witness(a, witness):
         raise ArithmeticError("minimally semipositive sample lost its witness")
     return a
 
@@ -207,9 +207,8 @@ def msp_basis_search(m: int, n: int) -> list[Matrix]:
                 left[i][j] -= Fraction(s, 1 + s * (i == j))
             a, left = Matrix(rows), Matrix(left)
             if not (
-                left.is_nonneg()
-                and left @ a == Matrix.identity(n)
-                and (a @ (left @ ones_vector(m))).is_positive()
+                classify.is_nonneg_left_inverse(a, left)
+                and classify.is_sp_witness(a, left @ ones_vector(m))
             ):
                 raise ArithmeticError(f"member ({i}, {j}) failed its MSP self-check")
             family.append(a)

@@ -131,7 +131,8 @@ def feasible_nonneg(a: Matrix, b: Vector) -> FeasibilityResult:
     if z is None:
         return FeasibilityResult(False)
     x = Vector(z[: a.cols])
-    _check_witness_ge(a, x, b)
+    if not x.is_nonneg() or any(ax < bi for ax, bi in zip(a @ x, b)):
+        raise ArithmeticError("simplex produced an invalid witness")
     return FeasibilityResult(True, x)
 
 
@@ -146,14 +147,6 @@ def equality_feasible_nonneg(m: Matrix, c: Vector) -> FeasibilityResult:
     if not y.is_nonneg() or m @ y != c:
         raise ArithmeticError("simplex produced an invalid witness")
     return FeasibilityResult(True, y)
-
-
-def _check_witness_ge(a: Matrix, x: Vector, b: Vector) -> None:
-    if not x.is_nonneg():
-        raise ArithmeticError("simplex witness violates x >= 0")
-    ax = a @ x
-    if any(ax[i] < b[i] for i in range(b.dim)):
-        raise ArithmeticError("simplex witness violates A x >= b")
 
 
 # -- brute-force oracle (vertex enumeration) ----------------------------------

@@ -9,7 +9,8 @@ so the falsifiers are checked constructions rather than trusted formulas.
 Every construction but the tall search stores the evidence it already holds
 for A's membership: a semipositivity witness x >= 0 with A x > 0 and, for the
 minimally semipositive class, a nonnegative left inverse N with N A = I.  The
-check multiplies the evidence out and never re-decides A with an LP; evidence
+check multiplies the evidence out with ``classify.is_sp_witness`` and
+``classify.is_nonneg_left_inverse`` and never re-decides A with an LP; evidence
 that fails fails the certificate, a semipositive A must carry its witness, and
 only a minimally semipositive A without evidence (a search draw, or one built
 by hand) is decided by the classify decider.  One helper, ``_leaves``, builds
@@ -21,11 +22,12 @@ positive entry, so y = e_p gives y^T (X A Y) <= 0 and the check refutes the
 image by that row sign alone (Ville 1938).  A matrix is minimally
 semipositive iff it is semipositive with a nonnegative left inverse N
 (Johnson, Kerr & Stanford 1994).  When the certificate stores a probe u with
-a negative entry and a nonnegative image X A Y u, the check needs nothing
-more, on any shape: N >= 0 with N (X A Y) = I would give u = N (X A Y u) >=
-0.  A minimally semipositive image without such a probe goes through the
-classify decider, and a singular one fails there on its rank before any LP,
-so the check inverts no matrix and only the search's draws reach an LP.
+a negative entry and a nonnegative image X A Y u (``classify.is_msp_probe``),
+the check needs nothing more, on any shape: N >= 0 with N (X A Y) = I would
+give u = N (X A Y u) >= 0.  A minimally semipositive image without such a
+probe goes through the classify decider, and a singular one fails there on
+its rank before any LP, so the check inverts no matrix and only the search's
+draws reach an LP.
 
 On a single column the two classes coincide (an m x 1 matrix is in either one
 iff it is a positive column), so into-preservation of minimal semipositivity
@@ -154,23 +156,27 @@ class FalsifyCertificate:
     probe_image exhibits the violation directly.  A semipositive image is
     refuted by a row with no positive entry, and fails verification without
     one.  For the minimally semipositive class, a probe with a negative entry
-    and a nonnegative probe_image proves it alone, on any shape: a left
-    inverse N >= 0 of the image would give u = N probe_image >= 0.  Otherwise
-    the image goes through ``classify.is_minimally_semipositive``.
+    and a nonnegative probe_image (``classify.is_msp_probe``) proves it alone,
+    on any shape: a left inverse N >= 0 of the image would give u = N
+    probe_image >= 0.  Otherwise the image goes through
+    ``classify.is_minimally_semipositive``.
 
     kind "no-preimage": ``a`` is in the class but x M y = a has no solution M,
     witnessed by a left-null vector q of x (stored as probe_image) with
     q^T a != 0; ``a`` is z 1^T y for the vector z stored as probe.
 
     ``a``'s membership is proved by the evidence its construction holds, by
-    multiplication only: a ``witness`` x >= 0 with a x > 0 proves it
-    semipositive, and together with a ``left_inverse`` N >= 0 with N a = I it
-    proves it minimally semipositive, square or tall (Johnson, Kerr & Stanford
-    1994).  Evidence that is present but fails (or lacks the left inverse a
-    minimally semipositive claim needs) makes ``verify()`` False, and so does
-    a semipositive claim without its witness; only a minimally semipositive
-    certificate without evidence (the tall search's draws) has ``a`` decided
-    by ``classify.is_minimally_semipositive``.
+    multiplication only: a ``witness`` x >= 0 with a x > 0
+    (``classify.is_sp_witness``) proves it semipositive, and together with a
+    ``left_inverse`` N >= 0 with N a = I (``classify.is_nonneg_left_inverse``)
+    it proves it minimally semipositive, square or tall (Johnson, Kerr &
+    Stanford 1994).  Evidence that is present but fails (or lacks the left
+    inverse a minimally semipositive claim needs) makes ``verify()`` False,
+    and so does a semipositive claim without its witness; only a minimally
+    semipositive certificate without evidence (the tall search's draws) has
+    ``a`` decided by ``classify.is_minimally_semipositive``.  A
+    ``class_name`` other than ``CLASS_SP`` and ``CLASS_MSP`` makes
+    ``verify()`` False.
     """
 
     kind: str
@@ -205,6 +211,8 @@ class FalsifyCertificate:
         return proved
 
     def _verify(self) -> bool:
+        if self.class_name not in (CLASS_SP, CLASS_MSP):
+            return False
         if self.kind == "image-leaves-class":
             image, u, image_u = self.image, self.probe, self.probe_image
             if image is None or image != self.x @ self.a @ self.y:
@@ -215,8 +223,7 @@ class FalsifyCertificate:
                 # y = e_p of a row p with no positive entry: y^T image <= 0
                 if not image.has_nonpositive_row():
                     return False
-            # N >= 0 with N image = I would give u = N (image u) >= 0
-            elif u is None or not image_u.is_nonneg() or u.is_nonneg():
+            elif u is None or not classify.is_msp_probe(image, u):
                 if classify.is_minimally_semipositive(image):
                     return False
         elif self.kind == "no-preimage":
@@ -241,11 +248,11 @@ class FalsifyCertificate:
         x, n, a = self.witness, self.left_inverse, self.a
         if x is None and n is None and self.class_name == CLASS_MSP:
             return classify.is_minimally_semipositive(a)
-        if x is None or not x.is_nonneg() or not (a @ x).is_positive():
+        if x is None or not classify.is_sp_witness(a, x):
             return False
         if self.class_name == CLASS_SP:
             return True
-        return n is not None and n.is_nonneg() and n @ a == Matrix.identity(a.cols)
+        return n is not None and classify.is_nonneg_left_inverse(a, n)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,67 @@ EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
 ONES_2 = Matrix([[1, 1], [1, 1]])
 
 
+# each checker's table: one accepted case, then each condition failing on its own
+SP_WITNESS_A = Matrix([[1, -2], [1, 3]])
+LEFT_INVERSE_A = Matrix([[1, 0], [0, 1], [1, 1]])
+PROBE_A = Matrix([[1, 1], [0, 1]])
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        pytest.param(Vector([1, 0]), True, id="accepted"),
+        # A x = (6, 1) > 0, but x has a negative entry
+        pytest.param(Vector([4, -1]), False, id="x-not-nonnegative"),
+        # x >= 0, but (A x)_0 = -2
+        pytest.param(Vector([0, 1]), False, id="ax-negative"),
+        # x >= 0, but A x = 0
+        pytest.param(Vector([0, 0]), False, id="ax-zero"),
+    ],
+)
+def test_sp_witness_table(x, expected):
+    assert classify.is_sp_witness(SP_WITNESS_A, x) is expected
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        pytest.param(Matrix([[1, 0, 0], [0, 1, 0]]), True, id="accepted"),
+        # N A = I, but N has a negative entry
+        pytest.param(Matrix([[0, -1, 1], [0, 1, 0]]), False, id="n-not-nonnegative"),
+        # N >= 0, but N A != I
+        pytest.param(Matrix([[2, 0, 0], [0, 1, 0]]), False, id="na-not-identity"),
+        # N >= 0, but N A is 3x2
+        pytest.param(Matrix.identity(3), False, id="na-too-tall"),
+    ],
+)
+def test_left_inverse_table(n, expected):
+    assert classify.is_nonneg_left_inverse(LEFT_INVERSE_A, n) is expected
+
+
+@pytest.mark.parametrize(
+    "u, expected",
+    [
+        pytest.param(Vector([-1, 1]), True, id="accepted"),
+        # A u >= 0, but u has no negative entry
+        pytest.param(Vector([1, 0]), False, id="u-nonnegative"),
+        # u has a negative entry, but (A u)_1 = -1
+        pytest.param(Vector([1, -1]), False, id="au-negative"),
+    ],
+)
+def test_msp_probe_table(u, expected):
+    assert classify.is_msp_probe(PROBE_A, u) is expected
+
+
+def test_each_checker_raises_on_a_shape_that_does_not_fit():
+    with pytest.raises(DimensionError):
+        classify.is_sp_witness(SP_WITNESS_A, Vector([1, 0, 0]))
+    with pytest.raises(DimensionError):
+        classify.is_nonneg_left_inverse(LEFT_INVERSE_A, Matrix.identity(2))
+    with pytest.raises(DimensionError):
+        classify.is_msp_probe(PROBE_A, Vector([-1, 1, 0]))
+
+
 def test_semipositive_identity():
     ok, witness = classify.is_semipositive(Matrix.identity(3))
     assert ok and witness.is_positive()
@@ -299,3 +360,27 @@ def test_feasible_left_inverse_row_without_witness_raises(monkeypatch):
     )
     with pytest.raises(ArithmeticError, match="witness"):
         classify.has_nonneg_left_inverse(Matrix.identity(2))
+
+
+def test_a_witness_that_fails_its_check_raises(monkeypatch):
+    # no row of A is nonpositive, so the LP runs; a zero x, nudged to x + 1/24,
+    # has A x < 0
+    monkeypatch.setattr(lp, "feasible_nonneg", lambda a, b: lp.FeasibilityResult(True, Vector([0, 0])))
+    with pytest.raises(ArithmeticError, match="perturbation failed"):
+        classify.is_semipositive(Matrix([[1, -10], [-10, 1]]))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        pytest.param(([0, -1, 1], [0, 1, 0]), id="n-not-nonnegative"),
+        pytest.param(([1, 0, 0], [1, 1, 0]), id="na-not-identity"),
+    ],
+)
+def test_a_left_inverse_that_fails_its_check_raises(monkeypatch, rows):
+    def row(m, c):
+        return lp.FeasibilityResult(True, Vector(rows[c[1] == 1]))
+
+    monkeypatch.setattr(lp, "equality_feasible_nonneg", row)
+    with pytest.raises(ArithmeticError, match="left inverse verification failed"):
+        classify.has_nonneg_left_inverse(LEFT_INVERSE_A)

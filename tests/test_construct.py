@@ -156,6 +156,38 @@ def test_build_rect_preconditions():
         construct.build_rect(Vector([-1, -1, 0]), Vector([1]))  # v <= 0
 
 
+@pytest.mark.parametrize(
+    "builder, v, w, helper, bad",
+    [
+        # a zero tail row: B = [[1, 0], [0, 0]] is singular and B v = (1, 0)
+        pytest.param(
+            "build_np", [1, -1], [1, 1], "_np_tail_row", lambda vp, wp: ([0, 0], "a"), id="np-zero-row"
+        ),
+        # B = [[2, 0], [2, 1]] is nonnegative and invertible, but B v = (2, 1)
+        pytest.param(
+            "build_np", [1, -1], [1, 1], "_np_head_row", lambda vp, wp: ([2, 0], "a"), id="np-image"
+        ),
+        # zero columns past the first: B = [[1, 0], [1, 0]] >= 0 with B v = w, but singular
+        pytest.param(
+            "build_pos", [1, 0], [1, 1], "basis_vector", lambda n, j: Vector([0] * n), id="pos-rank"
+        ),
+        # the top row [6, 1, -1] has full row rank and maps v to 5, but is not >= 0
+        pytest.param(
+            "build_rect",
+            [1, -1, 0],
+            [5],
+            "build_np",
+            lambda v, w: (Matrix([[6, 1, -1], [0, 1, 0], [0, 0, 1]]), None),
+            id="rect-sign",
+        ),
+    ],
+)
+def test_a_builder_rejects_a_bad_result(monkeypatch, builder, v, w, helper, bad):
+    monkeypatch.setattr(construct, helper, bad)
+    with pytest.raises(ArithmeticError, match=f"{builder} postcondition check failed"):
+        getattr(construct, builder)(Vector(v), Vector(w))
+
+
 def test_mixed_sign_vector_column_path():
     x = Matrix([[1, 0, 0], [0, -1, 0], [1, 1, 1]])
     v, path = construct.mixed_sign_vector_with_path(x)

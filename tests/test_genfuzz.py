@@ -95,6 +95,36 @@ def test_iter_msp_mixture_all_members():
     assert all(classify.msp_by_deletion(a) for a in samples)
 
 
+def test_a_lost_planted_witness_raises(monkeypatch):
+    # every row is drawn with a positive product with the planted x; negated, none has
+    monkeypatch.setattr(genfuzz, "Matrix", lambda rows: -Matrix(rows))
+    with pytest.raises(ArithmeticError, match="planted witness lost"):
+        genfuzz.gen_sp_with_witness(2, 2, CFG)
+
+
+@pytest.mark.parametrize(
+    "top, dominant",
+    [
+        # x = 1 > 0, but A x < 0
+        pytest.param(-Matrix.identity(2), Matrix.identity(2), id="ax-negative"),
+        # A x > 0, but x = (1, 0) is not strictly positive
+        pytest.param(Matrix([[1, 0], [1, 0]]), Matrix([[1, 0], [0, 0]]), id="x-not-positive"),
+    ],
+)
+def test_a_lost_msp_witness_raises(monkeypatch, top, dominant):
+    # the witness is dominant @ 1; on a square shape A is the top block alone
+    monkeypatch.setattr(genfuzz, "gen_inverse_nonneg_with_inverse", lambda n, cfg, index: (top, dominant))
+    with pytest.raises(ArithmeticError, match="lost its witness"):
+        genfuzz.gen_msp(2, 2, CFG)
+
+
+def test_a_basis_member_that_fails_its_check_raises(monkeypatch):
+    # negating both A and its left inverse N keeps N A = I, but N is not >= 0
+    monkeypatch.setattr(genfuzz, "Matrix", lambda rows: -Matrix(rows))
+    with pytest.raises(ArithmeticError, match=r"member \(0, 0\) failed its MSP self-check"):
+        genfuzz.msp_basis_search(2, 2)
+
+
 def test_run_campaign_rejects_unknown_name():
     with pytest.raises(InvalidInputError):
         genfuzz.run_campaign("no-such-campaign", seed=0)

@@ -80,6 +80,25 @@ def test_equality_bruteforce_rejects_a_bad_witness(monkeypatch):
         lp.equality_feasible_nonneg_bruteforce(Matrix([[1]]), Vector([1]))
 
 
+@pytest.mark.parametrize(
+    "solve, z",
+    [
+        # A x = 2 >= 1, but x has a negative entry (z ends with the surplus)
+        pytest.param(lp.feasible_nonneg, [-1, 3, 0], id="ge-x-not-nonnegative"),
+        # x >= 0, but A x = 0 < 1
+        pytest.param(lp.feasible_nonneg, [0, 0, 0], id="ge-ax-below-b"),
+        # M y = 1, but y has a negative entry
+        pytest.param(lp.equality_feasible_nonneg, [-1, 2], id="eq-y-not-nonnegative"),
+        # y >= 0, but M y = 0 != 1
+        pytest.param(lp.equality_feasible_nonneg, [0, 0], id="eq-my-not-c"),
+    ],
+)
+def test_a_bad_simplex_witness_raises(monkeypatch, solve, z):
+    monkeypatch.setattr(lp, "_phase1", lambda rows, rhs: [Fraction(v) for v in z])
+    with pytest.raises(ArithmeticError, match="invalid witness"):
+        solve(Matrix([[1, 1]]), Vector([1]))
+
+
 def _system(rng, family, m, n):
     """(A, b) with m rows and n columns.  "small": integers in -3..3.
     "rational": row i over its own denominator, drawn without repeats up to

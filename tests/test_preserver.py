@@ -361,6 +361,16 @@ def test_bad_certificate_is_rejected():
         assert tampered.verify() is False and not tampered.verified
 
 
+def test_a_certificate_of_an_unknown_class_is_rejected():
+    leaves = preserver.into_msp_preserver(_map(Matrix([[1, 1], [0, 1]]), Matrix.identity(2))).certificate
+    no_preimage = preserver.onto_sp_preserver(_map(ONES_2, Matrix.identity(2))).certificate
+    for cert in (leaves, no_preimage):
+        assert dataclasses.replace(cert).verify()
+        for name in ("no-such-class", ""):
+            tampered = dataclasses.replace(cert, class_name=name)
+            assert tampered.verify() is False and not tampered.verified
+
+
 FALSIFIER_NOTES = {
     "zero-row",
     "mixed-row",
