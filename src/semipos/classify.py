@@ -18,6 +18,10 @@ minimally semipositive) and ``is_msp_probe`` (u with a negative entry and
 A u >= 0, proving A has no nonnegative left inverse, so is not minimally
 semipositive).  The deciders check their own answers with them, and so do the
 preserver certificates and the generators.
+
+``lp`` is imported inside the two deciders that solve an LP,
+``is_semipositive`` and ``has_nonneg_left_inverse``, so a caller that only
+checks evidence (the square preserver verdicts) never loads it.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp
 from .ratmat import (
     DimensionError,
     Matrix,
@@ -83,6 +86,8 @@ def is_semipositive(a: Matrix) -> tuple[bool, Vector | None]:
     """
     if a.has_nonpositive_row():
         return False, None
+    from . import lp
+
     result = lp.feasible_nonneg(a, ones_vector(a.rows))
     if not result.feasible:
         return False, None
@@ -105,6 +110,8 @@ def has_nonneg_left_inverse(a: Matrix) -> tuple[bool, Matrix | None]:
     """
     if a.rows < a.cols:
         raise DimensionError("a left inverse needs rows >= cols")
+    from . import lp
+
     at = a.transpose()
     n_rows: list[Vector] = []
     for j in range(a.cols):

@@ -11,10 +11,11 @@ string, so reports round-trip losslessly through the text formats.
 Each handler imports the library modules it calls when it runs, so a command
 loads only those: ``classify`` and ``witness`` load ``classify`` (with ``lp``),
 ``build`` and ``key1`` load ``construct``, ``preserver`` and ``falsify`` load
-``preserver`` (with ``classify`` and ``construct``), and ``genfuzz`` loads only
-for ``fuzz``, ``basis`` and the tall ``preserver into-msp`` search.  Each is
-imported as a module and its functions are looked up on it at call time, so a
-wrapper installed on a module attribute is seen.
+``preserver`` (with ``classify`` and ``construct``), and ``genfuzz`` and ``lp``
+load there only for the tall ``preserver into-msp`` search, whose draws are
+decided by an LP; ``genfuzz`` loads otherwise only for ``fuzz`` and ``basis``.
+Each is imported as a module and its functions are looked up on it at call
+time, so a wrapper installed on a module attribute is seen.
 
 Exit codes: 0 for a yes/true verdict, 1 for no/false, 2 for unknown, 64 for
 malformed input (bad files, dimension mismatches, violated preconditions, a
@@ -97,6 +98,8 @@ def _strings(value: Vector | Matrix | None) -> list[Any] | None:
 def _certificate_dict(cert: preserver.FalsifyCertificate | None) -> dict[str, Any] | None:
     if cert is None:
         return None
+    # verify() first: it stores the image of a certificate built without one
+    verified = cert.verified or cert.verify()
     return {
         "kind": cert.kind,
         "class": cert.class_name,
@@ -107,7 +110,7 @@ def _certificate_dict(cert: preserver.FalsifyCertificate | None) -> dict[str, An
         "probe": _strings(cert.probe),
         "probe_image": _strings(cert.probe_image),
         "note": cert.note,
-        "verified": cert.verified or cert.verify(),
+        "verified": verified,
     }
 
 

@@ -26,7 +26,6 @@ from .ratmat import (
     SingularMatrixError,
     Vector,
     basis_vector,
-    permutation_matrix,
 )
 
 _ZERO = Fraction(0)
@@ -143,9 +142,10 @@ def _np_tail_row(vp: Vector, wp: Vector) -> tuple[list[Fraction], str]:
 def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
     """Nonnegative invertible B with B v = w, for mixed-sign v and nonzero w.
 
-    The construction works on reordered copies of v and w and is undone by
-    conjugating with the recorded permutations, so the returned B acts on the
-    original coordinates.
+    The construction works on reordered copies of v and w, entry k of each
+    being entry sigma[k] of v and tau[k] of w, and entry (k, l) of the
+    normalized rows is placed at (tau[k], sigma[l]), so the returned B acts
+    on the original coordinates.
     """
     if v.dim != w.dim:
         raise InvalidInputError("v and w must have the same dimension")
@@ -158,10 +158,8 @@ def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
         raise InvalidInputError("w must be nonzero")
 
     sigma, tau = _np_permutations(v, w)
-    p = permutation_matrix(sigma)
-    q = permutation_matrix(tau)
-    vp = p @ v
-    wp = q @ w
+    vp = Vector(v[i] for i in sigma)
+    wp = Vector(w[i] for i in tau)
 
     rows: list[list[Fraction]] = []
     head, case1 = _np_head_row(vp, wp)
@@ -174,7 +172,11 @@ def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
     tail, case3 = _np_tail_row(vp, wp)
     rows.append(tail)
 
-    b = _checked(q.transpose() @ Matrix(rows) @ p, v, w, "build_np")
+    grid = [[0] * n for _ in range(n)]
+    for i, row in zip(tau, rows):
+        for j, x in zip(sigma, row):
+            grid[i][j] = x
+    b = _checked(Matrix(grid), v, w, "build_np")
     return b, NpCaseTrace(case1, tuple(cases2), case3, tuple(sigma), tuple(tau))
 
 
@@ -192,7 +194,8 @@ def build_pos(v: Vector, w: Vector) -> Matrix:
     lower triangular with nonzero diagonal: the first column carries all of w
     scaled by the leading entry of v (halved on the other positive positions),
     the remaining positive positions get diagonal entries, and the zero
-    positions get identity columns.
+    positions get identity columns.  Column l of that triangular matrix is
+    column sigma[l] of the returned B.
     """
     if v.dim != w.dim:
         raise InvalidInputError("v and w must have the same dimension")
@@ -202,8 +205,7 @@ def build_pos(v: Vector, w: Vector) -> Matrix:
         raise InvalidInputError("w must be strictly positive")
 
     sigma = positive_first_permutation(v)
-    r = permutation_matrix(sigma)
-    vp = r @ v
+    vp = Vector(v[i] for i in sigma)
     n = v.dim
     k = sum(1 for x in vp.entries if x > 0)
 
@@ -217,8 +219,11 @@ def build_pos(v: Vector, w: Vector) -> Matrix:
             cols.append((w[j] / (2 * vp[j])) * basis_vector(n, j))
         else:
             cols.append(basis_vector(n, j))
+    placed = cols[:]
+    for j, col in zip(sigma, cols):
+        placed[j] = col
 
-    return _checked(Matrix.from_cols(cols) @ r, v, w, "build_pos")
+    return _checked(Matrix.from_cols(placed), v, w, "build_pos")
 
 
 def build_rect(v: Vector, w: Vector) -> Matrix:

@@ -14,8 +14,11 @@ check multiplies the evidence out with ``classify.is_sp_witness`` and
 that fails fails the certificate, a semipositive A must carry its witness, and
 only a minimally semipositive A without evidence (a search draw, or one built
 by hand) is decided by the classify decider.  One helper, ``_leaves``, builds
-every certificate of the first kind: it forms the image X A Y of the class
-member A.
+every certificate of the first kind, with no image: ``verify()`` is the only
+place the image X A Y of the class member A is formed, once a check.  It
+compares a stored image with that product and stores the product in a
+certificate built without one, so a search draw that stays in the class costs
+one X A Y, not two.
 
 Every semipositivity counterexample has an image with a row p that has no
 positive entry, so y = e_p gives y^T (X A Y) <= 0 and the check refutes the
@@ -151,15 +154,17 @@ def apply(lmap: PreserverMap, a: Matrix) -> Matrix:
 class FalsifyCertificate:
     """Evidence that the map (x, y) fails to preserve the named class.
 
-    kind "image-leaves-class": ``a`` is in the class, ``image`` equals
-    x @ a @ y and is not; optionally a probe vector u with image @ u =
-    probe_image exhibits the violation directly.  A semipositive image is
-    refuted by a row with no positive entry, and fails verification without
-    one.  For the minimally semipositive class, a probe with a negative entry
-    and a nonnegative probe_image (``classify.is_msp_probe``) proves it alone,
-    on any shape: a left inverse N >= 0 of the image would give u = N
-    probe_image >= 0.  Otherwise the image goes through
-    ``classify.is_minimally_semipositive``.
+    kind "image-leaves-class": ``a`` is in the class and its image x @ a @ y
+    is not.  ``verify()`` forms x @ a @ y once: a stored ``image`` must equal
+    it, and a certificate built with ``image=None`` (every verdict's is) has
+    the product stored there, the way ``verified`` is set.  Optionally a
+    probe vector u with image @ u = probe_image exhibits the violation
+    directly.  A semipositive image is refuted by a row with no positive
+    entry, and fails verification without one.  For the minimally
+    semipositive class, a probe with a negative entry and a nonnegative
+    probe_image (``classify.is_msp_probe``) proves it alone, on any shape: a
+    left inverse N >= 0 of the image would give u = N probe_image >= 0.
+    Otherwise the image goes through ``classify.is_minimally_semipositive``.
 
     kind "no-preimage": ``a`` is in the class but x M y = a has no solution M,
     witnessed by a left-null vector q of x (stored as probe_image) with
@@ -184,7 +189,8 @@ class FalsifyCertificate:
     x: Matrix
     y: Matrix
     a: Matrix
-    image: Matrix | None = None
+    # left out of the hash, so filling it in verify() keeps the hash
+    image: Matrix | None = field(default=None, hash=False)
     probe: Vector | None = None
     probe_image: Vector | None = None
     note: str = ""
@@ -200,7 +206,8 @@ class FalsifyCertificate:
 
         The image side is checked before ``a``'s membership, so a search
         candidate whose image stays in the class costs one membership test.
-        Passing sets ``verified``, the only place that mark is set.
+        Passing sets ``verified``, the only place that mark is set; forming
+        the image stores it when the certificate holds none.
         """
         try:
             proved = self._verify()
@@ -214,8 +221,11 @@ class FalsifyCertificate:
         if self.class_name not in (CLASS_SP, CLASS_MSP):
             return False
         if self.kind == "image-leaves-class":
-            image, u, image_u = self.image, self.probe, self.probe_image
-            if image is None or image != self.x @ self.a @ self.y:
+            image = self.x @ self.a @ self.y
+            u, image_u = self.probe, self.probe_image
+            if self.image is None:
+                object.__setattr__(self, "image", image)
+            elif self.image != image:
                 return False
             if u is not None and (image_u is None or image @ u != image_u):
                 return False
@@ -634,15 +644,14 @@ def _leaves(
 ) -> FalsifyCertificate:
     """The certificate, not yet verified, that A is in the class and X A Y is
     not, with the evidence of A's membership its construction holds; the "no"
-    verdict that carries it verifies it."""
-    x, y = lmap.x, lmap.y
+    verdict that carries it verifies it, which forms and stores the image."""
     return FalsifyCertificate(
         "image-leaves-class",
         class_name,
-        x,
-        y,
+        lmap.x,
+        lmap.y,
         a,
-        x @ a @ y,
+        None,
         probe,
         probe_image,
         note,

@@ -7,7 +7,10 @@ as ``"0.5"`` are converted digit-exactly.
 
 A ``Matrix`` is its rows, each integer numerators over one positive
 denominator, in lowest terms; its ``Fraction`` entries are built from them
-at each read and never kept.  Products, elimination, sign tests and equality
+at each read and never kept.  An ``int`` entry given to the constructor is
+stored as its own numerator over 1 with no ``Fraction`` built; a ``bool``, a
+``float`` or any other entry goes through ``rat``, so ``True`` is 1 and a
+float is refused.  Products, elimination, sign tests and equality
 run on those integers: row i of X Y is x_i (L Y) / (d_i L), with L the lcm of
 Y's row denominators, reduced by one gcd per row.
 
@@ -150,8 +153,9 @@ class Vector:
         return " ".join(self.to_strings())
 
 
-def _integer_row(row: Sequence[Fraction]) -> _Row:
-    """(lcm of the row's denominators, the row times that lcm).
+def _integer_row(row: Sequence[Fraction | int]) -> _Row:
+    """(lcm of the row's denominators, the row times that lcm); an ``int`` is
+    its own numerator over 1.
 
     For reduced fractions the pair is in lowest terms: a prime p with p^k
     exactly dividing the lcm divides some denominator b exactly k times, so p
@@ -299,7 +303,7 @@ class Matrix:
     _nums: tuple[tuple[int, ...], ...]
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
-        grid = tuple(tuple(rat(x) for x in row) for row in rows)
+        grid = tuple(tuple(x if type(x) is int else rat(x) for x in row) for row in rows)
         if not grid or not grid[0]:
             raise DimensionError("a matrix needs at least one row and one column")
         width = len(grid[0])
@@ -336,15 +340,15 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)])
+        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "Matrix":
-        return cls([[_ZERO] * n for _ in range(m)])
+        return cls([[0] * n for _ in range(m)])
 
     @classmethod
     def ones(cls, m: int, n: int) -> "Matrix":
-        return cls([[_ONE] * n for _ in range(m)])
+        return cls([[1] * n for _ in range(m)])
 
     @classmethod
     def from_cols(cls, cols: Sequence[Vector]) -> "Matrix":
@@ -540,7 +544,7 @@ def permutation_matrix(perm: Sequence[int]) -> Matrix:
     n = len(perm)
     if sorted(perm) != list(range(n)):
         raise InvalidInputError(f"{perm!r} is not a permutation of 0..{n - 1}")
-    return Matrix([[_ONE if j == perm[i] else _ZERO for j in range(n)] for i in range(n)])
+    return Matrix([[int(j == perm[i]) for j in range(n)] for i in range(n)])
 
 
 def permutation_sign(perm: Sequence[int]) -> int:

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from semipos import cli
+from semipos import cli, preserver
 from semipos.ratmat import MAX_FILE_BYTES, Matrix, Vector, parse_rational
 
 
@@ -401,6 +401,21 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["result"]["matrix"] == [["1", "0"], ["1", "1"]]
 
 
+def test_certificate_dict_verifies_a_certificate_before_reading_its_image():
+    """A hand-built certificate without an image reports X A Y: the dict
+    verifies first, and verify() stores the image; the keys keep their order."""
+    x, a = Matrix([[1, 1], [0, 0]]), Matrix([[1, 1], [1, 1]])
+    cert = preserver.FalsifyCertificate(
+        "image-leaves-class", preserver.CLASS_SP, x, Matrix.identity(2), a, witness=Vector([1, 0])
+    )
+    assert cert.image is None and not cert.verified
+    report = cli._certificate_dict(cert)
+    assert list(report) == [
+        "kind", "class", "x", "y", "a", "image", "probe", "probe_image", "note", "verified"
+    ]
+    assert report["image"] == [["2", "2"], ["0", "0"]] and report["verified"] is True
+
+
 # One cli.run in a fresh interpreter; prints its exit code and the sorted
 # semipos.* modules loaded by then.
 _LOADED_MODULES = """
@@ -421,7 +436,8 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     base = {"semipos.cli", "semipos.ratmat"}
     deciders = base | {"semipos.lp", "semipos.classify"}
     builders = base | {"semipos.construct"}
-    verdicts = deciders | {"semipos.construct", "semipos.preserver"}
+    # a square verdict checks its evidence by products and never runs an LP
+    verdicts = base | {"semipos.classify", "semipos.construct", "semipos.preserver"}
     campaigns = deciders | {"semipos.construct", "semipos.genfuzz"}
     for argv, code, loaded in (
         (("classify", id2), 0, deciders),
@@ -432,7 +448,7 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
         (("falsify", "into-msp", "--x", id2, "--y", lower), 0, verdicts),
         (("fuzz", "build-np", "--trials", "2"), 0, campaigns),
         (("basis", "--m", "2", "--n", "2"), 0, campaigns),
-        (("preserver", "into-msp", "--x", near, "--y", id2), 2, verdicts | {"semipos.genfuzz"}),
+        (("preserver", "into-msp", "--x", near, "--y", id2), 2, verdicts | {"semipos.genfuzz", "semipos.lp"}),
     ):
         proc = subprocess.run(
             [sys.executable, "-c", _LOADED_MODULES, *argv], capture_output=True, text=True

@@ -131,6 +131,49 @@ def test_build_pos_preconditions():
         construct.build_pos(Vector([1, 1]), Vector([1, 0]))
 
 
+def _np_by_permutation_products(v, w):
+    """build_np's matrix as Q^T R P, with P and Q the permutation matrices of
+    sigma and tau and R the normalized rows."""
+    sigma, tau = construct._np_permutations(v, w)
+    p, q = permutation_matrix(sigma), permutation_matrix(tau)
+    vp, wp = p @ v, q @ w
+    n = v.dim
+    rows = [construct._np_head_row(vp, wp)[0]]
+    rows += [construct._np_interior_row(i, vp, wp)[0] for i in range(1, n - 1)]
+    rows.append(construct._np_tail_row(vp, wp)[0])
+    return q.transpose() @ Matrix(rows) @ p
+
+
+def _pos_by_permutation_product(v, w):
+    """build_pos's matrix as C R, with C lower triangular on the reordered
+    coordinates and R the permutation matrix of ``positive_first_permutation``."""
+    r = permutation_matrix(construct.positive_first_permutation(v))
+    vp = r @ v
+    n = v.dim
+    k = sum(1 for x in vp.entries if x > 0)
+    first = [w[0] / vp[0]] + [w[i] / (2 * vp[0]) if i < k else w[i] / vp[0] for i in range(1, n)]
+    c = [[0] * n for _ in range(n)]
+    for i in range(n):
+        c[i][0] = first[i]
+    for j in range(1, n):
+        c[j][j] = w[j] / (2 * vp[j]) if j < k else 1
+    return Matrix(c) @ r
+
+
+def test_builders_agree_with_the_permutation_products():
+    rng = random.Random("builders-by-index")
+    for n in range(2, 9):
+        for _ in range(12):
+            v = Vector([rng.randint(-3, 3) for _ in range(n)])
+            w = Vector([rng.randint(-3, 3) for _ in range(n)])
+            if v.has_mixed_signs() and not w.is_zero():
+                assert construct.build_np(v, w)[0] == _np_by_permutation_products(v, w), (v, w)
+            v = Vector([rng.randint(0, 3) for _ in range(n)])
+            w = Vector([rng.randint(1, 4) for _ in range(n)])
+            if not v.is_zero():
+                assert construct.build_pos(v, w) == _pos_by_permutation_product(v, w), (v, w)
+
+
 def test_build_rect_mixed_row():
     v = Vector([1, -1, 0])
     b = construct.build_rect(v, Vector([5]))

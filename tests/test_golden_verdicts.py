@@ -261,6 +261,36 @@ def test_every_golden_verdict_inverts_each_matrix_at_most_once(monkeypatch):
     assert broken == []
 
 
+def test_every_golden_verdict_forms_its_image_once(monkeypatch):
+    """X A Y is formed only in ``verify()``, which each "no" verdict runs
+    once, so the product X A of its certificate is taken exactly once."""
+    matmul = Matrix.__matmul__
+    products = []
+    monkeypatch.setattr(Matrix, "__matmul__", lambda m, other: products.append((m, other)) or matmul(m, other))
+    formed = {}
+    for label, kind, x, y in cases():
+        products.clear()
+        cert = getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y)).certificate
+        if cert is not None and cert.kind == "image-leaves-class":
+            formed[label] = products.count((cert.x, cert.a))
+    assert formed and set(formed.values()) == {1}, formed
+
+
+def test_a_golden_certificate_without_its_image_verifies_alike_and_stores_it():
+    """A certificate built with ``image=None`` verifies exactly when the
+    original does, its evidence stripped or not, and then holds X A Y."""
+    checked = 0
+    for cert in _certificates():
+        if cert.kind != "image-leaves-class":
+            continue
+        for held in (cert, dataclasses.replace(cert, witness=None, left_inverse=None)):
+            bare = dataclasses.replace(held, image=None)
+            assert bare.verify() is held.verify(), cert.note
+            assert bare.image == held.x @ held.a @ held.y, cert.note
+            checked += 1
+    assert checked
+
+
 def test_a_verdict_without_the_tall_search_never_reads_the_fraction_grid(
     monkeypatch, entries_reads
 ):

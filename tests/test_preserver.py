@@ -361,6 +361,26 @@ def test_bad_certificate_is_rejected():
         assert tampered.verify() is False and not tampered.verified
 
 
+def test_verify_forms_the_image_and_checks_a_stored_one():
+    """A verdict's certificate is built without an image; verify() forms
+    X A Y and stores it.  A stored image must equal X A Y, whatever else
+    the certificate proves."""
+    msp = preserver.falsify_into_msp(_map(LOWER, Matrix.identity(2)))
+    sp = preserver.falsify_into_sp(_map(Matrix([[1, 1], [0, 0]]), Matrix.identity(2)))
+    for cert in (msp, sp):
+        assert cert.verified and cert.image == cert.x @ cert.a @ cert.y
+        bare = dataclasses.replace(cert, image=None)
+        held = {bare}
+        assert bare.image is None and bare.verify() and bare.image == cert.image
+        # the stored image leaves the hash as it was
+        assert bare in held and hash(bare) == hash(cert)
+        changed = [list(row) for row in cert.image.entries]
+        changed[1][1] += 1
+        for wrong in (Matrix(changed), cert.image * 2, Matrix.zeros(2, 2)):
+            tampered = dataclasses.replace(cert, image=wrong)
+            assert tampered.verify() is False and tampered.image == wrong, cert.note
+
+
 def test_a_certificate_of_an_unknown_class_is_rejected():
     leaves = preserver.into_msp_preserver(_map(Matrix([[1, 1], [0, 1]]), Matrix.identity(2))).certificate
     no_preimage = preserver.onto_sp_preserver(_map(ONES_2, Matrix.identity(2))).certificate

@@ -113,6 +113,27 @@ def test_floats_are_rejected():
         Vector([0.5])
 
 
+def test_int_fraction_and_string_entries_store_alike():
+    """An int entry is its own numerator over 1, with no Fraction built; the
+    stored rows, equality and hash do not depend on how an entry was given."""
+    ints = [[0, -3, 7], [2, 4, 6], [1, 0, 0]]
+    for given in (
+        Matrix(ints),
+        Matrix([[Fraction(x) for x in row] for row in ints]),
+        Matrix([[str(x) for x in row] for row in ints]),
+    ):
+        assert given._dens == (1, 1, 1) and given._nums == ((0, -3, 7), (2, 4, 6), (1, 0, 0))
+        assert given == Matrix(ints) and hash(given) == hash(Matrix(ints))
+    # a row of ints over one Fraction shares the Fraction's denominator
+    mixed = Matrix([[1, Fraction(1, 2), "3/4"], [True, False, 2]])
+    assert mixed._dens == (4, 1) and mixed._nums == ((4, 2, 3), (1, 0, 2))
+    assert Matrix.identity(2)._nums == ((1, 0), (0, 1)) and Matrix.ones(1, 2)._nums == ((1, 1),)
+    with pytest.raises(TypeError):
+        Matrix([[1, 0.5], [0, 1]])
+    with pytest.raises(TypeError):
+        Matrix([[1, 0], [0, 1.0]])
+
+
 def test_parse_rational():
     assert parse_rational("0.5") == Fraction(1, 2)
     assert parse_rational("-7/4") == Fraction(-7, 4)
