@@ -136,10 +136,17 @@ def is_minimally_semipositive(a: Matrix) -> bool:
     nonempty and contains no line, so it has a vertex.  A vertex has n
     linearly independent active constraints, at most m of them from
     A x >= 1, so some x_j = 0 there; dropping x_j shows that A with column j
-    deleted is still semipositive.  A matrix of rank below n gets False
-    before any LP as well, since N A = I needs rank A = n.
+    deleted is still semipositive.  A row with no positive entry (not
+    semipositive, see ``is_semipositive``) gets False next, by its signs
+    alone, and then a matrix of rank below n, since N A = I needs rank A = n;
+    both before any LP, and the row sign before any elimination.
     """
-    if a.rows < a.cols or a.rank() < a.cols or not is_semipositive(a)[0]:
+    if (
+        a.rows < a.cols
+        or a.has_nonpositive_row()
+        or a.rank() < a.cols
+        or not is_semipositive(a)[0]
+    ):
         return False
     return has_nonneg_left_inverse(a)[0]
 

@@ -231,9 +231,11 @@ def _build(args: argparse.Namespace, inputs: Inputs) -> Handled:
     if args.kind == "np":
         b, trace = construct.build_np(v, w)
         return {"matrix": _strings(b), "trace": _trace_dict(trace)}, EXIT_YES
-    b = getattr(construct, "build_" + args.kind)(v, w)
-    rank = {"rank": b.rank()} if args.kind == "rect" else {}
-    return {"matrix": _strings(b), **rank}, EXIT_YES
+    if args.kind == "pos":
+        b, _ = construct.build_pos(v, w)
+        return {"matrix": _strings(b)}, EXIT_YES
+    b = construct.build_rect(v, w)
+    return {"matrix": _strings(b), "rank": b.rank()}, EXIT_YES
 
 
 def _key1(args: argparse.Namespace, inputs: Inputs) -> Handled:

@@ -1,9 +1,11 @@
 """Constructions of nonnegative matrices with prescribed images.
 
 * ``build_np``:  v has entries of both signs, w is any nonzero vector;
-  produces nonnegative invertible B with B v = w.
+  produces nonnegative invertible B with B v = w, returned with the trace of
+  its construction cases, which holds B^{-1}.
 * ``build_pos``: v >= 0 nonzero, w > 0; same conclusion, and B is lower
-  triangular after the positive entries of v are permuted to the front.
+  triangular after the positive entries of v are permuted to the front;
+  returns (B, B^{-1}).
 * ``build_rect``: rectangular variant, nonnegative full-row-rank B with
   B v = w for a longer v.
 * ``mixed_sign_vector``: for invertible X with neither X nor -X inverse
@@ -11,11 +13,16 @@
 
 Each construction re-verifies its postconditions before returning, so a
 returned matrix is a checked certificate, not a trusted formula.  The three
-builders share one check: B >= 0 of full row rank with B v = w.
+builders share one check: B >= 0 of full row rank with B v = w.  A square
+builder's B is, in orders it already computes, a k x k block L (k = 2 for
+``build_np``, 1 for ``build_pos``) above a diagonal D, so B^{-1} is read off
+that form by ``_block_inverse`` without elimination, and full rank is proved
+by the product B B^{-1} = I; the rectangular B is checked by ``rank()``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +48,8 @@ class NpCaseTrace:
     entry), interior rows from the nine-way sign table on (target, source)
     pairs (cases "a".."i"), and the last row from the tail-row table
     (cases "a".."e").  The permutations that normalized v and w are recorded
-    so the construction is fully replayable.
+    so the construction is fully replayable, and ``inverse`` is B^{-1}, read
+    off the same normalized form and checked against B.
     """
 
     step1_case: str
@@ -49,6 +57,7 @@ class NpCaseTrace:
     step3_case: str
     v_permutation: tuple[int, ...]
     w_permutation: tuple[int, ...]
+    inverse: Matrix
 
 
 def _np_permutations(v: Vector, w: Vector) -> tuple[list[int], list[int]]:
@@ -140,12 +149,17 @@ def _np_tail_row(vp: Vector, wp: Vector) -> tuple[list[Fraction], str]:
 
 
 def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
-    """Nonnegative invertible B with B v = w, for mixed-sign v and nonzero w.
+    """Nonnegative invertible B with B v = w, for mixed-sign v and nonzero w,
+    and the trace of its construction, which holds B^{-1}.
 
     The construction works on reordered copies of v and w, entry k of each
     being entry sigma[k] of v and tau[k] of w, and entry (k, l) of the
     normalized rows is placed at (tau[k], sigma[l]), so the returned B acts
-    on the original coordinates.
+    on the original coordinates.  The head and tail rows use only the first
+    and last normalized columns, and each interior row its own diagonal entry
+    besides, so with the first and last rows and columns taken first B is a
+    2 x 2 block above a diagonal; ``_block_inverse`` reads B^{-1} off that
+    form and ``_checked`` proves it by B B^{-1} = I.
     """
     if v.dim != w.dim:
         raise InvalidInputError("v and w must have the same dimension")
@@ -176,8 +190,11 @@ def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
     for i, row in zip(tau, rows):
         for j, x in zip(sigma, row):
             grid[i][j] = x
-    b = _checked(Matrix(grid), v, w, "build_np")
-    return b, NpCaseTrace(case1, tuple(cases2), case3, tuple(sigma), tuple(tau))
+    b = Matrix(grid)
+    ends = [0, n - 1] + list(range(1, n - 1))
+    inv = _block_inverse(b, [tau[k] for k in ends], [sigma[k] for k in ends], 2, "build_np")
+    trace = NpCaseTrace(case1, tuple(cases2), case3, tuple(sigma), tuple(tau), inv)
+    return _checked(b, v, w, "build_np", inv), trace
 
 
 def positive_first_permutation(v: Vector) -> tuple[int, ...]:
@@ -187,15 +204,19 @@ def positive_first_permutation(v: Vector) -> tuple[int, ...]:
     return tuple(positive + rest)
 
 
-def build_pos(v: Vector, w: Vector) -> Matrix:
-    """Nonnegative invertible B with B v = w, for v >= 0 nonzero and w > 0.
+def build_pos(v: Vector, w: Vector) -> tuple[Matrix, Matrix]:
+    """(B, B^{-1}) for the nonnegative invertible B with B v = w, for v >= 0
+    nonzero and w > 0.
 
     After the permutation from ``positive_first_permutation(v)`` the matrix is
     lower triangular with nonzero diagonal: the first column carries all of w
     scaled by the leading entry of v (halved on the other positive positions),
     the remaining positive positions get diagonal entries, and the zero
     positions get identity columns.  Column l of that triangular matrix is
-    column sigma[l] of the returned B.
+    column sigma[l] of the returned B.  Its off-diagonal entries all lie in
+    the first column, so it is a 1 x 1 block above a diagonal;
+    ``_block_inverse`` reads B^{-1} off that form and ``_checked`` proves it
+    by B B^{-1} = I.
     """
     if v.dim != w.dim:
         raise InvalidInputError("v and w must have the same dimension")
@@ -223,7 +244,9 @@ def build_pos(v: Vector, w: Vector) -> Matrix:
     for j, col in zip(sigma, cols):
         placed[j] = col
 
-    return _checked(Matrix.from_cols(placed), v, w, "build_pos")
+    b = Matrix.from_cols(placed)
+    inv = _block_inverse(b, range(n), sigma, 1, "build_pos")
+    return _checked(b, v, w, "build_pos", inv), inv
 
 
 def build_rect(v: Vector, w: Vector) -> Matrix:
@@ -237,9 +260,9 @@ def build_rect(v: Vector, w: Vector) -> Matrix:
         raise InvalidInputError("v must be strictly longer than w")
     padded = Vector(w.entries + (_ONE,) * (n - m))
     if v.has_mixed_signs():
-        full, _ = build_np(v, padded)
+        full = build_np(v, padded)[0]
     elif v.is_nonneg() and not v.is_zero() and w.is_positive():
-        full = build_pos(v, padded)
+        full = build_pos(v, padded)[0]
     else:
         raise InvalidInputError(
             "need v with both signs, or v >= 0 nonzero together with w > 0"
@@ -247,12 +270,65 @@ def build_rect(v: Vector, w: Vector) -> Matrix:
     return _checked(full.take_rows(m), v, w, "build_rect")
 
 
-def _checked(b: Matrix, v: Vector, w: Vector, name: str) -> Matrix:
-    """B, after checking B >= 0, B v = w and full row rank (for a square B,
-    det(B) != 0)."""
-    if not b.is_nonneg() or b @ v != w or b.rank() != b.rows:
-        raise ArithmeticError(f"{name} postcondition check failed")
+def _checked(b: Matrix, v: Vector, w: Vector, name: str, inv: Matrix | None = None) -> Matrix:
+    """B, after checking B >= 0, B v = w and full row rank: by B inv = I for a
+    square B given its inverse, by ``rank()`` otherwise."""
+    if (
+        not b.is_nonneg()
+        or b @ v != w
+        or (b.rank() != b.rows if inv is None else b @ inv != Matrix.identity(b.rows))
+    ):
+        raise _failed(name)
     return b
+
+
+def _failed(name: str) -> ArithmeticError:
+    return ArithmeticError(f"{name} postcondition check failed")
+
+
+def _block_inverse(
+    b: Matrix, rows: Sequence[int], cols: Sequence[int], k: int, name: str
+) -> Matrix:
+    """B^{-1} for a square B whose entries (rows[i], cols[j]) form
+    [[L, 0], [C, D]], L of size k = 1 or 2 and D diagonal: the inverse of that
+    form is [[L^{-1}, 0], [-D^{-1} C L^{-1}, D^{-1}]], and its row i is row
+    cols[i] of B^{-1}, entry j at column rows[j].
+
+    Every row is formed in integers over one denominator, from B's stored
+    rows: with row i of the reordered B stored as N_i / d_i, and N_L the
+    numerators of L, L^{-1} = adj(N_L) diag(d_0..d_{k-1}) / det(N_L), and the
+    d_i cancel from row i >= k of -D^{-1} C L^{-1}, which is
+    -(N_i0, .., N_i,k-1) adj(N_L) diag(d) over N_ii det(N_L).  Only L, C and
+    the diagonal of D are used; the zeros are the builder's, and ``_checked``
+    proves the result by B B^{-1} = I.  A singular L or a zero on D's
+    diagonal raises the builder's postcondition error before any division.
+    """
+    n = b.rows
+    stored = list(b.integer_rows())
+    dens = [stored[i][0] for i in rows]
+    nums = [[stored[i][1][j] for j in cols] for i in rows]
+    if k == 1:
+        det, adj = nums[0][0], [[1]]
+    else:
+        (p, q), (r, s) = nums[0][:2], nums[1][:2]
+        det, adj = p * s - q * r, [[s, -q], [-r, p]]
+    if det == 0 or any(nums[i][i] == 0 for i in range(k, n)):
+        raise _failed(name)
+    lead = [[adj[i][j] * dens[j] for j in range(k)] for i in range(k)]  # det(N_L) L^{-1}
+    inv: list[tuple[int, list[int]]] = [(1, [])] * n  # row cols[i] set at step i
+    for i in range(n):
+        row = [0] * n
+        if i < k:
+            den = det
+            for j in range(k):
+                row[rows[j]] = lead[i][j]
+        else:
+            den = nums[i][i] * det
+            row[rows[i]] = dens[i] * det
+            for j in range(k):
+                row[rows[j]] = -sum(nums[i][l] * lead[l][j] for l in range(k))
+        inv[cols[i]] = (den, row)
+    return Matrix.from_integer_rows(inv)
 
 
 def mixed_sign_vector(x: Matrix, inv: Matrix | None = None) -> Vector:

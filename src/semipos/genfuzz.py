@@ -339,7 +339,7 @@ def _trial_build_pos(
     n = rng.randint(1, 8)
     v = _random_nonzero_int_vector(rng, n, low=0)
     w = Vector([rng.randint(1, 5) for _ in range(n)])
-    b = construct.build_pos(v, w)
+    b, _ = construct.build_pos(v, w)
     perm = construct.positive_first_permutation(v)
     normalized = (b @ permutation_matrix(perm).transpose()).entries
     # lower triangular with a nonzero diagonal

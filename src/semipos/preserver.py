@@ -13,12 +13,16 @@ check multiplies the evidence out with ``classify.is_sp_witness`` and
 ``classify.is_nonneg_left_inverse`` and never re-decides A with an LP; evidence
 that fails fails the certificate, a semipositive A must carry its witness, and
 only a minimally semipositive A without evidence (a search draw, or one built
-by hand) is decided by the classify decider.  One helper, ``_leaves``, builds
-every certificate of the first kind, with no image: ``verify()`` is the only
-place the image X A Y of the class member A is formed, once a check.  It
-compares a stored image with that product and stores the product in a
-certificate built without one, so a search draw that stays in the class costs
-one X A Y, not two.
+by hand) is decided by the classify decider.  The square minimal-semipositivity
+counterexamples are A = B^{-1} for a nonnegative B from ``construct``, whose
+builders return B^{-1} with B, read off B's block-triangular form and proved
+there by B B^{-1} = I, so no verdict eliminates B; the evidence B 1 and B is
+multiplied out again by ``verify()``, so the closed form is trusted nowhere.
+One helper, ``_leaves``, builds every certificate of the first kind, with no
+image: ``verify()`` is the only place the image X A Y of the class member A is
+formed, once a check.  It compares a stored image with that product and
+stores the product in a certificate built without one, so a search draw that
+stays in the class costs one X A Y, not two.
 
 Every semipositivity counterexample has an image with a row p that has no
 positive entry, so y = e_p gives y^T (X A Y) <= 0 and the check refutes the
@@ -490,9 +494,9 @@ def _falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
     if not sign:
         v = mixed_sign_vector(x, lmap.x_inv)
         w = -basis_vector(n, 0)
-        b, _ = build_np(v, y @ w)
+        b, trace = build_np(v, y @ w)
         note = "x-not-inverse-nonnegative-either-sign"
-        return _leaves_as_inverse(lmap, b, note, w, x @ v)
+        return _leaves_as_inverse(lmap, b, trace.inverse, note, w, x @ v)
 
     xs = x * sign
     c = lmap.y_inv * sign  # (sign Y)^{-1}
@@ -504,8 +508,8 @@ def _falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
     v = (lmap.x_inv * sign) @ w
     if u.entries[i] >= 0 or not w.is_positive() or not v.is_nonneg():
         raise ArithmeticError("shift construction lost its sign pattern")
-    b = build_pos(v, w)
-    return _leaves_as_inverse(lmap, b, "y-not-inverse-nonnegative", u, xs @ v)
+    b, b_inv = build_pos(v, w)
+    return _leaves_as_inverse(lmap, b, b_inv, "y-not-inverse-nonnegative", u, xs @ v)
 
 
 def _falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
@@ -661,14 +665,16 @@ def _leaves(
 
 
 def _leaves_as_inverse(
-    lmap: PreserverMap, b: Matrix, note: str, probe: Vector, probe_image: Vector
+    lmap: PreserverMap, b: Matrix, b_inv: Matrix, note: str, probe: Vector, probe_image: Vector
 ) -> FalsifyCertificate:
-    """``_leaves`` for A = B^{-1} with B >= 0 invertible: A (B 1) = 1 > 0 and
-    B A = I, so B 1 and B are A's evidence of minimal semipositivity."""
+    """``_leaves`` for A = B^{-1} with B >= 0 invertible, given as the builder
+    returned it: A (B 1) = 1 > 0 and B A = I, so B 1 and B are A's evidence of
+    minimal semipositivity, and ``verify()`` multiplies both out, so the
+    builder's closed-form inverse is checked again there."""
     return _leaves(
         CLASS_MSP,
         lmap,
-        b.inverse(),
+        b_inv,
         note,
         probe,
         probe_image,

@@ -97,7 +97,7 @@ class Vector:
     entries: tuple[Fraction, ...]
 
     def __init__(self, entries: Iterable[RationalLike]):
-        tup = tuple(rat(x) for x in entries)
+        tup = tuple(x if type(x) is Fraction else rat(x) for x in entries)
         if not tup:
             raise DimensionError("a vector needs at least one entry")
         object.__setattr__(self, "entries", tup)
@@ -323,6 +323,15 @@ class Matrix:
         m = object.__new__(cls)
         m._store(rows)
         return m
+
+    @classmethod
+    def from_integer_rows(cls, rows: Iterable[tuple[int, Iterable[int]]]) -> "Matrix":
+        """The matrix whose row i is nums_i / den_i, for the pairs (den_i, nums_i)
+        of ``rows``: nonzero integer denominators of either sign and integer
+        numerators, every row of one length.  Each row is brought to its stored
+        form, lowest terms over a positive denominator, with no ``Fraction``
+        built."""
+        return cls._from_integer_rows(_reduced(den, nums) for den, nums in rows)
 
     def integer_rows(self) -> Iterator[_Row]:
         """The stored rows, each as (positive denominator, integer numerators)."""

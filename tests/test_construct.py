@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -96,11 +97,11 @@ def _sign(q):
 
 
 def test_build_pos_examples():
-    assert construct.build_pos(Vector([1, 0]), Vector([1, 1])) == Matrix([[1, 0], [1, 1]])
-    assert construct.build_pos(Vector([1, 1]), Vector([1, 1])) == Matrix(
+    assert construct.build_pos(Vector([1, 0]), Vector([1, 1]))[0] == Matrix([[1, 0], [1, 1]])
+    assert construct.build_pos(Vector([1, 1]), Vector([1, 1]))[0] == Matrix(
         [[1, 0], ["1/2", "1/2"]]
     )
-    assert construct.build_pos(Vector([2]), Vector([3])) == Matrix([["3/2"]])
+    assert construct.build_pos(Vector([2]), Vector([3]))[0] == Matrix([["3/2"]])
 
 
 def test_build_pos_triangular_after_permutation():
@@ -112,7 +113,7 @@ def test_build_pos_triangular_after_permutation():
             if not v.is_zero():
                 break
         w = Vector([rng.randint(1, 4) for _ in range(n)])
-        b = construct.build_pos(v, w)
+        b, _ = construct.build_pos(v, w)
         assert b.is_nonneg() and b.det() != 0 and b @ v == w
         perm = construct.positive_first_permutation(v)
         normalized = b @ permutation_matrix(perm).transpose()
@@ -171,7 +172,7 @@ def test_builders_agree_with_the_permutation_products():
             v = Vector([rng.randint(0, 3) for _ in range(n)])
             w = Vector([rng.randint(1, 4) for _ in range(n)])
             if not v.is_zero():
-                assert construct.build_pos(v, w) == _pos_by_permutation_product(v, w), (v, w)
+                assert construct.build_pos(v, w)[0] == _pos_by_permutation_product(v, w), (v, w)
 
 
 def test_build_rect_mixed_row():
@@ -229,6 +230,62 @@ def test_a_builder_rejects_a_bad_result(monkeypatch, builder, v, w, helper, bad)
     monkeypatch.setattr(construct, helper, bad)
     with pytest.raises(ArithmeticError, match=f"{builder} postcondition check failed"):
         getattr(construct, builder)(Vector(v), Vector(w))
+
+
+def _rational(rng, sign):
+    """A random rational of the given sign (-1, 0 or 1)."""
+    return sign * Fraction(rng.randint(1, 9), rng.randint(1, 4))
+
+
+def _drawn(rng, n, signs, accept):
+    while True:
+        u = Vector([_rational(rng, rng.choice(signs)) for _ in range(n)])
+        if accept(u):
+            return u
+
+
+def test_build_np_inverse_is_the_eliminated_inverse_in_every_case():
+    rng = random.Random("np-block-inverse")
+    head, interior, tail = set(), set(), set()
+    for n in range(2, 13):
+        for _ in range(12):
+            v = _drawn(rng, n, (-1, 0, 1), Vector.has_mixed_signs)
+            w = _drawn(rng, n, (-1, 0, 1), lambda u: not u.is_zero())
+            b, trace = construct.build_np(v, w)
+            assert trace.inverse == b.inverse(), (v, w)
+            assert b @ trace.inverse == Matrix.identity(n)
+            head.add(trace.step1_case)
+            interior.update(trace.step2_cases)
+            tail.add(trace.step3_case)
+    assert (head, interior, tail) == (set("ab"), set("abcdefghi"), set("abcde"))
+
+
+def test_build_pos_inverse_is_the_eliminated_inverse_for_every_pattern():
+    # every zero/positive pattern of v up to n = 5; beyond it one positive
+    # entry first, one last, all positive and one random pattern
+    rng = random.Random("pos-block-inverse")
+    masks = [(n, mask) for n in range(1, 6) for mask in range(1, 2**n)]
+    masks += [(n, mask) for n in range(6, 13) for mask in (2 ** (n - 1), 1, 2**n - 1, rng.randrange(1, 2**n))]
+    for n, mask in masks:
+        v = Vector([_rational(rng, int(bit)) for bit in format(mask, f"0{n}b")])
+        w = _drawn(rng, n, (1,), Vector.is_positive)
+        b, inv = construct.build_pos(v, w)
+        assert inv == b.inverse(), (v, w)
+        assert b @ inv == Matrix.identity(n)
+
+
+def test_a_builder_rejects_a_wrong_inverse(monkeypatch):
+    block_inverse = construct._block_inverse
+
+    def one_entry_off(*args):
+        rows = [list(row) for row in block_inverse(*args).entries]
+        rows[-1][0] += 1
+        return Matrix(rows)
+
+    monkeypatch.setattr(construct, "_block_inverse", one_entry_off)
+    for builder, v, w in (("build_np", [1, 0, -5, -1], [3, 2, -10, 0]), ("build_pos", [1, 0, 2], [1, 2, 3])):
+        with pytest.raises(ArithmeticError, match=f"{builder} postcondition check failed"):
+            getattr(construct, builder)(Vector(v), Vector(w))
 
 
 def test_mixed_sign_vector_column_path():

@@ -14,10 +14,11 @@ import dataclasses
 import json
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from semipos import cli, genfuzz, lp, preserver
+from semipos import cli, construct, genfuzz, lp, preserver
 from semipos.ratmat import Matrix
 
 GOLDEN = Path(__file__).with_name("golden_verdicts.json")
@@ -274,6 +275,25 @@ def test_every_golden_verdict_forms_its_image_once(monkeypatch):
         if cert is not None and cert.kind == "image-leaves-class":
             formed[label] = products.count((cert.x, cert.a))
     assert formed and set(formed.values()) == {1}, formed
+
+
+def test_no_golden_verdict_eliminates_a_builders_matrix(monkeypatch):
+    """The square builders return B^{-1} with B, read off its block form and
+    proved by B B^{-1} = I, so no verdict calls ``rank()`` or ``inverse()``
+    on a matrix a builder checked."""
+    built, eliminated = [], []
+    checked = construct._checked
+    monkeypatch.setattr(construct, "_checked", lambda b, *rest: built.append(b) or checked(b, *rest))
+    for name in ("rank", "inverse"):
+        method = getattr(Matrix, name)
+        monkeypatch.setattr(
+            Matrix, name, lambda m, name=name, method=method: eliminated.append((name, m)) or method(m)
+        )
+    for label, kind, x, y in cases():
+        getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y))
+    on_built = Counter(name for name, m in eliminated if any(m is b for b in built))
+    assert built and eliminated
+    assert on_built == Counter(), on_built
 
 
 def test_a_golden_certificate_without_its_image_verifies_alike_and_stores_it():

@@ -134,6 +134,23 @@ def test_int_fraction_and_string_entries_store_alike():
         Matrix([[1, 0], [0, 1.0]])
 
 
+def test_vector_keeps_a_fraction_and_converts_the_rest():
+    half = Fraction(1, 2)
+    v = Vector([half, 3, True, "-2/4"])
+    assert v.entries[0] is half
+    assert v.entries == (half, 3, 1, Fraction(-1, 2))
+    assert all(type(x) is Fraction for x in v.entries)
+    with pytest.raises(TypeError):
+        Vector([half, 1.0])
+
+
+def test_from_integer_rows_stores_each_row_reduced_over_a_positive_denominator():
+    m = Matrix.from_integer_rows([(-4, [2, -6, 0]), (1, (5, 0, 1)), (6, [3, 3, 9])])
+    assert m._dens == (2, 1, 2) and m._nums == ((-1, 3, 0), (5, 0, 1), (1, 1, 3))
+    assert m == Matrix([["-1/2", "3/2", 0], [5, 0, 1], ["1/2", "1/2", "3/2"]])
+    assert Matrix.from_integer_rows(m.integer_rows()) == m
+
+
 def test_parse_rational():
     assert parse_rational("0.5") == Fraction(1, 2)
     assert parse_rational("-7/4") == Fraction(-7, 4)
