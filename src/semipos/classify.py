@@ -26,8 +26,8 @@ checks evidence (the square preserver verdicts) never loads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ratmat import (
     DimensionError,
@@ -39,8 +39,7 @@ from .ratmat import (
 )
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """Bundle of verdicts for one matrix; square-only fields are None otherwise."""
 
     shape: tuple[int, int]
@@ -67,10 +66,15 @@ def is_nonneg_left_inverse(a: Matrix, n: Matrix) -> bool:
     return n @ a == Matrix.identity(a.cols) and n.is_nonneg()
 
 
-def is_msp_probe(a: Matrix, u: Vector) -> bool:
+def is_msp_probe(a: Matrix, u: Vector, au: Vector | None = None) -> bool:
     """u has a negative entry and A u >= 0, so A is not minimally
-    semipositive: N >= 0 with N A = I would give u = N (A u) >= 0."""
-    return (a @ u).is_nonneg() and not u.is_nonneg()
+    semipositive: N >= 0 with N A = I would give u = N (A u) >= 0.
+
+    ``au`` is taken for A u when given, by a caller that has already formed
+    the product and checked it; otherwise it is formed here."""
+    if au is None:
+        au = a @ u
+    return au.is_nonneg() and not u.is_nonneg()
 
 
 def is_semipositive(a: Matrix) -> tuple[bool, Vector | None]:

@@ -15,7 +15,12 @@ loads only those: ``classify`` and ``witness`` load ``classify`` (with ``lp``),
 load there only for the tall ``preserver into-msp`` search, whose draws are
 decided by an LP; ``genfuzz`` loads otherwise only for ``fuzz`` and ``basis``.
 Each is imported as a module and its functions are looked up on it at call
-time, so a wrapper installed on a module attribute is seen.
+time, so a wrapper installed on a module attribute is seen.  ``ratmat``,
+``lp``, ``classify`` and ``construct`` use no ``@dataclass``, so ``classify``,
+``witness``, ``build`` and ``key1`` never load the stdlib ``dataclasses``, nor
+the modules it brings (``inspect``, ``ast``, ``dis``, ``tokenize``,
+``linecache``, ``copy``, ...); ``preserver`` and ``genfuzz`` still load it,
+and ``fuzz`` imports it in its handler, for ``asdict``.
 
 Exit codes: 0 for a yes/true verdict, 1 for no/false, 2 for unknown, 64 for
 malformed input (bad files, dimension mismatches, violated preconditions, a
@@ -27,7 +32,6 @@ report was written.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -269,6 +273,8 @@ def _falsify(args: argparse.Namespace, inputs: Inputs) -> Handled:
 
 
 def _fuzz(args: argparse.Namespace, inputs: Inputs) -> Handled:
+    import dataclasses
+
     from . import genfuzz
 
     result = genfuzz.run_campaign(args.campaign, args.seed, args.trials)

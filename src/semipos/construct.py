@@ -23,8 +23,8 @@ by the product B B^{-1} = I; the rectangular B is checked by ``rank()``.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .ratmat import (
     DimensionError,
@@ -39,8 +39,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class NpCaseTrace:
+class NpCaseTrace(NamedTuple):
     """Which construction case produced each row of a build_np matrix.
 
     Rows are taken in the normalized order: the first row comes from the

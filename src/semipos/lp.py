@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .ratmat import DimensionError, Matrix, Vector, _pivot
 
@@ -36,8 +35,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class FeasibilityResult:
+class FeasibilityResult(NamedTuple):
     feasible: bool
     witness: Vector | None = None
 
@@ -54,10 +52,14 @@ def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Frac
     Entering rule: smallest structural index with negative reduced cost;
     leaving rule: smallest basic index among minimum ratios (Bland).
 
-    Row i, its rhs and its artificial column start as the rational row times
-    its own scale ``s_i = lcm(den_i, den(rhs_i))``, negated when the rhs is
-    negative.  The objective row, last in the grid, starts as ``L`` times the
-    rational one, L the lcm of the s_i, built as ``-sum (L / s_i) * row_i``.
+    The grid holds the structural columns and the rhs only.  The artificial
+    columns are never read: entering candidates are structural, and the end
+    test reads the rhs and the basis labels, in which the artificial of row i
+    is k + i.  Row i and its rhs start as the rational row times its own scale
+    ``s_i = lcm(den_i, den(rhs_i))``, negated when the rhs is negative.  The
+    objective row, last in the grid, starts as ``L`` times the rational one, L
+    the lcm of the s_i, built as ``-sum (L / s_i) * row_i``; its entries in the
+    artificial columns would be 0, as the artificials start basic at cost 1.
     Each pivot is one ``ratmat._pivot`` step on the grid.  Invariant: row i is
     ``row_scales[i] * grid[i]``, the Edmonds row; scales and ``d`` are
     positive, because every simplex pivot is.  The factors are shared by a
@@ -69,20 +71,16 @@ def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Frac
     m = rhs.dim
     grid: list[list[int]] = []
     start_scales: list[int] = []
-    for i, ((den, nums), r) in enumerate(zip(rows, rhs)):
+    for (den, nums), r in zip(rows, rhs):
         s = math.lcm(den, r.denominator)
         f = s // den if r >= 0 else -(s // den)
-        art = [0] * m
-        art[i] = s
-        grid.append([x * f for x in nums] + art + [abs(r.numerator) * (s // r.denominator)])
+        grid.append([x * f for x in nums] + [abs(r.numerator) * (s // r.denominator)])
         start_scales.append(s)
-    k = len(grid[0]) - m - 1
+    k = len(grid[0]) - 1
     basis = list(range(k, k + m))
-    # reduced costs of the phase-one objective; the artificials start basic at cost 1
+    # reduced costs of the phase-one objective
     lcm = math.lcm(*start_scales)
-    obj = [-sum(lcm // s * x for s, x in zip(start_scales, col)) for col in zip(*grid)]
-    obj[k : k + m] = [0] * m
-    grid.append(obj)
+    grid.append([-sum(lcm // s * x for s, x in zip(start_scales, col)) for col in zip(*grid)])
     row_scales = [1] * (m + 1)
 
     d = 1

@@ -163,11 +163,12 @@ class FalsifyCertificate:
     it, and a certificate built with ``image=None`` (every verdict's is) has
     the product stored there, the way ``verified`` is set.  Optionally a
     probe vector u with image @ u = probe_image exhibits the violation
-    directly.  A semipositive image is refuted by a row with no positive
-    entry, and fails verification without one.  For the minimally
-    semipositive class, a probe with a negative entry and a nonnegative
-    probe_image (``classify.is_msp_probe``) proves it alone, on any shape: a
-    left inverse N >= 0 of the image would give u = N probe_image >= 0.
+    directly; image @ u is formed once, for that check.  A semipositive image
+    is refuted by a row with no positive entry, and fails verification
+    without one.  For the minimally semipositive class, a probe with a
+    negative entry and a nonnegative probe_image (``classify.is_msp_probe``,
+    given the checked probe_image as the product) proves it alone, on any
+    shape: a left inverse N >= 0 of the image would give u = N probe_image >= 0.
     Otherwise the image goes through ``classify.is_minimally_semipositive``.
 
     kind "no-preimage": ``a`` is in the class but x M y = a has no solution M,
@@ -237,7 +238,8 @@ class FalsifyCertificate:
                 # y = e_p of a row p with no positive entry: y^T image <= 0
                 if not image.has_nonpositive_row():
                     return False
-            elif u is None or not classify.is_msp_probe(image, u):
+            # image_u is image @ u, checked above
+            elif u is None or not classify.is_msp_probe(image, u, image_u):
                 if classify.is_minimally_semipositive(image):
                     return False
         elif self.kind == "no-preimage":

@@ -1,8 +1,9 @@
+import inspect
 import random
 
 import pytest
 
-from semipos import classify, genfuzz, lp
+from semipos import classify, construct, genfuzz, lp
 from semipos.ratmat import DimensionError, Matrix, Vector, ones_vector
 
 EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
@@ -177,6 +178,34 @@ def test_classify_all_rectangular_skips_square_fields():
     report = classify.classify_all(Matrix([[1, 0], [0, 1], [1, 1]]))
     assert report.monomial is None and report.inverse_nonnegative is None
     assert report.minimally_semipositive
+
+
+def test_the_result_records_keep_their_fields_order_and_defaults():
+    required = inspect.Parameter.empty
+    for record, fields in (
+        (
+            classify.ClassReport,
+            [("shape", required), ("nonnegative", required), ("positive", required),
+             ("row_positive", required), ("semipositive", required),
+             ("minimally_semipositive", required), ("monomial", None),
+             ("inverse_nonnegative", None), ("sp_witness", None), ("inv", None),
+             ("left_inv", None)],
+        ),
+        (lp.FeasibilityResult, [("feasible", required), ("witness", None)]),
+        (
+            construct.NpCaseTrace,
+            [("step1_case", required), ("step2_cases", required), ("step3_case", required),
+             ("v_permutation", required), ("w_permutation", required), ("inverse", required)],
+        ),
+    ):
+        parameters = inspect.signature(record).parameters.values()
+        assert [(p.name, p.default) for p in parameters] == fields, record
+    result = lp.FeasibilityResult(True, Vector([1]))
+    assert result.witness == Vector([1]) and result.status == "feasible"
+    assert lp.FeasibilityResult(False) == lp.FeasibilityResult(False, None)
+    assert lp.FeasibilityResult(False).status == "infeasible"
+    with pytest.raises(AttributeError):
+        result.feasible = False
 
 
 def _random_matrix(rng, m, n, bound=3):

@@ -658,6 +658,45 @@ def test_equal_values_by_any_route_are_equal_and_hash_equal():
         assert other == m and hash(other) == hash(m), other
     assert len(set(routes)) == 1
     assert Matrix([[0, 0]]) == Matrix([["0/7", 0]]) * 5 == Matrix([[3, 1]]) * 0
+    v = Vector([Fraction(1, 2), -3, 0])
+    vector_routes = [
+        Vector(["2/4", "-6/2", "0/5"]),
+        Vector([Fraction(2, 4), Fraction(-3), Fraction(0)]),
+        Vector(["0.5", -3, "-0"]),
+        Matrix([["1/2", 0], [0, -3], [0, 0]]) @ Vector([1, 1]),
+        Vector([1, -3, 0]) + Vector(["-1/2", 0, 0]),
+        -(-v),
+        v * "2/2",
+    ]
+    for other in vector_routes:
+        assert other == v and hash(other) == hash(v), other
+    assert len(set(vector_routes)) == 1
+
+
+def test_unequal_values_and_other_classes_compare_unequal():
+    m = Matrix([[1, 2]])
+    # the same numerators over another denominator, another shape, another entry
+    for other in (Matrix([["1/3", "2/3"]]), Matrix([[1], [2]]), Matrix([[1, 3]])):
+        assert m != other and not m == other, other
+    v = Vector([1, 2])
+    for other in (Vector([1, 3]), Vector([1, 2, 0]), Vector(["1/3", "2/3"])):
+        assert v != other and not v == other, other
+    for value, other in ((m, v), (v, m), (m, ((1, 2),)), (v, (1, 2)), (v, v.entries)):
+        assert value.__eq__(other) is NotImplemented
+        assert value != other and not value == other
+    assert m == Matrix([[1, 2]]) and v == Vector([1, 2])
+
+
+def test_a_matrix_or_vector_is_read_only():
+    m, v = Matrix([["1/2", 3]]), Vector(["1/2", 3])
+    for value, names in ((m, ("_dens", "_nums", "entries", "extra")), (v, ("entries", "extra"))):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, ())
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    assert m == Matrix([["1/2", 3]]) and set(vars(m)) == {"_dens", "_nums"}
+    assert v == Vector(["1/2", 3]) and set(vars(v)) == {"entries"}
 
 
 def test_inverse_stores_a_negative_pivot_over_a_positive_denominator():
@@ -670,5 +709,6 @@ def test_inverse_stores_a_negative_pivot_over_a_positive_denominator():
 
 
 def test_repr_shows_the_rational_entries():
+    assert repr(Vector([1, "1/2"])) == "Vector(entries=(Fraction(1, 1), Fraction(1, 2)))"
     assert repr(Matrix([[1, "1/2"]])) == "Matrix(entries=((Fraction(1, 1), Fraction(1, 2)),))"
     assert repr(Matrix([[2, 0]]) @ Matrix([["1/4"], [1]])) == "Matrix(entries=((Fraction(1, 2),),))"
