@@ -135,22 +135,18 @@ def is_minimally_semipositive(a: Matrix) -> bool:
     """Semipositive with no column-deleted submatrix semipositive.
 
     Decided as semipositive plus a nonnegative left inverse (Johnson, Kerr &
-    Stanford 1994).  An m x n matrix with m < n is never in the class, so it
-    gets False before any LP: if A is semipositive, {x >= 0 : A x >= 1} is
-    nonempty and contains no line, so it has a vertex.  A vertex has n
-    linearly independent active constraints, at most m of them from
-    A x >= 1, so some x_j = 0 there; dropping x_j shows that A with column j
-    deleted is still semipositive.  A row with no positive entry (not
-    semipositive, see ``is_semipositive``) gets False next, by its signs
-    alone, and then a matrix of rank below n, since N A = I needs rank A = n;
-    both before any LP, and the row sign before any elimination.
+    Stanford 1994).  An m x n matrix with m < n is never in the class: if A
+    is semipositive, {x >= 0 : A x >= 1} is nonempty and contains no line, so
+    it has a vertex.  A vertex has n linearly independent active constraints,
+    at most m of them from A x >= 1, so some x_j = 0 there; dropping x_j
+    shows that A with column j deleted is still semipositive.  A row with no
+    positive entry (not semipositive, see ``is_semipositive``) gets False
+    first, by its signs alone, and then a matrix of rank below n, since
+    N A = I needs rank A = n; both before any LP, and the row sign before any
+    elimination.  The rank test rejects every wide matrix, as its rank is at
+    most m < n.
     """
-    if (
-        a.rows < a.cols
-        or a.has_nonpositive_row()
-        or a.rank() < a.cols
-        or not is_semipositive(a)[0]
-    ):
+    if a.has_nonpositive_row() or a.rank() < a.cols or not is_semipositive(a)[0]:
         return False
     return has_nonneg_left_inverse(a)[0]
 

@@ -1,0 +1,97 @@
+"""Mutation check: each mutant in ``MUTANTS`` must make its tests fail.
+
+Run from anywhere as ``python3 tests/mutants.py`` (no arguments).  Each row is
+(file under src/semipos, old text, new text, test paths).  For each row the
+old text, which must occur exactly once in the file, is replaced in a copy of
+``src`` made in a temporary directory, and ``python -m pytest <paths>`` runs
+against that copy.  The mutant is killed only when pytest exits 1 (a test
+failed); exit 0 means it survived, and any other code (a wrong path, a
+collection error, an interrupt) tested nothing.  One line is printed per
+mutant, and the exit code is 1 unless every mutant is killed.
+
+pytest does not collect this file; ``tests/test_mutants.py`` checks the table
+itself in tier-1.  Adding a mutant takes one row here.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+CLASSIFY = ["tests/test_classify.py", "tests/test_preserver.py"]
+
+MUTANTS = [
+    # each evidence checker in classify, cut to one of its two conditions
+    ("classify.py", "return (a @ x).is_positive() and x.is_nonneg()", "return (a @ x).is_positive()", CLASSIFY),
+    ("classify.py", "return (a @ x).is_positive() and x.is_nonneg()", "return x.is_nonneg()", CLASSIFY),
+    ("classify.py", "return n @ a == Matrix.identity(a.cols) and n.is_nonneg()", "return n @ a == Matrix.identity(a.cols)", CLASSIFY),
+    ("classify.py", "return n @ a == Matrix.identity(a.cols) and n.is_nonneg()", "return n.is_nonneg()", CLASSIFY),
+    ("classify.py", "return au.is_nonneg() and not u.is_nonneg()", "return au.is_nonneg()", CLASSIFY),
+    ("classify.py", "return au.is_nonneg() and not u.is_nonneg()", "return not u.is_nonneg()", CLASSIFY),
+    # the monomial test reads rows only, not columns
+    ("classify.py", "(*rows, *zip(*rows))", "rows", ["tests/test_classify.py"]),
+    # verify() with its stored-image comparison cut
+    ("preserver.py", "elif self.image != image:", "elif False:", ["tests/test_preserver.py"]),
+    # the (X, Y) / (-X, -Y) sign symmetry, and the nonpositive-inverse sign
+    ("preserver.py", "return x_sign if x_sign == y_sign else 0", "return x_sign", ["tests/test_preserver.py"]),
+    ("preserver.py", "else -1 if inv.is_nonpos() else 0", "else 0", ["tests/test_preserver.py"]),
+    # each no-preimage condition cut
+    ("preserver.py", "or not (self.x.transpose() @ q).is_zero()", "or False", ["tests/test_preserver.py"]),
+    ("preserver.py", "or (self.a.transpose() @ q).is_zero()", "or False", ["tests/test_preserver.py"]),
+    # the square builders' closed-form inverse: lower-left block negated, B B^-1 = I check cut
+    ("construct.py", "row[rows[j]] = -sum(", "row[rows[j]] = sum(", ["tests/test_construct.py", "tests/test_preserver.py"]),
+    ("construct.py", "b @ inv != Matrix.identity(b.rows)", "False", ["tests/test_construct.py", "tests/test_preserver.py"]),
+    # Bland's tie-break reversed, and a negative right-hand side's row left unsigned
+    ("lp.py", "basis[i] < basis[pivot_row]", "basis[i] > basis[pivot_row]", ["tests/test_golden_lp.py"]),
+    ("lp.py", "f = s // den if r >= 0 else -(s // den)", "f = s // den", ["tests/test_lp.py"]),
+    # Matrix and Vector: assignment guard a no-op, equality cut to the numerators
+    ("ratmat.py", 'raise AttributeError(f"cannot assign to {name!r} of {type(self).__name__}")', "object.__setattr__(self, name, value)", ["tests/test_ratmat.py"]),
+    ("ratmat.py", "return self._dens == other._dens and self._nums == other._nums", "return self._nums == other._nums", ["tests/test_ratmat.py"]),
+    # a zero row counted as positive, a negative denominator kept, the pivot row's content kept in its entries
+    ("ratmat.py", "max(nums) <= 0", "max(nums) < 0", ["tests/test_classify.py"]),
+    ("ratmat.py", "g = -g", "g = g", ["tests/test_ratmat.py"]),
+    ("ratmat.py", "if g != 1:", "if False:", ["tests/test_ratmat.py"]),
+]
+
+
+def replace_once(path: Path, old: str, new: str) -> None:
+    """Replace ``old`` in the file by ``new``; ValueError unless it occurs once."""
+    text = path.read_text()
+    if text.count(old) != 1:
+        raise ValueError(f"{old!r} occurs {text.count(old)} times in {path.name}")
+    path.write_text(text.replace(old, new))
+
+
+def run(name: str, old: str, new: str, tests: list[str]) -> str:
+    """'killed', 'SURVIVED', or what kept the mutant from being tested."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp, "src")
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        try:
+            replace_once(src / "semipos" / name, old, new)
+        except ValueError as e:
+            return f"NOT APPLIED: {e}"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+        code = subprocess.run(
+            [sys.executable, "-m", "pytest", *tests, "-q", "-x", "-p", "no:cacheprovider"],
+            cwd=ROOT, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+    return {0: "SURVIVED", 1: "killed"}.get(code, f"NOT TESTED: pytest exit {code}")
+
+
+def main() -> int:
+    failed = 0
+    for name, old, new, tests in MUTANTS:
+        outcome = run(name, old, new, tests)
+        failed += outcome != "killed"
+        print(f"{outcome}  {name}: {old!r} -> {new!r}  [{' '.join(tests)}]", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

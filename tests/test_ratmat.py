@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from semipos.genfuzz import GenConfig, gen_inverse_nonneg_with_inverse
+from semipos import classify, lp, ratmat
+from semipos.genfuzz import GenConfig, gen_inverse_nonneg_with_inverse, gen_msp
 from semipos.ratmat import (
     DimensionError,
     MAX_DIM,
@@ -68,8 +69,6 @@ def test_inverse_singular():
 
 
 def test_inverse_self_check_rejects_a_tampered_grid(monkeypatch):
-    from semipos import ratmat
-
     eliminate = ratmat._eliminate
 
     def tampered(rows):
@@ -528,6 +527,32 @@ def test_inverse_nonnegative_pairs_invert_to_each_other():
             assert z.inverse() == d and d.inverse() == z
             assert z.rank() == n and z.det() * d.det() == 1
             assert z.kernel_vector() is None
+
+
+def test_pivot_keeps_grid_entries_small_on_a_12x12_msp(monkeypatch):
+    """The largest grid entry over ``classify_all`` on a seeded 12x12 minimally
+    semipositive matrix stays within 256 bits.
+
+    Each ``_pivot`` step first moves the pivot row's content into its scale;
+    that keeps the entries here at 173 bits.  Without the move every entry
+    carries the row's common factor, such as the power of det(D) that the
+    leading minors of an inverse-nonnegative D^-1 share, and the entries reach
+    991 bits while every answer stays the same.  The bound sits between the
+    two, so only the size, not a timing, shows the lost step.  Both bindings
+    of the step are wrapped: ``lp`` imports ``_pivot`` by name."""
+    step = ratmat._pivot
+    largest = 0
+
+    def pivot(grid, scales, r, k, d):
+        nonlocal largest
+        d = step(grid, scales, r, k, d)
+        largest = max(largest, max(abs(x).bit_length() for row in grid for x in row))
+        return d
+
+    monkeypatch.setattr(ratmat, "_pivot", pivot)
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    classify.classify_all(gen_msp(12, 12, GenConfig(1), 0))
+    assert 0 < largest <= 256
 
 
 
