@@ -15,12 +15,13 @@ loads only those: ``classify`` and ``witness`` load ``classify`` (with ``lp``),
 load there only for the tall ``preserver into-msp`` search, whose draws are
 decided by an LP; ``genfuzz`` loads otherwise only for ``fuzz`` and ``basis``.
 Each is imported as a module and its functions are looked up on it at call
-time, so a wrapper installed on a module attribute is seen.  ``ratmat``,
-``lp``, ``classify`` and ``construct`` use no ``@dataclass``, so ``classify``,
-``witness``, ``build`` and ``key1`` never load the stdlib ``dataclasses``, nor
-the modules it brings (``inspect``, ``ast``, ``dis``, ``tokenize``,
-``linecache``, ``copy``, ...); ``preserver`` and ``genfuzz`` still load it,
-and ``fuzz`` imports it in its handler, for ``asdict``.
+time, so a wrapper installed on a module attribute is seen.  Only
+``preserver`` uses ``@dataclass``, so the stdlib ``dataclasses``, and the
+modules it brings (``inspect``, ``ast``, ``dis``, ``tokenize``, ``linecache``,
+``copy``, ...), load exactly when ``preserver`` does: never for
+``classify``, ``witness``, ``build``, ``key1`` or ``basis``, and for ``fuzz``
+only on a campaign whose trials call ``preserver``.  ``fuzz`` reports its
+``NamedTuple`` result through ``_asdict()``.
 
 Exit codes: 0 for a yes/true verdict, 1 for no/false, 2 for unknown, 64 for
 malformed input (bad files, dimension mismatches, violated preconditions, a
@@ -273,13 +274,11 @@ def _falsify(args: argparse.Namespace, inputs: Inputs) -> Handled:
 
 
 def _fuzz(args: argparse.Namespace, inputs: Inputs) -> Handled:
-    import dataclasses
-
     from . import genfuzz
 
     result = genfuzz.run_campaign(args.campaign, args.seed, args.trials)
     # notes is a tuple, which --pretty would print as its repr
-    report = {**dataclasses.asdict(result), "notes": list(result.notes), "passed": result.passed}
+    report = {**result._asdict(), "notes": list(result.notes), "passed": result.passed}
     return report, EXIT_YES if result.passed else EXIT_NO
 
 

@@ -17,7 +17,9 @@ builders share one check: B >= 0 of full row rank with B v = w.  A square
 builder's B is, in orders it already computes, a k x k block L (k = 2 for
 ``build_np``, 1 for ``build_pos``) above a diagonal D, so B^{-1} is read off
 that form by ``_block_inverse`` without elimination, and full rank is proved
-by the product B B^{-1} = I; the rectangular B is checked by ``rank()``.
+by the product B B^{-1} = I; the rectangular B, the top rows of a square one,
+by its product with the first columns of that B^{-1}.  No builder runs an
+elimination.
 """
 
 from __future__ import annotations
@@ -252,31 +254,31 @@ def build_rect(v: Vector, w: Vector) -> Matrix:
     """Nonnegative full-row-rank B with B v = w, for v longer than w.
 
     The target is padded with ones to the length of v, the square construction
-    matching v's sign pattern is applied, and the top rows are kept.
+    matching v's sign pattern is applied, and the top m rows are kept.  The
+    first m columns of the square B^{-1} are a right inverse of those rows,
+    which proves their full row rank.
     """
     n, m = v.dim, w.dim
     if n <= m:
         raise InvalidInputError("v must be strictly longer than w")
     padded = Vector(w.entries + (_ONE,) * (n - m))
     if v.has_mixed_signs():
-        full = build_np(v, padded)[0]
+        full, trace = build_np(v, padded)
+        inv = trace.inverse
     elif v.is_nonneg() and not v.is_zero() and w.is_positive():
-        full = build_pos(v, padded)[0]
+        full, inv = build_pos(v, padded)
     else:
         raise InvalidInputError(
             "need v with both signs, or v >= 0 nonzero together with w > 0"
         )
-    return _checked(full.take_rows(m), v, w, "build_rect")
+    right = Matrix.from_integer_rows((den, nums[:m]) for den, nums in inv.integer_rows())
+    return _checked(full.take_rows(m), v, w, "build_rect", right)
 
 
-def _checked(b: Matrix, v: Vector, w: Vector, name: str, inv: Matrix | None = None) -> Matrix:
-    """B, after checking B >= 0, B v = w and full row rank: by B inv = I for a
-    square B given its inverse, by ``rank()`` otherwise."""
-    if (
-        not b.is_nonneg()
-        or b @ v != w
-        or (b.rank() != b.rows if inv is None else b @ inv != Matrix.identity(b.rows))
-    ):
+def _checked(b: Matrix, v: Vector, w: Vector, name: str, inv: Matrix) -> Matrix:
+    """B, after checking B >= 0, B v = w and full row rank, the last by
+    B inv = I for a right inverse ``inv`` of B."""
+    if not b.is_nonneg() or b @ v != w or b @ inv != Matrix.identity(b.rows):
         raise _failed(name)
     return b
 

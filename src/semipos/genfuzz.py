@@ -17,11 +17,11 @@ first 5 failure notes are kept.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 from . import classify, construct, lp
 from .ratmat import (
@@ -41,8 +41,7 @@ ENTRY_BOUND = 5
 DENOMINATORS = (1, 2, 3, 4)
 
 
-@dataclass(frozen=True)
-class GenConfig:
+class GenConfig(NamedTuple):
     """Deterministic generator configuration: the seed every draw derives from."""
 
     seed: int
@@ -51,16 +50,20 @@ class GenConfig:
         return random.Random(":".join(str(t) for t in (self.seed, *tags)))
 
 
-def _positive_entry(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(1, ENTRY_BOUND), rng.choice(DENOMINATORS))
+_T = TypeVar("_T")
 
 
-def _nonneg_entry(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(0, ENTRY_BOUND), rng.choice(DENOMINATORS))
+def _first(draw: Callable[[], _T], accept: Callable[[_T], bool]) -> _T:
+    """Rejection sampling: the first value ``draw()`` returns that ``accept`` takes."""
+    while True:
+        value = draw()
+        if accept(value):
+            return value
 
 
-def _signed_entry(rng: random.Random) -> Fraction:
-    return Fraction(rng.randint(-ENTRY_BOUND, ENTRY_BOUND), rng.choice(DENOMINATORS))
+def _entry(rng: random.Random, low: int) -> Fraction:
+    """A numerator in [low, ENTRY_BOUND] over a denominator from DENOMINATORS."""
+    return Fraction(rng.randint(low, ENTRY_BOUND), rng.choice(DENOMINATORS))
 
 
 def gen_monomial(n: int, cfg: GenConfig, index: object = 0) -> Matrix:
@@ -72,7 +75,7 @@ def gen_monomial(n: int, cfg: GenConfig, index: object = 0) -> Matrix:
     rng.shuffle(perm)
     rows = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
-        rows[i][perm[i]] = _positive_entry(rng)
+        rows[i][perm[i]] = _entry(rng, 1)
     return Matrix(rows)
 
 
@@ -92,8 +95,8 @@ def gen_inverse_nonneg_with_inverse(
     rng = cfg.rng("inverse-nonneg", n, index)
     rows = []
     for i in range(n):
-        row = [_nonneg_entry(rng) for _ in range(n)]
-        row[i] = sum(row[:i] + row[i + 1 :], Fraction(0)) + _positive_entry(rng)
+        row = [_entry(rng, 0) for _ in range(n)]
+        row[i] = sum(row[:i] + row[i + 1 :], Fraction(0)) + _entry(rng, 1)
         rows.append(row)
     dominant = Matrix(rows)
     return dominant.inverse(), dominant
@@ -113,17 +116,13 @@ def gen_sp_with_witness(
     if m < 1 or n < 1:
         raise DimensionError("dimensions must be positive")
     rng = cfg.rng("sp", m, n, index)
-    x = Vector([_positive_entry(rng) for _ in range(n)])
-    rows: list[list[Fraction]] = []
-    for _ in range(m):
-        while True:
-            row = [_signed_entry(rng) for _ in range(n)]
-            d = sum((row[j] * x[j] for j in range(n)), Fraction(0))
-            if d == 0:
-                continue
-            rows.append([-v for v in row] if d < 0 else row)
-            break
-    a = Matrix(rows)
+    x = Vector([_entry(rng, 1) for _ in range(n)])
+
+    def row() -> Vector:
+        r = Vector([_entry(rng, -ENTRY_BOUND) for _ in range(n)])
+        return -r if r.dot(x) < 0 else r
+
+    a = Matrix([_first(row, lambda r: r.dot(x) > 0) for _ in range(m)])
     if not classify.is_sp_witness(a, x):
         raise ArithmeticError("planted witness lost")
     return a, x
@@ -141,15 +140,9 @@ def gen_msp(m: int, n: int, cfg: GenConfig, index: object = 0) -> Matrix:
     if m < n or n < 1:
         raise DimensionError("need m >= n >= 1")
     top, dominant = gen_inverse_nonneg_with_inverse(n, cfg, index)
-    rows = [list(r) for r in top.entries]
     rng = cfg.rng("msp-extra", m, n, index)
-    for _ in range(m - n):
-        while True:
-            row = [_nonneg_entry(rng) for _ in range(n)]
-            if any(v > 0 for v in row):
-                rows.append(row)
-                break
-    a = Matrix(rows)
+    extra = [_first(lambda: [_entry(rng, 0) for _ in range(n)], any) for _ in range(m - n)]
+    a = Matrix([*top.entries, *extra])
     witness = dominant @ ones_vector(n)
     if not witness.is_positive() or not classify.is_sp_witness(a, witness):
         raise ArithmeticError("minimally semipositive sample lost its witness")
@@ -220,8 +213,7 @@ def msp_basis_search(m: int, n: int) -> list[Matrix]:
 # -- campaigns -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CampaignResult:
+class CampaignResult(NamedTuple):
     name: str
     trials: int
     failures: int
@@ -234,19 +226,13 @@ class CampaignResult:
 
 
 def _random_mixed_int_vector(rng: random.Random, n: int) -> Vector:
-    while True:
-        v = Vector([rng.randint(-5, 5) for _ in range(n)])
-        if v.has_mixed_signs():
-            return v
+    return _first(lambda: Vector([rng.randint(-5, 5) for _ in range(n)]), Vector.has_mixed_signs)
 
 
-def _random_nonzero_int_vector(
-    rng: random.Random, n: int, low: int = -5, high: int = 5
-) -> Vector:
-    while True:
-        v = Vector([rng.randint(low, high) for _ in range(n)])
-        if not v.is_zero():
-            return v
+def _random_nonzero_int_vector(rng: random.Random, n: int, low: int = -5, high: int = 5) -> Vector:
+    return _first(
+        lambda: Vector([rng.randint(low, high) for _ in range(n)]), lambda v: not v.is_zero()
+    )
 
 
 def _random_int_matrix(rng: random.Random, m: int, n: int, bound: int = 3) -> Matrix:
@@ -254,10 +240,7 @@ def _random_int_matrix(rng: random.Random, m: int, n: int, bound: int = 3) -> Ma
 
 
 def _random_invertible_int_matrix(rng: random.Random, n: int, bound: int = 3) -> Matrix:
-    while True:
-        a = _random_int_matrix(rng, n, n, bound)
-        if a.det() != 0:
-            return a
+    return _first(lambda: _random_int_matrix(rng, n, n, bound), lambda a: a.det() != 0)
 
 
 def _random_singular_int_matrix(rng: random.Random, n: int) -> Matrix:
@@ -268,10 +251,10 @@ def _random_singular_int_matrix(rng: random.Random, n: int) -> Matrix:
 
 def _random_not_inverse_nonneg(rng: random.Random, n: int, s: int) -> Matrix:
     """Random invertible integer Y such that s * Y is not inverse nonnegative."""
-    while True:
-        y = _random_invertible_int_matrix(rng, n)
-        if not classify.is_inverse_nonnegative(y * s)[0]:
-            return y
+    return _first(
+        lambda: _random_invertible_int_matrix(rng, n),
+        lambda y: not classify.is_inverse_nonnegative(y * s)[0],
+    )
 
 
 def _random_row_positive(rng: random.Random, m: int) -> Matrix:
@@ -287,10 +270,7 @@ def _forced_uniform_column_matrix(rng: random.Random, n: int) -> Matrix:
         row = [Fraction(rng.randint(0, 5)) for _ in range(n)]
         row[i] = sum(row[:i] + row[i + 1 :], Fraction(0)) + rng.randint(1, 5)
         rows.append(row)
-    while True:
-        signs = [rng.choice((1, -1)) for _ in range(n)]
-        if 1 in signs and -1 in signs:
-            break
+    signs = _first(lambda: [rng.choice((1, -1)) for _ in range(n)], lambda s: 1 in s and -1 in s)
     inv = Matrix([[x * s for x, s in zip(row, signs)] for row in rows])
     return inv.inverse()
 
@@ -306,6 +286,26 @@ def _falsified(
     counts[cert.note] += 1
     if not cert.verify():
         return f"{cert.note} certificate does not verify"
+    return None
+
+
+def _sound(
+    verdict: Callable,
+    x: Matrix,
+    y: Matrix,
+    samples: Iterator[Matrix],
+    in_class: Callable[[Matrix], tuple],
+) -> str | None:
+    """The verdict on (X, Y) is yes, and X A Y stays in the class (``in_class``,
+    a decider returning (bool, evidence)) for each sample A, drawn in turn."""
+    from . import preserver
+
+    status = verdict(preserver.PreserverMap(x, y)).status
+    if status is not preserver.Verdict.YES:
+        return f"verdict {status.value}, expected yes"
+    for i, a in enumerate(samples):
+        if not in_class(x @ a @ y)[0]:
+            return f"image of sample {i} left the class"
     return None
 
 
@@ -384,11 +384,10 @@ def _trial_key1(
         x = _forced_uniform_column_matrix(rng, n)
         counts["family-forced"] += 1
     else:
-        while True:
-            x = _random_invertible_int_matrix(rng, n, bound=5)
-            inv = x.inverse()
-            if not (inv.is_nonneg() or inv.is_nonpos()):
-                break
+        x = _first(
+            lambda: _random_invertible_int_matrix(rng, n, bound=5),
+            lambda a: not ((inv := a.inverse()).is_nonneg() or inv.is_nonpos()),
+        )
         counts["family-generic"] += 1
     v, path = construct.mixed_sign_vector_with_path(x)
     if not (v.has_mixed_signs() and (x @ v).is_nonneg()):
@@ -439,15 +438,9 @@ def _trial_into_msp_soundness(
     x = gen_inverse_nonneg(n, cfg, index=("sound-x", t)) * s
     y = gen_inverse_nonneg(n, cfg, index=("sound-y", t)) * s
     counts["negated" if s < 0 else "plain"] += 1
-    verdict = preserver.into_msp_preserver(preserver.PreserverMap(x, y))
-    if verdict.status is not preserver.Verdict.YES:
-        return f"verdict {verdict.status.value}, expected yes"
-    for i in range(20):
-        a = gen_msp(n, n, cfg, index=("sound-a", t, i))
-        # square: minimally semipositive iff inverse nonnegative
-        if not classify.is_inverse_nonnegative(x @ a @ y)[0]:
-            return f"image of sample {i} left the class"
-    return None
+    # square: minimally semipositive iff inverse nonnegative
+    samples = (gen_msp(n, n, cfg, index=("sound-a", t, i)) for i in range(20))
+    return _sound(preserver.into_msp_preserver, x, y, samples, classify.is_inverse_nonnegative)
 
 
 def _trial_into_msp_falsification(
@@ -460,11 +453,10 @@ def _trial_into_msp_falsification(
     n = rng.randint(2, 4)
     family = t % 4
     if family in (0, 1):
-        while True:
-            x = _random_invertible_int_matrix(rng, n)
-            y = _random_invertible_int_matrix(rng, n)
-            if not preserver.into_msp_square_condition(x, y):
-                break
+        x, y = _first(
+            lambda: (_random_invertible_int_matrix(rng, n), _random_invertible_int_matrix(rng, n)),
+            lambda xy: not preserver.into_msp_square_condition(*xy),
+        )
     elif family == 2:
         s = 1 if t % 8 < 4 else -1
         x = gen_inverse_nonneg(n, cfg, index=("fals-x", t)) * s
@@ -488,14 +480,8 @@ def _trial_into_sp_soundness(
     x = _random_row_positive(rng, m) * s
     y = gen_inverse_nonneg(n, cfg, index=("sp-sound-y", t)) * s
     counts["negated" if s < 0 else "plain"] += 1
-    verdict = preserver.into_sp_preserver(preserver.PreserverMap(x, y))
-    if verdict.status is not preserver.Verdict.YES:
-        return f"verdict {verdict.status.value}, expected yes"
-    for i in range(20):
-        a = gen_sp(m, n, cfg, index=("sp-sound-a", t, i))
-        if not classify.is_semipositive(x @ a @ y)[0]:
-            return f"image of sample {i} left the class"
-    return None
+    samples = (gen_sp(m, n, cfg, index=("sp-sound-a", t, i)) for i in range(20))
+    return _sound(preserver.into_sp_preserver, x, y, samples, classify.is_semipositive)
 
 
 def _trial_into_sp_falsification(
@@ -565,12 +551,11 @@ def _trial_onto_consistency(
             return f"image of sample {i} left the class"
         if not classify.is_inverse_nonnegative(preserver.apply(inverse_map, a))[0]:
             return f"inverse image of sample {i} left the class"
-    attempt = 0
-    while True:
-        xn = gen_inverse_nonneg(n, cfg, index=("onto-nm", t, attempt))
-        if not classify.is_monomial(xn):
-            break
-        attempt += 1
+    attempts = itertools.count()
+    xn = _first(
+        lambda: gen_inverse_nonneg(n, cfg, index=("onto-nm", t, next(attempts))),
+        lambda a: not classify.is_monomial(a),
+    )
     counts["non-monomial"] += 1
     ym = gen_monomial(n, cfg, index=("onto-ym", t))
     verdict = preserver.onto_msp_preserver(preserver.PreserverMap(xn, ym))

@@ -29,9 +29,10 @@ their ``==`` and ``hash`` compare the stored fields, another class gets
 ``AttributeError``.  Importing ``dataclasses`` loads a dozen more stdlib
 modules (``inspect``, ``ast``, ``dis``, ``tokenize``, ...), 13 to 16 ms of
 start-up on a 2-vCPU host with Python 3.11, and the CLI commands built on
-``ratmat``, ``lp``, ``classify`` and ``construct`` alone load none of them;
-the records those modules return are ``typing.NamedTuple``s for the same
-reason.  Do not bring ``@dataclass`` back into these four modules.
+``ratmat``, ``lp``, ``classify``, ``construct`` and ``genfuzz`` alone load
+none of them; the records those modules return (``genfuzz``'s ``GenConfig``
+and ``CampaignResult`` among them) are ``typing.NamedTuple``s for the same
+reason.  Do not bring ``@dataclass`` back into these five modules.
 
 Intended scale is dense matrices up to roughly 12x12; the text formats refuse
 more than ``MAX_DIM`` rows or columns and entries over ``MAX_ENTRY_BITS``

@@ -45,6 +45,9 @@ MUTANTS = [
     # the square builders' closed-form inverse: lower-left block negated, B B^-1 = I check cut
     ("construct.py", "row[rows[j]] = -sum(", "row[rows[j]] = sum(", ["tests/test_construct.py", "tests/test_preserver.py"]),
     ("construct.py", "b @ inv != Matrix.identity(b.rows)", "False", ["tests/test_construct.py", "tests/test_preserver.py"]),
+    # genfuzz's rejection sampler keeping every draw, and its entry sampler stopping one short of the bound
+    ("genfuzz.py", "if accept(value):", "if True:", ["tests/test_golden_campaigns.py"]),
+    ("genfuzz.py", "rng.randint(low, ENTRY_BOUND)", "rng.randint(low, ENTRY_BOUND - 1)", ["tests/test_golden_verdicts.py"]),
     # Bland's tie-break reversed, and a negative right-hand side's row left unsigned
     ("lp.py", "basis[i] < basis[pivot_row]", "basis[i] > basis[pivot_row]", ["tests/test_golden_lp.py"]),
     ("lp.py", "f = s // den if r >= 0 else -(s // den)", "f = s // den", ["tests/test_lp.py"]),

@@ -197,6 +197,12 @@ def test_the_result_records_keep_their_fields_order_and_defaults():
             [("step1_case", required), ("step2_cases", required), ("step3_case", required),
              ("v_permutation", required), ("w_permutation", required), ("inverse", required)],
         ),
+        (genfuzz.GenConfig, [("seed", required)]),
+        (
+            genfuzz.CampaignResult,
+            [("name", required), ("trials", required), ("failures", required),
+             ("counters", required), ("notes", ())],
+        ),
     ):
         parameters = inspect.signature(record).parameters.values()
         assert [(p.name, p.default) for p in parameters] == fields, record
@@ -206,6 +212,11 @@ def test_the_result_records_keep_their_fields_order_and_defaults():
     assert lp.FeasibilityResult(False).status == "infeasible"
     with pytest.raises(AttributeError):
         result.feasible = False
+    campaign = genfuzz.CampaignResult("c", 2, 1, {"k": 1})
+    assert campaign.notes == () and not campaign.passed
+    assert campaign._asdict() == {
+        "name": "c", "trials": 2, "failures": 1, "counters": {"k": 1}, "notes": ()
+    }
 
 
 def _random_matrix(rng, m, n, bound=3):

@@ -457,7 +457,5 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
         assert proc.returncode == 0, proc.stderr
         got_code, got_loaded, dataclasses_loaded = json.loads(proc.stdout)
         assert [got_code, got_loaded] == [code, sorted(loaded)], argv
-        # ratmat, lp, classify and construct are written without dataclasses;
-        # preserver and genfuzz still use it
-        if loaded <= deciders | builders:
-            assert not dataclasses_loaded, argv
+        # only preserver is written with dataclasses
+        assert dataclasses_loaded == ("semipos.preserver" in loaded), argv

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -200,6 +201,9 @@ def test_build_rect_preconditions():
         construct.build_rect(Vector([-1, -1, 0]), Vector([1]))  # v <= 0
 
 
+_NOT_NONNEG = Matrix([[6, 1, -1], [0, 1, 0], [0, 0, 1]])
+
+
 @pytest.mark.parametrize(
     "builder, v, w, helper, bad",
     [
@@ -221,7 +225,7 @@ def test_build_rect_preconditions():
             [1, -1, 0],
             [5],
             "build_np",
-            lambda v, w: (Matrix([[6, 1, -1], [0, 1, 0], [0, 0, 1]]), None),
+            lambda v, w: (_NOT_NONNEG, SimpleNamespace(inverse=_NOT_NONNEG.inverse())),
             id="rect-sign",
         ),
     ],

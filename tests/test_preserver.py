@@ -1,5 +1,8 @@
 import dataclasses
+import functools
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -641,3 +644,36 @@ def test_onto_yes_implies_both_intos():
         assert preserver.onto_sp_preserver(lmap).status is Verdict.YES
         assert preserver.into_sp_preserver(lmap).status is Verdict.YES
         assert preserver.into_sp_preserver(lmap.inverse_map()).status is Verdict.YES
+
+
+# every 2x2 matrix with entries in {-1, 0, 1}
+GRID_2X2 = [Matrix([e[:2], e[2:]]) for e in itertools.product((-1, 0, 1), repeat=4)]
+
+
+def test_every_2x2_pair_over_minus_one_zero_one():
+    """All 6,561 pairs (X, Y) from the grid go through the four verdicts, which
+    decide every one.  Each "no" certificate verifies, and each into "yes" pair
+    maps every member of the grid in its class back into the class.  The
+    members and their images are decided by the oracles: vertex enumeration
+    (A x >= 1 with x >= 0) for semipositivity and ``msp_by_deletion`` for
+    minimal semipositivity."""
+    ones = ones_vector(2)
+    sp = functools.cache(lambda a: lp.feasible_nonneg_bruteforce(a, ones).feasible)
+    msp = functools.cache(classify.msp_by_deletion)
+    into = {preserver.into_sp_preserver: sp, preserver.into_msp_preserver: msp}
+    members = {op: [a for a in GRID_2X2 if in_class(a)] for op, in_class in into.items()}
+    verdicts = (*into, preserver.onto_sp_preserver, preserver.onto_msp_preserver)
+    statuses = Counter()
+    for x, y in itertools.product(GRID_2X2, repeat=2):
+        lmap = _map(x, y)
+        for op in verdicts:
+            verdict = op(lmap)
+            statuses[op.__name__, verdict.status] += 1
+            if verdict.status is Verdict.NO:
+                assert verdict.certificate.verify(), (op.__name__, x, y)
+            elif verdict.status is Verdict.YES and op in into:
+                assert all(into[op](x @ a @ y) for a in members[op]), (op.__name__, x, y)
+    assert sum(statuses.values()) == 4 * 81 * 81
+    assert all(statuses[op.__name__, s] > 0 for op in verdicts for s in (Verdict.YES, Verdict.NO))
+    assert not any(status is Verdict.UNKNOWN for _, status in statuses)
+    assert all(members.values())
