@@ -262,9 +262,10 @@ def _random_row_positive(rng: random.Random, m: int) -> Matrix:
     return Matrix(v.entries for v in rows)
 
 
-def _forced_uniform_column_matrix(rng: random.Random, n: int) -> Matrix:
-    """Invertible X whose inverse has every column uniformly signed, with both
-    signs present: forces the combination path of the mixed-sign search."""
+def _forced_uniform_column_matrix(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
+    """(X, X^-1) for an invertible X whose inverse has every column uniformly
+    signed, with both signs present: forces the combination path of the
+    mixed-sign search."""
     rows = []
     for i in range(n):
         row = [Fraction(rng.randint(0, 5)) for _ in range(n)]
@@ -272,7 +273,7 @@ def _forced_uniform_column_matrix(rng: random.Random, n: int) -> Matrix:
         rows.append(row)
     signs = _first(lambda: [rng.choice((1, -1)) for _ in range(n)], lambda s: 1 in s and -1 in s)
     inv = Matrix([[x * s for x, s in zip(row, signs)] for row in rows])
-    return inv.inverse()
+    return inv.inverse(), inv
 
 
 def _falsified(
@@ -381,15 +382,15 @@ def _trial_key1(
     """
     n = rng.randint(2, 6)
     if t % 5 == 0:
-        x = _forced_uniform_column_matrix(rng, n)
+        x, inv = _forced_uniform_column_matrix(rng, n)
         counts["family-forced"] += 1
     else:
-        x = _first(
-            lambda: _random_invertible_int_matrix(rng, n, bound=5),
-            lambda a: not ((inv := a.inverse()).is_nonneg() or inv.is_nonpos()),
+        x, inv = _first(
+            lambda: (a := _random_invertible_int_matrix(rng, n, bound=5), a.inverse()),
+            lambda pair: not (pair[1].is_nonneg() or pair[1].is_nonpos()),
         )
         counts["family-generic"] += 1
-    v, path = construct.mixed_sign_vector_with_path(x)
+    v, path = construct.mixed_sign_vector_with_path(x, inv)
     if not (v.has_mixed_signs() and (x @ v).is_nonneg()):
         return f"path {path} gave v={v}"
     counts[f"path-{path}"] += 1

@@ -16,10 +16,11 @@ ratio test, and hence every pivot and witness, is the one the rational
 tableau gives.
 
 A brute-force vertex-enumeration oracle over the same systems is provided for
-cross-validation at small sizes.  It runs no simplex, but its solves call
-``Matrix.det`` and ``Matrix.inverse``, which reach ``_pivot`` too; each
-inverse is self-checked by an integer product, and ``_pivot`` is checked
-against plain-``Fraction`` Gauss-Jordan in the ratmat tests.
+cross-validation at small sizes.  It runs no simplex, but each candidate
+basis is solved by one ``Matrix.inverse``, which reaches ``_pivot`` too and
+raises ``SingularMatrixError`` on a singular basis; each inverse is
+self-checked by an integer product, and ``_pivot`` is checked against
+plain-``Fraction`` Gauss-Jordan in the ratmat tests.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .ratmat import DimensionError, Matrix, Vector, _pivot
+from .ratmat import DimensionError, Matrix, SingularMatrixError, Vector, _pivot
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -168,10 +169,11 @@ def feasible_nonneg_bruteforce(a: Matrix, b: Vector) -> FeasibilityResult:
         stacked.append(row)
         rhs.append(_ZERO)
     for combo in itertools.combinations(range(len(stacked)), n):
-        sub = Matrix([stacked[i] for i in combo])
-        if sub.det() == 0:
+        try:
+            inv = Matrix([stacked[i] for i in combo]).inverse()
+        except SingularMatrixError:
             continue
-        x = sub.inverse() @ Vector([rhs[i] for i in combo])
+        x = inv @ Vector([rhs[i] for i in combo])
         if x.is_nonneg():
             ax = a @ x
             if all(ax[i] >= b[i] for i in range(b.dim)):

@@ -500,7 +500,6 @@ def _falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
         note = "x-not-inverse-nonnegative-either-sign"
         return _leaves_as_inverse(lmap, b, trace.inverse, note, w, x @ v)
 
-    xs = x * sign
     c = lmap.y_inv * sign  # (sign Y)^{-1}
     i, j = _negative_entry(c)
     shifted = c @ ones_vector(n)
@@ -511,7 +510,8 @@ def _falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
     if u.entries[i] >= 0 or not w.is_positive() or not v.is_nonneg():
         raise ArithmeticError("shift construction lost its sign pattern")
     b, b_inv = build_pos(v, w)
-    return _leaves_as_inverse(lmap, b, b_inv, "y-not-inverse-nonnegative", u, xs @ v)
+    # the image sends u to (sX)(sX)^{-1} w = w
+    return _leaves_as_inverse(lmap, b, b_inv, "y-not-inverse-nonnegative", u, w)
 
 
 def _falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
@@ -638,31 +638,14 @@ def _no_preimage_certificate(lmap: PreserverMap) -> FalsifyCertificate:
 
 
 def _leaves(
-    class_name: str,
-    lmap: PreserverMap,
-    a: Matrix,
-    note: str,
-    probe: Vector | None = None,
-    probe_image: Vector | None = None,
-    *,
-    witness: Vector | None = None,
-    left_inverse: Matrix | None = None,
+    class_name: str, lmap: PreserverMap, a: Matrix, note: str, **evidence: Vector | Matrix
 ) -> FalsifyCertificate:
     """The certificate, not yet verified, that A is in the class and X A Y is
-    not, with the evidence of A's membership its construction holds; the "no"
+    not, with the evidence its construction holds (``FalsifyCertificate``'s
+    ``probe``, ``probe_image``, ``witness`` and ``left_inverse``); the "no"
     verdict that carries it verifies it, which forms and stores the image."""
     return FalsifyCertificate(
-        "image-leaves-class",
-        class_name,
-        lmap.x,
-        lmap.y,
-        a,
-        None,
-        probe,
-        probe_image,
-        note,
-        witness,
-        left_inverse,
+        "image-leaves-class", class_name, lmap.x, lmap.y, a, note=note, **evidence
     )
 
 
@@ -678,8 +661,8 @@ def _leaves_as_inverse(
         lmap,
         b_inv,
         note,
-        probe,
-        probe_image,
+        probe=probe,
+        probe_image=probe_image,
         witness=b @ ones_vector(b.rows),
         left_inverse=b,
     )

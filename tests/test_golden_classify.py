@@ -7,22 +7,21 @@ semipositive, semipositive but not minimally so, rank-deficient, and not
 semipositive.  The labels come from the definitional oracles
 (``lp.feasible_nonneg_bruteforce``, ``classify.msp_by_deletion``), not from
 the deciders the report runs.  Regenerate the file only when a report is
-meant to change:
+meant to change, with the one writer of every golden file:
 
-    PYTHONPATH=src python tests/test_golden_classify.py --write
+    PYTHONPATH=src python3 tests/golden.py --write
 """
 
 from __future__ import annotations
 
 import json
 import random
-import sys
-from pathlib import Path
 
+import golden
 from semipos import classify, cli, genfuzz, lp
 from semipos.ratmat import Matrix, ones_vector
 
-GOLDEN = Path(__file__).with_name("golden_classify.json")
+GOLDEN = golden.path("classify")
 DIMS = (1, 2, 3, 4, 5)
 DRAWS = 200
 
@@ -31,14 +30,10 @@ def _sp(a: Matrix) -> bool:
     return lp.feasible_nonneg_bruteforce(a, ones_vector(a.rows)).feasible
 
 
-def _random(rng: random.Random, m: int, n: int, lo: int, hi: int) -> Matrix:
-    return Matrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)])
-
-
 def _sp_not_msp(rng: random.Random, m: int, n: int) -> Matrix:
     """Full rank and semipositive, yet not minimally so (first passing draw)."""
     for _ in range(DRAWS):
-        a = _random(rng, m, n, -1, 4)
+        a = Matrix(golden.ints(rng, m, n, -1, 4))
         if a.rank() == min(m, n) and _sp(a) and not classify.msp_by_deletion(a):
             return a
     raise RuntimeError(f"no {m}x{n} draw is semipositive but not minimally so")
@@ -49,18 +44,17 @@ def _rank_deficient(rng: random.Random, m: int, n: int) -> Matrix:
     when wide, last row) repeats its first."""
     if min(m, n) == 1:
         return Matrix.zeros(m, n)
-    rows = [list(r) for r in _random(rng, m, n, 1, 4).entries]
+    rows = golden.ints(rng, m, n, 1, 4)
     if m < n:
-        rows[-1] = list(rows[0])
-    else:
-        for row in rows:
-            row[-1] = row[0]
+        return golden.singular(Matrix(rows))
+    for row in rows:
+        row[-1] = row[0]
     return Matrix(rows)
 
 
 def _not_sp(rng: random.Random, m: int, n: int) -> Matrix:
     """A nonpositive row: (A x)_0 <= 0 for every x >= 0."""
-    rows = [list(r) for r in _random(rng, m, n, -3, 3).entries]
+    rows = golden.ints(rng, m, n, -3, 3)
     rows[0] = [-abs(v) for v in rows[0]]
     return Matrix(rows)
 
@@ -81,12 +75,8 @@ def cases():
 
 
 def render() -> str:
-    """Every case's report as one JSON object, one case a line."""
-    lines = [
-        f"{json.dumps(label)}: {json.dumps(cli._report_dict(classify.classify_all(a)))}"
-        for label, _, a in cases()
-    ]
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+    """Every case's report, one case a line."""
+    return golden.dump((label, cli._report_dict(classify.classify_all(a))) for label, _, a in cases())
 
 
 def test_class_reports_match_golden():
@@ -94,21 +84,15 @@ def test_class_reports_match_golden():
 
 
 def test_golden_labels_match_the_oracles(entries_reads):
-    golden = json.loads(GOLDEN.read_text())
+    pinned = json.loads(GOLDEN.read_text())
     for label, category, a in cases():
         # the deciders run on the integer rows and never read the Fraction grid
         entries_reads.clear()
         classify.classify_all(a)
         assert entries_reads == [], label
-        verdicts = golden[label]["verdicts"]
+        verdicts = pinned[label]["verdicts"]
         assert verdicts["semipositive"] is _sp(a), label
         assert verdicts["minimally_semipositive"] is (category == "msp"), label
         assert (a.rank() < min(a.shape)) is (category == "rank-deficient"), label
         if category == "not-sp":
             assert verdicts["semipositive"] is False, label
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden_classify.py --write")
-    GOLDEN.write_text(render())

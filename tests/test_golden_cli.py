@@ -7,9 +7,10 @@ on stdout (with ``elapsed_seconds`` masked) and the text on stderr.  Each
 command runs in-process through ``cli.run`` in a scratch directory, so the
 matrix paths in the reports are the bare file names.  The report is stored
 parsed; rendering checks that it prints back to the exact stdout bytes.
-Regenerate the file only when a report is meant to change:
+Regenerate the file only when a report is meant to change, with the one
+writer of every golden file:
 
-    PYTHONPATH=src python tests/test_golden_cli.py --write
+    PYTHONPATH=src python3 tests/golden.py --write
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ import json
 import os
 import random
 import re
-import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import golden
 from semipos import cli, genfuzz
 from semipos.ratmat import Matrix
 
-GOLDEN = Path(__file__).with_name("golden_cli.json")
+GOLDEN = golden.path("cli")
 SIZES = (2, 3, 4, 5)
 _ELAPSED = re.compile(r'"elapsed_seconds": [0-9.e+-]+')
 
@@ -49,25 +50,6 @@ def _mixed(rng: random.Random, n: int) -> str:
     """A vector with both signs: entry 0 positive, entry 1 negative."""
     rest = _vector(rng, n - 2, -5, 5)
     return " ".join(filter(None, (str(_entry(rng, 1, 5)), str(_entry(rng, -5, -1)), rest)))
-
-
-def _flip_columns(rng: random.Random, m: Matrix) -> Matrix:
-    """M D for a sign diagonal D of both signs: neither inverse sign is nonnegative."""
-    n = m.rows
-    flips = set(rng.sample(range(n), rng.randint(1, n - 1)))
-    return Matrix([[-v if j in flips else v for j, v in enumerate(row)] for row in m.entries])
-
-
-def _with_zero_row(rng: random.Random, m: Matrix) -> Matrix:
-    rows = [list(r) for r in m.entries]
-    rows[rng.randrange(m.rows)] = [0] * m.cols
-    return Matrix(rows)
-
-
-def _singular(m: Matrix) -> Matrix:
-    rows = [list(r) for r in m.entries]
-    rows[-1] = list(rows[0])
-    return Matrix(rows)
 
 
 def _key1_input(rng: random.Random, n: int) -> Matrix:
@@ -104,12 +86,12 @@ def _cases(n: int, cfg: genfuzz.GenConfig):
         f"random-{n}.mat": _matrix(rng, n, n),
         f"negative-{n}.mat": _matrix(rng, n, n, -5, 0),
         f"key1-{n}.mat": _key1_input(rng, n),
-        f"flipped-{n}.mat": _flip_columns(rng, z),
+        f"flipped-{n}.mat": golden.flip_columns(rng, z),
         f"z-{n}.mat": z,
         f"neg-z-{n}.mat": -z,
-        f"z-singular-{n}.mat": _singular(z),
+        f"z-singular-{n}.mat": golden.singular(z),
         f"positive-{n}.mat": _matrix(rng, n, n, 1, 5),
-        f"zero-row-{n}.mat": _with_zero_row(rng, _matrix(rng, n, n, 0, 5)),
+        f"zero-row-{n}.mat": golden.with_zero_row(rng, _matrix(rng, n, n, 0, 5)),
         f"id-{n}.mat": Matrix.identity(n),
         f"column-w-{n}.mat": _key1_column_w(n),
         f"diagonal-{n}.mat": _sign_diagonal(rng, n),
@@ -152,7 +134,11 @@ def cases():
         yield from _cases(n, cfg)
 
 
-def _run(argv: list[str]) -> dict:
+def _run(argv: list[str], files: dict[str, Matrix]) -> dict:
+    """Run argv in the working directory, first writing each of files that is not there."""
+    for name, matrix in files.items():
+        if not Path(name).exists():
+            Path(name).write_text(str(matrix) + "\n")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
@@ -164,20 +150,14 @@ def _run(argv: list[str]) -> dict:
 
 
 def render() -> str:
-    """Every case's run as one JSON object, one case a line."""
-    lines = []
+    """Every case's run, one case a line, in a scratch working directory."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as scratch:
         os.chdir(scratch)
         try:
-            for label, argv, files in cases():
-                for name, matrix in files.items():
-                    if not Path(name).exists():
-                        Path(name).write_text(str(matrix) + "\n")
-                lines.append(f"{json.dumps(label)}: {json.dumps(_run(argv))}")
+            return golden.dump((label, _run(argv, files)) for label, argv, files in cases())
         finally:
             os.chdir(cwd)
-    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def test_cli_reports_match_golden():
@@ -185,18 +165,12 @@ def test_cli_reports_match_golden():
 
 
 def test_golden_covers_every_pinned_command_and_exit():
-    golden = json.loads(GOLDEN.read_text())
-    commands = {tuple(case["argv"][:2]) for case in golden.values()}
+    pinned = json.loads(GOLDEN.read_text())
+    commands = {tuple(case["argv"][:2]) for case in pinned.values()}
     assert {c if c[0] not in ("key1", "basis") else c[:1] for c in commands} == {
         ("witness", "sp"), ("build", "np"), ("build", "pos"), ("build", "rect"),
         ("key1",), ("falsify", "into-sp"), ("falsify", "into-msp"), ("basis",),
     }
-    assert {case["exit"] for case in golden.values()} == {0, 1, 64}
-    paths = {case["report"]["result"]["path"] for case in golden.values() if case["argv"][0] == "key1"}
+    assert {case["exit"] for case in pinned.values()} == {0, 1, 64}
+    paths = {case["report"]["result"]["path"] for case in pinned.values() if case["argv"][0] == "key1"}
     assert paths == {"column-u", "column-w", "combination"}
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden_cli.py --write")
-    GOLDEN.write_text(render())

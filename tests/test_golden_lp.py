@@ -5,23 +5,22 @@ results on a seeded corpus of systems of shape 2x2 to 6x6, one system a line:
 fractional entries with denominators up to 97, negative right-hand sides,
 infeasible systems, and degenerate systems whose minimum ratios tie, so that
 the pivot rule's tie-break decides the witness.  Regenerate it only when a witness is meant to
-change:
+change, with the one writer of every golden file:
 
-    PYTHONPATH=src python tests/test_golden_lp.py --write
+    PYTHONPATH=src python3 tests/golden.py --write
 """
 
 from __future__ import annotations
 
 import json
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
+import golden
 from semipos import lp
 from semipos.ratmat import Matrix, Vector
 
-GOLDEN = Path(__file__).with_name("golden_lp.json")
+GOLDEN = golden.path("lp")
 PER_FAMILY = 60
 
 
@@ -36,7 +35,7 @@ def _fractional(rng: random.Random, m: int, n: int) -> tuple[list, list]:
 
 
 def _negative_rhs(rng: random.Random, m: int, n: int) -> tuple[list, list]:
-    a = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+    a = golden.ints(rng, m, n, -4, 4)
     b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)]
     b[rng.randrange(m)] = -Fraction(rng.randint(1, 9), rng.randint(1, 5))
     return a, b
@@ -58,7 +57,7 @@ def _infeasible(rng: random.Random, m: int, n: int) -> tuple[list, list]:
 def _degenerate(rng: random.Random, m: int, n: int) -> tuple[list, list]:
     """Entries in 0..2 and rhs in 1..2, so minimum ratios often tie between
     rows that are not proportional; row m-1 repeats row 0 half the time."""
-    a = [[rng.randint(0, 2) for _ in range(n)] for _ in range(m)]
+    a = golden.ints(rng, m, n, 0, 2)
     b = [rng.randint(1, 2) for _ in range(m)]
     if rng.random() < 0.5:
         a[-1], b[-1] = list(a[0]), b[0]
@@ -85,17 +84,18 @@ def cases():
             yield f"{family}:{t}", Matrix(a), Vector(b)
 
 
+def _solved(a: Matrix, b: Vector) -> dict:
+    return {
+        "a": a.to_strings(),
+        "b": b.to_strings(),
+        "feasible_nonneg": _result(lp.feasible_nonneg(a, b)),
+        "equality_feasible_nonneg": _result(lp.equality_feasible_nonneg(a, b)),
+    }
+
+
 def render() -> str:
-    lines = []
-    for label, a, b in cases():
-        entry = {
-            "a": a.to_strings(),
-            "b": b.to_strings(),
-            "feasible_nonneg": _result(lp.feasible_nonneg(a, b)),
-            "equality_feasible_nonneg": _result(lp.equality_feasible_nonneg(a, b)),
-        }
-        lines.append(f"{json.dumps(label)}: {json.dumps(entry)}")
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+    """Every system with both solvers' results, one system a line."""
+    return golden.dump((label, _solved(a, b)) for label, a, b in cases())
 
 
 def test_lp_results_match_golden():
@@ -103,18 +103,12 @@ def test_lp_results_match_golden():
 
 
 def test_golden_lp_covers_both_verdicts():
-    golden = json.loads(GOLDEN.read_text())
-    assert len(golden) == len(FAMILIES) * PER_FAMILY
+    pinned = json.loads(GOLDEN.read_text())
+    assert len(pinned) == len(FAMILIES) * PER_FAMILY
     for family in ("fractional", "negative-rhs", "degenerate"):
-        entries = [v for k, v in golden.items() if k.startswith(f"{family}:")]
+        entries = [v for k, v in pinned.items() if k.startswith(f"{family}:")]
         for solver in ("feasible_nonneg", "equality_feasible_nonneg"):
             assert {v[solver]["feasible"] for v in entries} == {True, False}, (family, solver)
-    infeasible = [v for k, v in golden.items() if k.startswith("infeasible:")]
+    infeasible = [v for k, v in pinned.items() if k.startswith("infeasible:")]
     assert not any(v["feasible_nonneg"]["feasible"] for v in infeasible)
     assert not any(v["equality_feasible_nonneg"]["feasible"] for v in infeasible)
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden_lp.py --write")
-    GOLDEN.write_text(render())

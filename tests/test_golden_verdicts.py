@@ -3,9 +3,10 @@
 ``golden_verdicts.json`` holds the JSON the CLI prints for the verdict of a
 seeded set of (X, Y) pairs on spaces of size
 2..5.  The set reaches every verdict function, every reason and every
-falsifier note.  Regenerate it only when a report is meant to change:
+falsifier note.  Regenerate it only when a report is meant to change, with
+the one writer of every golden file:
 
-    PYTHONPATH=src python tests/test_golden_verdicts.py --write
+    PYTHONPATH=src python3 tests/golden.py --write
 """
 
 from __future__ import annotations
@@ -13,27 +14,22 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
-import sys
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
+import golden
 from semipos import cli, construct, genfuzz, lp, preserver
 from semipos.ratmat import Matrix
 
-GOLDEN = Path(__file__).with_name("golden_verdicts.json")
+GOLDEN = golden.path("verdicts")
 SIZES = (2, 3, 4, 5)
 TALL = ((3, 2), (4, 3), (5, 2), (5, 4))
 WIDE = ((2, 3), (3, 5))
 
 
-def _ints(rng: random.Random, m: int, n: int, lo: int, hi: int) -> list[list[int]]:
-    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
-
-
 def _row_positive(rng: random.Random, n: int) -> Matrix:
     """Nonnegative, no zero row, and not monomial (row 0 has two positive entries)."""
-    rows = _ints(rng, n, n, 0, 3)
+    rows = golden.ints(rng, n, n, 0, 3)
     for row in rows:
         row[rng.randrange(n)] = rng.randint(1, 3)
     rows[0][0], rows[0][1] = rng.randint(1, 3), rng.randint(1, 3)
@@ -41,7 +37,7 @@ def _row_positive(rng: random.Random, n: int) -> Matrix:
 
 
 def _mixed_row(rng: random.Random, n: int) -> Matrix:
-    rows = _ints(rng, n, n, -3, 3)
+    rows = golden.ints(rng, n, n, -3, 3)
     rows[0][0], rows[0][1] = rng.randint(1, 3), -rng.randint(1, 3)
     return Matrix(rows)
 
@@ -52,25 +48,6 @@ def _uniform_rows(rng: random.Random, n: int) -> Matrix:
     return Matrix([[-v for v in row] if i == 1 else list(row) for i, row in enumerate(rows)])
 
 
-def _zero_row(rng: random.Random, n: int, lo: int = -3) -> Matrix:
-    rows = _ints(rng, n, n, lo, 3)
-    rows[rng.randrange(n)] = [0] * n
-    return Matrix(rows)
-
-
-def _singular(x: Matrix) -> Matrix:
-    rows = [list(r) for r in x.entries]
-    rows[-1] = list(rows[0])
-    return Matrix(rows)
-
-
-def _flip_columns(rng: random.Random, m: Matrix) -> Matrix:
-    """M D for a sign diagonal D of both signs: neither inverse sign is nonnegative."""
-    n = m.rows
-    flips = set(rng.sample(range(n), rng.randint(1, n - 1)))
-    return Matrix([[-v if j in flips else v for j, v in enumerate(row)] for row in m.entries])
-
-
 def _square_cases(n: int, cfg: genfuzz.GenConfig):
     rng = random.Random(f"golden:square:{n}")
     z1 = genfuzz.gen_inverse_nonneg(n, cfg, ("z1", n))
@@ -79,20 +56,20 @@ def _square_cases(n: int, cfg: genfuzz.GenConfig):
     q = genfuzz.gen_monomial(n, cfg, ("q", n))
     r = _row_positive(rng, n)
     mixed = _mixed_row(rng, n)
-    neither = _flip_columns(rng, z1)
-    rand_x, rand_y = Matrix(_ints(rng, n, n, -3, 3)), Matrix(_ints(rng, n, n, -3, 3))
+    neither = golden.flip_columns(rng, z1)
+    rand_x, rand_y = Matrix(golden.ints(rng, n, n, -3, 3)), Matrix(golden.ints(rng, n, n, -3, 3))
     pairs = {
         "into_sp": {
             "yes": (r, z2),
-            "yes-singular-x": (_singular(r), z2),
+            "yes-singular-x": (golden.singular(r), z2),
             "yes-negated": (-r, -z2),
-            "zero-row": (_zero_row(rng, n), z2),
+            "zero-row": (golden.with_zero_row(rng, Matrix(golden.ints(rng, n, n, -3, 3))), z2),
             "mixed-row": (mixed, z2),
             "uniform-rows": (_uniform_rows(rng, n), z2),
             "y-negated": (r, -z2),
             "y-negated-sign": (-r, z2),
-            "y-singular": (r, _singular(z2)),
-            "y-singular-sign": (-r, -_singular(z2)),
+            "y-singular": (r, golden.singular(z2)),
+            "y-singular-sign": (-r, -golden.singular(z2)),
             "random": (rand_x, rand_y),
         },
         "onto_sp": {
@@ -100,7 +77,7 @@ def _square_cases(n: int, cfg: genfuzz.GenConfig):
             "yes-negated": (-p, -q),
             "mixed-row": (mixed, z2),
             "y-negated": (r, -z2),
-            "x-singular": (_singular(r), z2),
+            "x-singular": (golden.singular(r), z2),
             "inverse-not-into": (r, z2),
             "inverse-not-into-sign": (-r, -z2),
             "random": (rand_x, rand_y),
@@ -111,8 +88,8 @@ def _square_cases(n: int, cfg: genfuzz.GenConfig):
             "neither-sign-x": (neither, z2),
             "y-negated": (z1, -z2),
             "y-negated-sign": (-z1, z2),
-            "x-singular": (_singular(z1), z2),
-            "y-singular": (z1, _singular(z2)),
+            "x-singular": (golden.singular(z1), z2),
+            "y-singular": (z1, golden.singular(z2)),
             "random": (rand_x, rand_y),
         },
         "onto_msp": {
@@ -120,7 +97,7 @@ def _square_cases(n: int, cfg: genfuzz.GenConfig):
             "yes-negated": (-p, -q),
             "neither-sign-x": (neither, z2),
             "y-negated": (z1, -z2),
-            "x-singular": (_singular(z1), z2),
+            "x-singular": (golden.singular(z1), z2),
             "inverse-not-into": (z1, z2),
             "inverse-not-into-sign": (-z1, -z2),
             "random": (rand_x, rand_y),
@@ -139,7 +116,7 @@ def _rectangular_cases(cfg: genfuzz.GenConfig):
             "yes": (r, Matrix([[2]])),
             "yes-negated": (-r, Matrix([[-1]])),
             "y-zero": (r, Matrix([[0]])),
-            "x-zero-row": (_zero_row(rng, m, lo=0), Matrix([[1]])),
+            "x-zero-row": (golden.with_zero_row(rng, Matrix(golden.ints(rng, m, m, 0, 3))), Matrix([[1]])),
             "x-negative-entry": (mixed, Matrix([[3]])),
             "x-negative-entry-sign": (mixed, Matrix([[-1]])),
         }
@@ -163,10 +140,10 @@ def _rectangular_cases(cfg: genfuzz.GenConfig):
         cells = {
             "yes": (mono, z),
             "yes-negated": (-mono, -z),
-            "y-singular": (Matrix(_ints(rng, m, m, -3, 3)), _singular(z)),
-            "search": (_zero_row(rng, m), z),
+            "y-singular": (Matrix(golden.ints(rng, m, m, -3, 3)), golden.singular(z)),
+            "search": (golden.with_zero_row(rng, Matrix(golden.ints(rng, m, m, -3, 3))), z),
             "search-y-negated": (mono, -z),
-            "random": (Matrix(_ints(rng, m, m, -3, 3)), Matrix(_ints(rng, n, n, -3, 3))),
+            "random": (Matrix(golden.ints(rng, m, m, -3, 3)), Matrix(golden.ints(rng, n, n, -3, 3))),
         }
         for cell, (x, y) in cells.items():
             yield f"into_msp-tall-{cell}-{m}x{n}", "into_msp", x, y
@@ -187,13 +164,13 @@ def cases():
     yield from _rectangular_cases(cfg)
 
 
+def _verdict(kind: str, x: Matrix, y: Matrix) -> preserver.PreserverVerdict:
+    return getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y))
+
+
 def render() -> str:
-    """Every case's ``cli._verdict_dict`` as one JSON object, one case a line."""
-    lines = []
-    for label, kind, x, y in cases():
-        verdict = getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y))
-        lines.append(f"{json.dumps(label)}: {json.dumps(cli._verdict_dict(verdict))}")
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+    """Every case's ``cli._verdict_dict``, one case a line."""
+    return golden.dump((label, cli._verdict_dict(_verdict(kind, x, y))) for label, kind, x, y in cases())
 
 
 def test_verdict_reports_match_golden():
@@ -202,7 +179,7 @@ def test_verdict_reports_match_golden():
 
 def _certificates():
     for _, kind, x, y in cases():
-        verdict = getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y))
+        verdict = _verdict(kind, x, y)
         if verdict.certificate is not None:
             yield verdict.certificate
 
@@ -258,7 +235,7 @@ def test_every_golden_verdict_inverts_each_matrix_at_most_once(monkeypatch):
     for label, kind, x, y in cases():
         inverted.clear()
         returned.clear()
-        getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y))
+        _verdict(kind, x, y)
     assert broken == []
 
 
@@ -271,7 +248,7 @@ def test_every_golden_verdict_forms_its_image_once(monkeypatch):
     formed = {}
     for label, kind, x, y in cases():
         products.clear()
-        cert = getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y)).certificate
+        cert = _verdict(kind, x, y).certificate
         if cert is not None and cert.kind == "image-leaves-class":
             formed[label] = products.count((cert.x, cert.a))
     assert formed and set(formed.values()) == {1}, formed
@@ -290,7 +267,7 @@ def test_no_golden_verdict_eliminates_a_builders_matrix(monkeypatch):
             Matrix, name, lambda m, name=name, method=method: eliminated.append((name, m)) or method(m)
         )
     for label, kind, x, y in cases():
-        getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y))
+        _verdict(kind, x, y)
     on_built = Counter(name for name, m in eliminated if any(m is b for b in built))
     assert built and eliminated
     assert on_built == Counter(), on_built
@@ -325,19 +302,19 @@ def test_a_verdict_without_the_tall_search_never_reads_the_fraction_grid(
     for label, kind, x, y in cases():
         searched.clear()
         entries_reads.clear()
-        getattr(preserver, kind + "_preserver")(preserver.PreserverMap(x, y))
+        _verdict(kind, x, y)
         if entries_reads and not searched:
             read.append(label)
     assert read == []
 
 
 def test_golden_covers_every_reason_and_note():
-    golden = json.loads(GOLDEN.read_text())
-    reasons = {r["reason"] for r in golden.values()}
+    pinned = json.loads(GOLDEN.read_text())
+    reasons = {r["reason"] for r in pinned.values()}
     assert reasons == {
         getattr(preserver, name) for name in dir(preserver) if name.startswith("REASON_")
     }
-    notes = {r["certificate"]["note"] for r in golden.values() if r["certificate"]}
+    notes = {r["certificate"]["note"] for r in pinned.values() if r["certificate"]}
     assert notes == {
         "zero-row",
         "mixed-row",
@@ -351,9 +328,3 @@ def test_golden_covers_every_reason_and_note():
         "y-singular-image-rank-deficient",
         "randomized-counterexample",
     }
-
-
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        raise SystemExit("usage: PYTHONPATH=src python tests/test_golden_verdicts.py --write")
-    GOLDEN.write_text(render())
