@@ -229,7 +229,7 @@ def build_pos(v: Vector, w: Vector) -> tuple[Matrix, Matrix]:
     sigma = positive_first_permutation(v)
     vp = Vector(v[i] for i in sigma)
     n = v.dim
-    k = sum(1 for x in vp.entries if x > 0)
+    k = sum(1 for i in range(n) if vp[i] > 0)
 
     cols: list[Vector] = []
     first = [w[0] / vp[0]]

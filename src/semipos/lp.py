@@ -56,8 +56,9 @@ def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Frac
     The grid holds the structural columns and the rhs only.  The artificial
     columns are never read: entering candidates are structural, and the end
     test reads the rhs and the basis labels, in which the artificial of row i
-    is k + i.  Row i and its rhs start as the rational row times its own scale
-    ``s_i = lcm(den_i, den(rhs_i))``, negated when the rhs is negative.  The
+    is k + i.  With the rhs stored as integers u over one denominator e, row i
+    and its rhs start as the rational row times its own scale
+    ``s_i = lcm(den_i, e)``, negated when the rhs is negative.  The
     objective row, last in the grid, starts as ``L`` times the rational one, L
     the lcm of the s_i, built as ``-sum (L / s_i) * row_i``; its entries in the
     artificial columns would be 0, as the artificials start basic at cost 1.
@@ -72,10 +73,11 @@ def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Frac
     m = rhs.dim
     grid: list[list[int]] = []
     start_scales: list[int] = []
-    for (den, nums), r in zip(rows, rhs):
-        s = math.lcm(den, r.denominator)
+    ((e, u),) = rhs.integer_rows()
+    for (den, nums), r in zip(rows, u):
+        s = math.lcm(den, e)
         f = s // den if r >= 0 else -(s // den)
-        grid.append([x * f for x in nums] + [abs(r.numerator) * (s // r.denominator)])
+        grid.append([x * f for x in nums] + [abs(r) * (s // e)])
         start_scales.append(s)
     k = len(grid[0]) - 1
     basis = list(range(k, k + m))
@@ -130,7 +132,7 @@ def feasible_nonneg(a: Matrix, b: Vector) -> FeasibilityResult:
     if z is None:
         return FeasibilityResult(False)
     x = Vector(z[: a.cols])
-    if not x.is_nonneg() or any(ax < bi for ax, bi in zip(a @ x, b)):
+    if not x.is_nonneg() or not (a @ x + -b).is_nonneg():
         raise ArithmeticError("simplex produced an invalid witness")
     return FeasibilityResult(True, x)
 
@@ -156,7 +158,8 @@ def feasible_nonneg_bruteforce(a: Matrix, b: Vector) -> FeasibilityResult:
 
     The region {x >= 0 : A x >= b} is pointed, so it is nonempty iff it has a
     vertex, and every vertex solves some n independent active constraints from
-    the stacked system [A; I] x >= [b; 0].  All n-subsets are enumerated.
+    the stacked system [A; I] x >= [b; 0].  All n-subsets are enumerated,
+    except those holding a row and its negation, which are singular.
     """
     if b.dim != a.rows:
         raise DimensionError(f"b has dimension {b.dim}, matrix has {a.rows} rows")
@@ -168,7 +171,14 @@ def feasible_nonneg_bruteforce(a: Matrix, b: Vector) -> FeasibilityResult:
         row[i] = _ONE
         stacked.append(row)
         rhs.append(_ZERO)
+    negated = {
+        (i, j)
+        for i, j in itertools.combinations(range(len(stacked)), 2)
+        if stacked[i] == [-x for x in stacked[j]]
+    }
     for combo in itertools.combinations(range(len(stacked)), n):
+        if any(pair in negated for pair in itertools.combinations(combo, 2)):
+            continue
         try:
             inv = Matrix([stacked[i] for i in combo]).inverse()
         except SingularMatrixError:

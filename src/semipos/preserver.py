@@ -503,11 +503,11 @@ def _falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
     c = lmap.y_inv * sign  # (sign Y)^{-1}
     i, j = _negative_entry(c)
     shifted = c @ ones_vector(n)
-    delta = abs(c[i, j]) / (2 * (1 + max(abs(v) for v in shifted.entries)))
+    delta = abs(c[i, j]) / (2 * (1 + max(abs(shifted[t]) for t in range(n))))
     w = basis_vector(n, j) + delta * ones_vector(n)
     u = c @ w
     v = (lmap.x_inv * sign) @ w
-    if u.entries[i] >= 0 or not w.is_positive() or not v.is_nonneg():
+    if u[i] >= 0 or not w.is_positive() or not v.is_nonneg():
         raise ArithmeticError("shift construction lost its sign pattern")
     b, b_inv = build_pos(v, w)
     # the image sends u to (sX)(sX)^{-1} w = w
@@ -555,7 +555,7 @@ def _falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
         r = (y * s).transpose().kernel_vector()
         if r is None:
             raise ArithmeticError("singular Y has no left-null vector")
-        if next(v for v in r if v != 0) < 0:
+        if next(v for _, nums in r.integer_rows() for v in nums if v) < 0:
             r = -r
         note = "y-singular"
     else:
@@ -577,17 +577,17 @@ def _positive_vector_zeroing_row(x: Matrix, i: int) -> Vector:
     positive entry otherwise, which forces the solution t of the single linear
     equation to be positive.
     """
-    row = x.row(i)
-    if row.is_zero():
-        return ones_vector(row.dim)
-    total = sum(row.entries, Fraction(0))
+    # row i is nums / d, so its sum is total / d and t = 1 - total / nums[p]
+    ((_, nums),) = x.row(i).integer_rows()
+    if not any(nums):
+        return ones_vector(len(nums))
+    total = sum(nums)
     if total >= 0:
-        p = next(j for j in range(row.dim) if row[j] < 0)
+        p = next(j for j, a in enumerate(nums) if a < 0)
     else:
-        p = next(j for j in range(row.dim) if row[j] > 0)
-    t = 1 - total / row[p]
-    entries = [Fraction(1)] * row.dim
-    entries[p] = t
+        p = next(j for j, a in enumerate(nums) if a > 0)
+    entries = [1] * len(nums)
+    entries[p] = Fraction(nums[p] - total, nums[p])
     v = Vector(entries)
     if not v.is_positive() or (x @ v)[i] != 0:
         raise ArithmeticError("row-zeroing vector construction failed")

@@ -6,13 +6,16 @@ exact decisions.  Binary floating point never enters: decimal strings such
 as ``"0.5"`` are converted digit-exactly.
 
 A ``Matrix`` is its rows, each integer numerators over one positive
-denominator, in lowest terms; its ``Fraction`` entries are built from them
-at each read and never kept.  An ``int`` entry given to the constructor is
-stored as its own numerator over 1 with no ``Fraction`` built; a ``bool``, a
-``float`` or any other entry goes through ``rat``, so ``True`` is 1 and a
-float is refused.  Products, elimination, sign tests and equality
-run on those integers: row i of X Y is x_i (L Y) / (d_i L), with L the lcm of
-Y's row denominators, reduced by one gcd per row.
+denominator, in lowest terms, and a ``Vector`` is one such row; their
+``Fraction`` entries are built from them at each read and never kept.  An
+``int`` entry given to either constructor is stored as its own numerator over
+1 with no ``Fraction`` built; a ``bool``, a ``float`` or any other entry goes
+through ``rat``, so ``True`` is 1 and a float is refused.  Products,
+elimination, sign tests, equality and the row moves (``row``, ``col``,
+``from_rows``, ``from_cols``) run on those integers: row i of X Y is
+x_i (L Y) / (d_i L), with L the lcm of Y's row denominators, reduced by one
+gcd per row, and X v is the dot products of the rows of X with v's numerators
+over L times v's denominator, L now the lcm of X's row denominators.
 
 One step, ``_pivot``, makes every fraction-free update, both here and in
 ``lp``'s simplex.  Each row is held as an integer scale times a reduced
@@ -23,10 +26,11 @@ numerators with it, dropping each pivot column once its step is done, so the
 grid it returns holds only the non-pivot columns.  The determinant, the rank,
 the inverse and the kernel vector are read from its result.
 
-``Vector`` and ``Matrix`` are written by hand, not with ``@dataclass``:
-their ``==`` and ``hash`` compare the stored fields, another class gets
-``NotImplemented``, and assignment or deletion of an attribute raises
-``AttributeError``.  Importing ``dataclasses`` loads a dozen more stdlib
+``Vector`` and ``Matrix`` are written by hand, not with ``@dataclass``, on
+one base, ``_Rows``, which alone stores the rows, compares and hashes them,
+negates and scales them and sign-tests them: ``==`` and ``hash`` compare the
+stored rows, another class gets ``NotImplemented``, and assignment or
+deletion of an attribute raises ``AttributeError``.  Importing ``dataclasses`` loads a dozen more stdlib
 modules (``inspect``, ``ast``, ``dis``, ``tokenize``, ...), 13 to 16 ms of
 start-up on a 2-vCPU host with Python 3.11, and the CLI commands built on
 ``ratmat``, ``lp``, ``classify``, ``construct`` and ``genfuzz`` alone load
@@ -50,7 +54,6 @@ from typing import Iterable, Iterator, Sequence, Union
 RationalLike = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # a stored matrix row: (positive denominator, integer numerators)
 _Row = tuple[int, tuple[int, ...]]
@@ -111,79 +114,6 @@ class _Frozen:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete {name!r} of {type(self).__name__}")
-
-
-class Vector(_Frozen):
-    """A nonempty rational vector: ``entries``, a tuple of ``Fraction``s."""
-
-    entries: tuple[Fraction, ...]
-
-    def __init__(self, entries: Iterable[RationalLike]):
-        tup = tuple(x if type(x) is Fraction else rat(x) for x in entries)
-        if not tup:
-            raise DimensionError("a vector needs at least one entry")
-        object.__setattr__(self, "entries", tup)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"Vector(entries={self.entries!r})"
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.entries)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.entries[i]
-
-    def __add__(self, other: "Vector") -> "Vector":
-        if self.dim != other.dim:
-            raise DimensionError("vector dimensions differ")
-        return Vector(a + b for a, b in zip(self.entries, other.entries))
-
-    def __neg__(self) -> "Vector":
-        return Vector(-a for a in self.entries)
-
-    def __mul__(self, c: RationalLike) -> "Vector":
-        f = rat(c)
-        return Vector(a * f for a in self.entries)
-
-    __rmul__ = __mul__
-
-    def dot(self, other: "Vector") -> Fraction:
-        if self.dim != other.dim:
-            raise DimensionError("vector dimensions differ")
-        return sum((a * b for a, b in zip(self.entries, other.entries)), _ZERO)
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-    def is_nonneg(self) -> bool:
-        return all(a >= 0 for a in self.entries)
-
-    def is_positive(self) -> bool:
-        return all(a > 0 for a in self.entries)
-
-    def has_mixed_signs(self) -> bool:
-        return any(a > 0 for a in self.entries) and any(a < 0 for a in self.entries)
-
-    def to_strings(self) -> list[str]:
-        return [str(a) for a in self.entries]
-
-    def __str__(self) -> str:
-        return " ".join(self.to_strings())
 
 
 def _integer_row(row: Sequence[Fraction | int]) -> _Row:
@@ -319,21 +249,135 @@ def _eliminate(
     return grid, scales, pivots, d, sign, scale
 
 
-class Matrix(_Frozen):
-    """A dense rational matrix, stored as integer rows over one denominator each.
+class _Rows(_Frozen):
+    """Rational rows stored as integers: the one stored form of ``Vector`` and
+    ``Matrix``.
 
     Row i is held as ``_dens[i]``, a positive integer d_i, and ``_nums[i]``, a
     tuple of integer numerators, the row being ``_nums[i] / d_i``.  Every row
     is in lowest terms, gcd(d_i, *nums_i) == 1, so a rational row has exactly
     one stored form and ``==`` and ``hash``, which compare the stored rows,
-    mean value equality.  Products, elimination, sign tests and equality run
-    on these integers.
-    ``entries``, the grid of ``Fraction`` values, is built from them at each
-    read, so no matrix holds its value twice.
+    mean value equality; a value of another class gets ``NotImplemented``.
+    Negation, scaling and the sign tests run on these integers too.
     """
 
     _dens: tuple[int, ...]
     _nums: tuple[tuple[int, ...], ...]
+
+    def _store(self, rows: Iterable[_Row]) -> None:
+        dens, nums = zip(*rows)
+        object.__setattr__(self, "_dens", dens)
+        object.__setattr__(self, "_nums", nums)
+
+    @classmethod
+    def _from_integer_rows(cls, rows: Iterable[_Row]):
+        """A value from (denominator, numerators) rows already in lowest terms,
+        over positive denominators."""
+        m = object.__new__(cls)
+        m._store(rows)
+        return m
+
+    def integer_rows(self) -> Iterator[_Row]:
+        """The stored rows, each as (positive denominator, integer numerators)."""
+        return zip(self._dens, self._nums)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._dens == other._dens and self._nums == other._nums
+
+    def __hash__(self) -> int:
+        return hash((self._dens, self._nums))
+
+    def __neg__(self):
+        return self._from_integer_rows(
+            (den, tuple(-x for x in nums)) for den, nums in self.integer_rows()
+        )
+
+    def __mul__(self, c: RationalLike):
+        f = rat(c)
+        p, q = f.numerator, f.denominator
+        return self._from_integer_rows(
+            _reduced(den * q, (x * p for x in nums)) for den, nums in self.integer_rows()
+        )
+
+    __rmul__ = __mul__
+
+    # -- sign predicates, on numerators over positive denominators -------------
+
+    def is_nonneg(self) -> bool:
+        return all(x >= 0 for nums in self._nums for x in nums)
+
+    def is_nonpos(self) -> bool:
+        return all(x <= 0 for nums in self._nums for x in nums)
+
+    def is_positive(self) -> bool:
+        return all(x > 0 for nums in self._nums for x in nums)
+
+
+class Vector(_Rows):
+    """A nonempty rational vector, stored as one row: integer numerators
+    ``_nums[0]`` over the positive denominator ``_dens[0]``.  ``entries``, the
+    tuple of ``Fraction`` values, is built from them at each read."""
+
+    def __init__(self, entries: Iterable[RationalLike]):
+        row = tuple(x if type(x) is int else rat(x) for x in entries)
+        if not row:
+            raise DimensionError("a vector needs at least one entry")
+        self._store([_integer_row(row)])
+
+    @property
+    def entries(self) -> tuple[Fraction, ...]:
+        """The ``Fraction`` entries, built at each read."""
+        return _fractions(self._dens[0], self._nums[0])
+
+    def __repr__(self) -> str:
+        return f"Vector(entries={self.entries!r})"
+
+    @property
+    def dim(self) -> int:
+        return len(self._nums[0])
+
+    def __len__(self) -> int:
+        return len(self._nums[0])
+
+    def __iter__(self) -> Iterator[Fraction]:
+        return iter(self.entries)
+
+    def __getitem__(self, i: int) -> Fraction:
+        return Fraction(self._nums[0][i], self._dens[0])
+
+    def __add__(self, other: "Vector") -> "Vector":
+        if self.dim != other.dim:
+            raise DimensionError("vector dimensions differ")
+        ((d, u),), ((e, w),) = self.integer_rows(), other.integer_rows()
+        return Vector._from_integer_rows([_reduced(d * e, (a * e + b * d for a, b in zip(u, w)))])
+
+    def dot(self, other: "Vector") -> Fraction:
+        if self.dim != other.dim:
+            raise DimensionError("vector dimensions differ")
+        ((d, u),), ((e, w),) = self.integer_rows(), other.integer_rows()
+        return Fraction(sum(map(operator.mul, u, w)), d * e)
+
+    def is_zero(self) -> bool:
+        return not any(self._nums[0])
+
+    def has_mixed_signs(self) -> bool:
+        return any(x > 0 for x in self._nums[0]) and any(x < 0 for x in self._nums[0])
+
+    def to_strings(self) -> list[str]:
+        return [str(a) for a in self.entries]
+
+    def __str__(self) -> str:
+        return " ".join(self.to_strings())
+
+
+class Matrix(_Rows):
+    """A dense rational matrix, stored as integer rows over one denominator
+    each (see ``_Rows``).  Products and elimination run on these integers.
+    ``entries``, the grid of ``Fraction`` values, is built from them at each
+    read, so no matrix holds its value twice.
+    """
 
     def __init__(self, rows: Iterable[Iterable[RationalLike]]):
         grid = tuple(tuple(x if type(x) is int else rat(x) for x in row) for row in rows)
@@ -344,19 +388,6 @@ class Matrix(_Frozen):
             raise DimensionError("rows have unequal lengths")
         self._store(_integer_row(row) for row in grid)
 
-    def _store(self, rows: Iterable[_Row]) -> None:
-        dens, nums = zip(*rows)
-        object.__setattr__(self, "_dens", dens)
-        object.__setattr__(self, "_nums", nums)
-
-    @classmethod
-    def _from_integer_rows(cls, rows: Iterable[_Row]) -> "Matrix":
-        """A matrix from (denominator, numerators) rows already in lowest terms,
-        over positive denominators."""
-        m = object.__new__(cls)
-        m._store(rows)
-        return m
-
     @classmethod
     def from_integer_rows(cls, rows: Iterable[tuple[int, Iterable[int]]]) -> "Matrix":
         """The matrix whose row i is nums_i / den_i, for the pairs (den_i, nums_i)
@@ -366,22 +397,10 @@ class Matrix(_Frozen):
         built."""
         return cls._from_integer_rows(_reduced(den, nums) for den, nums in rows)
 
-    def integer_rows(self) -> Iterator[_Row]:
-        """The stored rows, each as (positive denominator, integer numerators)."""
-        return zip(self._dens, self._nums)
-
     @property
     def entries(self) -> tuple[tuple[Fraction, ...], ...]:
         """The grid of ``Fraction`` entries, built at each read."""
         return tuple(_fractions(den, nums) for den, nums in self.integer_rows())
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._dens == other._dens and self._nums == other._nums
-
-    def __hash__(self) -> int:
-        return hash((self._dens, self._nums))
 
     def __repr__(self) -> str:
         return f"Matrix(entries={self.entries!r})"
@@ -402,16 +421,13 @@ class Matrix(_Frozen):
 
     @classmethod
     def from_cols(cls, cols: Sequence[Vector]) -> "Matrix":
-        if not cols:
-            raise DimensionError("need at least one column")
-        m = cols[0].dim
-        if any(c.dim != m for c in cols):
-            raise DimensionError("columns have unequal lengths")
-        return cls([[c[i] for c in cols] for i in range(m)])
+        return cls.from_rows(cols).transpose()
 
     @classmethod
     def from_rows(cls, rows: Sequence[Vector]) -> "Matrix":
-        return cls([list(r.entries) for r in rows])
+        if not rows or any(r.dim != rows[0].dim for r in rows):
+            raise DimensionError("need at least one row, all of one length")
+        return cls._from_integer_rows(row for r in rows for row in r.integer_rows())
 
     # -- shape and access -----------------------------------------------------
 
@@ -432,10 +448,13 @@ class Matrix(_Frozen):
         return self.rows == self.cols
 
     def row(self, i: int) -> Vector:
-        return Vector(_fractions(self._dens[i], self._nums[i]))
+        return Vector._from_integer_rows([(self._dens[i], self._nums[i])])
 
     def col(self, j: int) -> Vector:
-        return Vector(Fraction(nums[j], den) for den, nums in self.integer_rows())
+        lcm = math.lcm(*self._dens)
+        return Vector._from_integer_rows(
+            [_reduced(lcm, (nums[j] * (lcm // den) for den, nums in self.integer_rows()))]
+        )
 
     def __getitem__(self, ij: tuple[int, int]) -> Fraction:
         i, j = ij
@@ -443,29 +462,18 @@ class Matrix(_Frozen):
 
     # -- arithmetic -----------------------------------------------------------
 
-    def __neg__(self) -> "Matrix":
-        return Matrix._from_integer_rows(
-            (den, tuple(-x for x in nums)) for den, nums in self.integer_rows()
-        )
-
-    def __mul__(self, c: RationalLike) -> "Matrix":
-        f = rat(c)
-        p, q = f.numerator, f.denominator
-        return Matrix._from_integer_rows(
-            _reduced(den * q, (x * p for x in nums)) for den, nums in self.integer_rows()
-        )
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Matrix | Vector"):
         if isinstance(other, Vector):
             if other.dim != self.cols:
                 raise DimensionError(f"cannot apply {self.shape} matrix to {other.dim}-vector")
-            lcm, v = _integer_row(other.entries)
-            return Vector(
-                Fraction(sum(map(operator.mul, nums, v)), den * lcm)
-                for den, nums in self.integer_rows()
+            # (A v)_i = (a_i . u) / (d_i e), for row i of A stored as a_i / d_i
+            # and v as u / e; over L e, L the lcm of the d_i
+            ((e, u),) = other.integer_rows()
+            lcm = math.lcm(*self._dens)
+            dots = (
+                sum(map(operator.mul, nums, u)) * (lcm // den) for den, nums in self.integer_rows()
             )
+            return Vector._from_integer_rows([_reduced(lcm * e, dots)])
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
@@ -491,16 +499,7 @@ class Matrix(_Frozen):
             raise DimensionError(f"cannot take {k} rows from {self.rows}")
         return Matrix._from_integer_rows(zip(self._dens[:k], self._nums[:k]))
 
-    # -- sign predicates, on numerators over positive denominators -------------
-
-    def is_nonneg(self) -> bool:
-        return all(x >= 0 for nums in self._nums for x in nums)
-
-    def is_nonpos(self) -> bool:
-        return all(x <= 0 for nums in self._nums for x in nums)
-
-    def is_positive(self) -> bool:
-        return all(x > 0 for nums in self._nums for x in nums)
+    # -- row sign predicates --------------------------------------------------
 
     def has_zero_row(self) -> bool:
         return any(not any(nums) for nums in self._nums)
@@ -552,18 +551,19 @@ class Matrix(_Frozen):
         """One nonzero x with Ax = 0, or None if the columns are independent.
 
         x is 1 at the first free (pivotless) column and 0 at the other free
-        columns, so it is read off the reduced row echelon form."""
+        columns, so it is read off the reduced row echelon form; it is stored
+        as the integers d x over d."""
         grid, scales, pivots, d, _, _ = _eliminate(self.integer_rows())
         free = next((c for c in range(self.cols) if c not in pivots), None)
         if free is None:
             return None
-        x = [_ZERO] * self.cols
-        x[free] = _ONE
+        x = [0] * self.cols
+        x[free] = d
         # every column before the first free one is a pivot column and dropped,
-        # so the free column is the grid's first
+        # so the free column is the grid's first; x_c = -grid[i][0] / (d / s_i)
         for row, s, c in zip(grid, scales, pivots):
-            x[c] = Fraction(-row[0], d // s)
-        return Vector(x)
+            x[c] = -row[0] * s
+        return Vector._from_integer_rows([_reduced(d, x)])
 
     def to_strings(self) -> list[list[str]]:
         return [[str(x) for x in row] for row in self.entries]
@@ -576,17 +576,18 @@ class Matrix(_Frozen):
 
 
 def ones_vector(n: int) -> Vector:
-    return Vector([_ONE] * n)
+    return Vector([1] * n)
 
 
 def basis_vector(n: int, i: int) -> Vector:
     if not 0 <= i < n:
         raise DimensionError(f"basis index {i} out of range for dimension {n}")
-    return Vector([_ONE if j == i else _ZERO for j in range(n)])
+    return Vector([int(j == i) for j in range(n)])
 
 
 def outer(u: Vector, v: Vector) -> Matrix:
-    return Matrix([[a * b for b in v.entries] for a in u.entries])
+    ((d, p),), ((e, w),) = u.integer_rows(), v.integer_rows()
+    return Matrix._from_integer_rows(_reduced(d * e, [a * b for b in w]) for a in p)
 
 
 def permutation_matrix(perm: Sequence[int]) -> Matrix:

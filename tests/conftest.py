@@ -1,18 +1,19 @@
 import pytest
 
-from semipos.ratmat import Matrix
+from semipos.ratmat import Matrix, Vector
 
 
 @pytest.fixture
 def entries_reads(monkeypatch):
-    """The list of matrices whose ``Matrix.entries`` grid is read, one item a
-    read, while the test runs."""
+    """The list of matrices and vectors whose ``entries`` are read, one item a
+    read, while the test runs: each read builds ``Fraction``s anew."""
     reads = []
-    grid = Matrix.entries.fget
+    for cls in (Matrix, Vector):
+        built = cls.entries.fget
 
-    def counted(m):
-        reads.append(m)
-        return grid(m)
+        def counted(value, built=built):
+            reads.append(value)
+            return built(value)
 
-    monkeypatch.setattr(Matrix, "entries", property(counted))
+        monkeypatch.setattr(cls, "entries", property(counted))
     return reads

@@ -58,6 +58,9 @@ MUTANTS = [
     ("ratmat.py", "max(nums) <= 0", "max(nums) < 0", ["tests/test_classify.py"]),
     ("ratmat.py", "g = -g", "g = g", ["tests/test_ratmat.py"]),
     ("ratmat.py", "if g != 1:", "if False:", ["tests/test_ratmat.py"]),
+    # a zero row found only in row 0, and Vector addition cross-multiplied the wrong way round
+    ("ratmat.py", "return any(not any(nums) for nums in self._nums)", "return not any(self._nums[0])", ["tests/test_metamorphic.py"]),
+    ("ratmat.py", "a * e + b * d", "a * d + b * e", ["tests/test_ratmat.py"]),
 ]
 
 

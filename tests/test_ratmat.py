@@ -133,12 +133,15 @@ def test_int_fraction_and_string_entries_store_alike():
         Matrix([[1, 0], [0, 1.0]])
 
 
-def test_vector_keeps_a_fraction_and_converts_the_rest():
+def test_vector_stores_one_integer_row_over_one_denominator():
     half = Fraction(1, 2)
     v = Vector([half, 3, True, "-2/4"])
-    assert v.entries[0] is half
-    assert v.entries == (half, 3, 1, Fraction(-1, 2))
-    assert all(type(x) is Fraction for x in v.entries)
+    assert v._dens == (2,) and v._nums == ((1, 6, 2, -1),)
+    assert list(v.integer_rows()) == [(2, (1, 6, 2, -1))]
+    # the Fractions are built at each read and not kept
+    assert v.entries == (half, 3, 1, Fraction(-1, 2)) and v.entries is not v.entries
+    assert all(type(x) is Fraction for x in v.entries) and v[0] == half and list(v) == list(v.entries)
+    assert Vector([0, 4, -6])._nums == ((0, 4, -6),) and Vector(["0/3"])._dens == (1,)
     with pytest.raises(TypeError):
         Vector([half, 1.0])
 
@@ -446,20 +449,25 @@ SHIFTED_FREE = [
 ]
 
 
+def kernel_by_gauss_jordan(rref, pivots, n):
+    """The kernel vector of ``Matrix.kernel_vector``'s convention, read off the
+    plain reference's reduced form, or None when every column has a pivot."""
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        return None
+    x = [Fraction(0)] * n
+    x[free] = Fraction(1)
+    for row, c in zip(rref, pivots):
+        x[c] = -row[free]
+    return Vector(x)
+
+
 def assert_matches_gauss_jordan(a):
     """det, rank, inverse and kernel vector of ``a`` equal the plain reference's."""
     m, n = a.shape
     rref, pivots, det = gauss_jordan(a.entries)
     assert a.rank() == len(pivots), a
-    free = next((c for c in range(n) if c not in pivots), None)
-    if free is None:
-        assert a.kernel_vector() is None, a
-    else:
-        x = [Fraction(0)] * n
-        x[free] = Fraction(1)
-        for row, c in zip(rref, pivots):
-            x[c] = -row[free]
-        assert a.kernel_vector() == Vector(x), a
+    assert a.kernel_vector() == kernel_by_gauss_jordan(rref, pivots, n), a
     if m != n:
         return
     assert a.det() == (det if len(pivots) == n else 0), a
@@ -621,9 +629,9 @@ def assert_stored_as(entries_reads):
         expected = tuple(tuple(Fraction(x) for x in row) for row in expected)
         reads = len(entries_reads)
         for i, row in enumerate(expected):
-            assert m.row(i).entries == row
+            assert m.row(i) == Vector(row)
             assert all(type(m[i, j]) is Fraction and m[i, j] == x for j, x in enumerate(row))
-        assert all(m.col(j).entries == col for j, col in enumerate(zip(*expected)))
+        assert all(m.col(j) == Vector(col) for j, col in enumerate(zip(*expected)))
         assert len(entries_reads) == reads
         assert m.entries == expected and all(type(x) is Fraction for row in m.entries for x in row)
         assert set(vars(m)) == {"_dens", "_nums"}
@@ -663,6 +671,83 @@ def test_stored_form_matches_plain_fraction_arithmetic(assert_stored_as):
             identity = Matrix.identity(n).entries
             augmented, _, _ = gauss_jordan([r + list(e) for r, e in zip(rows, identity)])
             assert_stored_as(a.inverse(), [row[n:] for row in augmented])
+
+
+def assert_vector_stored_as(v, expected):
+    """v holds the rational entries ``expected`` as one row in lowest terms over
+    a positive denominator, and equals (and hashes as) the same entries built
+    from Fractions."""
+    expected = tuple(Fraction(x) for x in expected)
+    ((den, nums),) = v.integer_rows()
+    assert den > 0 and math.gcd(den, *nums) == 1, (den, nums)
+    assert set(vars(v)) == {"_dens", "_nums"} and v.dim == len(expected)
+    assert v.entries == expected and all(type(x) is Fraction for x in v.entries)
+    built = Vector(expected)
+    assert v == built and hash(v) == hash(built)
+
+
+def test_every_vector_route_stores_the_plain_fraction_value():
+    rng = random.Random("vector-routes")
+
+    def entries(n):
+        return [Fraction(rng.randint(-2**40, 2**40), rng.choice([1, 3, 2**40 + 1]))
+                if rng.random() < 0.5 else Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                for _ in range(n)]
+
+    for a in stored_form_matrices("vector-routes", 100, max_dim=5):
+        rows = [list(row) for row in a.entries]
+        n = a.cols
+        u, w = entries(n), entries(n)
+        for given in (u, [str(x) for x in u], [x.numerator for x in u]):
+            assert_vector_stored_as(Vector(given), [Fraction(x) for x in given])
+        assert_vector_stored_as(parse_vector_text(" ".join(map(str, u))), u)
+        assert_vector_stored_as(Vector(u) + Vector(w), [x + y for x, y in zip(u, w)])
+        assert_vector_stored_as(-Vector(u), [-x for x in u])
+        for c in (0, -1, Fraction(-3, 7), 5, "2/4", -2**61):
+            assert_vector_stored_as(Vector(u) * c, [x * rat(c) for x in u])
+            assert_vector_stored_as(c * Vector(u), [x * rat(c) for x in u])
+        expected = [row[0] for row in product_by_definition(rows, [[x] for x in u])]
+        assert_vector_stored_as(a @ Vector(u), expected)
+        for i, row in enumerate(rows):
+            assert_vector_stored_as(a.row(i), row)
+        for j, col in enumerate(zip(*rows)):
+            assert_vector_stored_as(a.col(j), col)
+        rref, pivots, _ = gauss_jordan(rows)
+        kernel = kernel_by_gauss_jordan(rref, pivots, n)
+        if kernel is None:
+            assert a.kernel_vector() is None
+        else:
+            assert_vector_stored_as(a.kernel_vector(), kernel.entries)
+        assert_vector_stored_as(ones_vector(n), [1] * n)
+        j = rng.randrange(n)
+        assert_vector_stored_as(basis_vector(n, j), [int(i == j) for i in range(n)])
+
+
+def test_products_rows_and_evidence_checks_build_no_fraction(monkeypatch, entries_reads):
+    """``Matrix @ Vector``, ``row``, ``col``, ``from_rows``, ``from_cols`` and the
+    witness and probe checks run on the stored integers: they read no
+    ``entries`` and construct no ``Fraction``."""
+    a = Matrix([["1/2", 1, 0], [0, "2/3", "-1/5"], [3, 0, "7/4"]])
+    x = Vector([2, "3/7", 1])
+    u, probe = Vector(["1/2", 0, -3]), Vector(["-1/2", 1, 1])
+    ax, au = Vector(["10/7", "3/35", "31/4"]), Vector(["1/4", "3/5", "-15/4"])
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    rows = [a.row(i) for i in range(a.rows)]
+    cols = [a.col(j) for j in range(a.cols)]
+    assert Matrix.from_rows(rows) == a and Matrix.from_cols(cols) == a
+    assert a @ x == ax and a @ u == au
+    assert classify.is_sp_witness(a, x) and not classify.is_sp_witness(a, u)
+    assert not classify.is_msp_probe(a, u) and classify.is_msp_probe(a, probe)
+    assert classify.is_msp_probe(a, probe, a @ probe)
+    monkeypatch.undo()
+    assert built == [] and entries_reads == []
 
 
 def test_equal_values_by_any_route_are_equal_and_hash_equal():
@@ -714,14 +799,14 @@ def test_unequal_values_and_other_classes_compare_unequal():
 
 def test_a_matrix_or_vector_is_read_only():
     m, v = Matrix([["1/2", 3]]), Vector(["1/2", 3])
-    for value, names in ((m, ("_dens", "_nums", "entries", "extra")), (v, ("entries", "extra"))):
-        for name in names:
+    for value in (m, v):
+        for name in ("_dens", "_nums", "entries", "extra"):
             with pytest.raises(AttributeError):
                 setattr(value, name, ())
             with pytest.raises(AttributeError):
                 delattr(value, name)
     assert m == Matrix([["1/2", 3]]) and set(vars(m)) == {"_dens", "_nums"}
-    assert v == Vector(["1/2", 3]) and set(vars(v)) == {"entries"}
+    assert v == Vector(["1/2", 3]) and set(vars(v)) == {"_dens", "_nums"}
 
 
 def test_inverse_stores_a_negative_pivot_over_a_positive_denominator():
