@@ -98,8 +98,13 @@ def is_semipositive(a: Matrix) -> tuple[bool, Vector | None]:
     x = result.witness
     if x is None:
         raise ArithmeticError("feasible LP result without a witness")
-    row_sum = max(Fraction(sum(map(abs, nums)), den) for den, nums in a.integer_rows())
-    delta = Fraction(1, 2) / (1 + row_sum)
+    # S = t / e, the largest row absolute sum, found by comparing integers
+    e, t = 1, 0
+    for den, nums in a.integer_rows():
+        s = sum(map(abs, nums))
+        if s * e > t * den:
+            e, t = den, s
+    delta = Fraction(e, 2 * (e + t))
     strict = x + delta * ones_vector(a.cols)
     if not strict.is_positive() or not is_sp_witness(a, strict):
         raise ArithmeticError("semipositivity witness perturbation failed")

@@ -61,15 +61,30 @@ class NpCaseTrace(NamedTuple):
     inverse: Matrix
 
 
+def _numerators(v: Vector) -> tuple[int, ...]:
+    """v's stored numerators, over one positive denominator: each has the
+    sign of its entry."""
+    ((_, nums),) = v.integer_rows()
+    return nums
+
+
+def _permuted(v: Vector, order: Sequence[int]) -> Vector:
+    """The vector whose entry k is entry order[k] of v, read from v's stored
+    row: a permutation of its numerators keeps them in lowest terms."""
+    ((den, nums),) = v.integer_rows()
+    return Vector._from_integer_rows([(den, tuple(nums[i] for i in order))])
+
+
 def _np_permutations(v: Vector, w: Vector) -> tuple[list[int], list[int]]:
     """Coordinate orders putting a positive entry of v first, a negative one
     last, and a nonzero entry of w first.  Inputs already in that shape are
     left alone (the orders reduce to the identity)."""
     n = v.dim
-    i_pos = next(i for i in range(n) if v[i] > 0)
-    i_neg = max(i for i in range(n) if v[i] < 0)
+    vs, ws = _numerators(v), _numerators(w)
+    i_pos = next(i for i in range(n) if vs[i] > 0)
+    i_neg = max(i for i in range(n) if vs[i] < 0)
     sigma = [i_pos] + [i for i in range(n) if i not in (i_pos, i_neg)] + [i_neg]
-    j_nonzero = next(j for j in range(n) if w[j] != 0)
+    j_nonzero = next(j for j in range(n) if ws[j] != 0)
     tau = [j_nonzero] + [j for j in range(n) if j != j_nonzero]
     return sigma, tau
 
@@ -173,8 +188,8 @@ def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
         raise InvalidInputError("w must be nonzero")
 
     sigma, tau = _np_permutations(v, w)
-    vp = Vector(v[i] for i in sigma)
-    wp = Vector(w[i] for i in tau)
+    vp = _permuted(v, sigma)
+    wp = _permuted(w, tau)
 
     rows: list[list[Fraction]] = []
     head, case1 = _np_head_row(vp, wp)
@@ -200,8 +215,9 @@ def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
 
 def positive_first_permutation(v: Vector) -> tuple[int, ...]:
     """Coordinate order listing the positive entries of v first, stable."""
-    positive = [i for i in range(v.dim) if v[i] > 0]
-    rest = [i for i in range(v.dim) if v[i] <= 0]
+    nums = _numerators(v)
+    positive = [i for i in range(v.dim) if nums[i] > 0]
+    rest = [i for i in range(v.dim) if nums[i] <= 0]
     return tuple(positive + rest)
 
 
@@ -227,9 +243,9 @@ def build_pos(v: Vector, w: Vector) -> tuple[Matrix, Matrix]:
         raise InvalidInputError("w must be strictly positive")
 
     sigma = positive_first_permutation(v)
-    vp = Vector(v[i] for i in sigma)
+    vp = _permuted(v, sigma)
     n = v.dim
-    k = sum(1 for i in range(n) if vp[i] > 0)
+    k = sum(1 for x in _numerators(vp) if x > 0)
 
     cols: list[Vector] = []
     first = [w[0] / vp[0]]

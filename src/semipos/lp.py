@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
-from .ratmat import DimensionError, Matrix, SingularMatrixError, Vector, _pivot
+from .ratmat import DimensionError, Matrix, SingularMatrixError, Vector, _pivot, _reduced
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -45,11 +45,14 @@ class FeasibilityResult(NamedTuple):
         return "feasible" if self.feasible else "infeasible"
 
 
-def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Fraction] | None:
+def _phase1(
+    rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector
+) -> tuple[int, list[int]] | None:
     """Solve min sum(artificials) for  M z = rhs, z >= 0, M given by its
     integer rows (denominator, numerators) as ``Matrix.integer_rows`` yields them.
 
-    Returns a structural solution z when the optimum is zero, else None.
+    Returns a structural solution z when the optimum is zero, as (d, the
+    integers d z), else None.
     Entering rule: smallest structural index with negative reduced cost;
     leaving rule: smallest basic index among minimum ratios (Bland).
 
@@ -68,7 +71,8 @@ def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Frac
     row's entries, so every sign and every cross-multiplied ratio is the one
     the rational tableau gives, and Bland's rule picks the same pivots.  A row
     whose basic variable is structural is its rational row times ``d``, so a
-    witness entry is ``row_scales[i] * rhs_i / d``.
+    witness entry is ``row_scales[i] * rhs_i / d``: every entry is an integer
+    over the one ``d``, and no ``Fraction`` is built.
     """
     m = rhs.dim
     grid: list[list[int]] = []
@@ -112,11 +116,11 @@ def _phase1(rows: Iterable[tuple[int, Sequence[int]]], rhs: Vector) -> list[Frac
 
     if any(grid[i][-1] for i in range(m) if basis[i] >= k):
         return None
-    z = [_ZERO] * k
+    z = [0] * k
     for i in range(m):
         if basis[i] < k:
-            z[basis[i]] = Fraction(row_scales[i] * grid[i][-1], d)
-    return z
+            z[basis[i]] = row_scales[i] * grid[i][-1]
+    return d, z
 
 
 def feasible_nonneg(a: Matrix, b: Vector) -> FeasibilityResult:
@@ -128,10 +132,11 @@ def feasible_nonneg(a: Matrix, b: Vector) -> FeasibilityResult:
         (den, nums + tuple(-den if j == i else 0 for j in range(a.rows)))
         for i, (den, nums) in enumerate(a.integer_rows())
     )
-    z = _phase1(surplus, b)
-    if z is None:
+    solution = _phase1(surplus, b)
+    if solution is None:
         return FeasibilityResult(False)
-    x = Vector(z[: a.cols])
+    d, z = solution
+    x = Vector._from_integer_rows([_reduced(d, z[: a.cols])])
     if not x.is_nonneg() or not (a @ x + -b).is_nonneg():
         raise ArithmeticError("simplex produced an invalid witness")
     return FeasibilityResult(True, x)
@@ -141,10 +146,10 @@ def equality_feasible_nonneg(m: Matrix, c: Vector) -> FeasibilityResult:
     """Decide whether some y >= 0 satisfies M y = c; witness verified."""
     if c.dim != m.rows:
         raise DimensionError(f"c has dimension {c.dim}, matrix has {m.rows} rows")
-    z = _phase1(m.integer_rows(), c)
-    if z is None:
+    solution = _phase1(m.integer_rows(), c)
+    if solution is None:
         return FeasibilityResult(False)
-    y = Vector(z)
+    y = Vector._from_integer_rows([_reduced(*solution)])
     if not y.is_nonneg() or m @ y != c:
         raise ArithmeticError("simplex produced an invalid witness")
     return FeasibilityResult(True, y)

@@ -171,10 +171,21 @@ def _pivot(grid: list[list[int]], scales: list[int], r: int, k: int, d: int) -> 
     ``d``, would hold.  The step first moves the content g of the pivot row
     into its scale (``P_t / g``, ``s_t * g``).  Every other row takes
     ``T = P_i * p_t - h_i * P_t``, with ``p_t`` the pivot and ``h_i`` the row's
-    entry in the pivot column; with ``G = gcd(d, s_i * s_t)`` the row becomes
-    ``T / (d / G)`` and its scale ``s_i * s_t / G``.  The next divisor is the
-    true pivot ``d = s_t * p_t``.  A row with a zero head has ``T = P_i * p_t``,
-    so its ``p_t`` goes to the scale instead, with G = gcd(d, s_i * s_t * p_t).
+    entry in the pivot column, and the Edmonds row is ``s_i * f * T / d`` for
+    the factor ``f = s_t``.  A row with a zero head has ``T = P_i * p_t``, so
+    its ``p_t`` moves into the factor instead: ``T = P_i`` and
+    ``f = s_t * p_t``, the true pivot and next divisor ``d``.  With
+    ``G = gcd(d, s_i * f)`` and ``q = d / G``, the row becomes ``T / q`` and
+    its scale ``s_i * f / G``.
+
+    G is not formed row by row.  Once per pivot, for each of the two factors,
+    ``c = gcd(d, f)``, ``rest = d / c`` and ``keep = f / c``; row i then takes
+    ``g = gcd(rest, s_i)``, ``q = rest / g`` and the scale ``(s_i / g) * keep``.
+    These are the same integers, signs included: at each prime, with v its
+    valuation, both q have v(q) = max(0, v(d) - v(f) - v(s_i)), and both
+    scales are s_i * f / (d / q).  So the per-row gcd reads ``rest``, a few
+    bits on average, in place of ``d`` against a product of two scales, which
+    both grow with the pivots.
 
     The divisions are exact, for any order of pivots: ``s_i * s_t * T / d`` is
     the Edmonds row, an integer vector because each of its entries is a minor
@@ -190,19 +201,24 @@ def _pivot(grid: list[list[int]], scales: list[int], r: int, k: int, d: int) -> 
         top = grid[r] = [x // g for x in top]
         scales[r] *= g
     s_t, pivot = scales[r], top[k]
+    d_next = s_t * pivot
+    c, c0 = math.gcd(d, s_t), math.gcd(d, d_next)
+    rest, keep = d // c, s_t // c
+    rest0, keep0 = d // c0, d_next // c0
     for i, row in enumerate(grid):
         if i == r:
             continue
         head = row[k]
-        a = scales[i] * s_t if head else scales[i] * s_t * pivot
-        g = math.gcd(d, a)
-        q = d // g
-        scales[i] = a // g
+        rest_i, keep_i = (rest, keep) if head else (rest0, keep0)
+        s = scales[i]
+        g = math.gcd(rest_i, s)
+        q = rest_i // g
+        scales[i] = s // g * keep_i
         if head:
             grid[i] = [(x * pivot - head * y) // q for x, y in zip(row, top)]
         elif q != 1:
             grid[i] = [x // q for x in row]
-    return s_t * pivot
+    return d_next
 
 
 def _eliminate(

@@ -58,8 +58,11 @@ MUTANTS = [
     ("ratmat.py", "max(nums) <= 0", "max(nums) < 0", ["tests/test_classify.py"]),
     ("ratmat.py", "g = -g", "g = g", ["tests/test_ratmat.py"]),
     ("ratmat.py", "if g != 1:", "if False:", ["tests/test_ratmat.py"]),
+    # the per-pivot scale factors: a zero-head row given the other factor, the per-row gcd read against d
+    ("ratmat.py", "(rest, keep) if head else (rest0, keep0)", "(rest, keep)", ["tests/test_ratmat.py"]),
+    ("ratmat.py", "g = math.gcd(rest_i, s)", "g = math.gcd(d, s)", ["tests/test_ratmat.py"]),
     # a zero row found only in row 0, and Vector addition cross-multiplied the wrong way round
-    ("ratmat.py", "return any(not any(nums) for nums in self._nums)", "return not any(self._nums[0])", ["tests/test_metamorphic.py"]),
+    ("ratmat.py", "return any(not any(nums) for nums in self._nums)", "return not any(self._nums[0])", ["tests/test_preserver.py", "tests/test_metamorphic.py"]),
     ("ratmat.py", "a * e + b * d", "a * d + b * e", ["tests/test_ratmat.py"]),
 ]
 

@@ -94,7 +94,8 @@ def test_equality_bruteforce_rejects_a_bad_witness(monkeypatch):
     ],
 )
 def test_a_bad_simplex_witness_raises(monkeypatch, solve, z):
-    monkeypatch.setattr(lp, "_phase1", lambda rows, rhs: [Fraction(v) for v in z])
+    # _phase1 returns the witness as integers over one denominator
+    monkeypatch.setattr(lp, "_phase1", lambda rows, rhs: (1, z))
     with pytest.raises(ArithmeticError, match="invalid witness"):
         solve(Matrix([[1, 1]]), Vector([1]))
 

@@ -59,6 +59,19 @@ def test_into_sp_no_with_certificate():
     assert not classify.is_semipositive(cert.image)[0]
 
 
+def test_a_zero_row_below_row_0_fails_the_into_sp_rule():
+    # X >= 0 whose only zero row is its last: X is not row positive, so the
+    # map is no into-SP preserver although Y = I is inverse nonnegative
+    x = Matrix([[1, 2, 0], [0, 1, 1], [0, 0, 0]])
+    assert x.has_zero_row() and not x.take_rows(2).has_zero_row()
+    assert not classify.is_row_positive(x)
+    verdict = preserver.into_sp_preserver(_map(x, Matrix.identity(3)))
+    assert verdict.status is Verdict.NO
+    cert = verdict.certificate
+    assert cert is not None and cert.verify()
+    assert cert.note == "zero-row" and cert.image.row(2).is_zero()
+
+
 def test_into_sp_negated_pair():
     verdict = preserver.into_sp_preserver(_map(-Matrix.identity(2), -Matrix.identity(2)))
     assert verdict.status is Verdict.YES

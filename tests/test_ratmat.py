@@ -563,6 +563,72 @@ def test_pivot_keeps_grid_entries_small_on_a_12x12_msp(monkeypatch):
     assert 0 < largest <= 256
 
 
+def pivot_by_row_gcd(grid, scales, r, k, d):
+    """The fraction-free step with one gcd per row: G = gcd(d, s_i * s_t),
+    or gcd(d, s_i * s_t * p_t) for a row with a zero head."""
+    top = grid[r]
+    g = math.gcd(*top)
+    if g != 1:
+        top = grid[r] = [x // g for x in top]
+        scales[r] *= g
+    s_t, pivot = scales[r], top[k]
+    for i, row in enumerate(grid):
+        if i == r:
+            continue
+        head = row[k]
+        a = scales[i] * s_t if head else scales[i] * s_t * pivot
+        g = math.gcd(d, a)
+        q = d // g
+        scales[i] = a // g
+        if head:
+            grid[i] = [(x * pivot - head * y) // q for x, y in zip(row, top)]
+        elif q != 1:
+            grid[i] = [x // q for x in row]
+    return s_t * pivot
+
+
+@pytest.fixture
+def checked_pivots(monkeypatch):
+    """Wraps ``_pivot`` in both its bindings so that every step is also run
+    by ``pivot_by_row_gcd`` on a copy and must leave the same grid, scales
+    and next ``d``; returns the list of the steps' pivot entries."""
+    step = ratmat._pivot
+    pivots = []
+
+    def pivot(grid, scales, r, k, d):
+        want_grid, want_scales = [list(row) for row in grid], list(scales)
+        want_d = pivot_by_row_gcd(want_grid, want_scales, r, k, d)
+        d_next = step(grid, scales, r, k, d)
+        assert (grid, scales, d_next) == (want_grid, want_scales, want_d)
+        pivots.append(grid[r][k])
+        return d_next
+
+    monkeypatch.setattr(ratmat, "_pivot", pivot)
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    return pivots
+
+
+def test_pivot_matches_the_one_gcd_per_row_step_on_wide_ranges(checked_pivots):
+    # large row factors, shared denominators, zero rows, zero heads and swaps
+    for a in wide_range_matrices("pivot-per-row-gcd", 300, max_dim=6):
+        a.kernel_vector()
+        if a.is_square:
+            try:
+                a.inverse()
+            except SingularMatrixError:
+                pass
+    assert any(p < 0 for p in checked_pivots) and len(checked_pivots) > 1000
+
+
+def test_pivot_matches_the_one_gcd_per_row_step_on_a_12x12_msp_and_an_lp(checked_pivots):
+    classify.classify_all(gen_msp(12, 12, GenConfig(1), 0))
+    rng = random.Random("pivot-per-row-gcd-lp")
+    a = Matrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)])
+    lp.feasible_nonneg(a, Vector([rng.randint(-9, 9) for _ in range(5)]))
+    lp.equality_feasible_nonneg(a, Vector([rng.randint(-9, 9) for _ in range(5)]))
+    assert len(checked_pivots) > 100
+
+
 
 def product_by_definition(a_rows, b_rows):
     """Each entry a plain Fraction sum of products."""
