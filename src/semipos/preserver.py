@@ -675,6 +675,6 @@ def _lift(lmap: PreserverMap, note: str) -> FalsifyCertificate:
     semipositivity, while the image X A Y has rank below n and so no left
     inverse."""
     m, n = lmap.space
-    a = Matrix([[int(i == j or i >= n) for j in range(n)] for i in range(m)])
-    left = Matrix([[int(i == j) for j in range(m)] for i in range(n)])
+    a = Matrix._from_integer_rows([*Matrix.identity(n).integer_rows(), *[(1, (1,) * n)] * (m - n)])
+    left = Matrix.identity(m).take_rows(n)
     return _leaves(CLASS_MSP, lmap, a, note, witness=ones_vector(n), left_inverse=left)

@@ -23,8 +23,11 @@ integer row, whose product is the row the Edmonds step would give, so a
 factor common to a whole row is carried once, in its scale, instead of in
 every entry.  ``_eliminate`` runs fraction-free Gauss-Jordan on the stored
 numerators with it, dropping each pivot column once its step is done, so the
-grid it returns holds only the non-pivot columns.  The determinant, the rank,
-the inverse and the kernel vector are read from its result.
+grid it returns holds only the non-pivot columns.  For an inverse it runs on
+[DA | D] without holding D's columns up front: a column of D joins the grid
+at the pivot step of its row, with the value the full grid would hold there,
+so an n x n inverse never has more than n + 1 columns.  The determinant, the
+rank, the inverse and the kernel vector are read from its result.
 
 ``Vector`` and ``Matrix`` are written by hand, not with ``@dataclass``, on
 one base, ``_Rows``, which alone stores the rows, compares and hashes them,
@@ -222,7 +225,7 @@ def _pivot(grid: list[list[int]], scales: list[int], r: int, k: int, d: int) -> 
 
 
 def _eliminate(
-    rows: Iterable[_Row],
+    rows: Iterable[_Row], origin: list[int] | None = None
 ) -> tuple[list[list[int]], list[int], list[int], int, int, int]:
     """Fraction-free Gauss-Jordan elimination: (grid, scales, pivots, d, sign, scale).
 
@@ -239,11 +242,28 @@ def _eliminate(
     part of the reduced row echelon form.  ``sign`` is the parity of the row
     swaps, and a square matrix with a full ``pivots`` list has determinant
     sign * d / scale.
+
+    Given ``origin``, the starting index of each row (``list(range(n))``),
+    the rows are those of DA and the elimination runs on [DA | D], D the
+    diagonal of their denominators, without holding D's columns until they
+    are needed; ``origin`` is permuted with the rows.  Until row o pivots,
+    its column of D is 0 in every other row, since each step sends such a 0
+    to (0 p_t - h_i 0) / q: the pivot row's entry is 0 too.  In row o its
+    Edmonds value is den_o d, the minor on the pivot rows and row o and on
+    the pivot columns and that column, which expands along that column to
+    den_o times the pivots' minor d; so each step only multiplies it by the
+    next d over the last.  At the step where row o pivots, the column joins
+    the grid, last, as den_o d / scales[o] in row o and 0 elsewhere.  That
+    is the integer the full grid holds there, so ``_pivot`` sees the same
+    values and leaves the same scales and d, on a grid at most n + 1 columns
+    wide instead of 2n - c after c pivots.  After the non-pivot columns of
+    DA, the j-th column of the returned grid is the column of D of starting
+    row ``origin[j]``.
     """
     grid: list[list[int]] = []
-    scale = 1
+    dens: list[int] = []
     for den, nums in rows:
-        scale *= den
+        dens.append(den)
         grid.append(list(nums))
     scales = [1] * len(grid)
     pivots: list[int] = []
@@ -258,11 +278,16 @@ def _eliminate(
             grid[r], grid[p] = grid[p], grid[r]
             scales[r], scales[p] = scales[p], scales[r]
             sign = -sign
+        if origin is not None:
+            origin[r], origin[p] = origin[p], origin[r]
+            for row in grid:
+                row.append(0)
+            grid[r][-1] = dens[origin[r]] * d // scales[r]
         d = _pivot(grid, scales, r, k, d)
         for row in grid:
             del row[k]
         pivots.append(c)
-    return grid, scales, pivots, d, sign, scale
+    return grid, scales, pivots, d, sign, math.prod(dens)
 
 
 class _Rows(_Frozen):
@@ -425,7 +450,9 @@ class Matrix(_Rows):
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise DimensionError("a matrix needs at least one row and one column")
+        return cls._from_integer_rows((1, (0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n))
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "Matrix":
@@ -541,22 +568,27 @@ class Matrix(_Rows):
         return len(_eliminate(self.integer_rows())[2])
 
     def inverse(self) -> "Matrix":
-        """Exact inverse; raises SingularMatrixError if det = 0."""
+        """Exact inverse; raises SingularMatrixError if det = 0.
+
+        [A | I] is stored row by row as [DA | D], whose reduced form is
+        [I | A^-1].  ``_eliminate`` carries D's columns only from the pivot
+        step of their row on, so the grid is never wider than n + 1, and
+        returns them in the order they joined; they are read back in
+        starting-row order.  Row i of A^-1 is then grid[i] / q_i with
+        q_i = d / scales[i], negative when d is.  The result is checked in
+        integers: (DA) (L A^-1) == L D, with L the lcm of its stored
+        denominators."""
         if not self.is_square:
             raise DimensionError("inverse requires a square matrix")
         n = self.rows
-        # [A | I] is stored row by row as [DA | D], whose reduced form is
-        # [I | A^-1]; the pivot columns are dropped, so row i of A^-1 is
-        # grid[i] / q_i with q_i = d / scales[i], negative when d is
-        grid, scales, pivots, d, _, _ = _eliminate(
-            (den, nums + tuple(den if i == j else 0 for j in range(n)))
-            for i, (den, nums) in enumerate(self.integer_rows())
-        )
-        if pivots != list(range(n)):
+        origin = list(range(n))
+        grid, scales, pivots, d, _, _ = _eliminate(self.integer_rows(), origin)
+        if len(pivots) < n:
             raise SingularMatrixError("matrix is singular")
-        inv = Matrix._from_integer_rows(_reduced(d // s, row) for row, s in zip(grid, scales))
-        # self-check A A^-1 = I exactly in integers: (DA) (L A^-1) == L D, with
-        # L the lcm of the stored denominators of A^-1
+        at = sorted(range(n), key=origin.__getitem__)
+        inv = Matrix._from_integer_rows(
+            _reduced(d // s, [row[j] for j in at]) for row, s in zip(grid, scales)
+        )
         lcm, rows = _integer_product(self, inv)
         for i, (den, row) in enumerate(zip(self._dens, rows)):
             if any(x != (lcm * den if i == j else 0) for j, x in enumerate(row)):
@@ -612,13 +644,6 @@ def permutation_matrix(perm: Sequence[int]) -> Matrix:
     if sorted(perm) != list(range(n)):
         raise InvalidInputError(f"{perm!r} is not a permutation of 0..{n - 1}")
     return Matrix([[int(j == perm[i]) for j in range(n)] for i in range(n)])
-
-
-def permutation_sign(perm: Sequence[int]) -> int:
-    inversions = sum(
-        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
-    )
-    return -1 if inversions % 2 else 1
 
 
 # -- text formats --------------------------------------------------------------

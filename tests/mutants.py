@@ -61,6 +61,9 @@ MUTANTS = [
     # the per-pivot scale factors: a zero-head row given the other factor, the per-row gcd read against d
     ("ratmat.py", "(rest, keep) if head else (rest0, keep0)", "(rest, keep)", ["tests/test_ratmat.py"]),
     ("ratmat.py", "g = math.gcd(rest_i, s)", "g = math.gcd(d, s)", ["tests/test_ratmat.py"]),
+    # the inverse's joining unit column not divided by the pivot row's scale, and its starting index left behind on a row swap
+    ("ratmat.py", "dens[origin[r]] * d // scales[r]", "dens[origin[r]] * d", ["tests/test_ratmat.py"]),
+    ("ratmat.py", "origin[r], origin[p] = origin[p], origin[r]", "pass", ["tests/test_ratmat.py"]),
     # a zero row found only in row 0, and Vector addition cross-multiplied the wrong way round
     ("ratmat.py", "return any(not any(nums) for nums in self._nums)", "return not any(self._nums[0])", ["tests/test_preserver.py", "tests/test_metamorphic.py"]),
     ("ratmat.py", "a * e + b * d", "a * d + b * e", ["tests/test_ratmat.py"]),

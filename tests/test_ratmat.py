@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semipos import classify, lp, ratmat
-from semipos.genfuzz import GenConfig, gen_inverse_nonneg_with_inverse, gen_msp
+from semipos.genfuzz import GenConfig, gen_inverse_nonneg, gen_inverse_nonneg_with_inverse, gen_msp
 from semipos.ratmat import (
     DimensionError,
     MAX_DIM,
@@ -24,7 +24,6 @@ from semipos.ratmat import (
     parse_rational,
     parse_vector_text,
     permutation_matrix,
-    permutation_sign,
     rat,
 )
 
@@ -71,14 +70,44 @@ def test_inverse_singular():
 def test_inverse_self_check_rejects_a_tampered_grid(monkeypatch):
     eliminate = ratmat._eliminate
 
-    def tampered(rows):
-        grid, scales, pivots, d, sign, scale = eliminate(rows)
+    def tampered(rows, origin=None):
+        grid, scales, pivots, d, sign, scale = eliminate(rows, origin)
         grid[1][-1] += 1  # one entry of the right block, a row of A^-1 scaled
         return grid, scales, pivots, d, sign, scale
 
     monkeypatch.setattr(ratmat, "_eliminate", tampered)
     with pytest.raises(ArithmeticError, match="self-check"):
         Matrix([["1/2", 3, 0], [-1, "2/3", 1], [0, 1, "5/4"]]).inverse()
+
+
+def test_inverse_grid_is_never_wider_than_n_plus_one(monkeypatch):
+    """``inverse`` eliminates [DA | D] but holds a column of D only from the
+    pivot step of its row on, so no grid handed to ``_pivot`` has more than
+    n + 1 columns; the full [DA | D] would hand it 2n at the first step.
+    Pinned by the width alone, not by a timing, on inverse-nonnegative
+    matrices and on seeded matrices with zero heads, so rows swap."""
+    step = ratmat._pivot
+    widths = []
+
+    def pivot(grid, scales, r, k, d):
+        widths.append(len(grid[0]) - len(grid))
+        return step(grid, scales, r, k, d)
+
+    monkeypatch.setattr(ratmat, "_pivot", pivot)
+    corpus = [gen_inverse_nonneg(n, GenConfig(seed=5), 0) for n in range(2, 13)]
+    corpus += [a for a in wide_range_matrices("inverse-width", 200, max_dim=6) if a.is_square]
+    swapped = 0
+    for a in corpus:
+        widths.clear()
+        try:
+            inv = a.inverse()
+        except SingularMatrixError:
+            continue
+        assert inv @ a == Matrix.identity(a.rows), a
+        assert max(widths) <= 1, a
+        swapped += a[0, 0] == 0
+    assert swapped > 5
+
 
 def test_rank_zero_matrix():
     assert Matrix.zeros(2, 3).rank() == 0
@@ -267,6 +296,14 @@ def test_outer_and_basis():
     assert outer(Vector([1, 2]), Vector([3, 4])) == Matrix([[3, 4], [6, 8]])
     assert basis_vector(3, 1) == Vector([0, 1, 0])
     assert ones_vector(2) == Vector([1, 1])
+
+
+def permutation_sign(perm):
+    """The sign of a permutation of 0..n-1: -1 for an odd number of inversions."""
+    inversions = sum(
+        1 for i in range(len(perm)) for j in range(i + 1, len(perm)) if perm[i] > perm[j]
+    )
+    return -1 if inversions % 2 else 1
 
 
 def test_permutation_matrix_moves_entries():
