@@ -7,7 +7,10 @@ every returned witness is re-verified against its definition before return.
 
 Minimal semipositivity has one route: semipositive with a nonnegative left
 inverse, and never for fewer rows than columns, which is decided from the
-shape before any LP.  ``msp_by_deletion`` checks the definition itself and
+shape before any LP.  A square matrix's only left inverse is its inverse, so
+its left inverse is decided by one elimination; only a tall matrix's takes
+the n equality LPs of ``left_inverse_by_lp``.  ``msp_by_deletion`` checks the
+definition itself and, like ``left_inverse_by_lp`` on a square matrix,
 serves only as an oracle for that route.
 
 Each kind of evidence has one checker, which multiplies, then sign-tests, and
@@ -19,9 +22,9 @@ A u >= 0, proving A has no nonnegative left inverse, so is not minimally
 semipositive).  The deciders check their own answers with them, and so do the
 preserver certificates and the generators.
 
-``lp`` is imported inside the two deciders that solve an LP,
-``is_semipositive`` and ``has_nonneg_left_inverse``, so a caller that only
-checks evidence (the square preserver verdicts) never loads it.
+``lp`` is imported inside the two functions that solve an LP,
+``is_semipositive`` and ``left_inverse_by_lp``, so a caller that only checks
+evidence (the square preserver verdicts) never loads it.
 """
 
 from __future__ import annotations
@@ -114,11 +117,23 @@ def is_semipositive(a: Matrix) -> tuple[bool, Vector | None]:
 def has_nonneg_left_inverse(a: Matrix) -> tuple[bool, Matrix | None]:
     """True iff some N >= 0 satisfies N A = I; needs at least as many rows as columns.
 
-    Row j of N solves the equality system A^T y = e_j over y >= 0, so the n
-    rows are found by n independent feasibility calls.
+    A square A has no left inverse but A^-1, as N A = I forces N = A^-1
+    (Johnson, Kerr & Stanford 1994), so it is decided by
+    ``is_inverse_nonnegative`` with no LP.  A tall A goes to
+    ``left_inverse_by_lp``.
     """
     if a.rows < a.cols:
         raise DimensionError("a left inverse needs rows >= cols")
+    return is_inverse_nonnegative(a) if a.is_square else left_inverse_by_lp(a)
+
+
+def left_inverse_by_lp(a: Matrix) -> tuple[bool, Matrix | None]:
+    """``has_nonneg_left_inverse`` by n equality LPs: row j of N solves
+    A^T y = e_j over y >= 0, so the n rows are found by n independent
+    feasibility calls.  The decider's route for a tall A; on a square A, an
+    opinion independent of the inverse, for the tests and the
+    ``msp-equivalence`` campaign.
+    """
     from . import lp
 
     at = a.transpose()
@@ -206,11 +221,13 @@ def classify_all(a: Matrix) -> ClassReport:
     monomial: bool | None = None
     inv_nonneg: bool | None = None
     inv: Matrix | None = None
+    left: Matrix | None = None
     if a.is_square:
         monomial = is_monomial(a)
+        # the nonnegative inverse is the only nonnegative left inverse
         inv_nonneg, inv = is_inverse_nonnegative(a)
-    left: Matrix | None = None
-    if a.rows >= a.cols:
+        left = inv
+    elif a.rows > a.cols:
         _, left = has_nonneg_left_inverse(a)
     return ClassReport(
         shape=a.shape,

@@ -34,7 +34,6 @@ from .ratmat import (
     Matrix,
     SingularMatrixError,
     Vector,
-    basis_vector,
 )
 
 _ZERO = Fraction(0)
@@ -225,15 +224,14 @@ def build_pos(v: Vector, w: Vector) -> tuple[Matrix, Matrix]:
     """(B, B^{-1}) for the nonnegative invertible B with B v = w, for v >= 0
     nonzero and w > 0.
 
-    After the permutation from ``positive_first_permutation(v)`` the matrix is
-    lower triangular with nonzero diagonal: the first column carries all of w
-    scaled by the leading entry of v (halved on the other positive positions),
-    the remaining positive positions get diagonal entries, and the zero
-    positions get identity columns.  Column l of that triangular matrix is
-    column sigma[l] of the returned B.  Its off-diagonal entries all lie in
-    the first column, so it is a 1 x 1 block above a diagonal;
-    ``_block_inverse`` reads B^{-1} off that form and ``_checked`` proves it
-    by B B^{-1} = I.
+    With sigma from ``positive_first_permutation(v)``, v' = v permuted by
+    sigma and k the number of positive entries of v, row i of B is built
+    directly: it holds w_i / v'_0 in column sigma[0], halved when 0 < i < k,
+    and for i > 0 also w_i / (2 v'_i) when i < k, or 1 otherwise, in column
+    sigma[i].  Its columns taken in the order sigma form a lower triangular
+    matrix with nonzero diagonal whose off-diagonal entries all lie in the
+    first column, a 1 x 1 block above a diagonal; ``_block_inverse`` reads
+    B^{-1} off that form and ``_checked`` proves it by B B^{-1} = I.
     """
     if v.dim != w.dim:
         raise InvalidInputError("v and w must have the same dimension")
@@ -247,21 +245,14 @@ def build_pos(v: Vector, w: Vector) -> tuple[Matrix, Matrix]:
     n = v.dim
     k = sum(1 for x in _numerators(vp) if x > 0)
 
-    cols: list[Vector] = []
-    first = [w[0] / vp[0]]
-    for i in range(1, n):
-        first.append(w[i] / (2 * vp[0]) if i < k else w[i] / vp[0])
-    cols.append(Vector(first))
-    for j in range(1, n):
-        if j < k:
-            cols.append((w[j] / (2 * vp[j])) * basis_vector(n, j))
-        else:
-            cols.append(basis_vector(n, j))
-    placed = cols[:]
-    for j, col in zip(sigma, cols):
-        placed[j] = col
-
-    b = Matrix.from_cols(placed)
+    rows: list[list[Fraction]] = []
+    for i in range(n):
+        row = [_ZERO] * n
+        row[sigma[0]] = w[i] / (2 * vp[0] if 0 < i < k else vp[0])
+        if i:
+            row[sigma[i]] = w[i] / (2 * vp[i]) if i < k else _ONE
+        rows.append(row)
+    b = Matrix(rows)
     inv = _block_inverse(b, range(n), sigma, 1, "build_pos")
     return _checked(b, v, w, "build_pos", inv), inv
 

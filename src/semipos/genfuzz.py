@@ -400,8 +400,10 @@ def _trial_key1(
 def _trial_msp_equivalence(
     rng: random.Random, cfg: GenConfig, t: int, counts: Counter[str]
 ) -> str | None:
-    """The left-inverse route, the deletion oracle, and (on square inputs) the
-    nonnegative-inverse test must agree on minimal semipositivity.  A wide
+    """The decider, the deletion oracle, and on square inputs, which the
+    decider settles by the inverse, the equality-LP left inverse
+    (``classify.left_inverse_by_lp``) must agree on minimal semipositivity:
+    a square A with a nonnegative left inverse is semipositive.  A wide
     matrix, drawn from its own stream so the other draws stay as they were,
     must be outside the class by both the shape rule and the deletion oracle."""
     shapes = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (5, 4)]
@@ -411,7 +413,7 @@ def _trial_msp_equivalence(
     agree = fast == classify.msp_by_deletion(a)
     if a.is_square:
         counts["square"] += 1
-        agree = agree and fast == classify.is_inverse_nonnegative(a)[0]
+        agree = agree and fast == classify.left_inverse_by_lp(a)[0]
     if fast:
         counts["msp"] += 1
     if not agree:

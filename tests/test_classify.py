@@ -257,8 +257,9 @@ def test_msp_routes_agree():
         fast = classify.is_minimally_semipositive(a)
         assert fast == classify.msp_by_deletion(a)
         if m == n:
+            # the decider settles a square A by its inverse; the LPs are the other opinion
             checked_square += 1
-            assert fast == classify.is_inverse_nonnegative(a)[0]
+            assert fast == classify.left_inverse_by_lp(a)[0]
     assert checked_square > 0
 
 
@@ -280,6 +281,22 @@ def test_wide_msp_is_decided_without_lp(monkeypatch):
     report = classify.classify_all(wide)
     assert report.semipositive and not report.minimally_semipositive
     assert calls == ["feasible_nonneg"]
+
+
+def test_a_square_classify_all_takes_its_left_inverse_from_its_inverse(monkeypatch):
+    calls = []
+    solve = lp.equality_feasible_nonneg
+    monkeypatch.setattr(lp, "equality_feasible_nonneg", lambda *args: calls.append(args) or solve(*args))
+    cfg = genfuzz.GenConfig(1)
+    msp = set()
+    for a in (genfuzz.gen_msp(12, 12, cfg, 0), EXAMPLE_B, genfuzz.gen_sp(4, 4, cfg, 0), ONES_2):
+        report = classify.classify_all(a)
+        assert report.left_inv == report.inv
+        assert (report.left_inv is not None) == report.minimally_semipositive
+        msp.add(report.minimally_semipositive)
+    assert msp == {True, False} and calls == []
+    # a tall A still takes the equality LPs
+    assert classify.classify_all(LEFT_INVERSE_A).left_inv is not None and calls
 
 
 def test_rank_deficient_msp_is_refuted_without_lp(monkeypatch):
@@ -395,11 +412,12 @@ def test_feasible_sp_result_without_witness_raises(monkeypatch):
 
 
 def test_feasible_left_inverse_row_without_witness_raises(monkeypatch):
+    # a tall A, [I; 1^T], as a square A is decided by its inverse with no LP
     monkeypatch.setattr(
         lp, "equality_feasible_nonneg", lambda m, c: lp.FeasibilityResult(True)
     )
     with pytest.raises(ArithmeticError, match="witness"):
-        classify.has_nonneg_left_inverse(Matrix.identity(2))
+        classify.has_nonneg_left_inverse(LEFT_INVERSE_A)
 
 
 def test_a_witness_that_fails_its_check_raises(monkeypatch):

@@ -215,10 +215,9 @@ _NOT_NONNEG = Matrix([[6, 1, -1], [0, 1, 0], [0, 0, 1]])
         pytest.param(
             "build_np", [1, -1], [1, 1], "_np_head_row", lambda vp, wp: ([2, 0], "a"), id="np-image"
         ),
-        # zero columns past the first: B = [[1, 0], [1, 0]] >= 0 with B v = w, but singular
-        pytest.param(
-            "build_pos", [1, 0], [1, 1], "basis_vector", lambda n, j: Vector([0] * n), id="pos-rank"
-        ),
+        # the unit entries of the zero positions of v zeroed: B = [[1, 0], [1, 0]] >= 0
+        # with B v = w, but singular
+        pytest.param("build_pos", [1, 0], [1, 1], "_ONE", Fraction(0), id="pos-rank"),
         # the top row [6, 1, -1] has full row rank and maps v to 5, but is not >= 0
         pytest.param(
             "build_rect",

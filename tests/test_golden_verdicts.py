@@ -185,17 +185,25 @@ def _certificates():
 
 
 def test_every_golden_certificate_verifies_without_an_inverse(monkeypatch):
+    """A certificate with its evidence inverts nothing.  Without it, a
+    minimally semipositive A goes to the classify decider, which may invert
+    that A (a square A's only left inverse is A^-1) and nothing else; a
+    semipositive A needs its witness."""
     certs = list(_certificates())
+    inverse = Matrix.inverse
+    invertible = []
 
-    def no_inverse(m):
-        raise AssertionError("verify inverted a matrix")
+    def member_inverse(m):
+        if m not in invertible:
+            raise AssertionError("verify inverted a matrix other than its member")
+        return inverse(m)
 
-    monkeypatch.setattr(Matrix, "inverse", no_inverse)
+    monkeypatch.setattr(Matrix, "inverse", member_inverse)
     for cert in certs:
+        invertible.clear()
         assert cert.verify(), cert.note
-        # without its evidence, a minimally semipositive A goes to the
-        # classify decider; a semipositive A needs its witness
         stripped = dataclasses.replace(cert, witness=None, left_inverse=None)
+        invertible.append(stripped.a)
         assert stripped.verify() is (cert.class_name == preserver.CLASS_MSP), cert.note
 
 

@@ -20,6 +20,7 @@ from semipos.ratmat import (
     Vector,
     basis_vector,
     ones_vector,
+    permutation_matrix,
 )
 
 SIGNED_X = Matrix([[1, 0, 0], [0, -1, 0], [1, 1, 1]])
@@ -659,25 +660,23 @@ def test_onto_yes_implies_both_intos():
         assert preserver.into_sp_preserver(lmap.inverse_map()).status is Verdict.YES
 
 
-# every 2x2 matrix with entries in {-1, 0, 1}
-GRID_2X2 = [Matrix([e[:2], e[2:]]) for e in itertools.product((-1, 0, 1), repeat=4)]
-
-
-def test_every_2x2_pair_over_minus_one_zero_one():
-    """All 6,561 pairs (X, Y) from the grid go through the four verdicts, which
-    decide every one.  Each "no" certificate verifies, and each into "yes" pair
-    maps every member of the grid in its class back into the class.  The
-    members and their images are decided by the oracles: vertex enumeration
-    (A x >= 1 with x >= 0) for semipositivity and ``msp_by_deletion`` for
-    minimal semipositivity."""
-    ones = ones_vector(2)
+def _check_verdicts(pairs, candidates):
+    """Runs the four verdicts on every pair (X, Y) and returns the count of
+    each (verdict, status).  Every verdict decides its pair, and each verdict
+    says yes to some pair and no to another.  Each "no" certificate
+    verifies, and each into "yes" pair maps every candidate in its class back
+    into the class.  The candidates and their images are decided by the
+    oracles: vertex enumeration (A x >= 1 with x >= 0) for semipositivity and
+    ``msp_by_deletion`` for minimal semipositivity."""
+    ones = ones_vector(candidates[0].cols)
     sp = functools.cache(lambda a: lp.feasible_nonneg_bruteforce(a, ones).feasible)
     msp = functools.cache(classify.msp_by_deletion)
     into = {preserver.into_sp_preserver: sp, preserver.into_msp_preserver: msp}
-    members = {op: [a for a in GRID_2X2 if in_class(a)] for op, in_class in into.items()}
+    members = {op: [a for a in candidates if in_class(a)] for op, in_class in into.items()}
+    assert all(members.values())
     verdicts = (*into, preserver.onto_sp_preserver, preserver.onto_msp_preserver)
     statuses = Counter()
-    for x, y in itertools.product(GRID_2X2, repeat=2):
+    for x, y in pairs:
         lmap = _map(x, y)
         for op in verdicts:
             verdict = op(lmap)
@@ -686,7 +685,53 @@ def test_every_2x2_pair_over_minus_one_zero_one():
                 assert verdict.certificate.verify(), (op.__name__, x, y)
             elif verdict.status is Verdict.YES and op in into:
                 assert all(into[op](x @ a @ y) for a in members[op]), (op.__name__, x, y)
-    assert sum(statuses.values()) == 4 * 81 * 81
     assert all(statuses[op.__name__, s] > 0 for op in verdicts for s in (Verdict.YES, Verdict.NO))
     assert not any(status is Verdict.UNKNOWN for _, status in statuses)
-    assert all(members.values())
+    return statuses
+
+
+# every 2x2 matrix with entries in {-1, 0, 1}
+GRID_2X2 = [Matrix([e[:2], e[2:]]) for e in itertools.product((-1, 0, 1), repeat=4)]
+
+
+def test_every_2x2_pair_over_minus_one_zero_one():
+    """All 6,561 pairs (X, Y) from the grid, with every member of the grid as
+    a candidate, go through ``_check_verdicts``."""
+    statuses = _check_verdicts(itertools.product(GRID_2X2, repeat=2), GRID_2X2)
+    assert sum(statuses.values()) == 4 * 81 * 81
+
+
+def _grid_3x3_inverse_nonnegative():
+    """The inverse-nonnegative members of the 3x3 {-1, 0, 1} grid.  Only
+    matrices with a positive entry in each row and each column are inverted,
+    since A A^-1 = A^-1 A = I with A^-1 >= 0 needs one there."""
+    found = []
+    for e in itertools.product((-1, 0, 1), repeat=9):
+        rows = (e[:3], e[3:6], e[6:])
+        if all(1 in line for line in (*rows, *zip(*rows))):
+            a = Matrix(rows)
+            if classify.is_inverse_nonnegative(a)[0]:
+                found.append(a)
+    return found
+
+
+def test_a_seeded_slice_of_the_3x3_pairs_over_minus_one_zero_one():
+    """240 seeded pairs (X, Y) from the 3x3 {-1, 0, 1} grid, with 120 seeded
+    candidates, go through ``_check_verdicts``.  X and Y are each a uniform
+    draw from the grid or a draw from its row-positive, inverse-nonnegative
+    or monomial members, each negated half the time, so that every verdict
+    meets both "yes" and "no" pairs, and pairs of structured members with
+    opposite signs test the sign rule."""
+    rng = random.Random("grid-3x3-slice")
+    unit_rows = [r for r in itertools.product((0, 1), repeat=3) if any(r)]
+    inverse_nonnegative = _grid_3x3_inverse_nonnegative()
+    draws = (
+        lambda: Matrix([[rng.choice((-1, 0, 1)) for _ in range(3)] for _ in range(3)]),
+        lambda: Matrix([rng.choice(unit_rows) for _ in range(3)]),
+        lambda: rng.choice(inverse_nonnegative),
+        lambda: permutation_matrix(rng.sample(range(3), 3)),
+    )
+    candidates = [draws[t % 4]() for t in range(120)]
+    pairs = [tuple(rng.choice((1, -1)) * rng.choice(draws)() for _ in range(2)) for _ in range(240)]
+    statuses = _check_verdicts(pairs, candidates)
+    assert sum(statuses.values()) == 4 * 240

@@ -1,11 +1,10 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 from semipos import classify, lp, ratmat
 from semipos.genfuzz import GenConfig, gen_inverse_nonneg, gen_inverse_nonneg_with_inverse, gen_msp
@@ -321,63 +320,6 @@ def test_kernel_vector():
     assert Matrix.identity(3).kernel_vector() is None
 
 
-rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
-
-
-@st.composite
-def square_matrices(draw, max_dim=4):
-    n = draw(st.integers(1, max_dim))
-    return Matrix([[draw(rationals) for _ in range(n)] for _ in range(n)])
-
-
-@st.composite
-def any_matrices(draw, max_dim=5):
-    m = draw(st.integers(1, max_dim))
-    n = draw(st.integers(1, max_dim))
-    return Matrix([[draw(rationals) for _ in range(n)] for _ in range(m)])
-
-
-@settings(max_examples=60, deadline=None)
-@given(square_matrices())
-def test_inverse_round_trip(a):
-    assume(a.det() != 0)
-    inv = a.inverse()
-    assert a @ inv == Matrix.identity(a.rows)
-    assert inv.inverse() == a
-
-
-@settings(max_examples=60, deadline=None)
-@given(any_matrices())
-def test_rank_transpose_invariant(a):
-    assert a.rank() == a.transpose().rank()
-
-
-@st.composite
-def perm_with_matrix(draw, max_dim=5):
-    n = draw(st.integers(2, max_dim))
-    perm = draw(st.permutations(range(n)))
-    a = Matrix([[draw(rationals) for _ in range(n)] for _ in range(n)])
-    return perm, a
-
-
-@settings(max_examples=60, deadline=None)
-@given(perm_with_matrix())
-def test_det_permutation_sign(case):
-    perm, a = case
-    p = permutation_matrix(perm)
-    assert (p @ a).det() == permutation_sign(perm) * a.det()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(rationals, min_size=1, max_size=6),
-    st.builds(Fraction, st.integers(1, 9), st.integers(1, 4)),
-)
-def test_sign_profile_scale_invariant(entries, c):
-    v = Vector(entries)
-    assert v.has_mixed_signs() == (c * v).has_mixed_signs()
-
-
 # -- elimination against independent definitions --------------------------------
 
 def degenerate_matrices(seed, count, max_dim, square=False):
@@ -562,6 +504,69 @@ def test_elimination_matches_plain_gauss_jordan_on_wide_ranges():
         assert_matches_gauss_jordan(a)
 
 
+# -- algebraic properties over the same seeded corpora ---------------------------
+
+def square_corpus(seed):
+    """The square matrices of both corpora above: 150 small and degenerate,
+    and the square half of 150 wide-range ones."""
+    yield from degenerate_matrices(seed, 150, max_dim=5, square=True)
+    yield from (a for a in wide_range_matrices(seed, 150, max_dim=6) if a.is_square)
+
+
+def test_inverse_round_trip():
+    checked = 0
+    for a in square_corpus("inverse-round-trip"):
+        if a.det() == 0:
+            continue
+        inv = a.inverse()
+        assert a @ inv == Matrix.identity(a.rows), a
+        assert inv.inverse() == a, a
+        checked += 1
+    assert checked >= 60
+
+
+def test_rank_transpose_invariant():
+    corpus = [
+        *degenerate_matrices("rank-transpose", 150, max_dim=5),
+        *wide_range_matrices("rank-transpose", 150, max_dim=6),
+    ]
+    for a in corpus:
+        assert a.rank() == a.transpose().rank(), a
+    assert any(a.rank() < min(a.shape) for a in corpus)
+
+
+def test_det_permutation_sign():
+    rng = random.Random("det-permutation-sign")
+    signs = Counter()
+    for a in square_corpus("det-permutation-sign"):
+        if a.rows < 2:
+            continue
+        perm = rng.sample(range(a.rows), a.rows)
+        det = a.det()
+        assert (permutation_matrix(perm) @ a).det() == permutation_sign(perm) * det, (perm, a)
+        if det != 0:
+            signs[permutation_sign(perm)] += 1
+    assert signs[1] + signs[-1] >= 60 and signs[1] and signs[-1]
+
+
+def test_sign_profile_scale_invariant():
+    """Vectors of one sign, of both signs and with zeros, small or up to 2^60,
+    scaled by small and large positive rationals."""
+    rng = random.Random("sign-profile-scale")
+    mixed = Counter()
+    for _ in range(400):
+        signs = rng.choice([(-1, 0, 1), (-1, 1), (0, 1), (-1, 0), (1,), (-1,)])
+        bits = rng.choice([3, 60])
+        v = Vector([
+            rng.choice(signs) * Fraction(rng.randint(1, 2**bits), rng.randint(1, 4))
+            for _ in range(rng.randint(1, 6))
+        ])
+        c = Fraction(rng.randint(1, 2**bits), rng.randint(1, 2**bits))
+        assert v.has_mixed_signs() == (c * v).has_mixed_signs(), (v, c)
+        mixed[v.has_mixed_signs()] += 1
+    assert mixed[True] >= 60 and mixed[False] >= 60
+
+
 def test_inverse_nonnegative_pairs_invert_to_each_other():
     # Z = D^-1 for a nonnegative diagonally dominant D: every leading minor of
     # the integer-scaled Z shares a large factor, which the row scales carry
@@ -659,6 +664,8 @@ def test_pivot_matches_the_one_gcd_per_row_step_on_wide_ranges(checked_pivots):
 
 def test_pivot_matches_the_one_gcd_per_row_step_on_a_12x12_msp_and_an_lp(checked_pivots):
     classify.classify_all(gen_msp(12, 12, GenConfig(1), 0))
+    # a tall one, whose left inverse takes the equality LPs a square one skips
+    classify.classify_all(gen_msp(12, 6, GenConfig(1), 0))
     rng = random.Random("pivot-per-row-gcd-lp")
     a = Matrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)])
     lp.feasible_nonneg(a, Vector([rng.randint(-9, 9) for _ in range(5)]))
