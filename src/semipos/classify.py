@@ -9,9 +9,10 @@ Minimal semipositivity has one route: semipositive with a nonnegative left
 inverse, and never for fewer rows than columns, which is decided from the
 shape before any LP.  A square matrix's only left inverse is its inverse, so
 its left inverse is decided by one elimination; only a tall matrix's takes
-the n equality LPs of ``left_inverse_by_lp``.  ``msp_by_deletion`` checks the
-definition itself and, like ``left_inverse_by_lp`` on a square matrix,
-serves only as an oracle for that route.
+the equality LPs of ``left_inverse_by_lp``: one simplex for all n rows of N,
+plus one LP for each row its final basis does not show.  ``msp_by_deletion``
+checks the definition itself and, like ``left_inverse_by_lp`` on a square
+matrix, serves only as an oracle for that route.
 
 Each kind of evidence has one checker, which multiplies, then sign-tests, and
 decides nothing (a shape that does not fit raises DimensionError):
@@ -128,18 +129,19 @@ def has_nonneg_left_inverse(a: Matrix) -> tuple[bool, Matrix | None]:
 
 
 def left_inverse_by_lp(a: Matrix) -> tuple[bool, Matrix | None]:
-    """``has_nonneg_left_inverse`` by n equality LPs: row j of N solves
-    A^T y = e_j over y >= 0, so the n rows are found by n independent
-    feasibility calls.  The decider's route for a tall A; on a square A, an
+    """``has_nonneg_left_inverse`` by equality LPs: row j of N solves
+    A^T y = e_j over y >= 0.  One simplex drives on e_1 and carries
+    e_2..e_n along, and each e_j its final basis does not show gets an LP of
+    its own (``lp.equality_feasible_nonneg_each``), so a "no" always comes
+    from e_j's own LP.  The decider's route for a tall A; on a square A, an
     opinion independent of the inverse, for the tests and the
     ``msp-equivalence`` campaign.
     """
     from . import lp
 
-    at = a.transpose()
+    units = [basis_vector(a.cols, j) for j in range(a.cols)]
     n_rows: list[Vector] = []
-    for j in range(a.cols):
-        result = lp.equality_feasible_nonneg(at, basis_vector(a.cols, j))
+    for result in lp.equality_feasible_nonneg_each(a.transpose(), units):
         if not result.feasible:
             return False, None
         if result.witness is None:

@@ -29,6 +29,8 @@ from .ratmat import (
     InvalidInputError,
     Matrix,
     Vector,
+    _integer_row,
+    basis_vector,
     ones_vector,
     permutation_matrix,
 )
@@ -142,7 +144,7 @@ def gen_msp(m: int, n: int, cfg: GenConfig, index: object = 0) -> Matrix:
     top, dominant = gen_inverse_nonneg_with_inverse(n, cfg, index)
     rng = cfg.rng("msp-extra", m, n, index)
     extra = [_first(lambda: [_entry(rng, 0) for _ in range(n)], any) for _ in range(m - n)]
-    a = Matrix([*top.entries, *extra])
+    a = Matrix._from_integer_rows([*top.integer_rows(), *map(_integer_row, extra)])
     witness = dominant @ ones_vector(n)
     if not witness.is_positive() or not classify.is_sp_witness(a, witness):
         raise ArithmeticError("minimally semipositive sample lost its witness")
@@ -403,7 +405,10 @@ def _trial_msp_equivalence(
     """The decider, the deletion oracle, and on square inputs, which the
     decider settles by the inverse, the equality-LP left inverse
     (``classify.left_inverse_by_lp``) must agree on minimal semipositivity:
-    a square A with a nonnegative left inverse is semipositive.  A wide
+    a square A with a nonnegative left inverse is semipositive.  On tall
+    inputs, where ``left_inverse_by_lp`` reads every row of N off one simplex
+    basis, its verdict must match n independent ``lp.equality_feasible_nonneg``
+    solves of A^T y = e_j.  A wide
     matrix, drawn from its own stream so the other draws stay as they were,
     must be outside the class by both the shape rule and the deletion oracle."""
     shapes = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (5, 4)]
@@ -414,6 +419,10 @@ def _trial_msp_equivalence(
     if a.is_square:
         counts["square"] += 1
         agree = agree and fast == classify.left_inverse_by_lp(a)[0]
+    elif m > n:
+        at = a.transpose()
+        each = all(lp.equality_feasible_nonneg(at, basis_vector(n, j)).feasible for j in range(n))
+        agree = agree and classify.left_inverse_by_lp(a)[0] == each
     if fast:
         counts["msp"] += 1
     if not agree:

@@ -51,6 +51,11 @@ MUTANTS = [
     # Bland's tie-break reversed, and a negative right-hand side's row left unsigned
     ("lp.py", "basis[i] < basis[pivot_row]", "basis[i] > basis[pivot_row]", ["tests/test_golden_lp.py"]),
     ("lp.py", "f = s // den if r >= 0 else -(s // den)", "f = s // den", ["tests/test_lp.py"]),
+    # a rider read off past a basic artificial's nonzero entry, a rider left unsigned when its row is negated,
+    # and a rider the final basis does not show called infeasible without its own LP
+    ("lp.py", "if any(grid[i][col] for i in artificial) or any(", "if any(", ["tests/test_lp.py"]),
+    ("lp.py", "t = f * den", "t = s", ["tests/test_lp.py"]),
+    ("lp.py", "if solution is None and j:", "if False:", ["tests/test_classify.py"]),
     # Matrix and Vector: assignment guard a no-op, equality cut to the numerators
     ("ratmat.py", 'raise AttributeError(f"cannot assign to {name!r} of {type(self).__name__}")', "object.__setattr__(self, name, value)", ["tests/test_ratmat.py"]),
     ("ratmat.py", "return self._dens == other._dens and self._nums == other._nums", "return self._nums == other._nums", ["tests/test_ratmat.py"]),

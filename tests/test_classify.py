@@ -4,7 +4,7 @@ import random
 import pytest
 
 from semipos import classify, construct, genfuzz, lp
-from semipos.ratmat import DimensionError, Matrix, Vector, ones_vector
+from semipos.ratmat import DimensionError, Matrix, Vector, basis_vector, ones_vector
 
 EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
 ONES_2 = Matrix([[1, 1], [1, 1]])
@@ -263,6 +263,35 @@ def test_msp_routes_agree():
     assert checked_square > 0
 
 
+def test_the_one_basis_left_inverse_agrees_with_n_independent_lps(monkeypatch):
+    """Tall MSP draws and copies with one entry made negative: the left
+    inverse read off one simplex basis, with its fallback LPs, gives the
+    verdict of n independent equality LPs, and every N it returns verifies."""
+    runs = []
+    phase1 = lp._phase1
+    monkeypatch.setattr(lp, "_phase1", lambda rows, rhss: runs.append(len(rhss)) or phase1(rows, rhss))
+    cfg = genfuzz.GenConfig(3)
+    rng = random.Random("classify-one-basis")
+    verdicts, fallbacks = set(), 0
+    for m, n, count in ((3, 2, 10), (4, 3, 10), (6, 4, 10), (9, 6, 6), (12, 8, 6)):
+        for a in genfuzz.iter_msp_mixture(m, n, cfg, count):
+            rows = [list(row) for row in a.entries]
+            i, j = rng.randrange(m), rng.randrange(n)
+            rows[i][j] = -rows[i][j] - 1
+            for b, msp in ((a, True), (Matrix(rows), None)):
+                runs.clear()
+                found, left = classify.left_inverse_by_lp(b)
+                fallbacks += len(runs) - 1
+                at = b.transpose()
+                each = all(lp.equality_feasible_nonneg(at, basis_vector(n, k)).feasible for k in range(n))
+                assert found == each and msp in (None, found), b
+                assert (left is not None) == found, b
+                if found:
+                    assert classify.is_nonneg_left_inverse(b, left), b
+                verdicts.add(found)
+    assert verdicts == {True, False} and fallbacks > 0
+
+
 def test_wide_matrices_use_definition():
     rng = random.Random("classify-wide")
     for _ in range(40):
@@ -272,7 +301,7 @@ def test_wide_matrices_use_definition():
 
 def test_wide_msp_is_decided_without_lp(monkeypatch):
     calls = []
-    for name in ("feasible_nonneg", "equality_feasible_nonneg"):
+    for name in ("feasible_nonneg", "equality_feasible_nonneg", "equality_feasible_nonneg_each"):
         solve = getattr(lp, name)
         monkeypatch.setattr(lp, name, lambda *args, solve=solve, name=name: calls.append(name) or solve(*args))
     wide = Matrix([[1, 2, 0, 1], [0, 1, 3, 1]])
@@ -285,8 +314,8 @@ def test_wide_msp_is_decided_without_lp(monkeypatch):
 
 def test_a_square_classify_all_takes_its_left_inverse_from_its_inverse(monkeypatch):
     calls = []
-    solve = lp.equality_feasible_nonneg
-    monkeypatch.setattr(lp, "equality_feasible_nonneg", lambda *args: calls.append(args) or solve(*args))
+    solve = lp.equality_feasible_nonneg_each
+    monkeypatch.setattr(lp, "equality_feasible_nonneg_each", lambda *args: calls.append(args) or solve(*args))
     cfg = genfuzz.GenConfig(1)
     msp = set()
     for a in (genfuzz.gen_msp(12, 12, cfg, 0), EXAMPLE_B, genfuzz.gen_sp(4, 4, cfg, 0), ONES_2):
@@ -301,7 +330,7 @@ def test_a_square_classify_all_takes_its_left_inverse_from_its_inverse(monkeypat
 
 def test_rank_deficient_msp_is_refuted_without_lp(monkeypatch):
     calls = []
-    for name in ("feasible_nonneg", "equality_feasible_nonneg"):
+    for name in ("feasible_nonneg", "equality_feasible_nonneg", "equality_feasible_nonneg_each"):
         solve = getattr(lp, name)
         monkeypatch.setattr(lp, name, lambda *args, solve=solve, name=name: calls.append(name) or solve(*args))
     rng = random.Random("classify-rank-deficient")
@@ -414,7 +443,7 @@ def test_feasible_sp_result_without_witness_raises(monkeypatch):
 def test_feasible_left_inverse_row_without_witness_raises(monkeypatch):
     # a tall A, [I; 1^T], as a square A is decided by its inverse with no LP
     monkeypatch.setattr(
-        lp, "equality_feasible_nonneg", lambda m, c: lp.FeasibilityResult(True)
+        lp, "equality_feasible_nonneg_each", lambda m, cs: [lp.FeasibilityResult(True) for _ in cs]
     )
     with pytest.raises(ArithmeticError, match="witness"):
         classify.has_nonneg_left_inverse(LEFT_INVERSE_A)
@@ -439,6 +468,6 @@ def test_a_left_inverse_that_fails_its_check_raises(monkeypatch, rows):
     def row(m, c):
         return lp.FeasibilityResult(True, Vector(rows[c[1] == 1]))
 
-    monkeypatch.setattr(lp, "equality_feasible_nonneg", row)
+    monkeypatch.setattr(lp, "equality_feasible_nonneg_each", lambda m, cs: [row(m, c) for c in cs])
     with pytest.raises(ArithmeticError, match="left inverse verification failed"):
         classify.has_nonneg_left_inverse(LEFT_INVERSE_A)

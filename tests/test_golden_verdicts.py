@@ -213,7 +213,7 @@ def test_only_the_search_draws_reach_an_lp_in_verify(monkeypatch):
     decided by an LP."""
     certs = list(_certificates())
     calls = []
-    for name in ("feasible_nonneg", "equality_feasible_nonneg"):
+    for name in ("feasible_nonneg", "equality_feasible_nonneg", "equality_feasible_nonneg_each"):
         solve = getattr(lp, name)
         monkeypatch.setattr(lp, name, lambda *args, solve=solve: calls.append(args) or solve(*args))
     with_lp = set()

@@ -1,10 +1,12 @@
+import json
 import random
 from fractions import Fraction
 
+import golden
 import pytest
 
-from semipos import lp
-from semipos.ratmat import DimensionError, Matrix, Vector
+from semipos import classify, genfuzz, lp
+from semipos.ratmat import DimensionError, Matrix, Vector, basis_vector
 
 
 def test_identity_system_feasible():
@@ -94,8 +96,8 @@ def test_equality_bruteforce_rejects_a_bad_witness(monkeypatch):
     ],
 )
 def test_a_bad_simplex_witness_raises(monkeypatch, solve, z):
-    # _phase1 returns the witness as integers over one denominator
-    monkeypatch.setattr(lp, "_phase1", lambda rows, rhs: (1, z))
+    # _phase1 returns each witness as integers over one denominator, one per rhs
+    monkeypatch.setattr(lp, "_phase1", lambda rows, rhss: [(1, z)])
     with pytest.raises(ArithmeticError, match="invalid witness"):
         solve(Matrix([[1, 1]]), Vector([1]))
 
@@ -161,3 +163,64 @@ def test_equality_agrees_with_bruteforce():
                 assert fast.witness.is_nonneg() and a @ fast.witness == c
             seen.add(fast.feasible)
         assert seen == {True, False}, family
+
+
+def _read(solution):
+    """A ``_phase1`` solution (den, integers den z) as a Vector, or None."""
+    return None if solution is None else Vector([Fraction(x, solution[0]) for x in solution[1]])
+
+
+def test_riders_leave_the_driving_solve_as_it_was_on_every_golden_lp_system():
+    rng = random.Random("lp-riders")
+    shown = 0
+    for label, v in json.loads(golden.path("lp").read_text()).items():
+        a, b = Matrix(v["a"]), Vector(v["b"])
+        # -b, a column of A (always feasible) and a rational vector of both signs
+        column = a @ basis_vector(a.cols, rng.randrange(a.cols))
+        drawn = Vector([Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(a.rows)])
+        riders = [-b, column, drawn]
+        solutions = lp._phase1(a.integer_rows(), [b, *riders])
+        assert solutions[0] == lp._phase1(a.integer_rows(), [b])[0], label
+        for c, solution in zip(riders, solutions[1:]):
+            y = _read(solution)
+            if y is not None:
+                shown += 1
+                assert y.is_nonneg() and a @ y == c, label
+                assert lp.equality_feasible_nonneg(a, c).feasible, label
+    assert shown > 100
+
+
+def test_a_rider_with_a_nonzero_entry_in_an_artificial_row_is_not_read_off():
+    # y = (1, 1) ties the ratio test; row 0 takes y, and row 1's artificial
+    # stays basic at 0 with rider entry c_1 - c_0
+    m = Matrix([[1], [1]])
+    solutions = lp._phase1(m.integer_rows(), [Vector([1, 1]), Vector([1, 2]), Vector([2, 2])])
+    assert [_read(s) for s in solutions] == [Vector([1]), None, Vector([2])]
+    results = lp.equality_feasible_nonneg_each(m, [Vector([1, 1]), Vector([2, 2]), Vector([1, 2])])
+    assert [r.feasible for r in results] == [True, True, False]
+
+
+def test_a_negative_driving_rhs_entry_negates_the_riders_in_its_row():
+    m = Matrix([[1, 0], [0, -1]])
+    cs = [Vector([1, -1]), Vector(["1/2", "-3/4"]), Vector([0, -2])]
+    solutions = lp._phase1(m.integer_rows(), cs)
+    assert [_read(s) for s in solutions] == [Vector([1, 1]), Vector(["1/2", "3/4"]), Vector([0, 2])]
+
+
+def test_a_left_inverse_of_a_12x8_draw_takes_one_simplex(monkeypatch):
+    runs = []
+    phase1 = lp._phase1
+    monkeypatch.setattr(lp, "_phase1", lambda rows, rhss: runs.append(len(rhss)) or phase1(rows, rhss))
+    for a in genfuzz.iter_msp_mixture(12, 8, genfuzz.GenConfig(3), 6):
+        runs.clear()
+        assert classify.left_inverse_by_lp(a)[0]
+        assert runs == [8]
+
+
+def test_each_stops_at_the_first_infeasible_column():
+    m = Matrix.identity(2)
+    cs = [Vector([1, 0]), Vector([-1, 0]), Vector([0, 1])]
+    assert [r.feasible for r in lp.equality_feasible_nonneg_each(m, cs)] == [True, False]
+    assert lp.equality_feasible_nonneg_each(m, []) == []
+    with pytest.raises(DimensionError):
+        lp.equality_feasible_nonneg_each(m, [Vector([1, 0]), Vector([1])])

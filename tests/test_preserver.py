@@ -440,7 +440,7 @@ def _evidence_pairs(count):
 
 def _count_lp_calls(monkeypatch):
     calls = []
-    for name in ("feasible_nonneg", "equality_feasible_nonneg"):
+    for name in ("feasible_nonneg", "equality_feasible_nonneg", "equality_feasible_nonneg_each"):
         solve = getattr(lp, name)
         monkeypatch.setattr(lp, name, lambda *args, solve=solve, name=name: calls.append(name) or solve(*args))
     return calls
