@@ -20,7 +20,10 @@ decides nothing (a shape that does not fit raises DimensionError):
 ``is_nonneg_left_inverse`` (N >= 0 with N A = I, which with a witness proves A
 minimally semipositive) and ``is_msp_probe`` (u with a negative entry and
 A u >= 0, proving A has no nonnegative left inverse, so is not minimally
-semipositive).  The deciders check their own answers with them, and so do the
+semipositive).  The two vector checkers form the product A x or A u and
+sign-test it; N A = I is decided exactly without forming N A, by
+``ratmat._is_identity_product``, one packed big-integer dot product per row
+of N.  The deciders check their own answers with them, and so do the
 preserver certificates and the generators.
 
 ``lp`` is imported inside the two functions that solve an LP,
@@ -38,6 +41,7 @@ from .ratmat import (
     Matrix,
     SingularMatrixError,
     Vector,
+    _is_identity_product,
     basis_vector,
     ones_vector,
 )
@@ -66,8 +70,9 @@ def is_sp_witness(a: Matrix, x: Vector) -> bool:
 
 def is_nonneg_left_inverse(a: Matrix, n: Matrix) -> bool:
     """N >= 0 and N A = I: with an SP witness, A is minimally semipositive
-    (Johnson, Kerr & Stanford 1994)."""
-    return n @ a == Matrix.identity(a.cols) and n.is_nonneg()
+    (Johnson, Kerr & Stanford 1994).  N A = I is decided by
+    ``ratmat._is_identity_product``, which never forms N A."""
+    return _is_identity_product(n, a) and n.is_nonneg()
 
 
 def is_msp_probe(a: Matrix, u: Vector, au: Vector | None = None) -> bool:

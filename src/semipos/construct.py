@@ -17,13 +17,17 @@ builders share one check: B >= 0 of full row rank with B v = w.  A square
 builder's B is, in orders it already computes, a k x k block L (k = 2 for
 ``build_np``, 1 for ``build_pos``) above a diagonal D, so B^{-1} is read off
 that form by ``_block_inverse`` without elimination, and full rank is proved
-by the product B B^{-1} = I; the rectangular B, the top rows of a square one,
-by its product with the first columns of that B^{-1}.  No builder runs an
+by B B^{-1} = I; the rectangular B, the top rows of a square one, by B times
+the first columns of that B^{-1} being I.  Each identity is decided by
+``ratmat._is_identity_product``, one packed big-integer dot product per row
+of B, with no product formed.  A square builder writes each row of B as an
+integer row from its at most three nonzero entries, and no builder runs an
 elimination.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from fractions import Fraction
 from typing import NamedTuple
@@ -34,6 +38,7 @@ from .ratmat import (
     Matrix,
     SingularMatrixError,
     Vector,
+    _is_identity_product,
 )
 
 _ZERO = Fraction(0)
@@ -72,6 +77,17 @@ def _permuted(v: Vector, order: Sequence[int]) -> Vector:
     row: a permutation of its numerators keeps them in lowest terms."""
     ((den, nums),) = v.integer_rows()
     return Vector._from_integer_rows([(den, tuple(nums[i] for i in order))])
+
+
+def _sparse_row(n: int, entries: dict[int, Fraction]) -> tuple[int, list[int]]:
+    """The row of length n that holds ``entries`` (column: value) and zeros
+    elsewhere, as the lcm of the entries' denominators and the numerators
+    over it, with no ``Fraction`` built for the zeros."""
+    lcm = math.lcm(*(x.denominator for x in entries.values()))
+    nums = [0] * n
+    for j, x in entries.items():
+        nums[j] = x.numerator * (lcm // x.denominator)
+    return lcm, nums
 
 
 def _np_permutations(v: Vector, w: Vector) -> tuple[list[int], list[int]]:
@@ -174,7 +190,9 @@ def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
     and last normalized columns, and each interior row its own diagonal entry
     besides, so with the first and last rows and columns taken first B is a
     2 x 2 block above a diagonal; ``_block_inverse`` reads B^{-1} off that
-    form and ``_checked`` proves it by B B^{-1} = I.
+    form and ``_checked`` proves it by B B^{-1} = I.  Each row of B is stored
+    from its entries in those at most three columns, as integers over their
+    lcm (``_sparse_row``), with no grid of zeros parsed.
     """
     if v.dim != w.dim:
         raise InvalidInputError("v and w must have the same dimension")
@@ -201,11 +219,11 @@ def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
     tail, case3 = _np_tail_row(vp, wp)
     rows.append(tail)
 
-    grid = [[0] * n for _ in range(n)]
-    for i, row in zip(tau, rows):
-        for j, x in zip(sigma, row):
-            grid[i][j] = x
-    b = Matrix(grid)
+    # normalized row k is nonzero only in columns 0, k and n - 1
+    stored: list[tuple[int, list[int]]] = [(1, [])] * n  # row tau[k] set at step k
+    for k, row in enumerate(rows):
+        stored[tau[k]] = _sparse_row(n, {sigma[l]: row[l] for l in (0, k, n - 1)})
+    b = Matrix.from_integer_rows(stored)
     ends = [0, n - 1] + list(range(1, n - 1))
     inv = _block_inverse(b, [tau[k] for k in ends], [sigma[k] for k in ends], 2, "build_np")
     trace = NpCaseTrace(case1, tuple(cases2), case3, tuple(sigma), tuple(tau), inv)
@@ -226,12 +244,13 @@ def build_pos(v: Vector, w: Vector) -> tuple[Matrix, Matrix]:
 
     With sigma from ``positive_first_permutation(v)``, v' = v permuted by
     sigma and k the number of positive entries of v, row i of B is built
-    directly: it holds w_i / v'_0 in column sigma[0], halved when 0 < i < k,
-    and for i > 0 also w_i / (2 v'_i) when i < k, or 1 otherwise, in column
-    sigma[i].  Its columns taken in the order sigma form a lower triangular
-    matrix with nonzero diagonal whose off-diagonal entries all lie in the
-    first column, a 1 x 1 block above a diagonal; ``_block_inverse`` reads
-    B^{-1} off that form and ``_checked`` proves it by B B^{-1} = I.
+    directly, as an integer row from its one or two entries: it holds
+    w_i / v'_0 in column sigma[0], halved when 0 < i < k, and for i > 0 also
+    w_i / (2 v'_i) when i < k, or 1 otherwise, in column sigma[i].  Its
+    columns taken in the order sigma form a lower triangular matrix with
+    nonzero diagonal whose off-diagonal entries all lie in the first column,
+    a 1 x 1 block above a diagonal; ``_block_inverse`` reads B^{-1} off that
+    form and ``_checked`` proves it by B B^{-1} = I.
     """
     if v.dim != w.dim:
         raise InvalidInputError("v and w must have the same dimension")
@@ -245,14 +264,13 @@ def build_pos(v: Vector, w: Vector) -> tuple[Matrix, Matrix]:
     n = v.dim
     k = sum(1 for x in _numerators(vp) if x > 0)
 
-    rows: list[list[Fraction]] = []
+    stored: list[tuple[int, list[int]]] = []
     for i in range(n):
-        row = [_ZERO] * n
-        row[sigma[0]] = w[i] / (2 * vp[0] if 0 < i < k else vp[0])
+        entries = {sigma[0]: w[i] / (2 * vp[0] if 0 < i < k else vp[0])}
         if i:
-            row[sigma[i]] = w[i] / (2 * vp[i]) if i < k else _ONE
-        rows.append(row)
-    b = Matrix(rows)
+            entries[sigma[i]] = w[i] / (2 * vp[i]) if i < k else _ONE
+        stored.append(_sparse_row(n, entries))
+    b = Matrix.from_integer_rows(stored)
     inv = _block_inverse(b, range(n), sigma, 1, "build_pos")
     return _checked(b, v, w, "build_pos", inv), inv
 
@@ -284,8 +302,9 @@ def build_rect(v: Vector, w: Vector) -> Matrix:
 
 def _checked(b: Matrix, v: Vector, w: Vector, name: str, inv: Matrix) -> Matrix:
     """B, after checking B >= 0, B v = w and full row rank, the last by
-    B inv = I for a right inverse ``inv`` of B."""
-    if not b.is_nonneg() or b @ v != w or b @ inv != Matrix.identity(b.rows):
+    B inv = I for a right inverse ``inv`` of B, decided exactly by
+    ``ratmat._is_identity_product`` without forming B inv."""
+    if not b.is_nonneg() or b @ v != w or not _is_identity_product(b, inv):
         raise _failed(name)
     return b
 
@@ -308,8 +327,9 @@ def _block_inverse(
     d_i cancel from row i >= k of -D^{-1} C L^{-1}, which is
     -(N_i0, .., N_i,k-1) adj(N_L) diag(d) over N_ii det(N_L).  Only L, C and
     the diagonal of D are used; the zeros are the builder's, and ``_checked``
-    proves the result by B B^{-1} = I.  A singular L or a zero on D's
-    diagonal raises the builder's postcondition error before any division.
+    proves the result by B B^{-1} = I, one packed dot product per row of B.
+    A singular L or a zero on D's diagonal raises the builder's postcondition
+    error before any division.
     """
     n = b.rows
     stored = list(b.integer_rows())

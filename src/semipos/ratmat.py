@@ -15,7 +15,12 @@ elimination, sign tests, equality and the row moves (``row``, ``col``,
 ``from_rows``, ``from_cols``) run on those integers: row i of X Y is
 x_i (L Y) / (d_i L), with L the lcm of Y's row denominators, reduced by one
 gcd per row, and X v is the dot products of the rows of X with v's numerators
-over L times v's denominator, L now the lcm of X's row denominators.
+over L times v's denominator, L now the lcm of X's row denominators.  An
+identity X Y = I, the check behind every inverse, left inverse and builder's
+B B^-1 in the package, is decided by ``_is_identity_product`` without forming
+X Y: each integer row of L Y is packed into one integer (Kronecker
+substitution), in slots wide enough that no entry of the product spills into
+the next, so each row of X takes one big-integer dot product.
 
 One step, ``_pivot``, makes every fraction-free update, both here and in
 ``lp``'s simplex.  Each row is held as an integer scale times a reduced
@@ -48,6 +53,7 @@ bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -163,6 +169,46 @@ def _integer_product(x: Matrix, y: Matrix) -> tuple[int, list[list[int]]]:
     lcm, scaled = _over_lcm(y)
     cols = list(zip(*scaled))
     return lcm, [[sum(map(operator.mul, nums, col)) for col in cols] for nums in x._nums]
+
+
+def _is_identity_product(x: Matrix, y: Matrix) -> bool:
+    """X Y == I, decided exactly without forming X Y; DimensionError if the
+    shapes do not multiply, as for ``@``, and False if the product is not
+    square.
+
+    With L and the integer rows S_k of L Y as in ``_over_lcm(y)``, row i of
+    X Y is c_i / (d_i L), c_ij = sum_k x_ik S_kj, for row i of X stored as
+    x_i / d_i.  So X Y = I iff c_ij = t_ij for all i, j, where t_ii = d_i L
+    and t_ij = 0 off the diagonal.  Each S_k is packed into one integer
+    P_k = sum_j S_kj 2^(w j) (Kronecker substitution), which makes
+    x_i . P = sum_j c_ij 2^(w j): one big-integer dot product per row of X,
+    compared with t_ii 2^(w i) = sum_j t_ij 2^(w j).
+
+    The slot width w is 1 plus the larger of bits(max_i sum_k |x_ik| *
+    max_kj |S_kj|) and bits(max_i d_i L), bits(m) being m's bit length, so
+    every |c_ij| and every t_ij is below 2^(w-1).  Then the two packed values
+    of a row are equal only if its digits are: otherwise let j be the least
+    index with e_j = c_ij - t_ij nonzero; sum_l e_l 2^(w l) = 0 makes e_j a
+    multiple of 2^w, yet 0 < |e_j| < 2^w.  So the check is exact, with no
+    float and no chance in it.  One bit narrower, a digit can carry: a row 0
+    with c_0 = (t_00 - 2^(w-1), 1, 0, ..) packs to t_00 in slots of w - 1
+    bits, and there are such X and Y whose bound that narrower width meets
+    (t_00 = 2^(w-2), Y = I).
+    """
+    if x.cols != y.rows:
+        raise DimensionError(f"cannot multiply {x.shape} by {y.shape}")
+    if x.rows != y.cols:
+        return False
+    lcm, scaled = _over_lcm(y)
+    top = max(map(abs, itertools.chain.from_iterable(scaled)))
+    reach = max(sum(map(abs, nums)) for nums in x._nums)
+    w = max((reach * top).bit_length(), (max(x._dens) * lcm).bit_length()) + 1
+    shifts = range(0, w * y.cols, w)
+    packed = [sum(map(operator.lshift, nums, shifts)) for nums in scaled]
+    for den, nums, shift in zip(x._dens, x._nums, shifts):
+        if sum(map(operator.mul, nums, packed)) != (den * lcm) << shift:
+            return False
+    return True
 
 
 def _pivot(grid: list[list[int]], scales: list[int], r: int, k: int, d: int) -> int:
@@ -345,15 +391,16 @@ class _Rows(_Frozen):
     __rmul__ = __mul__
 
     # -- sign predicates, on numerators over positive denominators -------------
+    # (every stored row is nonempty, so each has a min and a max)
 
     def is_nonneg(self) -> bool:
-        return all(x >= 0 for nums in self._nums for x in nums)
+        return min(map(min, self._nums)) >= 0
 
     def is_nonpos(self) -> bool:
-        return all(x <= 0 for nums in self._nums for x in nums)
+        return max(map(max, self._nums)) <= 0
 
     def is_positive(self) -> bool:
-        return all(x > 0 for nums in self._nums for x in nums)
+        return min(map(min, self._nums)) > 0
 
 
 class Vector(_Rows):
@@ -575,9 +622,9 @@ class Matrix(_Rows):
         step of their row on, so the grid is never wider than n + 1, and
         returns them in the order they joined; they are read back in
         starting-row order.  Row i of A^-1 is then grid[i] / q_i with
-        q_i = d / scales[i], negative when d is.  The result is checked in
-        integers: (DA) (L A^-1) == L D, with L the lcm of its stored
-        denominators."""
+        q_i = d / scales[i], negative when d is.  The result is checked
+        exactly, A A^-1 = I by ``_is_identity_product``: one packed
+        big-integer dot product per row of A, no product formed."""
         if not self.is_square:
             raise DimensionError("inverse requires a square matrix")
         n = self.rows
@@ -589,10 +636,8 @@ class Matrix(_Rows):
         inv = Matrix._from_integer_rows(
             _reduced(d // s, [row[j] for j in at]) for row, s in zip(grid, scales)
         )
-        lcm, rows = _integer_product(self, inv)
-        for i, (den, row) in enumerate(zip(self._dens, rows)):
-            if any(x != (lcm * den if i == j else 0) for j, x in enumerate(row)):
-                raise ArithmeticError("inverse self-check failed")
+        if not _is_identity_product(self, inv):
+            raise ArithmeticError("inverse self-check failed")
         return inv
 
     def kernel_vector(self) -> "Vector | None":

@@ -28,8 +28,8 @@ MUTANTS = [
     # each evidence checker in classify, cut to one of its two conditions
     ("classify.py", "return (a @ x).is_positive() and x.is_nonneg()", "return (a @ x).is_positive()", CLASSIFY),
     ("classify.py", "return (a @ x).is_positive() and x.is_nonneg()", "return x.is_nonneg()", CLASSIFY),
-    ("classify.py", "return n @ a == Matrix.identity(a.cols) and n.is_nonneg()", "return n @ a == Matrix.identity(a.cols)", CLASSIFY),
-    ("classify.py", "return n @ a == Matrix.identity(a.cols) and n.is_nonneg()", "return n.is_nonneg()", CLASSIFY),
+    ("classify.py", "return _is_identity_product(n, a) and n.is_nonneg()", "return _is_identity_product(n, a)", CLASSIFY),
+    ("classify.py", "return _is_identity_product(n, a) and n.is_nonneg()", "return n.is_nonneg()", CLASSIFY),
     ("classify.py", "return au.is_nonneg() and not u.is_nonneg()", "return au.is_nonneg()", CLASSIFY),
     ("classify.py", "return au.is_nonneg() and not u.is_nonneg()", "return not u.is_nonneg()", CLASSIFY),
     # the monomial test reads rows only, not columns
@@ -44,7 +44,7 @@ MUTANTS = [
     ("preserver.py", "or (self.a.transpose() @ q).is_zero()", "or False", ["tests/test_preserver.py"]),
     # the square builders' closed-form inverse: lower-left block negated, B B^-1 = I check cut
     ("construct.py", "row[rows[j]] = -sum(", "row[rows[j]] = sum(", ["tests/test_construct.py", "tests/test_preserver.py"]),
-    ("construct.py", "b @ inv != Matrix.identity(b.rows)", "False", ["tests/test_construct.py", "tests/test_preserver.py"]),
+    ("construct.py", "not _is_identity_product(b, inv)", "False", ["tests/test_construct.py", "tests/test_preserver.py"]),
     # genfuzz's rejection sampler keeping every draw, and its entry sampler stopping one short of the bound
     ("genfuzz.py", "if accept(value):", "if True:", ["tests/test_golden_campaigns.py"]),
     ("genfuzz.py", "rng.randint(low, ENTRY_BOUND)", "rng.randint(low, ENTRY_BOUND - 1)", ["tests/test_golden_verdicts.py"]),
@@ -69,6 +69,11 @@ MUTANTS = [
     # the inverse's joining unit column not divided by the pivot row's scale, and its starting index left behind on a row swap
     ("ratmat.py", "dens[origin[r]] * d // scales[r]", "dens[origin[r]] * d", ["tests/test_ratmat.py"]),
     ("ratmat.py", "origin[r], origin[p] = origin[p], origin[r]", "pass", ["tests/test_ratmat.py"]),
+    # the packed identity check: its slot width one bit short of the bound, the expected value t_ii left
+    # out of the width, the shape check cut
+    ("ratmat.py", "(max(x._dens) * lcm).bit_length()) + 1", "(max(x._dens) * lcm).bit_length())", ["tests/test_ratmat.py"]),
+    ("ratmat.py", "w = max((reach * top).bit_length(), (max(x._dens) * lcm).bit_length()) + 1", "w = (reach * top).bit_length() + 1", ["tests/test_ratmat.py"]),
+    ("ratmat.py", "if x.cols != y.rows:", "if False:", ["tests/test_ratmat.py"]),
     # a zero row found only in row 0, and Vector addition cross-multiplied the wrong way round
     ("ratmat.py", "return any(not any(nums) for nums in self._nums)", "return not any(self._nums[0])", ["tests/test_preserver.py", "tests/test_metamorphic.py"]),
     ("ratmat.py", "a * e + b * d", "a * d + b * e", ["tests/test_ratmat.py"]),

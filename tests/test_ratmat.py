@@ -710,6 +710,100 @@ def test_product_matches_sum_of_products():
         assert a @ Vector(v) == Vector(expected), (a, v)
 
 
+# -- the packed identity check ---------------------------------------------------
+
+def identity_product_pairs(seed):
+    """Seeded (X, Y) pairs, sizes 1..12: X X^-1 and X^-1 X, a tall A with a
+    left inverse N as N A and A N, and each with one entry of Y nudged by
+    +-1/q.  Entries are negative as often as positive, over denominators up
+    to 97, a fifth of them with 64-bit numerators."""
+    rng = random.Random(seed)
+
+    def entry():
+        top = 2**64 if rng.random() < 0.2 else 9
+        return Fraction(rng.randint(-top, top), rng.randint(1, 97))
+
+    def invertible(n):
+        while True:
+            a = Matrix([[entry() for _ in range(n)] for _ in range(n)])
+            if a.det() != 0:
+                return a, a.inverse()
+
+    def nudged(y):
+        rows = [list(row) for row in y.entries]
+        i, j = rng.randrange(y.rows), rng.randrange(y.cols)
+        rows[i][j] += rng.choice((-1, 1)) * Fraction(1, rng.randint(1, 97))
+        return Matrix(rows)
+
+    for n in range(1, 13):
+        x, inv = invertible(n)
+        pairs = [(x, inv), (inv, x)]
+        # A = [B; C] has the left inverses [B^-1 - K C B^-1 | K], K any n x k
+        k = rng.randint(1, 3)
+        b, b_inv = invertible(n)
+        c = [[entry() for _ in range(n)] for _ in range(k)]
+        kk = [[entry() if rng.random() < 0.5 else 0 for _ in range(k)] for _ in range(n)]
+        shift = (Matrix(kk) @ Matrix(c) @ b_inv).entries
+        left = Matrix([[p - q for p, q in zip(row, s)] + kr for row, s, kr in zip(b_inv.entries, shift, kk)])
+        a = Matrix([*b.entries, *c])
+        pairs += [(left, a), (a, left)]
+        for x, y in list(pairs):
+            pairs.append((x, nudged(y)))
+        yield from pairs
+
+
+def test_identity_product_agrees_with_the_full_product():
+    verdicts = Counter()
+    for x, y in identity_product_pairs("identity-product"):
+        expected = x @ y == Matrix.identity(x.rows)
+        assert ratmat._is_identity_product(x, y) is expected, (x, y)
+        verdicts[expected] += 1
+    # per size, X X^-1, X^-1 X and N A are I; A N, and X X^-1, X^-1 X and A N
+    # nudged, are not; a nudge N A may not see, where K has a zero column
+    assert verdicts[True] >= 36 and verdicts[False] >= 48
+
+
+def test_identity_product_rejects_rows_that_collide_one_bit_short():
+    """Built from the width: with w the bit length of both the bound on X Y's
+    entries and of t_00, row 0 of X Y = (2^(w-1) - 2^w, 1, 0, ..) / 2^(w-1)
+    packs, in slots of w bits, to t_00 = 2^(w-1), and every other row is that
+    of I; one bit more, the width the helper takes, tells them apart."""
+    for w, n in itertools.product((2, 3, 8, 65), (2, 3, 5)):
+        half = 2 ** (w - 1)
+        rows = list(Matrix.identity(n).integer_rows())
+        rows[0] = (half, (-half, 1) + (0,) * (n - 2))
+        x, y = Matrix.from_integer_rows(rows), Matrix.identity(n)
+        assert sum(map(abs, x._nums[0])).bit_length() == half.bit_length() == w
+        for i, (den, nums) in enumerate(x.integer_rows()):
+            assert sum(a << (w * j) for j, a in enumerate(nums)) == den << (w * i)
+        assert x @ y != Matrix.identity(n)
+        assert not ratmat._is_identity_product(x, y), (w, n)
+
+
+def test_identity_product_rejects_an_expected_value_wider_than_the_product():
+    """t_00 = k 2^w outgrows X Y's entries, which are at most k in absolute
+    value: with w sized to those entries alone, row 0 of X Y = (0, k) packs
+    to t_00 and row 1 = (0, k) to t_11 2^w, yet X Y is not I."""
+    for k in (1, 2, 3, 2**40 + 1):
+        w = k.bit_length() + 1
+        x = Matrix.from_integer_rows([(k << w, (0, 1)), (k, (0, 1))])
+        y = Matrix.identity(2) * k
+        assert x @ y == Matrix([[0, Fraction(1, 2**w)], [0, 1]])
+        assert not ratmat._is_identity_product(x, y), k
+
+
+def test_identity_product_refuses_shapes_that_do_not_multiply():
+    a = Matrix([[1, 2, 3], [4, 5, 6]])
+    for x, y in ((a, a), (a, Matrix.identity(2)), (Matrix.identity(2), a.transpose())):
+        with pytest.raises(DimensionError):
+            x @ y
+        with pytest.raises(DimensionError):
+            ratmat._is_identity_product(x, y)
+    # a product that is not square is not I
+    assert not ratmat._is_identity_product(Matrix.identity(2), a)
+    assert not ratmat._is_identity_product(a.transpose(), Matrix.identity(2))
+
+
 # -- the stored form against plain Fraction arithmetic ---------------------------
 
 def stored_form_matrices(seed, count, max_dim):
