@@ -184,8 +184,6 @@ def _pretty_lines(value: Any, indent: int = 0) -> list[str]:
                     lines.extend(block[1:])
                 else:
                     lines.append(f"{pad}- {_scalar(item)}")
-    else:
-        lines.append(f"{pad}{_scalar(value)}")
     return lines
 
 

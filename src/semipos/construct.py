@@ -20,8 +20,9 @@ that form by ``_block_inverse`` without elimination, and full rank is proved
 by B B^{-1} = I; the rectangular B, the top rows of a square one, by B times
 the first columns of that B^{-1} being I.  Each identity is decided by
 ``ratmat._is_identity_product``, one packed big-integer dot product per row
-of B, with no product formed.  A square builder writes each row of B as an
-integer row from its at most three nonzero entries, and no builder runs an
+of B, with no product formed.  Each case of a square builder returns only
+the entries it sets, {column: value}, and each row of B is stored from
+those entries as an integer row, so no builder writes a dense row or runs an
 elimination.
 """
 
@@ -41,7 +42,6 @@ from .ratmat import (
     _is_identity_product,
 )
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
@@ -104,79 +104,49 @@ def _np_permutations(v: Vector, w: Vector) -> tuple[list[int], list[int]]:
     return sigma, tau
 
 
-def _np_head_row(vp: Vector, wp: Vector) -> tuple[list[Fraction], str]:
+def _np_head_row(vp: Vector, wp: Vector) -> tuple[dict[int, Fraction], str]:
     n = vp.dim
-    row = [_ZERO] * n
     if wp[0] > 0:
-        row[0] = wp[0] / vp[0]
-        return row, "a"
-    row[n - 1] = wp[0] / vp[n - 1]
-    return row, "b"
+        return {0: wp[0] / vp[0]}, "a"
+    return {n - 1: wp[0] / vp[n - 1]}, "b"
 
 
-def _np_interior_row(i: int, vp: Vector, wp: Vector) -> tuple[list[Fraction], str]:
+def _np_interior_row(i: int, vp: Vector, wp: Vector) -> tuple[dict[int, Fraction], str]:
     n = vp.dim
     v1, vn = vp[0], vp[n - 1]
     vi, wi = vp[i], wp[i]
-    row = [_ZERO] * n
     if wi > 0 and vi > 0:
-        row[0] = wi / (2 * v1)
-        row[i] = wi / (2 * vi)
-        return row, "a"
+        return {0: wi / (2 * v1), i: wi / (2 * vi)}, "a"
     if wi > 0 and vi < 0:
-        row[0] = (wi + 1) / v1
-        row[i] = -1 / vi
-        return row, "b"
+        return {0: (wi + 1) / v1, i: -1 / vi}, "b"
     if wi > 0:
-        row[0] = wi / v1
-        row[i] = _ONE
-        return row, "c"
+        return {0: wi / v1, i: _ONE}, "c"
     if wi < 0 and vi > 0:
-        row[i] = 1 / vi
-        row[n - 1] = (wi - 1) / vn
-        return row, "d"
+        return {i: 1 / vi, n - 1: (wi - 1) / vn}, "d"
     if wi < 0 and vi < 0:
-        row[i] = wi / (2 * vi)
-        row[n - 1] = wi / (2 * vn)
-        return row, "e"
+        return {i: wi / (2 * vi), n - 1: wi / (2 * vn)}, "e"
     if wi < 0:
-        row[i] = _ONE
-        row[n - 1] = wi / vn
-        return row, "f"
+        return {i: _ONE, n - 1: wi / vn}, "f"
     if vi > 0:
-        row[i] = 1 / vi
-        row[n - 1] = -1 / vn
-        return row, "g"
+        return {i: 1 / vi, n - 1: -1 / vn}, "g"
     if vi < 0:
-        row[0] = 1 / v1
-        row[i] = -1 / vi
-        return row, "h"
-    row[i] = _ONE
-    return row, "i"
+        return {0: 1 / v1, i: -1 / vi}, "h"
+    return {i: _ONE}, "i"
 
 
-def _np_tail_row(vp: Vector, wp: Vector) -> tuple[list[Fraction], str]:
+def _np_tail_row(vp: Vector, wp: Vector) -> tuple[dict[int, Fraction], str]:
     n = vp.dim
     v1, vn = vp[0], vp[n - 1]
     w1, wn = wp[0], wp[n - 1]
-    row = [_ZERO] * n
     if wn > 0 and w1 < 0:
-        row[0] = wn / v1
-        return row, "a"
+        return {0: wn / v1}, "a"
     if wn > 0:
-        row[0] = (wn + 1) / v1
-        row[n - 1] = -1 / vn
-        return row, "b"
+        return {0: (wn + 1) / v1, n - 1: -1 / vn}, "b"
     if wn < 0 and w1 < 0:
-        row[0] = 1 / v1
-        row[n - 1] = (wn - 1) / vn
-        return row, "c"
+        return {0: 1 / v1, n - 1: (wn - 1) / vn}, "c"
     if wn < 0:
-        row[n - 1] = wn / vn
-        return row, "d"
-    row[0] = 1 / v1
-    row[n - 1] = -1 / vn
-    return row, "e"
+        return {n - 1: wn / vn}, "d"
+    return {0: 1 / v1, n - 1: -1 / vn}, "e"
 
 
 def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
@@ -190,9 +160,10 @@ def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
     and last normalized columns, and each interior row its own diagonal entry
     besides, so with the first and last rows and columns taken first B is a
     2 x 2 block above a diagonal; ``_block_inverse`` reads B^{-1} off that
-    form and ``_checked`` proves it by B B^{-1} = I.  Each row of B is stored
-    from its entries in those at most three columns, as integers over their
-    lcm (``_sparse_row``), with no grid of zeros parsed.
+    form and ``_checked`` proves it by B B^{-1} = I.  Each case returns only
+    the entries it sets, as {normalized column: value}, and row tau[k] of B
+    is stored from row k's entries, as integers over their lcm
+    (``_sparse_row``), with no dense row built.
     """
     if v.dim != w.dim:
         raise InvalidInputError("v and w must have the same dimension")
@@ -208,25 +179,17 @@ def build_np(v: Vector, w: Vector) -> tuple[Matrix, NpCaseTrace]:
     vp = _permuted(v, sigma)
     wp = _permuted(w, tau)
 
-    rows: list[list[Fraction]] = []
     head, case1 = _np_head_row(vp, wp)
-    rows.append(head)
-    cases2: list[str] = []
-    for i in range(1, n - 1):
-        row, case = _np_interior_row(i, vp, wp)
-        rows.append(row)
-        cases2.append(case)
+    interior = [_np_interior_row(i, vp, wp) for i in range(1, n - 1)]
     tail, case3 = _np_tail_row(vp, wp)
-    rows.append(tail)
-
-    # normalized row k is nonzero only in columns 0, k and n - 1
     stored: list[tuple[int, list[int]]] = [(1, [])] * n  # row tau[k] set at step k
-    for k, row in enumerate(rows):
-        stored[tau[k]] = _sparse_row(n, {sigma[l]: row[l] for l in (0, k, n - 1)})
+    for k, entries in enumerate([head, *(row for row, _ in interior), tail]):
+        stored[tau[k]] = _sparse_row(n, {sigma[l]: x for l, x in entries.items()})
     b = Matrix.from_integer_rows(stored)
     ends = [0, n - 1] + list(range(1, n - 1))
     inv = _block_inverse(b, [tau[k] for k in ends], [sigma[k] for k in ends], 2, "build_np")
-    trace = NpCaseTrace(case1, tuple(cases2), case3, tuple(sigma), tuple(tau), inv)
+    cases2 = tuple(case for _, case in interior)
+    trace = NpCaseTrace(case1, cases2, case3, tuple(sigma), tuple(tau), inv)
     return _checked(b, v, w, "build_np", inv), trace
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from semipos import lp
 from semipos.ratmat import Matrix, Vector
 
 
@@ -17,3 +18,14 @@ def entries_reads(monkeypatch):
 
         monkeypatch.setattr(cls, "entries", property(counted))
     return reads
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The names of the public LP entry points called while the test runs,
+    one item a call, in order."""
+    calls = []
+    for name in ("feasible_nonneg", "equality_feasible_nonneg", "equality_feasible_nonneg_each"):
+        solve = getattr(lp, name)
+        monkeypatch.setattr(lp, name, lambda *args, solve=solve, name=name: calls.append(name) or solve(*args))
+    return calls

@@ -1,7 +1,8 @@
 """Mutation check: each mutant in ``MUTANTS`` must make its tests fail.
 
 Run from anywhere as ``python3 tests/mutants.py`` (no arguments).  Each row is
-(file under src/semipos, old text, new text, test paths).  For each row the
+(file under src/semipos, old text, new text, tests), each test a path or a
+pytest node id (``path::test``).  For each row the
 old text, which must occur exactly once in the file, is replaced in a copy of
 ``src`` made in a temporary directory, and ``python -m pytest <paths>`` runs
 against that copy.  The mutant is killed only when pytest exits 1 (a test
@@ -39,12 +40,21 @@ MUTANTS = [
     # the (X, Y) / (-X, -Y) sign symmetry, and the nonpositive-inverse sign
     ("preserver.py", "return x_sign if x_sign == y_sign else 0", "return x_sign", ["tests/test_preserver.py"]),
     ("preserver.py", "else -1 if inv.is_nonpos() else 0", "else 0", ["tests/test_preserver.py"]),
+    # the into-SP rule ignoring Y: X's sign alone
+    (
+        "preserver.py",
+        "x_sign = _sign(classify.is_row_positive, lmap.x)\n    return x_sign and _pair_sign(x_sign, _inverse_sign(lmap.y_inv))",
+        "x_sign = _sign(classify.is_row_positive, lmap.x)\n    return x_sign",
+        ["tests/test_preserver.py::test_every_2x2_pair_over_minus_one_zero_one"],
+    ),
     # each no-preimage condition cut
     ("preserver.py", "or not (self.x.transpose() @ q).is_zero()", "or False", ["tests/test_preserver.py"]),
     ("preserver.py", "or (self.a.transpose() @ q).is_zero()", "or False", ["tests/test_preserver.py"]),
     # the square builders' closed-form inverse: lower-left block negated, B B^-1 = I check cut
     ("construct.py", "row[rows[j]] = -sum(", "row[rows[j]] = sum(", ["tests/test_construct.py", "tests/test_preserver.py"]),
     ("construct.py", "not _is_identity_product(b, inv)", "False", ["tests/test_construct.py", "tests/test_preserver.py"]),
+    # a build_np case-table entry: case "d"'s last column off by two
+    ("construct.py", "(wi - 1) / vn", "(wi + 1) / vn", ["tests/test_construct.py"]),
     # genfuzz's rejection sampler keeping every draw, and its entry sampler stopping one short of the bound
     ("genfuzz.py", "if accept(value):", "if True:", ["tests/test_golden_campaigns.py"]),
     ("genfuzz.py", "rng.randint(low, ENTRY_BOUND)", "rng.randint(low, ENTRY_BOUND - 1)", ["tests/test_golden_verdicts.py"]),

@@ -69,6 +69,8 @@ def test_each_checker_raises_on_a_shape_that_does_not_fit():
         classify.is_nonneg_left_inverse(LEFT_INVERSE_A, Matrix.identity(2))
     with pytest.raises(DimensionError):
         classify.is_msp_probe(PROBE_A, Vector([-1, 1, 0]))
+    with pytest.raises(DimensionError, match="square"):
+        classify.is_inverse_nonnegative(LEFT_INVERSE_A)
 
 
 def test_semipositive_identity():
@@ -299,17 +301,13 @@ def test_wide_matrices_use_definition():
         assert not classify.is_minimally_semipositive(a) and not classify.msp_by_deletion(a)
 
 
-def test_wide_msp_is_decided_without_lp(monkeypatch):
-    calls = []
-    for name in ("feasible_nonneg", "equality_feasible_nonneg", "equality_feasible_nonneg_each"):
-        solve = getattr(lp, name)
-        monkeypatch.setattr(lp, name, lambda *args, solve=solve, name=name: calls.append(name) or solve(*args))
+def test_wide_msp_is_decided_without_lp(lp_calls):
     wide = Matrix([[1, 2, 0, 1], [0, 1, 3, 1]])
     assert not classify.is_minimally_semipositive(wide)
-    assert calls == []
+    assert lp_calls == []
     report = classify.classify_all(wide)
     assert report.semipositive and not report.minimally_semipositive
-    assert calls == ["feasible_nonneg"]
+    assert lp_calls == ["feasible_nonneg"]
 
 
 def test_a_square_classify_all_takes_its_left_inverse_from_its_inverse(monkeypatch):
@@ -328,11 +326,7 @@ def test_a_square_classify_all_takes_its_left_inverse_from_its_inverse(monkeypat
     assert classify.classify_all(LEFT_INVERSE_A).left_inv is not None and calls
 
 
-def test_rank_deficient_msp_is_refuted_without_lp(monkeypatch):
-    calls = []
-    for name in ("feasible_nonneg", "equality_feasible_nonneg", "equality_feasible_nonneg_each"):
-        solve = getattr(lp, name)
-        monkeypatch.setattr(lp, name, lambda *args, solve=solve, name=name: calls.append(name) or solve(*args))
+def test_rank_deficient_msp_is_refuted_without_lp(lp_calls):
     rng = random.Random("classify-rank-deficient")
     semipositive = 0
     for _ in range(60):
@@ -346,10 +340,10 @@ def test_rank_deficient_msp_is_refuted_without_lp(monkeypatch):
         a = Matrix(rows)
         assert a.rank() < n
         assert not classify.is_minimally_semipositive(a)
-        assert calls == []
+        assert lp_calls == []
         semipositive += classify.is_semipositive(a)[0]
         assert not classify.msp_by_deletion(a)
-        calls.clear()
+        lp_calls.clear()
     assert semipositive > 0
 
 

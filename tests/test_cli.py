@@ -339,6 +339,11 @@ def test_malformed_matrix_names_line(capsys, tmp_path):
     code, _, err = run_cli(capsys, "classify", path)
     assert code == 64
     assert "line 2" in err and "broken.mat" in err
+    # a file of comments and blank lines holds no matrix
+    path = write(tmp_path, "empty.mat", "# no rows here\n\n   \n# nor here\n")
+    code, out, err = run_cli(capsys, "classify", path)
+    assert code == 64 and out == ""
+    assert "empty.mat: no matrix rows found" in err
 
 
 def test_missing_file(capsys):
@@ -380,6 +385,14 @@ def test_pretty_mode(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "classify", path, "--pretty")
     assert code == 0
     assert "semipositive: true" in out
+    # a null prints as "none"
+    code, out, _ = run_cli(capsys, "preserver", "into-sp", "--x", path, "--y", path, "--pretty")
+    assert code == 0
+    assert "\n  certificate: none\n" in out
+    path = write(tmp_path, "row.mat", "1 2 3\n")
+    code, out, _ = run_cli(capsys, "classify", path, "--pretty")
+    assert code == 0
+    assert "\n    monomial: none\n" in out
 
 
 def test_pretty_mode_renders_a_list_of_matrices_as_blocks(capsys):

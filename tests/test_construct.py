@@ -6,6 +6,7 @@ import pytest
 
 from semipos import construct
 from semipos.ratmat import (
+    DimensionError,
     InvalidInputError,
     Matrix,
     Vector,
@@ -131,6 +132,8 @@ def test_build_pos_preconditions():
         construct.build_pos(Vector([0, 0]), Vector([1, 1]))
     with pytest.raises(InvalidInputError):
         construct.build_pos(Vector([1, 1]), Vector([1, 0]))
+    with pytest.raises(InvalidInputError, match="same dimension"):
+        construct.build_pos(Vector([1, 1]), Vector([1, 1, 1]))
 
 
 def _np_by_permutation_products(v, w):
@@ -140,9 +143,10 @@ def _np_by_permutation_products(v, w):
     p, q = permutation_matrix(sigma), permutation_matrix(tau)
     vp, wp = p @ v, q @ w
     n = v.dim
-    rows = [construct._np_head_row(vp, wp)[0]]
-    rows += [construct._np_interior_row(i, vp, wp)[0] for i in range(1, n - 1)]
-    rows.append(construct._np_tail_row(vp, wp)[0])
+    cases = [construct._np_head_row(vp, wp)]
+    cases += [construct._np_interior_row(i, vp, wp) for i in range(1, n - 1)]
+    cases.append(construct._np_tail_row(vp, wp))
+    rows = [[entries.get(l, 0) for l in range(n)] for entries, _ in cases]
     return q.transpose() @ Matrix(rows) @ p
 
 
@@ -209,11 +213,11 @@ _NOT_NONNEG = Matrix([[6, 1, -1], [0, 1, 0], [0, 0, 1]])
     [
         # a zero tail row: B = [[1, 0], [0, 0]] is singular and B v = (1, 0)
         pytest.param(
-            "build_np", [1, -1], [1, 1], "_np_tail_row", lambda vp, wp: ([0, 0], "a"), id="np-zero-row"
+            "build_np", [1, -1], [1, 1], "_np_tail_row", lambda vp, wp: ({}, "a"), id="np-zero-row"
         ),
         # B = [[2, 0], [2, 1]] is nonnegative and invertible, but B v = (2, 1)
         pytest.param(
-            "build_np", [1, -1], [1, 1], "_np_head_row", lambda vp, wp: ([2, 0], "a"), id="np-image"
+            "build_np", [1, -1], [1, 1], "_np_head_row", lambda vp, wp: ({0: 2}, "a"), id="np-image"
         ),
         # the unit entries of the zero positions of v zeroed: B = [[1, 0], [1, 0]] >= 0
         # with B v = w, but singular
@@ -322,6 +326,8 @@ def test_mixed_sign_vector_preconditions():
         construct.mixed_sign_vector(-Matrix.identity(3))
     with pytest.raises(InvalidInputError):
         construct.mixed_sign_vector(Matrix([[1, 1], [1, 1]]))  # singular
+    with pytest.raises(DimensionError, match="square"):
+        construct.mixed_sign_vector(Matrix([[1, -1, 0], [0, 1, 1]]))
 
 
 def test_mixed_sign_vector_random():

@@ -67,6 +67,15 @@ def test_gen_msp_positive_column():
 def test_gen_msp_needs_tall():
     with pytest.raises(DimensionError):
         genfuzz.gen_msp(2, 3, CFG)
+    # and the other generators a positive dimension
+    for draw in (
+        lambda: genfuzz.gen_monomial(0, CFG),
+        lambda: genfuzz.gen_inverse_nonneg_with_inverse(0, CFG),
+        lambda: genfuzz.gen_sp_with_witness(0, 2, CFG),
+        lambda: genfuzz.gen_sp_with_witness(2, 0, CFG),
+    ):
+        with pytest.raises(DimensionError, match="must be positive"):
+            draw()
 
 
 def test_msp_basis_search_small():

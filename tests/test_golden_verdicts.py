@@ -18,7 +18,7 @@ from collections import Counter
 from fractions import Fraction
 
 import golden
-from semipos import cli, construct, genfuzz, lp, preserver
+from semipos import cli, construct, genfuzz, preserver
 from semipos.ratmat import Matrix
 
 GOLDEN = golden.path("verdicts")
@@ -207,20 +207,16 @@ def test_every_golden_certificate_verifies_without_an_inverse(monkeypatch):
         assert stripped.verify() is (cert.class_name == preserver.CLASS_MSP), cert.note
 
 
-def test_only_the_search_draws_reach_an_lp_in_verify(monkeypatch):
+def test_only_the_search_draws_reach_an_lp_in_verify(lp_calls):
     """Every constructed certificate is checked by products and sign tests;
     only the tall search's draws, which carry no member evidence, have A
     decided by an LP."""
     certs = list(_certificates())
-    calls = []
-    for name in ("feasible_nonneg", "equality_feasible_nonneg", "equality_feasible_nonneg_each"):
-        solve = getattr(lp, name)
-        monkeypatch.setattr(lp, name, lambda *args, solve=solve: calls.append(args) or solve(*args))
     with_lp = set()
     for cert in certs:
-        calls.clear()
+        lp_calls.clear()
         assert cert.verify(), cert.note
-        if calls:
+        if lp_calls:
             with_lp.add(cert.note)
     assert with_lp == {"randomized-counterexample"}
 

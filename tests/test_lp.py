@@ -32,6 +32,8 @@ def test_dimension_mismatch():
         lp.feasible_nonneg(Matrix.identity(2), Vector([1, 1, 1]))
     with pytest.raises(DimensionError):
         lp.equality_feasible_nonneg(Matrix.identity(2), Vector([1]))
+    with pytest.raises(DimensionError, match="b has dimension 3, matrix has 2 rows"):
+        lp.feasible_nonneg_bruteforce(Matrix.identity(2), Vector([1, 1, 1]))
 
 
 def test_equality_identity():

@@ -7,11 +7,15 @@ import mutants
 
 
 def test_each_mutant_applies_once_and_names_existing_tests():
+    """Each test is a file that exists, or a node id ``file::test`` whose file
+    defines that test."""
     for name, old, new, tests in mutants.MUTANTS:
         assert (mutants.ROOT / "src" / "semipos" / name).read_text().count(old) == 1, (name, old)
         assert old != new and tests, (name, old)
-        for path in tests:
-            assert (mutants.ROOT / path).is_file(), path
+        for test in tests:
+            path, _, function = test.partition("::")
+            assert (mutants.ROOT / path).is_file(), test
+            assert not function or f"\ndef {function}(" in (mutants.ROOT / path).read_text(), test
 
 
 def test_replace_once_refuses_a_missing_or_repeated_text(tmp_path):

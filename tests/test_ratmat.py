@@ -10,6 +10,7 @@ from semipos import classify, lp, ratmat
 from semipos.genfuzz import GenConfig, gen_inverse_nonneg, gen_inverse_nonneg_with_inverse, gen_msp
 from semipos.ratmat import (
     DimensionError,
+    InvalidInputError,
     MAX_DIM,
     MAX_ENTRY_BITS,
     Matrix,
@@ -45,6 +46,8 @@ def test_det_example_matrix():
 def test_det_rejects_rectangular():
     with pytest.raises(DimensionError):
         Matrix([[1, 2, 3], [4, 5, 6]]).det()
+    with pytest.raises(DimensionError, match="inverse requires a square matrix"):
+        Matrix([[1, 2, 3], [4, 5, 6]]).inverse()
 
 
 def test_det_fractional_entries():
@@ -131,6 +134,12 @@ def test_sign_profile_examples():
 def test_vector_requires_entries():
     with pytest.raises(DimensionError):
         Vector([])
+    # and a matrix needs at least one row and one column, all of one length
+    for build in (lambda: Matrix([]), lambda: Matrix([[]]), lambda: Matrix.identity(0)):
+        with pytest.raises(DimensionError, match="at least one row and one column"):
+            build()
+    with pytest.raises(DimensionError, match="unequal lengths"):
+        Matrix([[1, 2], [3]])
 
 
 def test_floats_are_rejected():
@@ -282,6 +291,10 @@ def test_matmul_shapes():
     assert a.transpose() @ a == Matrix([[35, 44], [44, 56]])
     with pytest.raises(DimensionError):
         a @ Vector([1, 1, 1])
+    with pytest.raises(DimensionError, match="vector dimensions differ"):
+        Vector([1, 2]) + Vector([1, 2, 3])
+    with pytest.raises(DimensionError, match="vector dimensions differ"):
+        Vector([1, 2]).dot(Vector([1]))
 
 
 def test_stacking_and_deletion():
@@ -289,11 +302,20 @@ def test_stacking_and_deletion():
     assert a.delete_col(0) == Matrix([[2], [4]])
     with pytest.raises(DimensionError):
         Matrix([[1], [2]]).delete_col(0)
+    for rows in ([], [Vector([1, 2]), Vector([1])]):
+        with pytest.raises(DimensionError, match="at least one row, all of one length"):
+            Matrix.from_rows(rows)
+    for k in (0, 3):
+        with pytest.raises(DimensionError, match=f"cannot take {k} rows from 2"):
+            a.take_rows(k)
 
 
 def test_outer_and_basis():
     assert outer(Vector([1, 2]), Vector([3, 4])) == Matrix([[3, 4], [6, 8]])
     assert basis_vector(3, 1) == Vector([0, 1, 0])
+    for i in (-1, 3):
+        with pytest.raises(DimensionError, match=f"basis index {i} out of range"):
+            basis_vector(3, i)
     assert ones_vector(2) == Vector([1, 1])
 
 
@@ -308,6 +330,9 @@ def permutation_sign(perm):
 def test_permutation_matrix_moves_entries():
     p = permutation_matrix([2, 0, 1])
     assert p @ Vector([10, 20, 30]) == Vector([30, 10, 20])
+    for perm in ([0, 0], [1, 2]):
+        with pytest.raises(InvalidInputError, match="is not a permutation"):
+            permutation_matrix(perm)
     assert permutation_sign([2, 0, 1]) == 1
     assert permutation_sign([1, 0]) == -1
 
