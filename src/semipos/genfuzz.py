@@ -1,10 +1,14 @@
-"""Seeded generators for each matrix class, the fixed MSP spanning family
-(``msp_basis_search``, which draws nothing) and randomized verification campaigns.
+"""Seeded generators for each matrix class, input families, the fixed MSP
+spanning family (``msp_basis_search``, which draws nothing) and randomized
+verification campaigns.
 
-Generators are pure functions of (config, dimensions, draw index): the PRNG is
-a Mersenne Twister (``random.Random``) seeded with a string derived from the
-config seed and the draw tags, so identical inputs reproduce bit-identical
-matrices across runs and platforms.
+Draws come in two kinds.  Class generators (``gen_*``) are pure functions of
+(config, dimensions, draw index): the PRNG is a Mersenne Twister
+(``random.Random``) seeded with a string derived from the config seed and the
+draw tags, so identical inputs reproduce bit-identical matrices across runs and
+platforms.  Input families (``int_rows`` to ``with_zero_row``) draw integers
+from the caller's ``random.Random``, for the campaigns, golden corpora and
+tests alike; each keeps the ``rng`` calls, in order, of the code it replaced.
 
 Campaigns stress one guarantee each over many seeded trials and return a
 ``CampaignResult`` with failure counts and coverage counters.  They are also
@@ -66,6 +70,50 @@ def _first(draw: Callable[[], _T], accept: Callable[[_T], bool]) -> _T:
 def _entry(rng: random.Random, low: int) -> Fraction:
     """A numerator in [low, ENTRY_BOUND] over a denominator from DENOMINATORS."""
     return Fraction(rng.randint(low, ENTRY_BOUND), rng.choice(DENOMINATORS))
+
+
+def int_rows(rng: random.Random, m: int, n: int, lo: int = -3, hi: int = 3) -> list[list[int]]:
+    """m rows of n integers from [lo, hi], drawn row by row."""
+    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def int_matrix(rng: random.Random, m: int, n: int, lo: int = -3, hi: int = 3) -> Matrix:
+    return Matrix(int_rows(rng, m, n, lo, hi))
+
+
+def int_vector(rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> Vector:
+    return Vector([rng.randint(lo, hi) for _ in range(n)])
+
+
+def nonzero_int_vector(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> Vector:
+    return _first(lambda: int_vector(rng, n, lo, hi), lambda v: not v.is_zero())
+
+
+def mixed_int_vector(rng: random.Random, n: int, bound: int = 5) -> Vector:
+    """The first ``int_vector`` in [-bound, bound] with both signs; needs n >= 2."""
+    return _first(lambda: int_vector(rng, n, -bound, bound), Vector.has_mixed_signs)
+
+
+def invertible_int_matrix(rng: random.Random, n: int, bound: int = 3) -> Matrix:
+    return _first(lambda: int_matrix(rng, n, n, -bound, bound), lambda a: a.det() != 0)
+
+
+def row_positive_int_matrix(rng: random.Random, m: int, n: int) -> Matrix:
+    """m rows, each a ``nonzero_int_vector`` of entries in [0, 3]."""
+    return Matrix.from_rows([nonzero_int_vector(rng, n, 0, 3) for _ in range(m)])
+
+
+def singular(a: Matrix) -> Matrix:
+    """A with its last row replaced by its first."""
+    rows = list(a.integer_rows())
+    return Matrix._from_integer_rows(rows[:-1] + rows[:1])
+
+
+def with_zero_row(rng: random.Random, a: Matrix) -> Matrix:
+    """A with one row, drawn after A, set to zero."""
+    rows = list(a.integer_rows())
+    rows[rng.randrange(a.rows)] = (1, (0,) * a.cols)
+    return Matrix._from_integer_rows(rows)
 
 
 def gen_monomial(n: int, cfg: GenConfig, index: object = 0) -> Matrix:
@@ -161,9 +209,7 @@ def iter_msp_mixture(m: int, n: int, cfg: GenConfig, count: int) -> Iterator[Mat
             yield gen_msp(m, n, cfg, index=t)
             continue
         for _ in range(40):
-            cand = Matrix(
-                [[rng.randint(-ENTRY_BOUND, ENTRY_BOUND) for _ in range(n)] for _ in range(m)]
-            )
+            cand = int_matrix(rng, m, n, -ENTRY_BOUND, ENTRY_BOUND)
             if classify.msp_by_deletion(cand):
                 yield cand
                 break
@@ -227,41 +273,12 @@ class CampaignResult(NamedTuple):
         return self.failures == 0
 
 
-def _random_mixed_int_vector(rng: random.Random, n: int) -> Vector:
-    return _first(lambda: Vector([rng.randint(-5, 5) for _ in range(n)]), Vector.has_mixed_signs)
-
-
-def _random_nonzero_int_vector(rng: random.Random, n: int, low: int = -5, high: int = 5) -> Vector:
+def _not_inverse_nonneg(rng: random.Random, n: int, s: int) -> Matrix:
+    """An ``invertible_int_matrix`` Y such that s * Y is not inverse nonnegative."""
     return _first(
-        lambda: Vector([rng.randint(low, high) for _ in range(n)]), lambda v: not v.is_zero()
-    )
-
-
-def _random_int_matrix(rng: random.Random, m: int, n: int, bound: int = 3) -> Matrix:
-    return Matrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
-
-
-def _random_invertible_int_matrix(rng: random.Random, n: int, bound: int = 3) -> Matrix:
-    return _first(lambda: _random_int_matrix(rng, n, n, bound), lambda a: a.det() != 0)
-
-
-def _random_singular_int_matrix(rng: random.Random, n: int) -> Matrix:
-    """Random integer matrix whose last row repeats its first (n >= 2)."""
-    rows = _random_int_matrix(rng, n, n).entries
-    return Matrix(rows[:-1] + rows[:1])
-
-
-def _random_not_inverse_nonneg(rng: random.Random, n: int, s: int) -> Matrix:
-    """Random invertible integer Y such that s * Y is not inverse nonnegative."""
-    return _first(
-        lambda: _random_invertible_int_matrix(rng, n),
+        lambda: invertible_int_matrix(rng, n),
         lambda y: not classify.is_inverse_nonnegative(y * s)[0],
     )
-
-
-def _random_row_positive(rng: random.Random, m: int) -> Matrix:
-    rows = [_random_nonzero_int_vector(rng, m, low=0, high=3) for _ in range(m)]
-    return Matrix(v.entries for v in rows)
 
 
 def _forced_uniform_column_matrix(rng: random.Random, n: int) -> tuple[Matrix, Matrix]:
@@ -323,8 +340,8 @@ def _trial_build_np(
     """Mixed-source construction: nonnegative, invertible, exact image, and
     coverage of every interior and tail construction case."""
     n = rng.randint(2, 8)
-    v = _random_mixed_int_vector(rng, n)
-    w = _random_nonzero_int_vector(rng, n)
+    v = mixed_int_vector(rng, n)
+    w = nonzero_int_vector(rng, n)
     b, trace = construct.build_np(v, w)
     if not (b.is_nonneg() and b.det() != 0 and b @ v == w):
         return f"v={v} w={w}"
@@ -340,8 +357,8 @@ def _trial_build_pos(
     """Nonnegative-source construction: exact image, invertibility, and lower
     triangularity after the recorded permutation."""
     n = rng.randint(1, 8)
-    v = _random_nonzero_int_vector(rng, n, low=0)
-    w = Vector([rng.randint(1, 5) for _ in range(n)])
+    v = nonzero_int_vector(rng, n, 0)
+    w = int_vector(rng, n, 1, 5)
     b, _ = construct.build_pos(v, w)
     perm = construct.positive_first_permutation(v)
     normalized = (b @ permutation_matrix(perm).transpose()).entries
@@ -360,12 +377,12 @@ def _trial_build_rect(
     n = rng.randint(2, 8)
     m = rng.randint(1, n - 1)
     if t % 2 == 0:
-        v = _random_mixed_int_vector(rng, n)
-        w = Vector([rng.randint(-5, 5) for _ in range(m)])
+        v = mixed_int_vector(rng, n)
+        w = int_vector(rng, m, -5, 5)
         branch = "mixed"
     else:
-        v = _random_nonzero_int_vector(rng, n, low=0)
-        w = Vector([rng.randint(1, 5) for _ in range(m)])
+        v = nonzero_int_vector(rng, n, 0)
+        w = int_vector(rng, m, 1, 5)
         branch = "nonneg"
     b = construct.build_rect(v, w)
     if not (b.is_nonneg() and b.rank() == m and b @ v == w):
@@ -388,7 +405,7 @@ def _trial_key1(
         counts["family-forced"] += 1
     else:
         x, inv = _first(
-            lambda: (a := _random_invertible_int_matrix(rng, n, bound=5), a.inverse()),
+            lambda: (a := invertible_int_matrix(rng, n, bound=5), a.inverse()),
             lambda pair: not (pair[1].is_nonneg() or pair[1].is_nonpos()),
         )
         counts["family-generic"] += 1
@@ -413,7 +430,7 @@ def _trial_msp_equivalence(
     must be outside the class by both the shape rule and the deletion oracle."""
     shapes = [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 2), (5, 3), (5, 4)]
     m, n = shapes[rng.randrange(len(shapes))]
-    a = _random_int_matrix(rng, m, n)
+    a = int_matrix(rng, m, n)
     fast = classify.is_minimally_semipositive(a)
     agree = fast == classify.msp_by_deletion(a)
     if a.is_square:
@@ -429,7 +446,7 @@ def _trial_msp_equivalence(
         return f"disagreement on\n{a}"
     wide_rng = cfg.rng("msp-wide", t)
     rows = wide_rng.randint(1, 4)
-    w = _random_int_matrix(wide_rng, rows, wide_rng.randint(rows + 1, 6))
+    w = int_matrix(wide_rng, rows, wide_rng.randint(rows + 1, 6))
     counts["wide"] += 1
     if classify.is_semipositive(w)[0]:
         counts["wide-sp"] += 1
@@ -466,16 +483,16 @@ def _trial_into_msp_falsification(
     family = t % 4
     if family in (0, 1):
         x, y = _first(
-            lambda: (_random_invertible_int_matrix(rng, n), _random_invertible_int_matrix(rng, n)),
+            lambda: (invertible_int_matrix(rng, n), invertible_int_matrix(rng, n)),
             lambda xy: not preserver.into_msp_square_condition(*xy),
         )
     elif family == 2:
         s = 1 if t % 8 < 4 else -1
         x = gen_inverse_nonneg(n, cfg, index=("fals-x", t)) * s
-        y = _random_not_inverse_nonneg(rng, n, s)
+        y = _not_inverse_nonneg(rng, n, s)
     else:
-        x = _random_singular_int_matrix(rng, n)
-        y = _random_invertible_int_matrix(rng, n)
+        x = singular(int_matrix(rng, n, n))
+        y = invertible_int_matrix(rng, n)
     return _falsified(preserver.falsify_into_msp, x, y, counts)
 
 
@@ -489,7 +506,7 @@ def _trial_into_sp_soundness(
     m = rng.randint(2, 4)
     n = rng.randint(2, 4)
     s = 1 if t % 2 == 0 else -1
-    x = _random_row_positive(rng, m) * s
+    x = row_positive_int_matrix(rng, m, m) * s
     y = gen_inverse_nonneg(n, cfg, index=("sp-sound-y", t)) * s
     counts["negated" if s < 0 else "plain"] += 1
     samples = (gen_sp(m, n, cfg, index=("sp-sound-a", t, i)) for i in range(20))
@@ -508,27 +525,23 @@ def _trial_into_sp_falsification(
     m = rng.randint(2, 4)
     n = rng.randint(2, 4)
     family = t % 4
-    y = _random_int_matrix(rng, n, n)
+    y = int_matrix(rng, n, n)
     if family == 0:
-        rows = [list(r) for r in _random_int_matrix(rng, m, m).entries]
-        rows[rng.randrange(m)] = [0] * m
-        x = Matrix(rows)
+        x = with_zero_row(rng, int_matrix(rng, m, m))
     elif family == 1:
-        rows = [[rng.randint(-3, 3) for _ in range(m)]]
+        rows = int_rows(rng, 1, m)
         rows[0][0], rows[0][1] = rng.randint(1, 3), -rng.randint(1, 3)
-        for _ in range(m - 1):
-            rows.append(_random_nonzero_int_vector(rng, m, low=-3, high=3).entries)
-        x = Matrix(rows)
+        x = Matrix(rows + [nonzero_int_vector(rng, m, -3, 3).entries for _ in range(m - 1)])
     elif family == 2:
-        rows = _random_row_positive(rng, m).entries
+        rows = row_positive_int_matrix(rng, m, m).entries
         x = Matrix([[-v for v in row] if i % 2 else row for i, row in enumerate(rows)])
     else:
         s = 1 if (t // 4) % 2 == 0 else -1
-        x = _random_row_positive(rng, m) * s
+        x = row_positive_int_matrix(rng, m, m) * s
         if (t // 8) % 2 == 0:
-            y = _random_singular_int_matrix(rng, n) * s
+            y = singular(int_matrix(rng, n, n)) * s
         else:
-            y = _random_not_inverse_nonneg(rng, n, s)
+            y = _not_inverse_nonneg(rng, n, s)
     return _falsified(preserver.falsify_into_sp, x, y, counts)
 
 
@@ -583,8 +596,8 @@ def _trial_lp_oracle(
     on random small systems (every third trial is an equality system)."""
     n = rng.randint(1, 4)
     m = rng.randint(1, 8 - n)
-    a = _random_int_matrix(rng, m, n)
-    b = Vector([rng.randint(-3, 3) for _ in range(m)])
+    a = int_matrix(rng, m, n)
+    b = int_vector(rng, m)
     if t % 3 == 2:
         counts["equality"] += 1
         simplex = lp.equality_feasible_nonneg(a, b)

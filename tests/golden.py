@@ -1,5 +1,7 @@
-"""The golden corpora: one file format, one writer, and the input builders
-that more than one corpus draws from.
+"""The golden corpora: one file format and one writer.
+
+The corpora draw their inputs from ``semipos.genfuzz``'s input families, and
+from ``flip_columns`` here, which no library code draws.
 
 Each ``golden_<name>.json`` next to this file, for ``name`` in ``NAMES``,
 holds ``test_golden_<name>.render()``: one JSON object written by ``dump``,
@@ -37,29 +39,11 @@ def dump(cases: Iterable[tuple[str, object]]) -> str:
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def ints(rng: random.Random, m: int, n: int, lo: int, hi: int) -> list[list[int]]:
-    return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
-
-
-def singular(m: Matrix) -> Matrix:
-    """M with its last row replaced by its first."""
-    rows = [list(r) for r in m.entries]
-    rows[-1] = list(rows[0])
-    return Matrix(rows)
-
-
 def flip_columns(rng: random.Random, m: Matrix) -> Matrix:
     """M D for a sign diagonal D of both signs: neither inverse sign is nonnegative."""
     n = m.rows
     flips = set(rng.sample(range(n), rng.randint(1, n - 1)))
     return Matrix([[-v if j in flips else v for j, v in enumerate(row)] for row in m.entries])
-
-
-def with_zero_row(rng: random.Random, m: Matrix) -> Matrix:
-    """M with one row, drawn after M, set to zero."""
-    rows = [list(r) for r in m.entries]
-    rows[rng.randrange(m.rows)] = [0] * m.cols
-    return Matrix(rows)
 
 
 def main(argv: list[str]) -> None:

@@ -84,6 +84,9 @@ MUTANTS = [
     ("ratmat.py", "(max(x._dens) * lcm).bit_length()) + 1", "(max(x._dens) * lcm).bit_length())", ["tests/test_ratmat.py"]),
     ("ratmat.py", "w = max((reach * top).bit_length(), (max(x._dens) * lcm).bit_length()) + 1", "w = (reach * top).bit_length() + 1", ["tests/test_ratmat.py"]),
     ("ratmat.py", "if x.cols != y.rows:", "if False:", ["tests/test_ratmat.py"]),
+    # the packed identity check's width blind to the size of Y's entries, and the file cap cut to 2,049 bytes
+    ("ratmat.py", "reach * top", "reach // top", ["tests/test_ratmat.py"]),
+    ("ratmat.py", "MAX_DIM * MAX_DIM", "MAX_DIM // MAX_DIM", ["tests/test_cli.py"]),
     # a zero row found only in row 0, and Vector addition cross-multiplied the wrong way round
     ("ratmat.py", "return any(not any(nums) for nums in self._nums)", "return not any(self._nums[0])", ["tests/test_preserver.py", "tests/test_metamorphic.py"]),
     ("ratmat.py", "a * e + b * d", "a * d + b * e", ["tests/test_ratmat.py"]),

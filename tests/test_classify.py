@@ -221,10 +221,6 @@ def test_the_result_records_keep_their_fields_order_and_defaults():
     }
 
 
-def _random_matrix(rng, m, n, bound=3):
-    return Matrix([[rng.randint(-bound, bound) for _ in range(n)] for _ in range(m)])
-
-
 def test_square_msp_by_inverse_matches_oracles():
     # the preserver certificates decide square MSP by the inverse alone
     cfg = genfuzz.GenConfig(31)
@@ -233,13 +229,11 @@ def test_square_msp_by_inverse_matches_oracles():
     for n in range(2, 7):
         for t in range(3):
             sp = genfuzz.gen_sp(n, n, cfg, ("oracle", t))
-            rows = [list(r) for r in sp.entries]
-            rows[-1] = list(rows[0])
             samples = {
                 "msp": genfuzz.gen_msp(n, n, cfg, ("oracle", t)),
                 "sp": sp,
-                "singular": Matrix(rows),
-                "random": _random_matrix(rng, n, n),
+                "singular": genfuzz.singular(sp),
+                "random": genfuzz.int_matrix(rng, n, n),
             }
             for family, a in samples.items():
                 by_inverse = classify.is_inverse_nonnegative(a)[0]
@@ -255,7 +249,7 @@ def test_msp_routes_agree():
     checked_square = 0
     for t in range(150):
         m, n = shapes[t % len(shapes)]
-        a = _random_matrix(rng, m, n)
+        a = genfuzz.int_matrix(rng, m, n)
         fast = classify.is_minimally_semipositive(a)
         assert fast == classify.msp_by_deletion(a)
         if m == n:
@@ -297,7 +291,7 @@ def test_the_one_basis_left_inverse_agrees_with_n_independent_lps(monkeypatch):
 def test_wide_matrices_use_definition():
     rng = random.Random("classify-wide")
     for _ in range(40):
-        a = _random_matrix(rng, 2, rng.randint(3, 4))
+        a = genfuzz.int_matrix(rng, 2, rng.randint(3, 4))
         assert not classify.is_minimally_semipositive(a) and not classify.msp_by_deletion(a)
 
 
@@ -332,7 +326,7 @@ def test_rank_deficient_msp_is_refuted_without_lp(lp_calls):
     for _ in range(60):
         m, n = rng.randint(2, 5), rng.randint(2, 4)
         m = max(m, n)
-        rows = [list(row) for row in _random_matrix(rng, m, n).entries]
+        rows = genfuzz.int_rows(rng, m, n)
         # the last column a combination of the others, so rank < n
         c = rng.randint(-2, 2)
         for row in rows:
@@ -354,7 +348,7 @@ def test_a_nonpositive_row_refutes_semipositivity_without_lp(monkeypatch):
     rng = random.Random("classify-nonpositive-row")
     for _ in range(120):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        rows = [list(row) for row in _random_matrix(rng, m, n).entries]
+        rows = genfuzz.int_rows(rng, m, n)
         forced = rng.randrange(m)
         rows[forced] = [-abs(v) for v in rows[forced]]
         a = Matrix(rows)
@@ -392,7 +386,7 @@ def test_monomial_characterization():
                 ]
             )
         else:
-            a = _random_matrix(rng, n, n)
+            a = genfuzz.int_matrix(rng, n, n)
         expected = classify.is_row_positive(a) and classify.is_inverse_nonnegative(a)[0]
         assert classify.is_monomial(a) == expected
 
@@ -401,14 +395,7 @@ def test_row_positive_implies_semipositive():
     rng = random.Random("classify-rowpos")
     for _ in range(40):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
-        rows = []
-        for _ in range(m):
-            while True:
-                row = [rng.randint(0, 3) for _ in range(n)]
-                if any(v > 0 for v in row):
-                    rows.append(row)
-                    break
-        a = Matrix(rows)
+        a = genfuzz.row_positive_int_matrix(rng, m, n)
         ok, witness = classify.is_semipositive(a)
         assert ok and witness.is_positive() and (a @ witness).is_positive()
 
@@ -417,7 +404,7 @@ def test_report_internal_consistency():
     rng = random.Random("classify-report")
     for _ in range(60):
         n = rng.randint(1, 4)
-        report = classify.classify_all(_random_matrix(rng, n, n))
+        report = classify.classify_all(genfuzz.int_matrix(rng, n, n))
         if report.monomial:
             assert report.row_positive and report.inverse_nonnegative
         if report.row_positive and report.inverse_nonnegative:

@@ -315,6 +315,14 @@ def test_oversized_input_is_an_input_error(capsys, tmp_path):
         code, out, err = run_cli(capsys, "classify", path)
         assert code == 64 and out == "", path
         assert f"{path}: longer than the cap of {MAX_FILE_BYTES} bytes" in err, path
+    # the longest file within the entry caps, 64 rows of 64 entries -p/q of
+    # 1024 bits each, is read; every row is nonpositive, so no LP runs
+    p, q = 2**1024 - 1, 2**1024 - 3
+    worst = tmp_path / "worst.mat"
+    worst.write_text((" ".join([f"-{p}/{q}"] * 64) + "\n") * 64)
+    assert worst.stat().st_size == 2_543_616
+    code, out, _ = run_cli(capsys, "witness", "sp", str(worst))
+    assert code == 1 and json.loads(out)["result"] == {"semipositive": False, "witness": None}
 
 
 def test_closed_stdout_exits_without_traceback():

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from semipos import construct
+from semipos import construct, genfuzz
 from semipos.ratmat import (
     DimensionError,
     InvalidInputError,
@@ -65,14 +65,8 @@ def test_build_np_case_letters_match_sign_patterns():
     rng = random.Random("np-cases")
     for _ in range(60):
         n = rng.randint(3, 7)
-        while True:
-            v = Vector([rng.randint(-4, 4) for _ in range(n)])
-            if v.has_mixed_signs():
-                break
-        while True:
-            w = Vector([rng.randint(-4, 4) for _ in range(n)])
-            if not w.is_zero():
-                break
+        v = genfuzz.mixed_int_vector(rng, n, 4)
+        w = genfuzz.nonzero_int_vector(rng, n, -4, 4)
         _, trace = construct.build_np(v, w)
         vp = permutation_matrix(trace.v_permutation) @ v
         wp = permutation_matrix(trace.w_permutation) @ w
@@ -110,11 +104,8 @@ def test_build_pos_triangular_after_permutation():
     rng = random.Random("pos-triangular")
     for _ in range(60):
         n = rng.randint(1, 7)
-        while True:
-            v = Vector([rng.randint(0, 4) for _ in range(n)])
-            if not v.is_zero():
-                break
-        w = Vector([rng.randint(1, 4) for _ in range(n)])
+        v = genfuzz.nonzero_int_vector(rng, n, 0, 4)
+        w = genfuzz.int_vector(rng, n, 1, 4)
         b, _ = construct.build_pos(v, w)
         assert b.is_nonneg() and b.det() != 0 and b @ v == w
         perm = construct.positive_first_permutation(v)
@@ -170,12 +161,12 @@ def test_builders_agree_with_the_permutation_products():
     rng = random.Random("builders-by-index")
     for n in range(2, 9):
         for _ in range(12):
-            v = Vector([rng.randint(-3, 3) for _ in range(n)])
-            w = Vector([rng.randint(-3, 3) for _ in range(n)])
+            v = genfuzz.int_vector(rng, n)
+            w = genfuzz.int_vector(rng, n)
             if v.has_mixed_signs() and not w.is_zero():
                 assert construct.build_np(v, w)[0] == _np_by_permutation_products(v, w), (v, w)
-            v = Vector([rng.randint(0, 3) for _ in range(n)])
-            w = Vector([rng.randint(1, 4) for _ in range(n)])
+            v = genfuzz.int_vector(rng, n, 0, 3)
+            w = genfuzz.int_vector(rng, n, 1, 4)
             if not v.is_zero():
                 assert construct.build_pos(v, w)[0] == _pos_by_permutation_product(v, w), (v, w)
 
@@ -335,7 +326,7 @@ def test_mixed_sign_vector_random():
     done = 0
     while done < 60:
         n = rng.randint(2, 5)
-        x = Matrix([[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)])
+        x = genfuzz.int_matrix(rng, n, n, -4, 4)
         if x.det() == 0:
             continue
         inv = x.inverse()

@@ -33,7 +33,7 @@ def _sp(a: Matrix) -> bool:
 def _sp_not_msp(rng: random.Random, m: int, n: int) -> Matrix:
     """Full rank and semipositive, yet not minimally so (first passing draw)."""
     for _ in range(DRAWS):
-        a = Matrix(golden.ints(rng, m, n, -1, 4))
+        a = genfuzz.int_matrix(rng, m, n, -1, 4)
         if a.rank() == min(m, n) and _sp(a) and not classify.msp_by_deletion(a):
             return a
     raise RuntimeError(f"no {m}x{n} draw is semipositive but not minimally so")
@@ -44,9 +44,9 @@ def _rank_deficient(rng: random.Random, m: int, n: int) -> Matrix:
     when wide, last row) repeats its first."""
     if min(m, n) == 1:
         return Matrix.zeros(m, n)
-    rows = golden.ints(rng, m, n, 1, 4)
+    rows = genfuzz.int_rows(rng, m, n, 1, 4)
     if m < n:
-        return golden.singular(Matrix(rows))
+        return genfuzz.singular(Matrix(rows))
     for row in rows:
         row[-1] = row[0]
     return Matrix(rows)
@@ -54,7 +54,7 @@ def _rank_deficient(rng: random.Random, m: int, n: int) -> Matrix:
 
 def _not_sp(rng: random.Random, m: int, n: int) -> Matrix:
     """A nonpositive row: (A x)_0 <= 0 for every x >= 0."""
-    rows = golden.ints(rng, m, n, -3, 3)
+    rows = genfuzz.int_rows(rng, m, n)
     rows[0] = [-abs(v) for v in rows[0]]
     return Matrix(rows)
 

@@ -89,9 +89,9 @@ def _cases(n: int, cfg: genfuzz.GenConfig):
         f"flipped-{n}.mat": golden.flip_columns(rng, z),
         f"z-{n}.mat": z,
         f"neg-z-{n}.mat": -z,
-        f"z-singular-{n}.mat": golden.singular(z),
+        f"z-singular-{n}.mat": genfuzz.singular(z),
         f"positive-{n}.mat": _matrix(rng, n, n, 1, 5),
-        f"zero-row-{n}.mat": golden.with_zero_row(rng, _matrix(rng, n, n, 0, 5)),
+        f"zero-row-{n}.mat": genfuzz.with_zero_row(rng, _matrix(rng, n, n, 0, 5)),
         f"id-{n}.mat": Matrix.identity(n),
         f"column-w-{n}.mat": _key1_column_w(n),
         f"diagonal-{n}.mat": _sign_diagonal(rng, n),

@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 
 import golden
-from semipos import lp
+from semipos import genfuzz, lp
 from semipos.ratmat import Matrix, Vector
 
 GOLDEN = golden.path("lp")
@@ -35,7 +35,7 @@ def _fractional(rng: random.Random, m: int, n: int) -> tuple[list, list]:
 
 
 def _negative_rhs(rng: random.Random, m: int, n: int) -> tuple[list, list]:
-    a = golden.ints(rng, m, n, -4, 4)
+    a = genfuzz.int_rows(rng, m, n, -4, 4)
     b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(m)]
     b[rng.randrange(m)] = -Fraction(rng.randint(1, 9), rng.randint(1, 5))
     return a, b
@@ -57,7 +57,7 @@ def _infeasible(rng: random.Random, m: int, n: int) -> tuple[list, list]:
 def _degenerate(rng: random.Random, m: int, n: int) -> tuple[list, list]:
     """Entries in 0..2 and rhs in 1..2, so minimum ratios often tie between
     rows that are not proportional; row m-1 repeats row 0 half the time."""
-    a = golden.ints(rng, m, n, 0, 2)
+    a = genfuzz.int_rows(rng, m, n, 0, 2)
     b = [rng.randint(1, 2) for _ in range(m)]
     if rng.random() < 0.5:
         a[-1], b[-1] = list(a[0]), b[0]

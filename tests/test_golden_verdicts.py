@@ -29,7 +29,7 @@ WIDE = ((2, 3), (3, 5))
 
 def _row_positive(rng: random.Random, n: int) -> Matrix:
     """Nonnegative, no zero row, and not monomial (row 0 has two positive entries)."""
-    rows = golden.ints(rng, n, n, 0, 3)
+    rows = genfuzz.int_rows(rng, n, n, 0, 3)
     for row in rows:
         row[rng.randrange(n)] = rng.randint(1, 3)
     rows[0][0], rows[0][1] = rng.randint(1, 3), rng.randint(1, 3)
@@ -37,7 +37,7 @@ def _row_positive(rng: random.Random, n: int) -> Matrix:
 
 
 def _mixed_row(rng: random.Random, n: int) -> Matrix:
-    rows = golden.ints(rng, n, n, -3, 3)
+    rows = genfuzz.int_rows(rng, n, n)
     rows[0][0], rows[0][1] = rng.randint(1, 3), -rng.randint(1, 3)
     return Matrix(rows)
 
@@ -57,19 +57,19 @@ def _square_cases(n: int, cfg: genfuzz.GenConfig):
     r = _row_positive(rng, n)
     mixed = _mixed_row(rng, n)
     neither = golden.flip_columns(rng, z1)
-    rand_x, rand_y = Matrix(golden.ints(rng, n, n, -3, 3)), Matrix(golden.ints(rng, n, n, -3, 3))
+    rand_x, rand_y = genfuzz.int_matrix(rng, n, n), genfuzz.int_matrix(rng, n, n)
     pairs = {
         "into_sp": {
             "yes": (r, z2),
-            "yes-singular-x": (golden.singular(r), z2),
+            "yes-singular-x": (genfuzz.singular(r), z2),
             "yes-negated": (-r, -z2),
-            "zero-row": (golden.with_zero_row(rng, Matrix(golden.ints(rng, n, n, -3, 3))), z2),
+            "zero-row": (genfuzz.with_zero_row(rng, genfuzz.int_matrix(rng, n, n)), z2),
             "mixed-row": (mixed, z2),
             "uniform-rows": (_uniform_rows(rng, n), z2),
             "y-negated": (r, -z2),
             "y-negated-sign": (-r, z2),
-            "y-singular": (r, golden.singular(z2)),
-            "y-singular-sign": (-r, -golden.singular(z2)),
+            "y-singular": (r, genfuzz.singular(z2)),
+            "y-singular-sign": (-r, -genfuzz.singular(z2)),
             "random": (rand_x, rand_y),
         },
         "onto_sp": {
@@ -77,7 +77,7 @@ def _square_cases(n: int, cfg: genfuzz.GenConfig):
             "yes-negated": (-p, -q),
             "mixed-row": (mixed, z2),
             "y-negated": (r, -z2),
-            "x-singular": (golden.singular(r), z2),
+            "x-singular": (genfuzz.singular(r), z2),
             "inverse-not-into": (r, z2),
             "inverse-not-into-sign": (-r, -z2),
             "random": (rand_x, rand_y),
@@ -88,8 +88,8 @@ def _square_cases(n: int, cfg: genfuzz.GenConfig):
             "neither-sign-x": (neither, z2),
             "y-negated": (z1, -z2),
             "y-negated-sign": (-z1, z2),
-            "x-singular": (golden.singular(z1), z2),
-            "y-singular": (z1, golden.singular(z2)),
+            "x-singular": (genfuzz.singular(z1), z2),
+            "y-singular": (z1, genfuzz.singular(z2)),
             "random": (rand_x, rand_y),
         },
         "onto_msp": {
@@ -97,7 +97,7 @@ def _square_cases(n: int, cfg: genfuzz.GenConfig):
             "yes-negated": (-p, -q),
             "neither-sign-x": (neither, z2),
             "y-negated": (z1, -z2),
-            "x-singular": (golden.singular(z1), z2),
+            "x-singular": (genfuzz.singular(z1), z2),
             "inverse-not-into": (z1, z2),
             "inverse-not-into-sign": (-z1, -z2),
             "random": (rand_x, rand_y),
@@ -116,7 +116,7 @@ def _rectangular_cases(cfg: genfuzz.GenConfig):
             "yes": (r, Matrix([[2]])),
             "yes-negated": (-r, Matrix([[-1]])),
             "y-zero": (r, Matrix([[0]])),
-            "x-zero-row": (golden.with_zero_row(rng, Matrix(golden.ints(rng, m, m, 0, 3))), Matrix([[1]])),
+            "x-zero-row": (genfuzz.with_zero_row(rng, genfuzz.int_matrix(rng, m, m, 0, 3)), Matrix([[1]])),
             "x-negative-entry": (mixed, Matrix([[3]])),
             "x-negative-entry-sign": (mixed, Matrix([[-1]])),
         }
@@ -140,10 +140,10 @@ def _rectangular_cases(cfg: genfuzz.GenConfig):
         cells = {
             "yes": (mono, z),
             "yes-negated": (-mono, -z),
-            "y-singular": (Matrix(golden.ints(rng, m, m, -3, 3)), golden.singular(z)),
-            "search": (golden.with_zero_row(rng, Matrix(golden.ints(rng, m, m, -3, 3))), z),
+            "y-singular": (genfuzz.int_matrix(rng, m, m), genfuzz.singular(z)),
+            "search": (genfuzz.with_zero_row(rng, genfuzz.int_matrix(rng, m, m)), z),
             "search-y-negated": (mono, -z),
-            "random": (Matrix(golden.ints(rng, m, m, -3, 3)), Matrix(golden.ints(rng, n, n, -3, 3))),
+            "random": (genfuzz.int_matrix(rng, m, m), genfuzz.int_matrix(rng, n, n)),
         }
         for cell, (x, y) in cells.items():
             yield f"into_msp-tall-{cell}-{m}x{n}", "into_msp", x, y

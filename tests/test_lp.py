@@ -112,8 +112,7 @@ def _system(rng, family, m, n):
     some rows have a zero first entry, and the last row may depend on two
     others; so pivots divide out a row's content and rescale zero-head rows."""
     if family == "small":
-        a = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)])
-        return a, Vector([rng.randint(-3, 3) for _ in range(m)])
+        return genfuzz.int_matrix(rng, m, n), genfuzz.int_vector(rng, m)
     if family == "factor":
         ks = [rng.randint(2**30, 2**40) for _ in range(m)]
         rows = [[k * rng.randint(-3, 3) for _ in range(n)] for k in ks]

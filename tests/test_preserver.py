@@ -434,7 +434,7 @@ def _evidence_pairs(count):
         if rng.random() < 0.5:
             y = genfuzz.gen_inverse_nonneg(n, cfg, t)
         else:
-            y = Matrix([[rng.randint(-1, 2) for _ in range(n)] for _ in range(n)])
+            y = genfuzz.int_matrix(rng, n, n, -1, 2)
         yield _map(x, y)
 
 
@@ -516,11 +516,11 @@ def test_probe_rule_agrees_with_the_square_msp_oracles():
     for t in range(80):
         n = 2 + t % 4
         s = 1 if t % 2 == 0 else -1
-        y = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        y = genfuzz.int_matrix(rng, n, n)
         if t % 3 == 0:
             x = genfuzz.gen_inverse_nonneg(n, cfg, index=("probe-x", t)) * s
         else:
-            x = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+            x = genfuzz.int_matrix(rng, n, n)
         if preserver.into_msp_square_condition(x, y):
             continue
         cert = preserver.falsify_into_msp(_map(x, y))
@@ -587,7 +587,7 @@ def test_column_rule_matches_empirical_preservation():
     for trial in range(40):
         m = rng.randint(2, 4)
         scalar = rng.choice([-2, -1, 0, 1, 2])
-        x = Matrix([[rng.randint(-3, 3) for _ in range(m)] for _ in range(m)])
+        x = genfuzz.int_matrix(rng, m, m)
         lmap = _map(x, Matrix([[scalar]]))
         verdict = preserver.into_msp_preserver(lmap)
         # on a single column the classes coincide, and so do the reports
@@ -614,8 +614,8 @@ def test_sign_symmetry_and_scaling():
     pairs = []
     for _ in range(25):
         n = rng.randint(2, 3)
-        x = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
-        y = Matrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        x = genfuzz.int_matrix(rng, n, n)
+        y = genfuzz.int_matrix(rng, n, n)
         pairs.append((x, y))
     # X monomial and Y inverse nonnegative: both conditions hold
     cfg = genfuzz.GenConfig(5)

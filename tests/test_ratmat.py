@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from semipos import classify, lp, ratmat
+from semipos import classify, genfuzz, lp, ratmat
 from semipos.genfuzz import GenConfig, gen_inverse_nonneg, gen_inverse_nonneg_with_inverse, gen_msp
 from semipos.ratmat import (
     DimensionError,
@@ -692,9 +692,9 @@ def test_pivot_matches_the_one_gcd_per_row_step_on_a_12x12_msp_and_an_lp(checked
     # a tall one, whose left inverse takes the equality LPs a square one skips
     classify.classify_all(gen_msp(12, 6, GenConfig(1), 0))
     rng = random.Random("pivot-per-row-gcd-lp")
-    a = Matrix([[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)])
-    lp.feasible_nonneg(a, Vector([rng.randint(-9, 9) for _ in range(5)]))
-    lp.equality_feasible_nonneg(a, Vector([rng.randint(-9, 9) for _ in range(5)]))
+    a = genfuzz.int_matrix(rng, 5, 6, -9, 9)
+    lp.feasible_nonneg(a, genfuzz.int_vector(rng, 5, -9, 9))
+    lp.equality_feasible_nonneg(a, genfuzz.int_vector(rng, 5, -9, 9))
     assert len(checked_pivots) > 100
 
 
@@ -803,6 +803,10 @@ def test_identity_product_rejects_rows_that_collide_one_bit_short():
             assert sum(a << (w * j) for j, a in enumerate(nums)) == den << (w * i)
         assert x @ y != Matrix.identity(n)
         assert not ratmat._is_identity_product(x, y), (w, n)
+    # Y's entries widen the slots too: in the 2-bit slots X = I alone would
+    # need, row 0 of X Y = (-3, 1) packs to 1, as row 0 of I does
+    x, y = Matrix.identity(2), Matrix([[-3, 1], [0, 1]])
+    assert x @ y != Matrix.identity(2) and not ratmat._is_identity_product(x, y)
 
 
 def test_identity_product_rejects_an_expected_value_wider_than_the_product():
