@@ -86,15 +86,21 @@ def int_vector(rng: random.Random, n: int, lo: int = -3, hi: int = 3) -> Vector:
 
 
 def nonzero_int_vector(rng: random.Random, n: int, lo: int = -5, hi: int = 5) -> Vector:
+    if lo == hi == 0:
+        raise InvalidInputError("a nonzero vector needs entries other than 0")
     return _first(lambda: int_vector(rng, n, lo, hi), lambda v: not v.is_zero())
 
 
 def mixed_int_vector(rng: random.Random, n: int, bound: int = 5) -> Vector:
-    """The first ``int_vector`` in [-bound, bound] with both signs; needs n >= 2."""
+    """The first ``int_vector`` in [-bound, bound] with both signs."""
+    if n < 2 or bound < 1:
+        raise InvalidInputError(f"a mixed-sign vector needs n >= 2 and bound >= 1, got n={n}, bound={bound}")
     return _first(lambda: int_vector(rng, n, -bound, bound), Vector.has_mixed_signs)
 
 
 def invertible_int_matrix(rng: random.Random, n: int, bound: int = 3) -> Matrix:
+    if bound < 1:
+        raise InvalidInputError(f"an invertible matrix needs bound >= 1, got {bound}")
     return _first(lambda: int_matrix(rng, n, n, -bound, bound), lambda a: a.det() != 0)
 
 

@@ -29,3 +29,13 @@ def lp_calls(monkeypatch):
         solve = getattr(lp, name)
         monkeypatch.setattr(lp, name, lambda *args, solve=solve, name=name: calls.append(name) or solve(*args))
     return calls
+
+
+@pytest.fixture
+def phase1_runs(monkeypatch):
+    """The number of right-hand sides of each ``lp._phase1`` simplex run while
+    the test runs, one item a run, in order."""
+    runs = []
+    phase1 = lp._phase1
+    monkeypatch.setattr(lp, "_phase1", lambda rows, rhss: runs.append(len(rhss)) or phase1(rows, rhss))
+    return runs

@@ -58,6 +58,8 @@ MUTANTS = [
     # genfuzz's rejection sampler keeping every draw, and its entry sampler stopping one short of the bound
     ("genfuzz.py", "if accept(value):", "if True:", ["tests/test_golden_campaigns.py"]),
     ("genfuzz.py", "rng.randint(low, ENTRY_BOUND)", "rng.randint(low, ENTRY_BOUND - 1)", ["tests/test_golden_verdicts.py"]),
+    # into-sp-falsification never drawing its Y-inverse-negative family: every trial still passes, a floor fails
+    ("genfuzz.py", "if (t // 8) % 2 == 0:", "if True:", ["tests/test_acceptance.py"]),
     # Bland's tie-break reversed, and a negative right-hand side's row left unsigned
     ("lp.py", "basis[i] < basis[pivot_row]", "basis[i] > basis[pivot_row]", ["tests/test_golden_lp.py"]),
     ("lp.py", "f = s // den if r >= 0 else -(s // den)", "f = s // den", ["tests/test_lp.py"]),

@@ -1,8 +1,22 @@
 """Acceptance suite: one test per shipped guarantee.
 
+Criteria 01, 11, 12 and 13 each check one worked example or construction, and
+criterion 06 every small sign matrix.
+Every campaign in ``genfuzz.CAMPAIGNS`` runs through one parametrized test,
+``test_campaign_at_its_default_budget``, at seed ``SEED`` and at the default
+budget ``CAMPAIGNS`` gives it: no trial may fail, the campaign must run exactly
+that many trials, and each counter that the ``MINIMUM_COUNTS`` table lists for
+it (a construction case or a falsifier family) must reach its floor.  So a
+budget is written once, in ``CAMPAIGNS``, and a floor once, in
+``MINIMUM_COUNTS``, whose every key must name a campaign.
+
 Run with ``pytest -s tests/test_acceptance.py`` to see one pass/fail line per
-criterion.  Every check is exact; there are no tolerances anywhere.
+criterion and campaign.  Every check is exact; there are no tolerances anywhere.
 """
+
+from itertools import product
+
+import pytest
 
 from semipos import classify, construct, genfuzz, lp, preserver
 from semipos.preserver import PreserverMap, Verdict
@@ -13,9 +27,18 @@ SEED = 1
 EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
 COUNTEREXAMPLE_X = Matrix([[1, 0, 0], [0, -1, 0], [1, 1, 1]])
 
+# the least count each campaign must reach of its counters at SEED
+MINIMUM_COUNTS = {
+    "build-np": dict.fromkeys([*(f"step2-{c}" for c in "abcdefghi"), *(f"step3-{c}" for c in "abcde")], 1),
+    "key1": {"path-combination": 20},
+    "into-sp-falsification": dict.fromkeys(
+        ["zero-row", "mixed-row", "uniform-sign-rows", "y-singular", "y-inverse-negative-entry"], 10
+    ),
+}
 
-def _criterion(num, name, ok, detail=""):
-    line = f"[{'PASS' if ok else 'FAIL'}] acceptance {num:02d} {name}"
+
+def _criterion(label, name, ok, detail=""):
+    line = f"[{'PASS' if ok else 'FAIL'}] acceptance {label} {name}"
     if detail:
         line += f": {detail}"
     print(line)
@@ -27,113 +50,25 @@ def test_01_worked_example_reproduction():
     w = Vector([3, 2, -10, 0])
     b, _ = construct.build_np(v, w)
     ok = b == EXAMPLE_B and b @ v == w
-    _criterion(1, "worked example reproduced exactly", ok)
-
-
-def test_02_build_np_campaign():
-    r = genfuzz.run_campaign("build-np", SEED, 1000)
-    covered = all(r.counters.get(f"step2-{c}", 0) >= 1 for c in "abcdefghi") and all(
-        r.counters.get(f"step3-{c}", 0) >= 1 for c in "abcde"
-    )
-    _criterion(
-        2,
-        "mixed-source construction property",
-        r.failures == 0 and covered,
-        f"{r.trials - r.failures}/{r.trials}, all cases covered={covered}",
-    )
-
-
-def test_03_build_pos_campaign():
-    r = genfuzz.run_campaign("build-pos", SEED, 1000)
-    _criterion(
-        3,
-        "nonnegative-source construction property",
-        r.failures == 0,
-        f"{r.trials - r.failures}/{r.trials}",
-    )
-
-
-def test_04_build_rect_campaign():
-    r = genfuzz.run_campaign("build-rect", SEED, 500)
-    _criterion(
-        4,
-        "rectangular construction property",
-        r.failures == 0,
-        f"{r.trials - r.failures}/{r.trials}",
-    )
-
-
-def test_05_mixed_sign_vector_campaign():
-    r = genfuzz.run_campaign("key1", SEED, 500)
-    combos = r.counters.get("path-combination", 0)
-    _criterion(
-        5,
-        "mixed-sign vector property",
-        r.failures == 0 and combos >= 20,
-        f"{r.trials - r.failures}/{r.trials}, combination path {combos}x",
-    )
+    _criterion("01", "worked example reproduced exactly", ok)
 
 
 def test_06_msp_characterization_crosscheck():
-    r = genfuzz.run_campaign("msp-equivalence", SEED, 300)
-    _criterion(
-        6,
-        "minimal semipositivity routes agree",
-        r.failures == 0,
-        f"{r.trials - r.failures}/{r.trials}, square instances {r.counters.get('square', 0)}",
-    )
-
-
-def test_07_into_msp_soundness():
-    r = genfuzz.run_campaign("into-msp-soundness", SEED, 200)
-    _criterion(
-        7,
-        "square pairs meeting the rule preserve the class",
-        r.failures == 0,
-        f"{(r.trials - r.failures) * 20}/{r.trials * 20} images",
-    )
-
-
-def test_08_into_msp_completeness():
-    r = genfuzz.run_campaign("into-msp-falsification", SEED, 200)
-    _criterion(
-        8,
-        "square pairs violating the rule are falsified",
-        r.failures == 0,
-        f"{r.trials - r.failures}/{r.trials} certificates verified",
-    )
-
-
-def test_09_into_sp_soundness_and_completeness():
-    sound = genfuzz.run_campaign("into-sp-soundness", SEED, 200)
-    fals = genfuzz.run_campaign("into-sp-falsification", SEED, 200)
-    per_case = {
-        "zero-row": fals.counters.get("zero-row", 0),
-        "mixed-row": fals.counters.get("mixed-row", 0),
-        "uniform-sign-rows": fals.counters.get("uniform-sign-rows", 0),
-        "y-singular": fals.counters.get("y-singular", 0),
-        "y-inverse-negative-entry": fals.counters.get("y-inverse-negative-entry", 0),
-    }
-    coverage = all(count >= 10 for count in per_case.values())
-    ok = sound.failures == 0 and fals.failures == 0 and coverage
-    _criterion(
-        9,
-        "semipositivity preserver rule sound and complete",
-        ok,
-        f"soundness {sound.trials - sound.failures}/{sound.trials}, "
-        f"falsifications {fals.trials - fals.failures}/{fals.trials}, cases {per_case}",
-    )
-
-
-def test_10_onto_consistency():
-    r = genfuzz.run_campaign("onto-consistency", SEED, 100)
-    _criterion(
-        10,
-        "onto verdicts consistent with both into directions",
-        r.failures == 0,
-        f"monomial pairs {r.counters.get('monomial-pair', 0)}, "
-        f"non-monomial refusals {r.counters.get('non-monomial', 0)}",
-    )
+    # every 2x2 and 3x2 matrix over {-1, 0, 1}: the decider, the deletion
+    # oracle and "semipositive with a nonnegative left inverse" by LP agree
+    counts = {}
+    ok = True
+    for m, n in ((2, 2), (3, 2)):
+        counts[(m, n)] = 0
+        for entries in product((-1, 0, 1), repeat=m * n):
+            a = Matrix([entries[i * n : (i + 1) * n] for i in range(m)])
+            fast = classify.is_minimally_semipositive(a)
+            by_lp = classify.is_semipositive(a)[0] and classify.left_inverse_by_lp(a)[0]
+            ok = ok and fast == classify.msp_by_deletion(a) == by_lp
+            counts[(m, n)] += fast
+    ok = ok and counts == {(2, 2): 6, (3, 2): 48}
+    name = "minimal semipositivity routes agree on every small sign matrix"
+    _criterion("06", name, ok, f"MSP counts {counts}")
 
 
 def test_11_column_counterexample():
@@ -141,7 +76,7 @@ def test_11_column_counterexample():
     verdict = preserver.into_msp_preserver(PreserverMap(x, Matrix([[1]])))
     ok = verdict.status is Verdict.YES and not classify.is_monomial(x)
     _criterion(
-        11,
+        "11",
         "single-column map preserved by a non-monomial X",
         ok,
         f"verdict={verdict.status.value}, reason={verdict.reason}",
@@ -165,7 +100,7 @@ def test_12_no_positive_vector_with_zero_image_entry():
             infeasible_rows += 1
     ok = ok and infeasible_rows == n
     _criterion(
-        12,
+        "12",
         "no positive vector zeroes an image entry",
         ok,
         f"{infeasible_rows}/{n} rows infeasible",
@@ -182,14 +117,22 @@ def test_13_msp_basis_search():
         good = len(found) == m * n and flat.rank() == m * n
         results[(m, n)] = good
         ok = ok and good
-    _criterion(13, "independent class members span the space", ok, str(results))
+    _criterion("13", "independent class members span the space", ok, str(results))
 
 
-def test_14_lp_oracle_agreement():
-    r = genfuzz.run_campaign("lp-oracle", SEED, 200)
-    _criterion(
-        14,
-        "simplex agrees with vertex enumeration",
-        r.failures == 0,
-        f"{r.trials - r.failures}/{r.trials}",
+def test_every_floor_names_a_campaign():
+    assert set(MINIMUM_COUNTS) <= set(genfuzz.CAMPAIGNS)
+
+
+@pytest.mark.parametrize("name", sorted(genfuzz.CAMPAIGNS))
+def test_campaign_at_its_default_budget(name):
+    r = genfuzz.run_campaign(name, SEED)
+    floors = MINIMUM_COUNTS.get(name, {})
+    counts = {key: r.counters.get(key, 0) for key in floors}
+    ok = (
+        r.failures == 0
+        and r.trials == genfuzz.CAMPAIGNS[name][1]
+        and all(counts[key] >= floor for key, floor in floors.items())
     )
+    detail = f"{r.trials - r.failures}/{r.trials}, floored counters {counts}"
+    _criterion(name, "campaign at its default budget", ok, "; ".join([detail, *r.notes]))

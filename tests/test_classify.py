@@ -259,13 +259,10 @@ def test_msp_routes_agree():
     assert checked_square > 0
 
 
-def test_the_one_basis_left_inverse_agrees_with_n_independent_lps(monkeypatch):
+def test_the_one_basis_left_inverse_agrees_with_n_independent_lps(phase1_runs):
     """Tall MSP draws and copies with one entry made negative: the left
     inverse read off one simplex basis, with its fallback LPs, gives the
     verdict of n independent equality LPs, and every N it returns verifies."""
-    runs = []
-    phase1 = lp._phase1
-    monkeypatch.setattr(lp, "_phase1", lambda rows, rhss: runs.append(len(rhss)) or phase1(rows, rhss))
     cfg = genfuzz.GenConfig(3)
     rng = random.Random("classify-one-basis")
     verdicts, fallbacks = set(), 0
@@ -275,9 +272,9 @@ def test_the_one_basis_left_inverse_agrees_with_n_independent_lps(monkeypatch):
             i, j = rng.randrange(m), rng.randrange(n)
             rows[i][j] = -rows[i][j] - 1
             for b, msp in ((a, True), (Matrix(rows), None)):
-                runs.clear()
+                phase1_runs.clear()
                 found, left = classify.left_inverse_by_lp(b)
-                fallbacks += len(runs) - 1
+                fallbacks += len(phase1_runs) - 1
                 at = b.transpose()
                 each = all(lp.equality_feasible_nonneg(at, basis_vector(n, k)).feasible for k in range(n))
                 assert found == each and msp in (None, found), b
@@ -304,10 +301,7 @@ def test_wide_msp_is_decided_without_lp(lp_calls):
     assert lp_calls == ["feasible_nonneg"]
 
 
-def test_a_square_classify_all_takes_its_left_inverse_from_its_inverse(monkeypatch):
-    calls = []
-    solve = lp.equality_feasible_nonneg_each
-    monkeypatch.setattr(lp, "equality_feasible_nonneg_each", lambda *args: calls.append(args) or solve(*args))
+def test_a_square_classify_all_takes_its_left_inverse_from_its_inverse(lp_calls):
     cfg = genfuzz.GenConfig(1)
     msp = set()
     for a in (genfuzz.gen_msp(12, 12, cfg, 0), EXAMPLE_B, genfuzz.gen_sp(4, 4, cfg, 0), ONES_2):
@@ -315,9 +309,10 @@ def test_a_square_classify_all_takes_its_left_inverse_from_its_inverse(monkeypat
         assert report.left_inv == report.inv
         assert (report.left_inv is not None) == report.minimally_semipositive
         msp.add(report.minimally_semipositive)
-    assert msp == {True, False} and calls == []
+    assert msp == {True, False} and "equality_feasible_nonneg_each" not in lp_calls
     # a tall A still takes the equality LPs
-    assert classify.classify_all(LEFT_INVERSE_A).left_inv is not None and calls
+    assert classify.classify_all(LEFT_INVERSE_A).left_inv is not None
+    assert "equality_feasible_nonneg_each" in lp_calls
 
 
 def test_rank_deficient_msp_is_refuted_without_lp(lp_calls):
@@ -341,10 +336,7 @@ def test_rank_deficient_msp_is_refuted_without_lp(lp_calls):
     assert semipositive > 0
 
 
-def test_a_nonpositive_row_refutes_semipositivity_without_lp(monkeypatch):
-    calls = []
-    solve = lp.feasible_nonneg
-    monkeypatch.setattr(lp, "feasible_nonneg", lambda *args: calls.append(args) or solve(*args))
+def test_a_nonpositive_row_refutes_semipositivity_without_lp(lp_calls):
     rng = random.Random("classify-nonpositive-row")
     for _ in range(120):
         m, n = rng.randint(1, 4), rng.randint(1, 4)
@@ -353,7 +345,7 @@ def test_a_nonpositive_row_refutes_semipositivity_without_lp(monkeypatch):
         rows[forced] = [-abs(v) for v in rows[forced]]
         a = Matrix(rows)
         assert classify.is_semipositive(a) == (False, None)
-        assert calls == []
+        assert lp_calls == []
         assert not lp.feasible_nonneg_bruteforce(a, ones_vector(m)).feasible
 
 

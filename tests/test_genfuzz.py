@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from semipos import classify, genfuzz
@@ -78,6 +80,24 @@ def test_gen_msp_needs_tall():
             draw()
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        pytest.param(lambda rng: genfuzz.mixed_int_vector(rng, 1), id="mixed-1-vector"),
+        pytest.param(lambda rng: genfuzz.mixed_int_vector(rng, 3, 0), id="mixed-bound-0"),
+        pytest.param(lambda rng: genfuzz.nonzero_int_vector(rng, 3, 0, 0), id="nonzero-range-0"),
+        pytest.param(lambda rng: genfuzz.invertible_int_matrix(rng, 2, 0), id="invertible-bound-0"),
+    ],
+)
+def test_a_family_no_draw_can_satisfy_raises_before_drawing(draw):
+    # rejection sampling would draw forever
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(InvalidInputError):
+        draw(rng)
+    assert rng.getstate() == state
+
+
 def test_msp_basis_search_small():
     # the fixed family against the LP and deletion oracles on every small shape
     for m in range(1, 6):
@@ -145,16 +165,16 @@ def test_trial_budgets_below_one_are_input_errors():
             genfuzz.run_campaign(name, 0, trials)
 
 
-def test_small_campaigns_pass():
-    for name in ["build-np", "build-pos", "build-rect", "key1", "lp-oracle"]:
-        result = genfuzz.run_campaign(name, seed=11, trials=25)
-        assert result.passed, f"{name}: {result.notes}"
-        assert result.trials == 25
-
-
-def test_campaign_result_reports_failures_honestly():
+def test_campaign_result_reports_failures_honestly(monkeypatch):
     result = genfuzz.run_campaign("msp-equivalence", seed=11, trials=30)
     assert result.failures == 0 and result.passed
+    # the deletion oracle turned around disagrees with the decider on every trial
+    deletion = classify.msp_by_deletion
+    monkeypatch.setattr(classify, "msp_by_deletion", lambda a: not deletion(a))
+    result = genfuzz.run_campaign("msp-equivalence", seed=11, trials=30)
+    assert result.failures == result.trials == 30 and not result.passed
+    assert [note.split(":")[0] for note in result.notes] == [f"trial {t}" for t in range(5)]
+    assert all("disagreement on" in note for note in result.notes)
 
 
 def test_a_trial_with_two_failing_halves_counts_once(monkeypatch):

@@ -208,14 +208,11 @@ def test_a_negative_driving_rhs_entry_negates_the_riders_in_its_row():
     assert [_read(s) for s in solutions] == [Vector([1, 1]), Vector(["1/2", "3/4"]), Vector([0, 2])]
 
 
-def test_a_left_inverse_of_a_12x8_draw_takes_one_simplex(monkeypatch):
-    runs = []
-    phase1 = lp._phase1
-    monkeypatch.setattr(lp, "_phase1", lambda rows, rhss: runs.append(len(rhss)) or phase1(rows, rhss))
+def test_a_left_inverse_of_a_12x8_draw_takes_one_simplex(phase1_runs):
     for a in genfuzz.iter_msp_mixture(12, 8, genfuzz.GenConfig(3), 6):
-        runs.clear()
+        phase1_runs.clear()
         assert classify.left_inverse_by_lp(a)[0]
-        assert runs == [8]
+        assert phase1_runs == [8]
 
 
 def test_each_stops_at_the_first_infeasible_column():
