@@ -47,6 +47,16 @@ MUTANTS = [
         "x_sign = _sign(classify.is_row_positive, lmap.x)\n    return x_sign",
         ["tests/test_preserver.py::test_every_2x2_pair_over_minus_one_zero_one"],
     ),
+    # a negated pair reported under its rule's reason, a verified certificate verified again by its verdict,
+    # and onto's singular-X branch skipped
+    ("preserver.py", "reason if sign > 0 else REASON_NEGATED_PAIR", "reason", ["tests/test_preserver.py"]),
+    ("preserver.py", "if not (cert.verified or cert.verify()):", "if not cert.verify():", ["tests/test_preserver.py"]),
+    (
+        "preserver.py",
+        "if lmap.x_inv is None:\n        return _no(REASON_X_SINGULAR",
+        "if False:\n        return _no(REASON_X_SINGULAR",
+        ["tests/test_preserver.py"],
+    ),
     # each no-preimage condition cut
     ("preserver.py", "or not (self.x.transpose() @ q).is_zero()", "or False", ["tests/test_preserver.py"]),
     ("preserver.py", "or (self.a.transpose() @ q).is_zero()", "or False", ["tests/test_preserver.py"]),

@@ -8,6 +8,7 @@ import pytest
 
 from semipos import cli, preserver
 from semipos.ratmat import MAX_FILE_BYTES, Matrix, Vector, parse_rational
+from test_preserver import EXAMPLES
 
 
 def run_cli(capsys, *argv):
@@ -20,30 +21,6 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
-
-
-def test_build_np_worked_example(capsys):
-    code, out, _ = run_cli(capsys, "build", "np", "--v", "1 0 -5 -1", "--w", "3 2 -10 0")
-    assert code == 0
-    report = json.loads(out)
-    assert report["result"]["matrix"] == [
-        ["3", "0", "0", "0"],
-        ["2", "1", "0", "0"],
-        ["0", "0", "1", "5"],
-        ["1", "0", "0", "1"],
-    ]
-    assert report["result"]["trace"]["step1"] == "a"
-    assert report["result"]["trace"]["step2"] == ["c", "e"]
-    assert report["result"]["trace"]["step3"] == "e"
-
-
-def test_build_pos_and_rect(capsys):
-    code, out, _ = run_cli(capsys, "build", "pos", "--v", "1 1", "--w", "1 1")
-    assert code == 0
-    assert json.loads(out)["result"]["matrix"] == [["1", "0"], ["1/2", "1/2"]]
-    code, out, _ = run_cli(capsys, "build", "rect", "--v", "1 -1 0", "--w", "5")
-    assert code == 0
-    assert json.loads(out)["result"]["rank"] == 1
 
 
 def test_build_rejects_bad_input(capsys):
@@ -80,56 +57,23 @@ def test_classify_reports_exact_witness(capsys, tmp_path):
     assert [str(q) for q in parsed.entries] == witness  # exact round-trip
 
 
-def test_witness_subcommand(capsys, tmp_path):
-    good = write(tmp_path, "good.mat", "1 0\n0 1\n")
-    code, out, _ = run_cli(capsys, "witness", "sp", good)
-    assert code == 0 and json.loads(out)["result"]["semipositive"] is True
-    bad = write(tmp_path, "bad.mat", "-1 0\n0 -1\n")
-    code, out, _ = run_cli(capsys, "witness", "sp", bad)
-    assert code == 1 and json.loads(out)["result"]["witness"] is None
-
-
-def test_key1_subcommand(capsys, tmp_path):
-    path = write(tmp_path, "x.mat", "1 0 0\n0 -1 0\n1 1 1\n")
-    code, out, _ = run_cli(capsys, "key1", path)
-    assert code == 0
-    result = json.loads(out)["result"]
-    assert result["vector"] == ["0", "-1", "1"]
-    assert result["path"] == "column-u"
-
-
 def test_preserver_exit_codes(capsys, tmp_path):
-    x3 = write(tmp_path, "x3.mat", "1 0 0\n0 -1 0\n1 1 1\n")
+    """Every row of ``test_preserver.EXAMPLES`` through ``semipos preserver``:
+    exit 0, 1 or 2 for yes, no or unknown, the row's reason, and its
+    certificate's note, verified; an undecided onto question exits 64."""
+    exits = {"yes": 0, "no": 1, "unknown": 2}
+    for i, (kind, x, y, status, reason, note) in enumerate(EXAMPLES):
+        x_path, y_path = write(tmp_path, f"x{i}.mat", str(x)), write(tmp_path, f"y{i}.mat", str(y))
+        code, out, _ = run_cli(capsys, "preserver", kind, "--x", x_path, "--y", y_path)
+        result = json.loads(out)["result"]
+        assert (code, result["status"], result["reason"]) == (exits[status], status, reason), (kind, x, y)
+        cert = result["certificate"]
+        if note is None:
+            assert cert is None, (kind, x, y)
+        else:
+            assert (cert["note"], cert["verified"]) == (note, True), (kind, x, y)
     id3 = write(tmp_path, "id3.mat", "1 0 0\n0 1 0\n0 0 1\n")
     id2 = write(tmp_path, "id2.mat", "1 0\n0 1\n")
-    swap = write(tmp_path, "swap.mat", "0 1\n1 0\n")
-    ones = write(tmp_path, "ones.mat", "1 1\n1 1\n")
-    m = write(tmp_path, "m.mat", "2 -1\n-1 2\n")
-    # not a preserver ([[1,0],[10,0],[0,1]] maps to a zero row), but the tall search misses
-    near = write(tmp_path, "near.mat", "1 -1/10 0\n0 1 0\n0 0 1\n")
-    y1 = write(tmp_path, "y1.mat", "1\n")
-    for kind, x, y, code, reason in (
-        ("into-sp", x3, id3, 1, "falsified"),
-        ("into-sp", id3, id3, 0, "x-row-positive-y-inverse-nonnegative"),
-        ("onto-sp", swap, id2, 0, "monomial-pair"),
-        ("onto-sp", ones, id2, 1, "x-singular"),
-        ("into-msp", id2, id3, 0, "class-empty-on-wide-space"),
-        ("into-msp", near, id2, 2, "outside-decided-regime"),
-        ("onto-msp", swap, id2, 0, "monomial-pair"),
-        ("onto-msp", m, id2, 1, "inverse-not-into"),
-        ("onto-msp", id2, id3, 0, "class-empty-on-wide-space"),
-        # on a single column, onto-msp is the onto-sp question
-        ("onto-msp", swap, y1, 0, "monomial-pair"),
-        ("onto-msp", ones, y1, 1, "x-singular"),
-        ("onto-msp", m, y1, 1, "falsified"),
-    ):
-        got, out, _ = run_cli(capsys, "preserver", kind, "--x", x, "--y", y)
-        result = json.loads(out)["result"]
-        assert (got, result["reason"]) == (code, reason), (kind, x, y)
-        if code == 1:
-            assert result["status"] == "no" and result["certificate"]["verified"] is True
-        else:
-            assert result["certificate"] is None
     code, out, err = run_cli(capsys, "preserver", "onto-msp", "--x", id3, "--y", id2)
     assert code == 64 and out == "" and "not decided for rows > cols" in err
 
@@ -140,22 +84,6 @@ def test_preserver_into_msp_column(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "preserver", "into-msp", "--x", ones, "--y", y1)
     assert code == 0
     assert json.loads(out)["result"]["reason"] == "x-row-positive-y-inverse-nonnegative"
-
-
-def test_falsify_subcommand(capsys, tmp_path):
-    id2 = write(tmp_path, "id2.mat", "1 0\n0 1\n")
-    lower = write(tmp_path, "lower.mat", "1 0\n1 1\n")
-    code, out, _ = run_cli(capsys, "falsify", "into-msp", "--x", id2, "--y", lower)
-    assert code == 0
-    cert = json.loads(out)["result"]["certificate"]
-    assert cert["verified"] is True and cert["note"] == "y-not-inverse-nonnegative"
-    code, _, err = run_cli(capsys, "falsify", "into-msp", "--x", id2, "--y", id2)
-    assert code == 64 and "nothing to falsify" in err
-    mixed = write(tmp_path, "mixed.mat", "1 -1\n1 1\n")
-    code, out, _ = run_cli(capsys, "falsify", "into-sp", "--x", mixed, "--y", id2)
-    assert code == 0
-    cert = json.loads(out)["result"]["certificate"]
-    assert cert["verified"] is True and cert["note"] == "mixed-row"
 
 
 def test_fuzz_subcommand(capsys):
@@ -212,14 +140,6 @@ def test_non_positive_trial_counts_are_input_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 64 and out == "", argv
         assert "must be at least 1" in err, argv
-
-
-def test_basis_subcommand(capsys):
-    code, out, _ = run_cli(capsys, "basis", "--m", "2", "--n", "2")
-    assert code == 0
-    report = json.loads(out)
-    assert report["inputs"] == {"m": 2, "n": 2}
-    assert report["result"]["count"] == 4 and len(report["result"]["matrices"]) == 4
 
 
 def test_basis_12x12_spans(capsys):
