@@ -12,8 +12,10 @@ Each handler imports the library modules it calls when it runs, so a command
 loads only those: ``classify`` and ``witness`` load ``classify`` (with ``lp``),
 ``build`` and ``key1`` load ``construct``, ``preserver`` and ``falsify`` load
 ``preserver`` (with ``classify`` and ``construct``), and ``genfuzz`` and ``lp``
-load there only for the tall ``preserver into-msp`` search, whose draws are
-decided by an LP; ``genfuzz`` loads otherwise only for ``fuzz`` and ``basis``.
+load there only for the tall into-msp search, whose draws are decided by an
+LP; ``genfuzz`` loads otherwise only for ``fuzz`` and ``basis``.  ``falsify``
+works on any shape: it prints the certificate of the matching ``preserver``
+into verdict and exits 64 when that verdict is yes or unknown.
 Each is imported as a module and its functions are looked up on it at call
 time, so a wrapper installed on a module attribute is seen.  Only
 ``preserver`` uses ``@dataclass``, so the stdlib ``dataclasses``, and the

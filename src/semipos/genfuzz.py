@@ -109,6 +109,26 @@ def row_positive_int_matrix(rng: random.Random, m: int, n: int) -> Matrix:
     return Matrix.from_rows([nonzero_int_vector(rng, n, 0, 3) for _ in range(m)])
 
 
+def non_monomial_row_positive_matrix(rng: random.Random, n: int) -> Matrix:
+    """n x n, nonnegative, no zero row, and never monomial: row 0 has two positive entries."""
+    if n < 2:
+        raise InvalidInputError(f"row 0 needs two entries, got n={n}")
+    rows = int_rows(rng, n, n, 0, 3)
+    for row in rows:
+        row[rng.randrange(n)] = rng.randint(1, 3)
+    rows[0][0], rows[0][1] = rng.randint(1, 3), rng.randint(1, 3)
+    return Matrix(rows)
+
+
+def mixed_row_matrix(rng: random.Random, n: int) -> Matrix:
+    """n x n with row 0 of both signs, so neither X nor -X is row positive."""
+    if n < 2:
+        raise InvalidInputError(f"row 0 needs two entries, got n={n}")
+    rows = int_rows(rng, n, n)
+    rows[0][0], rows[0][1] = rng.randint(1, 3), -rng.randint(1, 3)
+    return Matrix(rows)
+
+
 def singular(a: Matrix) -> Matrix:
     """A with its last row replaced by its first."""
     rows = list(a.integer_rows())

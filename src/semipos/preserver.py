@@ -98,6 +98,19 @@ REASON_INVERSE_NOT_INTO = "inverse-not-into"
 REASON_OUTSIDE_REGIME = "outside-decided-regime"
 REASON_EMPTY_CLASS = "class-empty-on-wide-space"
 
+# the falsifier notes, one a construction: a certificate's ``note``
+NOTE_ZERO_ROW = "zero-row"
+NOTE_MIXED_ROW = "mixed-row"
+NOTE_UNIFORM_SIGN_ROWS = "uniform-sign-rows"
+NOTE_Y_SINGULAR = "y-singular"
+NOTE_Y_INVERSE_NEGATIVE_ENTRY = "y-inverse-negative-entry"
+NOTE_X_SINGULAR_NO_PREIMAGE = "x-singular-no-preimage"
+NOTE_X_OR_Y_SINGULAR = "x-or-y-singular"
+NOTE_X_NOT_INVERSE_NONNEGATIVE = "x-not-inverse-nonnegative-either-sign"
+NOTE_Y_NOT_INVERSE_NONNEGATIVE = "y-not-inverse-nonnegative"
+NOTE_Y_SINGULAR_IMAGE = "y-singular-image-rank-deficient"
+NOTE_RANDOMIZED_COUNTEREXAMPLE = "randomized-counterexample"
+
 # the counterexample search of the tall into-MSP regime
 TALL_SEARCH_SEED = 0
 TALL_SEARCH_DRAWS = 40
@@ -395,12 +408,12 @@ def into_msp_preserver(lmap: PreserverMap) -> PreserverVerdict:
     if sign:
         return _yes(sign, REASON_TALL_PAIR)
     if lmap.y_inv is None:
-        return _no(REASON_Y_SINGULAR, _lift(lmap, "y-singular-image-rank-deficient"))
+        return _no(REASON_Y_SINGULAR, _lift(lmap, NOTE_Y_SINGULAR_IMAGE))
     from . import genfuzz
 
     cfg = genfuzz.GenConfig(TALL_SEARCH_SEED)
     for a in genfuzz.iter_msp_mixture(rows, cols, cfg, TALL_SEARCH_DRAWS):
-        cert = _leaves(CLASS_MSP, lmap, a, "randomized-counterexample")
+        cert = _leaves(CLASS_MSP, lmap, a, NOTE_RANDOMIZED_COUNTEREXAMPLE)
         if cert.verify():
             return _no(REASON_FALSIFIED, cert)
     return PreserverVerdict(Verdict.UNKNOWN, REASON_OUTSIDE_REGIME)
@@ -455,15 +468,16 @@ def falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
 
 
 def falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
-    """The certificate of ``into_msp_preserver(lmap)`` for a square map; see
-    ``_falsify_into_msp`` for the constructions.  A "yes" verdict raises
-    InvalidInputError."""
-    if lmap.x.rows != lmap.y.rows:
-        raise DimensionError("square falsifier needs matching X and Y sizes")
+    """The certificate of ``into_msp_preserver(lmap)``, on any space; see
+    ``_falsify_into_msp`` for the square constructions and
+    ``into_msp_preserver`` for the others.  A "yes" or "unknown" verdict
+    raises InvalidInputError."""
     return _certificate(into_msp_preserver(lmap))
 
 
 def _certificate(verdict: PreserverVerdict) -> FalsifyCertificate:
+    if verdict.status is Verdict.UNKNOWN:
+        raise InvalidInputError("no certificate was found; the verdict is unknown")
     if verdict.certificate is None:
         raise InvalidInputError("the pair condition holds; nothing to falsify")
     return verdict.certificate
@@ -490,15 +504,14 @@ def _falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
     n = x.rows
 
     if lmap.x_inv is None or lmap.y_inv is None:
-        return _lift(lmap, "x-or-y-singular")
+        return _lift(lmap, NOTE_X_OR_Y_SINGULAR)
 
     sign = _inverse_sign(lmap.x_inv)
     if not sign:
         v = mixed_sign_vector(x, lmap.x_inv)
         w = -basis_vector(n, 0)
         b, trace = build_np(v, y @ w)
-        note = "x-not-inverse-nonnegative-either-sign"
-        return _leaves_as_inverse(lmap, b, trace.inverse, note, w, x @ v)
+        return _leaves_as_inverse(lmap, b, trace.inverse, NOTE_X_NOT_INVERSE_NONNEGATIVE, w, x @ v)
 
     c = lmap.y_inv * sign  # (sign Y)^{-1}
     i, j = _negative_entry(c)
@@ -511,7 +524,7 @@ def _falsify_into_msp(lmap: PreserverMap) -> FalsifyCertificate:
         raise ArithmeticError("shift construction lost its sign pattern")
     b, b_inv = build_pos(v, w)
     # the image sends u to (sX)(sX)^{-1} w = w
-    return _leaves_as_inverse(lmap, b, b_inv, "y-not-inverse-nonnegative", u, w)
+    return _leaves_as_inverse(lmap, b, b_inv, NOTE_Y_NOT_INVERSE_NONNEGATIVE, u, w)
 
 
 def _falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
@@ -543,7 +556,7 @@ def _falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
 
     # (has a negative entry, has a positive entry) for each row of X
     signs = [(min(nums) < 0, max(nums) > 0) for _, nums in x.integer_rows()]
-    for note, row_sign in (("zero-row", (False, False)), ("mixed-row", (True, True))):
+    for note, row_sign in ((NOTE_ZERO_ROW, (False, False)), (NOTE_MIXED_ROW, (True, True))):
         if row_sign in signs:
             v = _positive_vector_zeroing_row(x, signs.index(row_sign))
             a = Matrix.from_cols([v] * n)
@@ -557,14 +570,14 @@ def _falsify_into_sp(lmap: PreserverMap) -> FalsifyCertificate:
             raise ArithmeticError("singular Y has no left-null vector")
         if next(v for _, nums in r.integer_rows() for v in nums if v) < 0:
             r = -r
-        note = "y-singular"
+        note = NOTE_Y_SINGULAR
     else:
         c = lmap.y_inv * s  # (sY)^{-1}
         entry = _negative_entry(c)
         r = c.row(0) if entry is None else -c.row(entry[0])
-        note = "y-inverse-negative-entry"
+        note = NOTE_Y_INVERSE_NEGATIVE_ENTRY
     if not x_sign:
-        note = "uniform-sign-rows"
+        note = NOTE_UNIFORM_SIGN_ROWS
     j = next(j for j in range(n) if r[j] > 0)
     return _leaves(CLASS_SP, lmap, Matrix.from_rows([r] * m), note, witness=basis_vector(n, j))
 
@@ -632,7 +645,7 @@ def _no_preimage_certificate(lmap: PreserverMap) -> FalsifyCertificate:
         a,
         probe=z * sign,
         probe_image=q,
-        note="x-singular-no-preimage",
+        note=NOTE_X_SINGULAR_NO_PREIMAGE,
         witness=basis_vector(n, j),
     )
 

@@ -33,8 +33,10 @@ MUTANTS = [
     ("classify.py", "return _is_identity_product(n, a) and n.is_nonneg()", "return n.is_nonneg()", CLASSIFY),
     ("classify.py", "return au.is_nonneg() and not u.is_nonneg()", "return au.is_nonneg()", CLASSIFY),
     ("classify.py", "return au.is_nonneg() and not u.is_nonneg()", "return not u.is_nonneg()", CLASSIFY),
-    # the monomial test reads rows only, not columns
-    ("classify.py", "(*rows, *zip(*rows))", "rows", ["tests/test_classify.py"]),
+    # the monomial test reads rows only, not columns, and the row-positive test misses a zero row:
+    # of the classify tests, only a row of examples.MATRICES tells either apart
+    ("classify.py", "(*rows, *zip(*rows))", "rows", ["tests/test_classify.py::test_matrix_example"]),
+    ("classify.py", "return a.is_nonneg() and not a.has_zero_row()", "return a.is_nonneg()", ["tests/test_classify.py::test_matrix_example"]),
     # verify() with its stored-image comparison cut
     ("preserver.py", "elif self.image != image:", "elif False:", ["tests/test_preserver.py"]),
     # the (X, Y) / (-X, -Y) sign symmetry, and the nonpositive-inverse sign
@@ -56,6 +58,13 @@ MUTANTS = [
         "if lmap.x_inv is None:\n        return _no(REASON_X_SINGULAR",
         "if False:\n        return _no(REASON_X_SINGULAR",
         ["tests/test_preserver.py"],
+    ),
+    # the into-MSP falsifier refusing a map whose X and Y differ in size
+    (
+        "preserver.py",
+        "    return _certificate(into_msp_preserver(lmap))",
+        '    if lmap.x.rows != lmap.y.rows:\n        raise DimensionError("square falsifier")\n    return _certificate(into_msp_preserver(lmap))',
+        ["tests/test_preserver.py::test_example"],
     ),
     # each no-preimage condition cut
     ("preserver.py", "or not (self.x.transpose() @ q).is_zero()", "or False", ["tests/test_preserver.py"]),

@@ -18,14 +18,12 @@ from itertools import product
 
 import pytest
 
+from examples import EXAMPLE_B, ONES_2, SIGNED_X
 from semipos import classify, construct, genfuzz, lp, preserver
 from semipos.preserver import PreserverMap, Verdict
 from semipos.ratmat import Matrix, Vector
 
 SEED = 1
-
-EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
-COUNTEREXAMPLE_X = Matrix([[1, 0, 0], [0, -1, 0], [1, 1, 1]])
 
 # the least count each campaign must reach of its counters at SEED
 MINIMUM_COUNTS = {
@@ -72,9 +70,8 @@ def test_06_msp_characterization_crosscheck():
 
 
 def test_11_column_counterexample():
-    x = Matrix([[1, 1], [1, 1]])
-    verdict = preserver.into_msp_preserver(PreserverMap(x, Matrix([[1]])))
-    ok = verdict.status is Verdict.YES and not classify.is_monomial(x)
+    verdict = preserver.into_msp_preserver(PreserverMap(ONES_2, Matrix([[1]])))
+    ok = verdict.status is Verdict.YES and not classify.is_monomial(ONES_2)
     _criterion(
         "11",
         "single-column map preserved by a non-monomial X",
@@ -84,13 +81,11 @@ def test_11_column_counterexample():
 
 
 def test_12_no_positive_vector_with_zero_image_entry():
-    ok = not classify.is_monomial(COUNTEREXAMPLE_X) and not classify.is_monomial(
-        -COUNTEREXAMPLE_X
-    )
+    ok = not classify.is_monomial(SIGNED_X) and not classify.is_monomial(-SIGNED_X)
     infeasible_rows = 0
-    n = COUNTEREXAMPLE_X.cols
+    n = SIGNED_X.cols
     for i in range(n):
-        row = list(COUNTEREXAMPLE_X.entries[i])
+        row = list(SIGNED_X.entries[i])
         system = Matrix(
             [[1 if k == j else 0 for k in range(n)] for j in range(n)]
             + [row, [-v for v in row]]

@@ -3,17 +3,16 @@ import random
 
 import pytest
 
+from examples import (
+    EXAMPLE_B, INVERSE_NONNEGATIVE, LIFT, MATRICES, MONOMIAL, MSP, NONNEGATIVE, ONES_2, POSITIVE,
+    ROW_POSITIVE, SP, UPPER,
+)
 from semipos import classify, construct, genfuzz, lp
-from semipos.ratmat import DimensionError, Matrix, Vector, basis_vector, ones_vector
-
-EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
-ONES_2 = Matrix([[1, 1], [1, 1]])
-
+from semipos.ratmat import DimensionError, Matrix, SingularMatrixError, Vector, basis_vector, ones_vector
+from test_ratmat import leibniz_det
 
 # each checker's table: one accepted case, then each condition failing on its own
 SP_WITNESS_A = Matrix([[1, -2], [1, 3]])
-LEFT_INVERSE_A = Matrix([[1, 0], [0, 1], [1, 1]])
-PROBE_A = Matrix([[1, 1], [0, 1]])
 
 
 @pytest.mark.parametrize(
@@ -45,7 +44,7 @@ def test_sp_witness_table(x, expected):
     ],
 )
 def test_left_inverse_table(n, expected):
-    assert classify.is_nonneg_left_inverse(LEFT_INVERSE_A, n) is expected
+    assert classify.is_nonneg_left_inverse(LIFT, n) is expected
 
 
 @pytest.mark.parametrize(
@@ -59,54 +58,18 @@ def test_left_inverse_table(n, expected):
     ],
 )
 def test_msp_probe_table(u, expected):
-    assert classify.is_msp_probe(PROBE_A, u) is expected
+    assert classify.is_msp_probe(UPPER, u) is expected
 
 
 def test_each_checker_raises_on_a_shape_that_does_not_fit():
     with pytest.raises(DimensionError):
         classify.is_sp_witness(SP_WITNESS_A, Vector([1, 0, 0]))
     with pytest.raises(DimensionError):
-        classify.is_nonneg_left_inverse(LEFT_INVERSE_A, Matrix.identity(2))
+        classify.is_nonneg_left_inverse(LIFT, Matrix.identity(2))
     with pytest.raises(DimensionError):
-        classify.is_msp_probe(PROBE_A, Vector([-1, 1, 0]))
+        classify.is_msp_probe(UPPER, Vector([-1, 1, 0]))
     with pytest.raises(DimensionError, match="square"):
-        classify.is_inverse_nonnegative(LEFT_INVERSE_A)
-
-
-def test_semipositive_identity():
-    ok, witness = classify.is_semipositive(Matrix.identity(3))
-    assert ok and witness.is_positive()
-    assert (Matrix.identity(3) @ witness).is_positive()
-
-
-def test_semipositive_negated_identity():
-    assert classify.is_semipositive(-Matrix.identity(2)) == (False, None)
-
-
-def test_semipositive_opposing_rows():
-    assert classify.is_semipositive(Matrix([[1, -1], [-1, 1]]))[0] is False
-
-
-def test_semipositive_example_matrix():
-    ok, witness = classify.is_semipositive(EXAMPLE_B)
-    assert ok
-    assert witness.is_positive() and (EXAMPLE_B @ witness).is_positive()
-
-
-def test_left_inverse_identity():
-    ok, n = classify.has_nonneg_left_inverse(Matrix.identity(3))
-    assert ok and n == Matrix.identity(3)
-
-
-def test_left_inverse_tall():
-    a = Matrix([[1, 0], [0, 1], [1, 1]])
-    ok, n = classify.has_nonneg_left_inverse(a)
-    assert ok and n == Matrix([[1, 0, 0], [0, 1, 0]])
-    assert n @ a == Matrix.identity(2)
-
-
-def test_left_inverse_singular():
-    assert classify.has_nonneg_left_inverse(ONES_2) == (False, None)
+        classify.is_inverse_nonnegative(LIFT)
 
 
 def test_left_inverse_needs_tall():
@@ -114,72 +77,45 @@ def test_left_inverse_needs_tall():
         classify.has_nonneg_left_inverse(Matrix([[1, 2, 3]]))
 
 
-def test_msp_examples():
-    assert classify.is_minimally_semipositive(Matrix.identity(2))
-    assert classify.is_minimally_semipositive(Matrix([[2, -1], [-1, 2]]))
-    assert not classify.is_minimally_semipositive(ONES_2)
-    assert classify.is_minimally_semipositive(Matrix([[1], [2]]))
-    assert not classify.is_minimally_semipositive(Matrix([[1], [0]]))
-
-
-def test_msp_by_deletion_examples():
-    assert classify.msp_by_deletion(Matrix.identity(2))
-    assert not classify.msp_by_deletion(ONES_2)
-    assert classify.msp_by_deletion(Matrix([[1, 0], [0, 1], [1, 1]]))
-
-
-def test_row_positive():
-    assert classify.is_row_positive(Matrix.identity(3))
-    assert not classify.is_row_positive(Matrix([[1, 0, 0], [0, -1, 0], [1, 1, 1]]))
-    assert not classify.is_row_positive(Matrix([[1, 1], [0, 0]]))
-
-
 def test_monomial():
-    assert classify.is_monomial(Matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]))
-    assert not classify.is_monomial(ONES_2)
-    assert classify.is_monomial(Matrix([[0, 2], [3, 0]]))
-    # one nonzero per row, but column 0 holds two
-    assert not classify.is_monomial(Matrix([[1, 0], [2, 0]]))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="square"):
         classify.is_monomial(Matrix([[1, 0]]))
 
 
-def test_inverse_nonnegative():
-    ok, inv = classify.is_inverse_nonnegative(Matrix.identity(2))
-    assert ok and inv == Matrix.identity(2)
-    ok, inv = classify.is_inverse_nonnegative(Matrix([[2, -1], [-1, 2]]))
-    assert ok and inv == Matrix([["2/3", "1/3"], ["1/3", "2/3"]])
-    assert classify.is_inverse_nonnegative(Matrix([[1, 0], [1, 1]])) == (False, None)
-    assert classify.is_inverse_nonnegative(ONES_2) == (False, None)
-
-
-def test_classify_all_identity():
-    report = classify.classify_all(Matrix.identity(3))
-    assert report.semipositive and report.minimally_semipositive
-    assert report.monomial and report.row_positive and report.inverse_nonnegative
-    assert report.left_inv == Matrix.identity(3)
-
-
-def test_classify_all_example_matrix():
-    # nonnegative and invertible, but its inverse has negative entries
-    report = classify.classify_all(EXAMPLE_B)
-    assert report.semipositive and report.row_positive
-    assert report.nonnegative and not report.positive
-    assert not report.monomial and not report.inverse_nonnegative
-    assert not report.minimally_semipositive and report.left_inv is None
-
-
-def test_classify_all_ones():
-    report = classify.classify_all(ONES_2)
-    assert report.semipositive and not report.minimally_semipositive
-    assert not report.monomial and not report.inverse_nonnegative
-    assert report.inv is None and report.left_inv is None
-
-
-def test_classify_all_rectangular_skips_square_fields():
-    report = classify.classify_all(Matrix([[1, 0], [0, 1], [1, 1]]))
-    assert report.monomial is None and report.inverse_nonnegative is None
-    assert report.minimally_semipositive
+@pytest.mark.parametrize("row", MATRICES, ids=[row.label for row in MATRICES])
+def test_matrix_example(row):
+    """Every fact of the row: by ``ratmat``, each decider and ``classify_all``,
+    and again by the oracles, the Leibniz expansion for det, exact products
+    for the inverse, vertex enumeration for semipositivity, ``msp_by_deletion``
+    for minimal semipositivity and the checkers for each witness."""
+    a, verdicts = row.a, row.verdicts()
+    assert a.rank() == row.rank
+    if a.is_square:
+        assert a.det() == leibniz_det(a.entries) == row.det
+        if row.inverse is None:
+            with pytest.raises(SingularMatrixError):
+                a.inverse()
+        else:
+            assert a.inverse() == row.inverse
+            assert row.inverse @ a == Matrix.identity(a.rows) == a @ row.inverse
+        assert classify.is_monomial(a) == verdicts[MONOMIAL]
+        assert classify.is_inverse_nonnegative(a) == (verdicts[INVERSE_NONNEGATIVE], row.left_inverse)
+    else:
+        assert row.det is None and row.inverse is None
+    assert (a.is_nonneg(), a.is_positive()) == (verdicts[NONNEGATIVE], verdicts[POSITIVE])
+    assert classify.is_row_positive(a) == verdicts[ROW_POSITIVE]
+    sp, witness = classify.is_semipositive(a)
+    assert sp == verdicts[SP] == lp.feasible_nonneg_bruteforce(a, ones_vector(a.rows)).feasible
+    assert sp == (witness is not None)
+    assert witness is None or (witness.is_positive() and classify.is_sp_witness(a, witness))
+    assert classify.is_minimally_semipositive(a) == verdicts[MSP] == classify.msp_by_deletion(a)
+    if a.rows >= a.cols:
+        assert classify.has_nonneg_left_inverse(a) == (row.left_inverse is not None, row.left_inverse)
+    assert row.left_inverse is None or classify.is_nonneg_left_inverse(a, row.left_inverse)
+    inverse = row.left_inverse if a.is_square else None
+    assert classify.classify_all(a) == classify.ClassReport(
+        a.shape, **verdicts, sp_witness=witness, inv=inverse, left_inv=row.left_inverse
+    )
 
 
 def test_the_result_records_keep_their_fields_order_and_defaults():
@@ -311,7 +247,7 @@ def test_a_square_classify_all_takes_its_left_inverse_from_its_inverse(lp_calls)
         msp.add(report.minimally_semipositive)
     assert msp == {True, False} and "equality_feasible_nonneg_each" not in lp_calls
     # a tall A still takes the equality LPs
-    assert classify.classify_all(LEFT_INVERSE_A).left_inv is not None
+    assert classify.classify_all(LIFT).left_inv is not None
     assert "equality_feasible_nonneg_each" in lp_calls
 
 
@@ -419,7 +355,7 @@ def test_feasible_left_inverse_row_without_witness_raises(monkeypatch):
         lp, "equality_feasible_nonneg_each", lambda m, cs: [lp.FeasibilityResult(True) for _ in cs]
     )
     with pytest.raises(ArithmeticError, match="witness"):
-        classify.has_nonneg_left_inverse(LEFT_INVERSE_A)
+        classify.has_nonneg_left_inverse(LIFT)
 
 
 def test_a_witness_that_fails_its_check_raises(monkeypatch):
@@ -443,4 +379,4 @@ def test_a_left_inverse_that_fails_its_check_raises(monkeypatch, rows):
 
     monkeypatch.setattr(lp, "equality_feasible_nonneg_each", lambda m, cs: [row(m, c) for c in cs])
     with pytest.raises(ArithmeticError, match="left inverse verification failed"):
-        classify.has_nonneg_left_inverse(LEFT_INVERSE_A)
+        classify.has_nonneg_left_inverse(LIFT)

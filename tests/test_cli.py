@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from semipos import cli, preserver
-from semipos.ratmat import MAX_FILE_BYTES, Matrix, Vector, parse_rational
+from examples import I2, LOWER, MATRICES, NEAR_IDENTITY, ONES_2, SIGNED_X, SP, ZERO_ROW
+from semipos import classify, cli, preserver
+from semipos.ratmat import MAX_FILE_BYTES, Vector, parse_rational
 from test_preserver import EXAMPLES
 
 
@@ -30,31 +31,24 @@ def test_build_rejects_bad_input(capsys):
 
 
 def test_classify_identity(capsys, tmp_path):
-    path = write(tmp_path, "id3.mat", "1 0 0\n0 1 0\n0 0 1\n")
-    code, out, _ = run_cli(capsys, "classify", path)
-    assert code == 0
-    verdicts = json.loads(out)["result"]["verdicts"]
-    for key in [
-        "semipositive",
-        "minimally_semipositive",
-        "monomial",
-        "row_positive",
-        "inverse_nonnegative",
-    ]:
-        assert verdicts[key] is True
-
-
-def test_classify_reports_exact_witness(capsys, tmp_path):
-    path = write(tmp_path, "b.mat", "3 0 0 0\n2 1 0 0\n0 0 1 5\n1 0 0 1\n")
-    code, out, _ = run_cli(capsys, "classify", path)
-    assert code == 0
-    report = json.loads(out)
-    witness = report["result"]["witnesses"]["semipositivity_vector"]
-    assert witness is not None
-    parsed = Vector([parse_rational(tok) for tok in witness])
-    b = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
-    assert parsed.is_positive() and (b @ parsed).is_positive()
-    assert [str(q) for q in parsed.entries] == witness  # exact round-trip
+    """Every row of ``examples.MATRICES`` through ``semipos classify``: exit 0,
+    the row's verdicts, its nonnegative inverse and left inverse exactly, and
+    for a semipositive A a positive witness x with A x > 0 that round-trips
+    exactly through its text."""
+    for i, row in enumerate(MATRICES):
+        code, out, _ = run_cli(capsys, "classify", write(tmp_path, f"a{i}.mat", str(row.a)))
+        result = json.loads(out)["result"]
+        assert (code, result["shape"], result["verdicts"]) == (0, list(row.a.shape), row.verdicts()), row.label
+        witnesses = result["witnesses"]
+        inverse = row.left_inverse if row.a.is_square else None
+        assert witnesses["inverse"] == cli._strings(inverse), row.label
+        assert witnesses["left_inverse"] == cli._strings(row.left_inverse), row.label
+        witness = witnesses["semipositivity_vector"]
+        assert (witness is not None) == (SP in row.holds), row.label
+        if witness is not None:
+            parsed = Vector([parse_rational(tok) for tok in witness])
+            assert parsed.is_positive() and classify.is_sp_witness(row.a, parsed), row.label
+            assert parsed.to_strings() == witness, row.label
 
 
 def test_preserver_exit_codes(capsys, tmp_path):
@@ -345,9 +339,8 @@ def test_module_entry_point():
 def test_certificate_dict_verifies_a_certificate_before_reading_its_image():
     """A hand-built certificate without an image reports X A Y: the dict
     verifies first, and verify() stores the image; the keys keep their order."""
-    x, a = Matrix([[1, 1], [0, 0]]), Matrix([[1, 1], [1, 1]])
     cert = preserver.FalsifyCertificate(
-        "image-leaves-class", preserver.CLASS_SP, x, Matrix.identity(2), a, witness=Vector([1, 0])
+        "image-leaves-class", preserver.CLASS_SP, ZERO_ROW, I2, ONES_2, witness=Vector([1, 0])
     )
     assert cert.image is None and not cert.verified
     report = cli._certificate_dict(cert)
@@ -370,11 +363,11 @@ print(json.dumps([code, semipos, "dataclasses" in sys.modules]))
 
 
 def test_each_command_imports_only_the_modules_it_runs(tmp_path):
-    id2 = write(tmp_path, "id2.mat", "1 0\n0 1\n")
-    lower = write(tmp_path, "lower.mat", "1 0\n1 1\n")
-    key = write(tmp_path, "key.mat", "1 0 0\n0 -1 0\n1 1 1\n")
+    id2 = write(tmp_path, "id2.mat", str(I2))
+    lower = write(tmp_path, "lower.mat", str(LOWER))
+    key = write(tmp_path, "key.mat", str(SIGNED_X))
     # a 3x3 X on a 2x2 Y fails the tall pair condition, so into-msp searches
-    near = write(tmp_path, "near.mat", "1 -1/10 0\n0 1 0\n0 0 1\n")
+    near = write(tmp_path, "near.mat", str(NEAR_IDENTITY))
     base = {"semipos.cli", "semipos.ratmat"}
     deciders = base | {"semipos.lp", "semipos.classify"}
     builders = base | {"semipos.construct"}

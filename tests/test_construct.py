@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from examples import DIAG_NEG, EXAMPLE_B, LOWER, ONES_2, SIGNED_X
 from semipos import construct, genfuzz
 from semipos.ratmat import (
     DimensionError,
@@ -12,8 +13,6 @@ from semipos.ratmat import (
     Vector,
     permutation_matrix,
 )
-
-EXAMPLE_B = Matrix([[3, 0, 0, 0], [2, 1, 0, 0], [0, 0, 1, 5], [1, 0, 0, 1]])
 
 
 def test_build_np_worked_example():
@@ -31,7 +30,7 @@ def test_build_np_worked_example():
 
 def test_build_np_2x2_positive_head():
     b, trace = construct.build_np(Vector([1, -1]), Vector([1, 0]))
-    assert b == Matrix([[1, 0], [1, 1]])
+    assert b == LOWER
     assert (trace.step1_case, trace.step3_case) == ("a", "e")
 
 
@@ -93,7 +92,7 @@ def _sign(q):
 
 
 def test_build_pos_examples():
-    assert construct.build_pos(Vector([1, 0]), Vector([1, 1]))[0] == Matrix([[1, 0], [1, 1]])
+    assert construct.build_pos(Vector([1, 0]), Vector([1, 1]))[0] == LOWER
     assert construct.build_pos(Vector([1, 1]), Vector([1, 1]))[0] == Matrix(
         [[1, 0], ["1/2", "1/2"]]
     )
@@ -287,24 +286,22 @@ def test_a_builder_rejects_a_wrong_inverse(monkeypatch):
 
 
 def test_mixed_sign_vector_column_path():
-    x = Matrix([[1, 0, 0], [0, -1, 0], [1, 1, 1]])
-    v, path = construct.mixed_sign_vector_with_path(x)
+    v, path = construct.mixed_sign_vector_with_path(SIGNED_X)
     assert v == Vector([0, -1, 1])
     assert path == "column-u"
-    assert (x @ v).is_nonneg()
+    assert (SIGNED_X @ v).is_nonneg()
 
 
 def test_mixed_sign_vector_combination_path():
-    x = Matrix([[-1, 0], [0, 1]])
-    v, path = construct.mixed_sign_vector_with_path(x)
+    v, path = construct.mixed_sign_vector_with_path(DIAG_NEG)
     assert v == Vector([-1, 1])
     assert path == "combination"
-    assert x @ v == Vector([1, 1])
+    assert DIAG_NEG @ v == Vector([1, 1])
 
 
 def test_mixed_sign_vector_leaves_the_inverse_grid_unbuilt(entries_reads):
     # the sign scan reads numerators and the chosen columns only their entries
-    for x in (Matrix([[1, 0, 0], [0, -1, 0], [1, 1, 1]]), Matrix([[-1, 0], [0, 1]])):
+    for x in (SIGNED_X, DIAG_NEG):
         v = construct.mixed_sign_vector(x, x.inverse())
         assert v.has_mixed_signs() and (x @ v).is_nonneg()
     assert entries_reads == []
@@ -316,7 +313,7 @@ def test_mixed_sign_vector_preconditions():
     with pytest.raises(InvalidInputError):
         construct.mixed_sign_vector(-Matrix.identity(3))
     with pytest.raises(InvalidInputError):
-        construct.mixed_sign_vector(Matrix([[1, 1], [1, 1]]))  # singular
+        construct.mixed_sign_vector(ONES_2)  # singular
     with pytest.raises(DimensionError, match="square"):
         construct.mixed_sign_vector(Matrix([[1, -1, 0], [0, 1, 1]]))
 

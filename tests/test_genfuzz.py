@@ -87,6 +87,8 @@ def test_gen_msp_needs_tall():
         pytest.param(lambda rng: genfuzz.mixed_int_vector(rng, 3, 0), id="mixed-bound-0"),
         pytest.param(lambda rng: genfuzz.nonzero_int_vector(rng, 3, 0, 0), id="nonzero-range-0"),
         pytest.param(lambda rng: genfuzz.invertible_int_matrix(rng, 2, 0), id="invertible-bound-0"),
+        pytest.param(lambda rng: genfuzz.non_monomial_row_positive_matrix(rng, 1), id="row-positive-1x1"),
+        pytest.param(lambda rng: genfuzz.mixed_row_matrix(rng, 1), id="mixed-row-1x1"),
     ],
 )
 def test_a_family_no_draw_can_satisfy_raises_before_drawing(draw):

@@ -15,9 +15,9 @@ import dataclasses
 import json
 import random
 from collections import Counter
-from fractions import Fraction
 
 import golden
+from examples import NEAR_IDENTITY
 from semipos import cli, construct, genfuzz, preserver
 from semipos.ratmat import Matrix
 
@@ -27,24 +27,9 @@ TALL = ((3, 2), (4, 3), (5, 2), (5, 4))
 WIDE = ((2, 3), (3, 5))
 
 
-def _row_positive(rng: random.Random, n: int) -> Matrix:
-    """Nonnegative, no zero row, and not monomial (row 0 has two positive entries)."""
-    rows = genfuzz.int_rows(rng, n, n, 0, 3)
-    for row in rows:
-        row[rng.randrange(n)] = rng.randint(1, 3)
-    rows[0][0], rows[0][1] = rng.randint(1, 3), rng.randint(1, 3)
-    return Matrix(rows)
-
-
-def _mixed_row(rng: random.Random, n: int) -> Matrix:
-    rows = genfuzz.int_rows(rng, n, n)
-    rows[0][0], rows[0][1] = rng.randint(1, 3), -rng.randint(1, 3)
-    return Matrix(rows)
-
-
 def _uniform_rows(rng: random.Random, n: int) -> Matrix:
     """Every row of one sign and nonzero, row 0 nonnegative and row 1 nonpositive."""
-    rows = _row_positive(rng, n).entries
+    rows = genfuzz.non_monomial_row_positive_matrix(rng, n).entries
     return Matrix([[-v for v in row] if i == 1 else list(row) for i, row in enumerate(rows)])
 
 
@@ -54,8 +39,8 @@ def _square_cases(n: int, cfg: genfuzz.GenConfig):
     z2 = genfuzz.gen_inverse_nonneg(n, cfg, ("z2", n))
     p = genfuzz.gen_monomial(n, cfg, ("p", n))
     q = genfuzz.gen_monomial(n, cfg, ("q", n))
-    r = _row_positive(rng, n)
-    mixed = _mixed_row(rng, n)
+    r = genfuzz.non_monomial_row_positive_matrix(rng, n)
+    mixed = genfuzz.mixed_row_matrix(rng, n)
     neither = golden.flip_columns(rng, z1)
     rand_x, rand_y = genfuzz.int_matrix(rng, n, n), genfuzz.int_matrix(rng, n, n)
     pairs = {
@@ -111,7 +96,7 @@ def _square_cases(n: int, cfg: genfuzz.GenConfig):
 def _rectangular_cases(cfg: genfuzz.GenConfig):
     for m in SIZES:
         rng = random.Random(f"golden:column:{m}")
-        r, mixed = _row_positive(rng, m), _mixed_row(rng, m)
+        r, mixed = genfuzz.non_monomial_row_positive_matrix(rng, m), genfuzz.mixed_row_matrix(rng, m)
         cells = {
             "yes": (r, Matrix([[2]])),
             "yes-negated": (-r, Matrix([[-1]])),
@@ -148,8 +133,7 @@ def _rectangular_cases(cfg: genfuzz.GenConfig):
         for cell, (x, y) in cells.items():
             yield f"into_msp-tall-{cell}-{m}x{n}", "into_msp", x, y
     # not a preserver, yet the fixed search finds no counterexample
-    near_identity = Matrix([[1, Fraction(-1, 10), 0], [0, 1, 0], [0, 0, 1]])
-    yield "into_msp-tall-unknown-3x2", "into_msp", near_identity, Matrix.identity(2)
+    yield "into_msp-tall-unknown-3x2", "into_msp", NEAR_IDENTITY, Matrix.identity(2)
     # the class is empty on a wide space: both questions are a vacuous yes
     for m, n in WIDE:
         yield f"onto_msp-wide-{m}x{n}", "onto_msp", -Matrix.identity(m), Matrix.identity(n)
@@ -218,7 +202,7 @@ def test_only_the_search_draws_reach_an_lp_in_verify(lp_calls):
         assert cert.verify(), cert.note
         if lp_calls:
             with_lp.add(cert.note)
-    assert with_lp == {"randomized-counterexample"}
+    assert with_lp == {preserver.NOTE_RANDOMIZED_COUNTEREXAMPLE}
 
 
 def test_every_golden_verdict_inverts_each_matrix_at_most_once(monkeypatch):
@@ -319,16 +303,4 @@ def test_golden_covers_every_reason_and_note():
         getattr(preserver, name) for name in dir(preserver) if name.startswith("REASON_")
     }
     notes = {r["certificate"]["note"] for r in pinned.values() if r["certificate"]}
-    assert notes == {
-        "zero-row",
-        "mixed-row",
-        "uniform-sign-rows",
-        "y-singular",
-        "y-inverse-negative-entry",
-        "x-or-y-singular",
-        "x-not-inverse-nonnegative-either-sign",
-        "y-not-inverse-nonnegative",
-        "x-singular-no-preimage",
-        "y-singular-image-rank-deficient",
-        "randomized-counterexample",
-    }
+    assert notes == {getattr(preserver, name) for name in dir(preserver) if name.startswith("NOTE_")}
