@@ -100,11 +100,31 @@ MUTANTS = [
     # the inverse's joining unit column not divided by the pivot row's scale, and its starting index left behind on a row swap
     ("ratmat.py", "dens[origin[r]] * d // scales[r]", "dens[origin[r]] * d", ["tests/test_ratmat.py"]),
     ("ratmat.py", "origin[r], origin[p] = origin[p], origin[r]", "pass", ["tests/test_ratmat.py"]),
+    # a zero-head row left undivided by the pivot step, and Matrix @ Matrix dropping the row denominators of the left factor
+    (
+        "ratmat.py",
+        "elif q != 1:\n            grid[i] = [x // q for x in row]",
+        "elif False:\n            pass",
+        ["tests/test_ratmat.py::test_elimination_matches_plain_gauss_jordan"],
+    ),
+    (
+        "ratmat.py",
+        "_reduced(den * lcm, row) for den, row in zip(self._dens, rows)",
+        "_reduced(lcm, row) for den, row in zip(self._dens, rows)",
+        ["tests/test_ratmat.py::test_inverse_round_trip"],
+    ),
     # the packed identity check: its slot width one bit short of the bound, the expected value t_ii left
     # out of the width, the shape check cut
     ("ratmat.py", "(max(x._dens) * lcm).bit_length()) + 1", "(max(x._dens) * lcm).bit_length())", ["tests/test_ratmat.py"]),
     ("ratmat.py", "w = max((reach * top).bit_length(), (max(x._dens) * lcm).bit_length()) + 1", "w = (reach * top).bit_length() + 1", ["tests/test_ratmat.py"]),
     ("ratmat.py", "if x.cols != y.rows:", "if False:", ["tests/test_ratmat.py"]),
+    # the packed identity check's width bounding a row of X by its largest entry, not by the sum of its entries
+    (
+        "ratmat.py",
+        "reach = max(sum(map(abs, nums)) for nums in x._nums)",
+        "reach = max(max(map(abs, nums)) for nums in x._nums)",
+        ["tests/test_ratmat.py::test_identity_product_rejects_rows_that_collide_one_bit_short"],
+    ),
     # the packed identity check's width blind to the size of Y's entries, and the file cap cut to 2,049 bytes
     ("ratmat.py", "reach * top", "reach // top", ["tests/test_ratmat.py"]),
     ("ratmat.py", "MAX_DIM * MAX_DIM", "MAX_DIM // MAX_DIM", ["tests/test_cli.py"]),

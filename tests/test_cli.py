@@ -72,14 +72,6 @@ def test_preserver_exit_codes(capsys, tmp_path):
     assert code == 64 and out == "" and "not decided for rows > cols" in err
 
 
-def test_preserver_into_msp_column(capsys, tmp_path):
-    ones = write(tmp_path, "ones.mat", "1 1\n1 1\n")
-    y1 = write(tmp_path, "y1.mat", "1\n")
-    code, out, _ = run_cli(capsys, "preserver", "into-msp", "--x", ones, "--y", y1)
-    assert code == 0
-    assert json.loads(out)["result"]["reason"] == "x-row-positive-y-inverse-nonnegative"
-
-
 def test_fuzz_subcommand(capsys):
     code, out, _ = run_cli(capsys, "fuzz", "build-np", "--seed", "3", "--trials", "20")
     assert code == 0
