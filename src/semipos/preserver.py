@@ -479,7 +479,7 @@ def _certificate(verdict: PreserverVerdict) -> FalsifyCertificate:
     if verdict.status is Verdict.UNKNOWN:
         raise InvalidInputError("no certificate was found; the verdict is unknown")
     if verdict.certificate is None:
-        raise InvalidInputError("the pair condition holds; nothing to falsify")
+        raise InvalidInputError(f"the verdict is yes ({verdict.reason}); nothing to falsify")
     return verdict.certificate
 
 

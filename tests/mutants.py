@@ -5,10 +5,12 @@ Run from anywhere as ``python3 tests/mutants.py`` (no arguments).  Each row is
 pytest node id (``path::test``).  For each row the
 old text, which must occur exactly once in the file, is replaced in a copy of
 ``src`` made in a temporary directory, and ``python -m pytest <paths>`` runs
-against that copy.  The mutant is killed only when pytest exits 1 (a test
-failed); exit 0 means it survived, and any other code (a wrong path, a
-collection error, an interrupt) tested nothing.  One line is printed per
-mutant, and the exit code is 1 unless every mutant is killed.
+against that copy, stopped after ``TIMEOUT_S`` seconds.  The mutant is killed
+only when pytest exits 1 (a test failed); exit 0 means it survived, and any
+other code (a wrong path, a collection error, an interrupt) or a run that
+times out tested nothing.  One line is printed per mutant, with its outcome
+and the seconds it took, and the exit code is 1 unless every mutant is
+killed.
 
 pytest does not collect this file; ``tests/test_mutants.py`` checks the table
 itself in tier-1.  Adding a mutant takes one row here.
@@ -19,9 +21,13 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# far above the slowest killed mutant, so only a mutant that hangs its tests reaches it
+TIMEOUT_S = 60
 
 CLASSIFY = ["tests/test_classify.py", "tests/test_preserver.py"]
 
@@ -128,6 +134,14 @@ MUTANTS = [
     # the packed identity check's width blind to the size of Y's entries, and the file cap cut to 2,049 bytes
     ("ratmat.py", "reach * top", "reach // top", ["tests/test_ratmat.py"]),
     ("ratmat.py", "MAX_DIM * MAX_DIM", "MAX_DIM // MAX_DIM", ["tests/test_cli.py"]),
+    # the pivot search blind to the last row, so det() is 0 on every square matrix: a draw loop
+    # waiting for det() != 0 must give up and fail, not hang
+    (
+        "ratmat.py",
+        "for i in range(r, len(grid)) if grid[i][k] != 0",
+        "for i in range(r, len(grid) - 1) if grid[i][k] != 0",
+        ["tests/test_ratmat.py::test_identity_product_agrees_with_the_full_product"],
+    ),
     # a zero row found only in row 0, and Vector addition cross-multiplied the wrong way round
     ("ratmat.py", "return any(not any(nums) for nums in self._nums)", "return not any(self._nums[0])", ["tests/test_preserver.py", "tests/test_metamorphic.py"]),
     ("ratmat.py", "a * e + b * d", "a * d + b * e", ["tests/test_ratmat.py"]),
@@ -152,19 +166,24 @@ def run(name: str, old: str, new: str, tests: list[str]) -> str:
         except ValueError as e:
             return f"NOT APPLIED: {e}"
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-        code = subprocess.run(
-            [sys.executable, "-m", "pytest", *tests, "-q", "-x", "-p", "no:cacheprovider"],
-            cwd=ROOT, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        ).returncode
+        try:
+            code = subprocess.run(
+                [sys.executable, "-m", "pytest", *tests, "-q", "-x", "-p", "no:cacheprovider"],
+                cwd=ROOT, env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                timeout=TIMEOUT_S,
+            ).returncode
+        except subprocess.TimeoutExpired:
+            return f"NOT TESTED: timed out after {TIMEOUT_S} s"
     return {0: "SURVIVED", 1: "killed"}.get(code, f"NOT TESTED: pytest exit {code}")
 
 
 def main() -> int:
     failed = 0
     for name, old, new, tests in MUTANTS:
+        started = time.perf_counter()
         outcome = run(name, old, new, tests)
         failed += outcome != "killed"
-        print(f"{outcome}  {name}: {old!r} -> {new!r}  [{' '.join(tests)}]", flush=True)
+        print(f"{outcome} ({time.perf_counter() - started:.1f} s)  {name}: {old!r} -> {new!r}  [{' '.join(tests)}]", flush=True)
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 

@@ -24,12 +24,6 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def test_build_rejects_bad_input(capsys):
-    code, _, err = run_cli(capsys, "build", "np", "--v", "1 1", "--w", "1 0")
-    assert code == 64
-    assert "positive and negative" in err
-
-
 def test_classify_identity(capsys, tmp_path):
     """Every row of ``examples.MATRICES`` through ``semipos classify``: exit 0,
     the row's verdicts, its nonnegative inverse and left inverse exactly, and
@@ -54,7 +48,7 @@ def test_classify_identity(capsys, tmp_path):
 def test_preserver_exit_codes(capsys, tmp_path):
     """Every row of ``test_preserver.EXAMPLES`` through ``semipos preserver``:
     exit 0, 1 or 2 for yes, no or unknown, the row's reason, and its
-    certificate's note, verified; an undecided onto question exits 64."""
+    certificate's note, verified."""
     exits = {"yes": 0, "no": 1, "unknown": 2}
     for i, (kind, x, y, status, reason, note) in enumerate(EXAMPLES):
         x_path, y_path = write(tmp_path, f"x{i}.mat", str(x)), write(tmp_path, f"y{i}.mat", str(y))
@@ -66,10 +60,6 @@ def test_preserver_exit_codes(capsys, tmp_path):
             assert cert is None, (kind, x, y)
         else:
             assert (cert["note"], cert["verified"]) == (note, True), (kind, x, y)
-    id3 = write(tmp_path, "id3.mat", "1 0 0\n0 1 0\n0 0 1\n")
-    id2 = write(tmp_path, "id2.mat", "1 0\n0 1\n")
-    code, out, err = run_cli(capsys, "preserver", "onto-msp", "--x", id3, "--y", id2)
-    assert code == 64 and out == "" and "not decided for rows > cols" in err
 
 
 def test_fuzz_subcommand(capsys):
@@ -77,7 +67,6 @@ def test_fuzz_subcommand(capsys):
     assert code == 0
     result = json.loads(out)["result"]
     assert result["trials"] == 20 and result["failures"] == 0 and result["passed"]
-
 
 
 def test_fuzz_reports_a_raising_trial_as_a_failure(capsys, monkeypatch):
@@ -117,15 +106,6 @@ def test_pretty_fuzz_notes_are_a_list_not_a_tuple_repr(capsys, monkeypatch):
         "    - trial 0: ArithmeticError: simplex offline\n"
         "    - trial 1: ArithmeticError: simplex offline\n"
     ) in out and "('" not in out
-
-def test_non_positive_trial_counts_are_input_errors(capsys):
-    for argv in (
-        ("fuzz", "build-np", "--trials", "-3"),
-        ("fuzz", "build-np", "--trials", "0"),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 64 and out == "", argv
-        assert "must be at least 1" in err, argv
 
 
 def test_basis_12x12_spans(capsys):
@@ -176,40 +156,9 @@ def test_unknown_campaign_is_a_usage_error(capsys):
     assert "campaign" in capsys.readouterr().out
 
 
-def test_basis_needs_tall_nonempty_shape(capsys):
-    for m, n in (("2", "0"), ("-1", "1"), ("17", "16")):
-        code, out, err = run_cli(capsys, "basis", "--m", m, "--n", n)
-        assert code == 64 and out == "", (m, n)
-        assert "need m >= n >= 1 and m*n <= 256" in err
-
-
-def test_out_of_grammar_entries_are_input_errors(capsys, tmp_path):
-    for token in ("1e1000000", "1_0", "\u0663"):
-        path = write(tmp_path, "odd.mat", f"1 0\n0 {token}\n")
-        code, out, err = run_cli(capsys, "classify", path)
-        assert code == 64 and out == "", token
-        assert "odd.mat, line 2" in err and "ASCII digits" in err, token
-    code, _, err = run_cli(capsys, "build", "pos", "--v", "1 1e2", "--w", "1 1")
-    assert code == 64 and "--v" in err
-    for token in ("1/0", "0/0", "-3/00"):
-        path = write(tmp_path, "zero.mat", f"1 {token}\n")
-        code, out, err = run_cli(capsys, "classify", path)
-        assert code == 64 and out == "", token
-        assert f"zero.mat, line 1: bad rational '{token}': zero denominator" in err, token
-        assert "Fraction(" not in err, token
-
-
 def test_oversized_input_is_an_input_error(capsys, tmp_path):
-    wide = write(tmp_path, "wide.mat", "1\n" + " ".join(["1"] * 65) + "\n")
-    code, out, err = run_cli(capsys, "classify", wide)
-    assert code == 64 and out == ""
-    assert "wide.mat, line 2" in err and "cap of 64" in err
-    big = write(tmp_path, "big.mat", f"1 0\n0 {2**1024}\n")
-    code, out, err = run_cli(capsys, "witness", "sp", big)
-    assert code == 64 and out == ""
-    assert "big.mat, line 2" in err and "1024 bits" in err
-    code, _, err = run_cli(capsys, "build", "pos", "--v", " ".join(["1"] * 65), "--w", "1")
-    assert code == 64 and "--v" in err and "cap of 64" in err
+    """The file byte cap at its boundary, which the small refusals of
+    ``golden_cli.json`` do not reach."""
     # a comment pads the file to exactly the byte cap, which is read and parsed
     at_cap = tmp_path / "at_cap.mat"
     at_cap.write_bytes(b"1\n#" + b"x" * (MAX_FILE_BYTES - 3))
@@ -248,31 +197,6 @@ def test_closed_stdout_exits_without_traceback():
     assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
-def test_malformed_matrix_names_line(capsys, tmp_path):
-    path = write(tmp_path, "broken.mat", "1 2\n3 x\n")
-    code, _, err = run_cli(capsys, "classify", path)
-    assert code == 64
-    assert "line 2" in err and "broken.mat" in err
-    # a file of comments and blank lines holds no matrix
-    path = write(tmp_path, "empty.mat", "# no rows here\n\n   \n# nor here\n")
-    code, out, err = run_cli(capsys, "classify", path)
-    assert code == 64 and out == ""
-    assert "empty.mat: no matrix rows found" in err
-
-
-def test_missing_file(capsys):
-    code, _, err = run_cli(capsys, "classify", "does-not-exist.mat")
-    assert code == 64 and "does-not-exist.mat" in err
-
-
-def test_non_utf8_file_is_input_error(capsys, tmp_path):
-    path = tmp_path / "latin.mat"
-    path.write_bytes(b"\xff\xfe1 2\n")
-    code, out, err = run_cli(capsys, "classify", str(path))
-    assert code == 64 and out == ""
-    assert "latin.mat" in err and "UTF-8" in err
-
-
 def test_digest_is_of_the_file_bytes(capsys, tmp_path):
     reports = {}
     for name, text in (("lf.mat", b"1 0\n0 1\n"), ("crlf.mat", b"1 0\r\n0 1\r\n")):
@@ -285,13 +209,6 @@ def test_digest_is_of_the_file_bytes(capsys, tmp_path):
         assert reports[name]["inputs"]["matrix"]["sha256"] == digest
     assert reports["lf.mat"]["result"] == reports["crlf.mat"]["result"]
     assert reports["lf.mat"]["inputs"]["matrix"]["sha256"] != reports["crlf.mat"]["inputs"]["matrix"]["sha256"]
-
-
-def test_dimension_mismatch_is_input_error(capsys, tmp_path):
-    rect = write(tmp_path, "rect.mat", "1 0 0\n0 1 0\n")
-    id3 = write(tmp_path, "id3.mat", "1 0 0\n0 1 0\n0 0 1\n")
-    code, _, err = run_cli(capsys, "preserver", "into-sp", "--x", rect, "--y", id3)
-    assert code == 64 and "square" in err
 
 
 def test_pretty_mode(capsys, tmp_path):

@@ -682,10 +682,13 @@ def identity_product_pairs(seed):
         return Fraction(rng.randint(-top, top), rng.randint(1, 97))
 
     def invertible(n):
-        while True:
+        # a draw is singular with probability far below 1/2, so 64 draws all
+        # singular mean that det() is wrong, not that the seed is unlucky
+        for _ in range(64):
             a = Matrix([[entry() for _ in range(n)] for _ in range(n)])
             if a.det() != 0:
                 return a, a.inverse()
+        raise AssertionError(f"64 draws of {n}x{n} entries, every one with det() == 0")
 
     def nudged(y):
         rows = [list(row) for row in y.entries]
