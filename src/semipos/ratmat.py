@@ -578,6 +578,8 @@ class Matrix(_Rows):
         return Matrix._from_integer_rows(_reduced(lcm, col) for col in zip(*scaled))
 
     def delete_col(self, j: int) -> "Matrix":
+        if not 0 <= j < self.cols:
+            raise DimensionError(f"cannot delete column {j} of {self.cols}")
         if self.cols == 1:
             raise DimensionError("cannot delete the only column")
         return Matrix._from_integer_rows(

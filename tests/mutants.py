@@ -43,6 +43,11 @@ MUTANTS = [
     # of the classify tests, only a row of examples.MATRICES tells either apart
     ("classify.py", "(*rows, *zip(*rows))", "rows", ["tests/test_classify.py::test_matrix_example"]),
     ("classify.py", "return a.is_nonneg() and not a.has_zero_row()", "return a.is_nonneg()", ["tests/test_classify.py::test_matrix_example"]),
+    # a route that needs no LP sent to one, with no verdict changed: the nonpositive-row refutation of SP cut,
+    # the rank test of MSP cut to the shape test, and a square A's left inverse taken by the equality LPs
+    ("classify.py", "if a.has_nonpositive_row():", "if False:", ["tests/test_classify.py::test_a_nonpositive_row_refutes_semipositivity_without_lp"]),
+    ("classify.py", "a.rank() < a.cols", "a.rows < a.cols", ["tests/test_classify.py::test_rank_deficient_msp_is_refuted_without_lp"]),
+    ("classify.py", "is_inverse_nonnegative(a) if a.is_square else left_inverse_by_lp(a)", "left_inverse_by_lp(a)", ["tests/test_classify.py::test_a_square_classify_all_takes_its_left_inverse_from_its_inverse"]),
     # verify() with its stored-image comparison cut
     ("preserver.py", "elif self.image != image:", "elif False:", ["tests/test_preserver.py"]),
     # the (X, Y) / (-X, -Y) sign symmetry, and the nonpositive-inverse sign

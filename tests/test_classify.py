@@ -1,11 +1,36 @@
+"""Tests of ``classify``: the evidence checkers, the deciders and ``classify_all``.
+
+``CORPUS`` is the one seeded set of classify inputs: 520 matrices up to 6x6,
+square, tall, wide and one-column, each drawn by the next of ten slots:
+``gen_msp``, ``gen_sp`` and its ``singular`` copy (the last row repeating the
+first), ``int_matrix`` in -3..3 on a tall or square shape (two slots),
+``int_matrix`` in -1..3 with a repeated row, a row forced nonpositive, a last
+column dependent on the others, ``row_positive_int_matrix`` and positive
+monomials (``gen_monomial``).  The module fixture ``corpus`` makes one pass
+over it, recording the deciders' verdicts, ``classify_all``'s report, the LPs
+and solves each ran, and the oracles: vertex enumeration
+(``lp.feasible_nonneg_bruteforce``, where m + n <= 10) for semipositivity,
+``msp_by_deletion`` for minimal semipositivity and, on a square row, the
+inverse and ``left_inverse_by_lp``.  Ten tests each check one property on
+every record: the deciders against the oracles, the LPs and solves each route
+of ``is_minimally_semipositive`` takes (none for a nonpositive row, a wide
+shape or rank below n, no equality LP for a square row), the one inverse or
+left inverse ``classify_all`` takes, and a coverage floor for each
+(SP, MSP, shape) cell and each route.  ``tests/test_metamorphic.py`` checks
+the symmetries of the classes on the same rows.  ``test_matrix_example`` checks every row of
+``examples.MATRICES``, and the directed tests each checker's table and the
+raises.
+"""
+
 import inspect
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
 from examples import (
-    EXAMPLE_B, INVERSE_NONNEGATIVE, LIFT, MATRICES, MONOMIAL, MSP, NONNEGATIVE, ONES_2, POSITIVE,
-    ROW_POSITIVE, SP, UPPER,
+    INVERSE_NONNEGATIVE, LIFT, MATRICES, MONOMIAL, MSP, NONNEGATIVE, POSITIVE, ROW_POSITIVE, SP, UPPER,
 )
 from semipos import classify, construct, genfuzz, lp
 from semipos.ratmat import DimensionError, Matrix, SingularMatrixError, Vector, basis_vector, ones_vector
@@ -157,42 +182,191 @@ def test_the_result_records_keep_their_fields_order_and_defaults():
     }
 
 
-def test_square_msp_by_inverse_matches_oracles():
+def corpus_rows(count):
+    """``count`` seeded matrices up to 6x6, about half of them square, each
+    drawn by the next of ten slots in turn (see the module docstring)."""
+    rng = random.Random("classify-corpus")
+    cfg = genfuzz.GenConfig(42)
+    for t in range(count):
+        m = rng.randint(1, 6)
+        n = m if rng.random() < 0.4 else rng.randint(1, 6)
+        family = t % 10
+        if family == 0:
+            yield genfuzz.gen_msp(max(m, n), min(m, n), cfg, t)
+        elif family in (1, 2):
+            sp = genfuzz.gen_sp(m, n, cfg, t)
+            yield genfuzz.singular(sp) if family == 2 else sp
+        elif family in (3, 9):
+            yield genfuzz.int_matrix(rng, max(m, n), min(m, n))
+        elif family == 4:
+            yield genfuzz.singular(genfuzz.int_matrix(rng, m, n, -1, 3))
+        elif family == 5:
+            rows = genfuzz.int_rows(rng, m, n)
+            forced = rng.randrange(m)
+            rows[forced] = [-abs(v) for v in rows[forced]]
+            yield Matrix(rows)
+        elif family == 6:
+            # the last column a combination of the others, so rank < n
+            n, c = max(n, 2), rng.randint(-2, 2)
+            rows = genfuzz.int_rows(rng, m, n)
+            for row in rows:
+                row[-1] = row[0] + c * row[-2]
+            yield Matrix(rows)
+        elif family == 7:
+            yield genfuzz.row_positive_int_matrix(rng, m, n)
+        else:
+            yield genfuzz.gen_monomial(m, cfg, t)
+
+
+CORPUS = list(corpus_rows(520))
+
+
+# the LPs and solves ``is_minimally_semipositive`` runs on each route
+ROUTE_CALLS = {
+    "nonpositive-row": [], "wide": [], "rank-below-n": [], "not-sp": ["feasible_nonneg"],
+    "inverse": ["feasible_nonneg", "inverse"],
+    "left-inverse-lp": ["feasible_nonneg", "left_inverse_by_lp", "equality_feasible_nonneg_each"],
+}
+COUNTED = [(lp, "feasible_nonneg"), (lp, "equality_feasible_nonneg"), (lp, "equality_feasible_nonneg_each")]
+COUNTED += [(Matrix, "inverse"), (classify, "left_inverse_by_lp")]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    """The one pass over ``CORPUS``, one record a row: the deciders' verdicts
+    and ``classify_all``'s report, the LPs and solves each of the three ran
+    (``COUNTED``), the route ``is_minimally_semipositive`` takes, and the
+    oracles' verdicts; the tests below each check one property on every row."""
+    calls = []
+
+    def counted(decide, a):
+        calls.clear()
+        return decide(a), list(calls)
+
+    records = []
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in COUNTED:
+            solve = getattr(owner, name)
+            patch.setattr(owner, name, lambda *args, solve=solve, name=name: calls.append(name) or solve(*args))
+        for a in CORPUS:
+            m, n = a.shape
+            (sp, x), sp_calls = counted(classify.is_semipositive, a)
+            msp, msp_calls = counted(classify.is_minimally_semipositive, a)
+            report, report_calls = counted(classify.classify_all, a)
+            # a row with no positive entry, found without the library's sign test
+            nonpositive_row = any(all(v <= 0 for v in row) for row in a.entries)
+            records.append(SimpleNamespace(
+                a=a, shape="square" if m == n else "tall" if m > n else "wide", nonpositive_row=nonpositive_row,
+                sp=sp, x=x, msp=msp, report=report, sp_calls=sp_calls, msp_calls=msp_calls, report_calls=report_calls,
+                # the step of is_minimally_semipositive that settles a "no", or the left inverse it ends in
+                route=(
+                    "nonpositive-row" if nonpositive_row else "wide" if m < n else "rank-below-n" if a.rank() < n
+                    else "not-sp" if not sp else "inverse" if m == n else "left-inverse-lp"
+                ),
+                by_deletion=classify.msp_by_deletion(a),
+                by_vertices=lp.feasible_nonneg_bruteforce(a, ones_vector(m)).feasible if m + n <= 10 else None,
+                by_lp=classify.left_inverse_by_lp(a)[0] if m == n else None,
+            ))
+    return records
+
+
+def test_square_msp_by_inverse_matches_oracles(corpus):
     # the preserver certificates decide square MSP by the inverse alone
-    cfg = genfuzz.GenConfig(31)
-    rng = random.Random("square-msp-oracle")
-    verdicts = {"msp": set(), "sp": set(), "singular": set(), "random": set()}
-    for n in range(2, 7):
-        for t in range(3):
-            sp = genfuzz.gen_sp(n, n, cfg, ("oracle", t))
-            samples = {
-                "msp": genfuzz.gen_msp(n, n, cfg, ("oracle", t)),
-                "sp": sp,
-                "singular": genfuzz.singular(sp),
-                "random": genfuzz.int_matrix(rng, n, n),
-            }
-            for family, a in samples.items():
-                by_inverse = classify.is_inverse_nonnegative(a)[0]
-                assert by_inverse == classify.msp_by_deletion(a) == classify.is_minimally_semipositive(a), (family, a)
-                verdicts[family].add(by_inverse)
-    assert verdicts["msp"] == {True} and verdicts["singular"] == {False}
-    assert False in verdicts["sp"] and False in verdicts["random"]
+    square = [r for r in corpus if r.shape == "square"]
+    for r in square:
+        assert r.msp == r.report.inverse_nonnegative == r.by_deletion == r.by_lp, r.a
+    verdicts = Counter(r.msp for r in square)
+    assert verdicts[True] >= 50 and verdicts[False] >= 100, verdicts
 
 
-def test_msp_routes_agree():
-    rng = random.Random("classify-msp")
-    shapes = [(2, 2), (3, 2), (3, 3), (4, 3), (5, 4), (4, 2)]
-    checked_square = 0
-    for t in range(150):
-        m, n = shapes[t % len(shapes)]
-        a = genfuzz.int_matrix(rng, m, n)
-        fast = classify.is_minimally_semipositive(a)
-        assert fast == classify.msp_by_deletion(a)
-        if m == n:
-            # the decider settles a square A by its inverse; the LPs are the other opinion
-            checked_square += 1
-            assert fast == classify.left_inverse_by_lp(a)[0]
-    assert checked_square > 0
+def test_msp_routes_agree(corpus):
+    routes = Counter()
+    for r in corpus:
+        assert r.msp == r.by_deletion and (r.sp or not r.msp), r.a
+        assert r.msp_calls == ROUTE_CALLS[r.route], r.a
+        routes[r.route] += 1
+    floors = {"nonpositive-row": 100, "wide": 40, "rank-below-n": 50, "not-sp": 5, "inverse": 100, "left-inverse-lp": 50}
+    assert all(routes[route] >= floor for route, floor in floors.items()), routes
+
+
+def test_wide_matrices_use_definition(corpus):
+    wide = [r for r in corpus if r.shape == "wide"]
+    assert len(wide) >= 40 and not any(r.msp or r.by_deletion for r in wide)
+
+
+def test_wide_msp_is_decided_without_lp(corpus):
+    semipositive = 0
+    for r in corpus:
+        if r.shape == "wide":
+            # classify_all runs is_semipositive's LP and nothing else
+            assert r.msp_calls == [] and r.report_calls == r.sp_calls, r.a
+            semipositive += r.report.semipositive
+    assert semipositive >= 10
+
+
+def test_a_square_classify_all_takes_its_left_inverse_from_its_inverse(corpus):
+    msp = Counter()
+    for r in corpus:
+        solves = [r.report_calls.count(name) for name in ("inverse", "left_inverse_by_lp", "equality_feasible_nonneg_each")]
+        # a square A takes one inverse and no LP for it; a tall A one left inverse by the equality LPs
+        assert solves == [r.shape == "square", r.shape == "tall", r.shape == "tall"], r.a
+        if r.shape == "square":
+            assert "left_inverse_by_lp" not in r.msp_calls, r.a
+            assert r.report.left_inv == r.report.inv and (r.report.left_inv is not None) == r.msp, r.a
+            msp[r.msp] += 1
+    assert msp[True] >= 50 and msp[False] >= 100, msp
+
+
+def test_rank_deficient_msp_is_refuted_without_lp(corpus):
+    deficient = [r for r in corpus if r.route == "rank-below-n"]
+    for r in deficient:
+        assert r.a.rank() < r.a.cols and r.msp_calls == [], r.a
+        assert not r.msp and not r.by_deletion, r.a
+    assert len(deficient) >= 50 and sum(r.sp for r in deficient) >= 10
+
+
+def test_a_nonpositive_row_refutes_semipositivity_without_lp(corpus):
+    nonpositive = [r for r in corpus if r.nonpositive_row]
+    for r in nonpositive:
+        assert (r.sp, r.x) == (False, None) and r.sp_calls == r.msp_calls == [], r.a
+        assert r.by_vertices in (None, False), r.a
+    assert len(nonpositive) >= 100
+
+
+def test_monomial_characterization(corpus):
+    monomial = Counter()
+    for r in corpus:
+        if r.shape == "square":
+            # the report's verdicts are is_monomial's, is_row_positive's and is_inverse_nonnegative's
+            report = r.report
+            assert report.monomial == (report.row_positive and report.inverse_nonnegative), r.a
+            monomial[report.monomial] += 1
+    assert monomial[True] >= 40 and monomial[False] >= 100, monomial
+
+
+def test_row_positive_implies_semipositive(corpus):
+    # and every "yes" carries a positive witness that checks, and vertex enumeration agrees
+    row_positive, by_vertices = 0, 0
+    for r in corpus:
+        assert r.sp or not r.report.row_positive, r.a
+        assert (r.x is not None) == r.sp and (not r.sp or r.x.is_positive() and classify.is_sp_witness(r.a, r.x)), r.a
+        assert r.by_vertices in (None, r.sp), r.a
+        row_positive += r.report.row_positive
+        by_vertices += r.by_vertices is not None
+    assert row_positive >= 50 and by_vertices >= 300
+
+
+def test_report_internal_consistency(corpus):
+    cells, left_not_sp = Counter(), 0
+    for r in corpus:
+        report = r.report
+        assert (report.semipositive, report.minimally_semipositive, report.sp_witness) == (r.sp, r.msp, r.x), r.a
+        assert report.semipositive or not report.minimally_semipositive, r.a
+        cells[r.sp, r.msp, r.shape] += 1
+        left_not_sp += report.left_inv is not None and not r.sp
+    # (SP, MSP, shape): every cell that can occur, a wide matrix never MSP, and one-column rows among them
+    assert len(cells) == 8 and min(cells.values()) >= 10, cells
+    assert left_not_sp >= 20 and sum(r.a.cols == 1 for r in corpus) >= 50
 
 
 def test_the_one_basis_left_inverse_agrees_with_n_independent_lps(phase1_runs):
@@ -221,70 +395,6 @@ def test_the_one_basis_left_inverse_agrees_with_n_independent_lps(phase1_runs):
     assert verdicts == {True, False} and fallbacks > 0
 
 
-def test_wide_matrices_use_definition():
-    rng = random.Random("classify-wide")
-    for _ in range(40):
-        a = genfuzz.int_matrix(rng, 2, rng.randint(3, 4))
-        assert not classify.is_minimally_semipositive(a) and not classify.msp_by_deletion(a)
-
-
-def test_wide_msp_is_decided_without_lp(lp_calls):
-    wide = Matrix([[1, 2, 0, 1], [0, 1, 3, 1]])
-    assert not classify.is_minimally_semipositive(wide)
-    assert lp_calls == []
-    report = classify.classify_all(wide)
-    assert report.semipositive and not report.minimally_semipositive
-    assert lp_calls == ["feasible_nonneg"]
-
-
-def test_a_square_classify_all_takes_its_left_inverse_from_its_inverse(lp_calls):
-    cfg = genfuzz.GenConfig(1)
-    msp = set()
-    for a in (genfuzz.gen_msp(12, 12, cfg, 0), EXAMPLE_B, genfuzz.gen_sp(4, 4, cfg, 0), ONES_2):
-        report = classify.classify_all(a)
-        assert report.left_inv == report.inv
-        assert (report.left_inv is not None) == report.minimally_semipositive
-        msp.add(report.minimally_semipositive)
-    assert msp == {True, False} and "equality_feasible_nonneg_each" not in lp_calls
-    # a tall A still takes the equality LPs
-    assert classify.classify_all(LIFT).left_inv is not None
-    assert "equality_feasible_nonneg_each" in lp_calls
-
-
-def test_rank_deficient_msp_is_refuted_without_lp(lp_calls):
-    rng = random.Random("classify-rank-deficient")
-    semipositive = 0
-    for _ in range(60):
-        m, n = rng.randint(2, 5), rng.randint(2, 4)
-        m = max(m, n)
-        rows = genfuzz.int_rows(rng, m, n)
-        # the last column a combination of the others, so rank < n
-        c = rng.randint(-2, 2)
-        for row in rows:
-            row[-1] = row[0] + c * row[-2] if n > 2 else c * row[0]
-        a = Matrix(rows)
-        assert a.rank() < n
-        assert not classify.is_minimally_semipositive(a)
-        assert lp_calls == []
-        semipositive += classify.is_semipositive(a)[0]
-        assert not classify.msp_by_deletion(a)
-        lp_calls.clear()
-    assert semipositive > 0
-
-
-def test_a_nonpositive_row_refutes_semipositivity_without_lp(lp_calls):
-    rng = random.Random("classify-nonpositive-row")
-    for _ in range(120):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        rows = genfuzz.int_rows(rng, m, n)
-        forced = rng.randrange(m)
-        rows[forced] = [-abs(v) for v in rows[forced]]
-        a = Matrix(rows)
-        assert classify.is_semipositive(a) == (False, None)
-        assert lp_calls == []
-        assert not lp.feasible_nonneg_bruteforce(a, ones_vector(m)).feasible
-
-
 def test_lp_and_sign_tests_leave_the_fraction_grid_unbuilt(entries_reads):
     # they run on the integer rows; ``entries`` builds the Fraction grid anew
     a = Matrix([[0, "1/2", 0], [0, 0, 3], ["2/3", 0, 0]]) @ Matrix(
@@ -298,49 +408,6 @@ def test_lp_and_sign_tests_leave_the_fraction_grid_unbuilt(entries_reads):
     assert classify.is_semipositive(a)[0] and not classify.is_semipositive(-a)[0]
     assert classify.is_monomial(a)
     assert entries_reads == []
-
-
-def test_monomial_characterization():
-    rng = random.Random("classify-monomial")
-    for t in range(150):
-        n = rng.randint(1, 6)
-        if t % 3 == 0:
-            perm = list(range(n))
-            rng.shuffle(perm)
-            a = Matrix(
-                [
-                    [rng.randint(1, 3) if j == perm[i] else 0 for j in range(n)]
-                    for i in range(n)
-                ]
-            )
-        else:
-            a = genfuzz.int_matrix(rng, n, n)
-        expected = classify.is_row_positive(a) and classify.is_inverse_nonnegative(a)[0]
-        assert classify.is_monomial(a) == expected
-
-
-def test_row_positive_implies_semipositive():
-    rng = random.Random("classify-rowpos")
-    for _ in range(40):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        a = genfuzz.row_positive_int_matrix(rng, m, n)
-        ok, witness = classify.is_semipositive(a)
-        assert ok and witness.is_positive() and (a @ witness).is_positive()
-
-
-def test_report_internal_consistency():
-    rng = random.Random("classify-report")
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        report = classify.classify_all(genfuzz.int_matrix(rng, n, n))
-        if report.monomial:
-            assert report.row_positive and report.inverse_nonnegative
-        if report.row_positive and report.inverse_nonnegative:
-            assert report.monomial
-        if report.minimally_semipositive:
-            assert report.semipositive
-        if report.sp_witness is not None:
-            assert report.sp_witness.is_positive()
 
 
 def test_feasible_sp_result_without_witness_raises(monkeypatch):

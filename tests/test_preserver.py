@@ -527,22 +527,6 @@ def test_sign_symmetry_and_scaling():
             assert bool(cond(x, y)) == (op(base).status is Verdict.YES)
 
 
-def test_onto_yes_implies_both_intos():
-    cfg = genfuzz.GenConfig(77)
-    for t in range(10):
-        n = 2 + t % 3
-        s = 1 if t % 2 == 0 else -1
-        x = genfuzz.gen_monomial(n, cfg, index=("sym-x", t)) * s
-        y = genfuzz.gen_monomial(n, cfg, index=("sym-y", t)) * s
-        lmap = _map(x, y)
-        assert preserver.onto_msp_preserver(lmap).status is Verdict.YES
-        assert preserver.into_msp_preserver(lmap).status is Verdict.YES
-        assert preserver.into_msp_preserver(lmap.inverse_map()).status is Verdict.YES
-        assert preserver.onto_sp_preserver(lmap).status is Verdict.YES
-        assert preserver.into_sp_preserver(lmap).status is Verdict.YES
-        assert preserver.into_sp_preserver(lmap.inverse_map()).status is Verdict.YES
-
-
 def _check_verdicts(pairs, candidates):
     """Runs the four verdicts on every pair (X, Y) and returns the count of
     each (verdict, status).  Every verdict decides its pair, and each verdict

@@ -281,6 +281,9 @@ def test_stacking_and_deletion():
     assert a.delete_col(0) == Matrix([[2], [4]])
     with pytest.raises(DimensionError):
         Matrix([[1], [2]]).delete_col(0)
+    for j in (5, -1):
+        with pytest.raises(DimensionError, match=f"cannot delete column {j} of 2"):
+            a.delete_col(j)
     for rows in ([], [Vector([1, 2]), Vector([1])]):
         with pytest.raises(DimensionError, match="at least one row, all of one length"):
             Matrix.from_rows(rows)
