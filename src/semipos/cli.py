@@ -23,7 +23,9 @@ modules it brings (``inspect``, ``ast``, ``dis``, ``tokenize``, ``linecache``,
 ``copy``, ...), load exactly when ``preserver`` does: never for
 ``classify``, ``witness``, ``build``, ``key1`` or ``basis``, and for ``fuzz``
 only on a campaign whose trials call ``preserver``.  ``fuzz`` reports its
-``NamedTuple`` result through ``_asdict()``.
+``NamedTuple`` result through ``_asdict()``.  The stdlib ``hashlib``, which
+loads OpenSSL, is imported only where a matrix file is hashed, so ``build``,
+``fuzz`` and ``basis`` never load it.
 
 Exit codes: 0 for a yes/true verdict, 1 for no/false, 2 for unknown, 64 for
 malformed input (bad files, dimension mismatches, violated preconditions, a
@@ -35,7 +37,6 @@ report was written.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -84,6 +85,8 @@ def _load_matrix(path: str, inputs: Inputs, key: str) -> Matrix:
     path, the first 16 hex digits of the sha256 of its bytes, and its shape.
     A file longer than ``MAX_FILE_BYTES`` is refused after reading one byte
     more, so no file, ``/dev/zero`` included, is read without end."""
+    import hashlib  # OpenSSL loads only for the commands that read a matrix file
+
     with open(path, "rb") as f:
         data = f.read(MAX_FILE_BYTES + 1)
     if len(data) > MAX_FILE_BYTES:

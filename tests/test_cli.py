@@ -260,14 +260,14 @@ def test_certificate_dict_verifies_a_certificate_before_reading_its_image():
 
 
 # One cli.run in a fresh interpreter; prints its exit code, the sorted
-# semipos.* modules loaded by then, and whether dataclasses was loaded.
+# semipos.* modules loaded by then, and whether dataclasses and hashlib were loaded.
 _LOADED_MODULES = """
 import contextlib, io, json, sys
 from semipos import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.run(sys.argv[1:])
 semipos = sorted(m for m in sys.modules if m.startswith("semipos."))
-print(json.dumps([code, semipos, "dataclasses" in sys.modules]))
+print(json.dumps([code, semipos, "dataclasses" in sys.modules, "hashlib" in sys.modules]))
 """
 
 
@@ -298,7 +298,8 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
             [sys.executable, "-c", _LOADED_MODULES, *argv], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
-        got_code, got_loaded, dataclasses_loaded = json.loads(proc.stdout)
+        got_code, got_loaded, dataclasses_loaded, hashlib_loaded = json.loads(proc.stdout)
         assert [got_code, got_loaded] == [code, sorted(loaded)], argv
-        # only preserver is written with dataclasses
+        # only preserver is written with dataclasses, and only a matrix file is hashed
         assert dataclasses_loaded == ("semipos.preserver" in loaded), argv
+        assert hashlib_loaded == any(arg.endswith(".mat") for arg in argv), argv

@@ -1,3 +1,19 @@
+"""Tests of ``construct``: the builders and the mixed-sign vector.
+
+``CORPUS`` is the one seeded set of builder inputs: (v, w) pairs for
+n = 1..12, drawn from one ``random.Random`` in four families: mixed integer v
+with nonzero w in -4..4 (n = 3..7); integer pairs in -3..3, each followed by
+a nonnegative v in 0..3 with a positive w in 1..4 (n = 2..8); rational pairs
+whose entries take each sign of {-1, 0, 1} (n = 2..12); and rational v of
+every zero/positive pattern up to n = 5, and four patterns for each
+n = 6..12, with positive w.  The module fixtures ``np_built`` and
+``pos_built`` run ``build_np`` and ``build_pos`` once on every pair the
+builder accepts, and four tests check each result: the case letters against
+the sign tables, B against the permutation products, and the returned B^-1
+against the eliminated inverse, with a floor of every case letter and every
+zero/positive pattern up to n = 5.
+"""
+
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -60,35 +76,77 @@ def test_build_np_preconditions():
         construct.build_np(Vector([1, -1]), Vector([1, 1, 1]))
 
 
-def test_build_np_case_letters_match_sign_patterns():
-    rng = random.Random("np-cases")
-    for _ in range(60):
-        n = rng.randint(3, 7)
-        v = genfuzz.mixed_int_vector(rng, n, 4)
-        w = genfuzz.nonzero_int_vector(rng, n, -4, 4)
-        _, trace = construct.build_np(v, w)
+# (sign of w_i, sign of v_i) -> build_np's interior case letter
+INTERIOR_CASES = {
+    (1, 1): "a", (1, -1): "b", (1, 0): "c",
+    (-1, 1): "d", (-1, -1): "e", (-1, 0): "f",
+    (0, 1): "g", (0, -1): "h", (0, 0): "i",
+}
+# (sign of w_n, sign of w_1) -> its tail case letter, "e" when w_n = 0
+TAIL_CASES = {(1, -1): "a", (1, 1): "b", (-1, -1): "c", (-1, 1): "d"}
+
+
+def test_build_np_case_letters_match_sign_patterns(np_built):
+    for v, w, _, trace in np_built:
         vp = permutation_matrix(trace.v_permutation) @ v
         wp = permutation_matrix(trace.w_permutation) @ w
-        assert trace.step1_case == ("a" if wp[0] > 0 else "b")
-        table = {
-            (1, 1): "a", (1, -1): "b", (1, 0): "c",
-            (-1, 1): "d", (-1, -1): "e", (-1, 0): "f",
-            (0, 1): "g", (0, -1): "h", (0, 0): "i",
-        }
+        assert trace.step1_case == ("a" if wp[0] > 0 else "b"), (v, w)
         for idx, case in enumerate(trace.step2_cases, start=1):
-            key = (_sign(wp[idx]), _sign(vp[idx]))
-            assert table[key] == case
-        if wp[n - 1] == 0:
-            assert trace.step3_case == "e"
-        else:
-            expected = {
-                (1, -1): "a", (1, 1): "b", (-1, -1): "c", (-1, 1): "d",
-            }[(_sign(wp[n - 1]), _sign(wp[0]))]
-            assert trace.step3_case == expected
+            assert INTERIOR_CASES[_sign(wp[idx]), _sign(vp[idx])] == case, (v, w)
+        tail = "e" if wp[-1] == 0 else TAIL_CASES[_sign(wp[-1]), _sign(wp[0])]
+        assert trace.step3_case == tail, (v, w)
 
 
 def _sign(q):
     return (q > 0) - (q < 0)
+
+
+def _rational(rng, sign):
+    """A random rational of the given sign (-1, 0 or 1)."""
+    return sign * Fraction(rng.randint(1, 9), rng.randint(1, 4))
+
+
+def _drawn(rng, n, signs, accept):
+    while True:
+        u = Vector([_rational(rng, rng.choice(signs)) for _ in range(n)])
+        if accept(u):
+            return u
+
+
+def corpus_pairs():
+    """The (v, w) pairs of ``CORPUS``, family by family (see the module docstring)."""
+    rng = random.Random("construct-corpus")
+    for n in range(3, 8):
+        for _ in range(12):
+            yield genfuzz.mixed_int_vector(rng, n, 4), genfuzz.nonzero_int_vector(rng, n, -4, 4)
+    for n in range(2, 9):
+        for _ in range(12):
+            yield genfuzz.int_vector(rng, n), genfuzz.int_vector(rng, n)
+            yield genfuzz.int_vector(rng, n, 0, 3), genfuzz.int_vector(rng, n, 1, 4)
+    for n in range(2, 13):
+        for _ in range(12):
+            yield _drawn(rng, n, (-1, 0, 1), Vector.has_mixed_signs), _drawn(rng, n, (-1, 0, 1), lambda u: not u.is_zero())
+    # every zero/positive pattern of v up to n = 5; beyond it one positive
+    # entry first, one last, all positive and one random pattern
+    masks = [(n, mask) for n in range(1, 6) for mask in range(1, 2**n)]
+    masks += [(n, mask) for n in range(6, 13) for mask in (2 ** (n - 1), 1, 2**n - 1, rng.randrange(1, 2**n))]
+    for n, mask in masks:
+        yield Vector([_rational(rng, int(bit)) for bit in format(mask, f"0{n}b")]), _drawn(rng, n, (1,), Vector.is_positive)
+
+
+CORPUS = list(corpus_pairs())
+
+
+@pytest.fixture(scope="module")
+def np_built():
+    """(v, w, B, trace) for each pair of ``CORPUS`` that ``build_np`` accepts."""
+    return [(v, w, *construct.build_np(v, w)) for v, w in CORPUS if v.has_mixed_signs() and not w.is_zero()]
+
+
+@pytest.fixture(scope="module")
+def pos_built():
+    """(v, w, B, B^-1) for each pair of ``CORPUS`` that ``build_pos`` accepts."""
+    return [(v, w, *construct.build_pos(v, w)) for v, w in CORPUS if v.is_nonneg() and not v.is_zero() and w.is_positive()]
 
 
 def test_build_pos_examples():
@@ -140,18 +198,11 @@ def _pos_by_permutation_product(v, w):
     return Matrix(c) @ r
 
 
-def test_builders_agree_with_the_permutation_products():
-    rng = random.Random("builders-by-index")
-    for n in range(2, 9):
-        for _ in range(12):
-            v = genfuzz.int_vector(rng, n)
-            w = genfuzz.int_vector(rng, n)
-            if v.has_mixed_signs() and not w.is_zero():
-                assert construct.build_np(v, w)[0] == _np_by_permutation_products(v, w), (v, w)
-            v = genfuzz.int_vector(rng, n, 0, 3)
-            w = genfuzz.int_vector(rng, n, 1, 4)
-            if not v.is_zero():
-                assert construct.build_pos(v, w)[0] == _pos_by_permutation_product(v, w), (v, w)
+def test_builders_agree_with_the_permutation_products(np_built, pos_built):
+    for v, w, b, _ in np_built:
+        assert b == _np_by_permutation_products(v, w), (v, w)
+    for v, w, b, _ in pos_built:
+        assert b == _pos_by_permutation_product(v, w), (v, w)
 
 
 def test_build_rect_mixed_row():
@@ -213,46 +264,25 @@ def test_a_builder_rejects_a_bad_result(monkeypatch, builder, v, w, helper, bad)
         getattr(construct, builder)(Vector(v), Vector(w))
 
 
-def _rational(rng, sign):
-    """A random rational of the given sign (-1, 0 or 1)."""
-    return sign * Fraction(rng.randint(1, 9), rng.randint(1, 4))
-
-
-def _drawn(rng, n, signs, accept):
-    while True:
-        u = Vector([_rational(rng, rng.choice(signs)) for _ in range(n)])
-        if accept(u):
-            return u
-
-
-def test_build_np_inverse_is_the_eliminated_inverse_in_every_case():
-    rng = random.Random("np-block-inverse")
+def test_build_np_inverse_is_the_eliminated_inverse_in_every_case(np_built):
     head, interior, tail = set(), set(), set()
-    for n in range(2, 13):
-        for _ in range(12):
-            v = _drawn(rng, n, (-1, 0, 1), Vector.has_mixed_signs)
-            w = _drawn(rng, n, (-1, 0, 1), lambda u: not u.is_zero())
-            b, trace = construct.build_np(v, w)
-            assert trace.inverse == b.inverse(), (v, w)
-            assert b @ trace.inverse == Matrix.identity(n)
-            head.add(trace.step1_case)
-            interior.update(trace.step2_cases)
-            tail.add(trace.step3_case)
+    for v, w, b, trace in np_built:
+        assert trace.inverse == b.inverse(), (v, w)
+        assert b @ trace.inverse == Matrix.identity(v.dim)
+        head.add(trace.step1_case)
+        interior.update(trace.step2_cases)
+        tail.add(trace.step3_case)
     assert (head, interior, tail) == (set("ab"), set("abcdefghi"), set("abcde"))
 
 
-def test_build_pos_inverse_is_the_eliminated_inverse_for_every_pattern():
-    # every zero/positive pattern of v up to n = 5; beyond it one positive
-    # entry first, one last, all positive and one random pattern
-    rng = random.Random("pos-block-inverse")
-    masks = [(n, mask) for n in range(1, 6) for mask in range(1, 2**n)]
-    masks += [(n, mask) for n in range(6, 13) for mask in (2 ** (n - 1), 1, 2**n - 1, rng.randrange(1, 2**n))]
-    for n, mask in masks:
-        v = Vector([_rational(rng, int(bit)) for bit in format(mask, f"0{n}b")])
-        w = _drawn(rng, n, (1,), Vector.is_positive)
-        b, inv = construct.build_pos(v, w)
+def test_build_pos_inverse_is_the_eliminated_inverse_for_every_pattern(pos_built):
+    patterns = set()
+    for v, w, b, inv in pos_built:
         assert inv == b.inverse(), (v, w)
-        assert b @ inv == Matrix.identity(n)
+        assert b @ inv == Matrix.identity(v.dim)
+        patterns.add("".join("1" if x > 0 else "0" for x in v.entries))
+    # every zero/positive pattern of v up to n = 5
+    assert {format(mask, f"0{n}b") for n in range(1, 6) for mask in range(1, 2**n)} <= patterns
 
 
 def test_a_builder_rejects_a_wrong_inverse(monkeypatch):

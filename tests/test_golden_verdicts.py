@@ -7,6 +7,11 @@ falsifier note.  Regenerate it only when a report is meant to change, with
 the one writer of every golden file:
 
     PYTHONPATH=src python3 tests/golden.py --write
+
+``render()`` runs the cases once for the golden file; the module fixture
+``records`` runs them once more, recording each verdict with the inverses,
+products, eliminations and ``entries`` reads it made, and the tests below
+check each property on every record and every certificate.
 """
 
 from __future__ import annotations
@@ -15,11 +20,14 @@ import dataclasses
 import json
 import random
 from collections import Counter
+from types import SimpleNamespace
+
+import pytest
 
 import golden
 from examples import NEAR_IDENTITY
 from semipos import cli, construct, genfuzz, preserver
-from semipos.ratmat import Matrix
+from semipos.ratmat import Matrix, Vector
 
 GOLDEN = golden.path("verdicts")
 SIZES = (2, 3, 4, 5)
@@ -161,19 +169,54 @@ def test_verdict_reports_match_golden():
     assert render() == GOLDEN.read_text()
 
 
-def _certificates():
-    for _, kind, x, y in cases():
-        verdict = _verdict(kind, x, y)
-        if verdict.certificate is not None:
-            yield verdict.certificate
+@pytest.fixture(scope="module")
+def records():
+    """The one recorded pass over ``cases()``, one record a case: its verdict
+    and what the verdict did.  ``eliminated`` holds each ``rank`` and
+    ``inverse`` call as (name, matrix, inverse), the inverse None for a rank or
+    a singular matrix; ``products`` each ``Matrix.__matmul__`` operand pair;
+    ``built`` each matrix passed to ``construct._checked``; ``searched`` each
+    entry into ``genfuzz.iter_msp_mixture``; and ``reads`` each ``Matrix`` or
+    ``Vector`` whose ``entries`` were read.  The cases are drawn before the
+    pass, so their generators are not recorded."""
+    drawn = list(cases())
+    records = []
+    inverse, rank, matmul = Matrix.inverse, Matrix.rank, Matrix.__matmul__
+    checked, draws = construct._checked, genfuzz.iter_msp_mixture
+
+    def inverted(m):
+        inv = None
+        try:
+            inv = inverse(m)
+            return inv
+        finally:
+            records[-1].eliminated.append(("inverse", m, inv))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Matrix, "inverse", inverted)
+        patch.setattr(Matrix, "rank", lambda m: records[-1].eliminated.append(("rank", m, None)) or rank(m))
+        patch.setattr(Matrix, "__matmul__", lambda m, other: records[-1].products.append((m, other)) or matmul(m, other))
+        patch.setattr(construct, "_checked", lambda b, *rest: records[-1].built.append(b) or checked(b, *rest))
+        patch.setattr(genfuzz, "iter_msp_mixture", lambda *args: records[-1].searched.append(args) or draws(*args))
+        for cls in (Matrix, Vector):
+            patch.setattr(cls, "entries", property(lambda v, get=cls.entries.fget: records[-1].reads.append(v) or get(v)))
+        for label, kind, x, y in drawn:
+            records.append(SimpleNamespace(label=label, eliminated=[], products=[], built=[], searched=[], reads=[]))
+            records[-1].verdict = _verdict(kind, x, y)
+    return records
 
 
-def test_every_golden_certificate_verifies_without_an_inverse(monkeypatch):
+@pytest.fixture(scope="module")
+def certificates(records):
+    """The certificate of every recorded verdict that holds one."""
+    return [r.verdict.certificate for r in records if r.verdict.certificate is not None]
+
+
+def test_every_golden_certificate_verifies_without_an_inverse(monkeypatch, certificates):
     """A certificate with its evidence inverts nothing.  Without it, a
     minimally semipositive A goes to the classify decider, which may invert
     that A (a square A's only left inverse is A^-1) and nothing else; a
     semipositive A needs its witness."""
-    certs = list(_certificates())
     inverse = Matrix.inverse
     invertible = []
 
@@ -183,7 +226,7 @@ def test_every_golden_certificate_verifies_without_an_inverse(monkeypatch):
         return inverse(m)
 
     monkeypatch.setattr(Matrix, "inverse", member_inverse)
-    for cert in certs:
+    for cert in certificates:
         invertible.clear()
         assert cert.verify(), cert.note
         stripped = dataclasses.replace(cert, witness=None, left_inverse=None)
@@ -191,13 +234,12 @@ def test_every_golden_certificate_verifies_without_an_inverse(monkeypatch):
         assert stripped.verify() is (cert.class_name == preserver.CLASS_MSP), cert.note
 
 
-def test_only_the_search_draws_reach_an_lp_in_verify(lp_calls):
+def test_only_the_search_draws_reach_an_lp_in_verify(lp_calls, certificates):
     """Every constructed certificate is checked by products and sign tests;
     only the tall search's draws, which carry no member evidence, have A
     decided by an LP."""
-    certs = list(_certificates())
     with_lp = set()
-    for cert in certs:
+    for cert in certificates:
         lp_calls.clear()
         assert cert.verify(), cert.note
         if lp_calls:
@@ -205,67 +247,47 @@ def test_only_the_search_draws_reach_an_lp_in_verify(lp_calls):
     assert with_lp == {preserver.NOTE_RANDOMIZED_COUNTEREXAMPLE}
 
 
-def test_every_golden_verdict_inverts_each_matrix_at_most_once(monkeypatch):
+def test_every_golden_verdict_inverts_each_matrix_at_most_once(records):
     """No verdict inverts a matrix twice, or inverts an inverse it already has."""
-    inverse = Matrix.inverse
-    inverted, returned = set(), set()
     broken = []
-
-    def tracked(m):
-        if m in inverted or m in returned:
-            broken.append(label)
-        inverted.add(m)
-        inv = inverse(m)
-        returned.add(inv)
-        return inv
-
-    monkeypatch.setattr(Matrix, "inverse", tracked)
-    for label, kind, x, y in cases():
-        inverted.clear()
-        returned.clear()
-        _verdict(kind, x, y)
+    for r in records:
+        seen = set()
+        for name, m, inv in r.eliminated:
+            if name == "inverse":
+                if m in seen:
+                    broken.append(r.label)
+                seen.update([m] if inv is None else [m, inv])
     assert broken == []
 
 
-def test_every_golden_verdict_forms_its_image_once(monkeypatch):
+def test_every_golden_verdict_forms_its_image_once(records):
     """X A Y is formed only in ``verify()``, which each "no" verdict runs
     once, so the product X A of its certificate is taken exactly once."""
-    matmul = Matrix.__matmul__
-    products = []
-    monkeypatch.setattr(Matrix, "__matmul__", lambda m, other: products.append((m, other)) or matmul(m, other))
     formed = {}
-    for label, kind, x, y in cases():
-        products.clear()
-        cert = _verdict(kind, x, y).certificate
+    for r in records:
+        cert = r.verdict.certificate
         if cert is not None and cert.kind == "image-leaves-class":
-            formed[label] = products.count((cert.x, cert.a))
+            formed[r.label] = r.products.count((cert.x, cert.a))
     assert formed and set(formed.values()) == {1}, formed
 
 
-def test_no_golden_verdict_eliminates_a_builders_matrix(monkeypatch):
+def test_no_golden_verdict_eliminates_a_builders_matrix(records):
     """The square builders return B^{-1} with B, read off its block form and
     proved by B B^{-1} = I, so no verdict calls ``rank()`` or ``inverse()``
     on a matrix a builder checked."""
-    built, eliminated = [], []
-    checked = construct._checked
-    monkeypatch.setattr(construct, "_checked", lambda b, *rest: built.append(b) or checked(b, *rest))
-    for name in ("rank", "inverse"):
-        method = getattr(Matrix, name)
-        monkeypatch.setattr(
-            Matrix, name, lambda m, name=name, method=method: eliminated.append((name, m)) or method(m)
-        )
-    for label, kind, x, y in cases():
-        _verdict(kind, x, y)
-    on_built = Counter(name for name, m in eliminated if any(m is b for b in built))
+    # every recorded matrix is alive, so its id is its own
+    built = {id(b) for r in records for b in r.built}
+    eliminated = [(name, m) for r in records for name, m, _ in r.eliminated]
+    on_built = Counter(name for name, m in eliminated if id(m) in built)
     assert built and eliminated
     assert on_built == Counter(), on_built
 
 
-def test_a_golden_certificate_without_its_image_verifies_alike_and_stores_it():
+def test_a_golden_certificate_without_its_image_verifies_alike_and_stores_it(certificates):
     """A certificate built with ``image=None`` verifies exactly when the
     original does, its evidence stripped or not, and then holds X A Y."""
     checked = 0
-    for cert in _certificates():
+    for cert in certificates:
         if cert.kind != "image-leaves-class":
             continue
         for held in (cert, dataclasses.replace(cert, witness=None, left_inverse=None)):
@@ -276,23 +298,10 @@ def test_a_golden_certificate_without_its_image_verifies_alike_and_stores_it():
     assert checked
 
 
-def test_a_verdict_without_the_tall_search_never_reads_the_fraction_grid(
-    monkeypatch, entries_reads
-):
+def test_a_verdict_without_the_tall_search_never_reads_the_fraction_grid(records):
     """Verdicts run on integer rows; only the tall search's draws
     (``genfuzz.iter_msp_mixture``) build a ``Fraction`` grid."""
-    searched = []
-    draws = genfuzz.iter_msp_mixture
-    monkeypatch.setattr(
-        genfuzz, "iter_msp_mixture", lambda *args: searched.append(args) or draws(*args)
-    )
-    read = []
-    for label, kind, x, y in cases():
-        searched.clear()
-        entries_reads.clear()
-        _verdict(kind, x, y)
-        if entries_reads and not searched:
-            read.append(label)
+    read = [r.label for r in records if r.reads and not r.searched]
     assert read == []
 
 

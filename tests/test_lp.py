@@ -1,5 +1,18 @@
+"""Tests of ``lp``: the simplex on directed systems, its riders and its
+checks, and its verdicts against the brute-force oracles.
+
+``CORPUS`` is the one seeded set of LP systems: ``_system`` draws of each
+family ("small", "rational", "factor"), with n = 1..4 columns and
+m = 1..8-n rows.  ``test_simplex_agrees_with_bruteforce`` checks
+``feasible_nonneg`` against vertex enumeration on every system, and
+``test_equality_agrees_with_bruteforce`` checks ``equality_feasible_nonneg``
+against its brute force, with b as c, on every system with m <= 4; each
+family shows both verdicts of each question.
+"""
+
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import golden
@@ -131,39 +144,48 @@ def _system(rng, family, m, n):
     return a, Vector(b)
 
 
-def test_simplex_agrees_with_bruteforce():
-    rng = random.Random("lp-agreement")
-    for family, trials in (("small", 120), ("rational", 60), ("factor", 60)):
-        seen = set()
-        for _ in range(trials):
+FAMILY_ROWS = {"small": 120, "rational": 60, "factor": 60}
+BOTH_VERDICTS = {(family, verdict) for family in FAMILY_ROWS for verdict in (True, False)}
+
+
+def corpus_systems():
+    """The (family, A, b) rows of ``CORPUS``, ``FAMILY_ROWS`` of each family,
+    each with n in 1..4 columns and m in 1..8-n rows."""
+    rng = random.Random("lp-corpus")
+    for family, count in FAMILY_ROWS.items():
+        for _ in range(count):
             n = rng.randint(1, 4)
-            m = rng.randint(1, 8 - n)
-            a, b = _system(rng, family, m, n)
-            fast = lp.feasible_nonneg(a, b)
-            slow = lp.feasible_nonneg_bruteforce(a, b)
-            assert fast.feasible == slow.feasible, f"disagreement on\n{a}\nb={b}"
-            if fast.feasible:
-                ax = a @ fast.witness
-                assert fast.witness.is_nonneg() and all(ax[i] >= b[i] for i in range(m))
-            seen.add(fast.feasible)
-        assert seen == {True, False}, family
+            yield family, *_system(rng, family, rng.randint(1, 8 - n), n)
+
+
+CORPUS = list(corpus_systems())
+
+
+def test_simplex_agrees_with_bruteforce():
+    seen = Counter()
+    for family, a, b in CORPUS:
+        fast = lp.feasible_nonneg(a, b)
+        assert fast.feasible == lp.feasible_nonneg_bruteforce(a, b).feasible, f"disagreement on\n{a}\nb={b}"
+        if fast.feasible:
+            ax = a @ fast.witness
+            assert fast.witness.is_nonneg() and all(ax[i] >= b[i] for i in range(a.rows))
+        seen[family, fast.feasible] += 1
+    assert set(seen) == BOTH_VERDICTS, seen
 
 
 def test_equality_agrees_with_bruteforce():
-    rng = random.Random("lp-eq-agreement")
-    for family, trials in (("small", 60), ("rational", 40), ("factor", 40)):
-        seen = set()
-        for _ in range(trials):
-            n = rng.randint(1, 4)
-            m = rng.randint(1, 4)
-            a, c = _system(rng, family, m, n)
-            fast = lp.equality_feasible_nonneg(a, c)
-            slow = lp.equality_feasible_nonneg_bruteforce(a, c)
-            assert fast.feasible == slow.feasible, f"disagreement on\n{a}\nc={c}"
-            if fast.feasible:
-                assert fast.witness.is_nonneg() and a @ fast.witness == c
-            seen.add(fast.feasible)
-        assert seen == {True, False}, family
+    seen = Counter()
+    for family, a, c in CORPUS:
+        if a.rows > 4:
+            continue
+        fast = lp.equality_feasible_nonneg(a, c)
+        assert fast.feasible == lp.equality_feasible_nonneg_bruteforce(a, c).feasible, f"disagreement on\n{a}\nc={c}"
+        if fast.feasible:
+            assert fast.witness.is_nonneg() and a @ fast.witness == c
+        seen[family, fast.feasible] += 1
+    assert set(seen) == BOTH_VERDICTS, seen
+    floors = {"small": 60, "rational": 40, "factor": 40}
+    assert all(seen[family, True] + seen[family, False] >= floor for family, floor in floors.items()), seen
 
 
 def _read(solution):
